@@ -70,6 +70,7 @@ def _summarize(config: ExperimentConfig, state: SolverState, objective: float) -
             "dual_sweeps": state.dual_sweeps,
             "bisection_steps": state.bisection_steps,
             "rejected_steps": state.rejected_steps,
+            "polish_steps": state.polish_steps,
         },
         "min_ci_margin": None if margins is None else float(margins.min()),
         "kkt_residual": state.kkt_residual,

@@ -7,10 +7,18 @@ quadratic by a linear form Re{x^H d} using the same device on Phi. Under
 the constant-modulus constraint both discarded terms are constants, so MM
 descent only needs d.
 
-Psi is never stored: its row-wise absolute sums are streamed from the
-rank-one terms c_k vec(M_k) vec^H(M_k), M_k ranging over the B_u and
-D_{tau,q,q'} matrices of the scene. This costs O(T N^4) time and O(N^2)
-memory and is capped at N <= E_CAP.
+Psi = sum_k c_k vec(M_k) vec^H(M_k) is never formed. Every cost matrix is
+M_k = J_delta (x) F_k: a block-lag matrix (delta = l2 - l1 between the
+column blocks it couples) times an N_T x N_T factor, with B_u = I_L (x) C_u
+at lag 0 and D_{tau,q,q'} = J_{-tau} (x) a_q' a_q^H at lag -tau. Psi
+therefore splits by lag: up to a permutation, its part at lag delta is
+1 1^T (x) G_delta, with an all-ones vector over the L - |delta| block pairs
+at that lag and the N_T^2 x N_T^2 Gram G_delta = sum_k c_k vec(F_k) vec^H(F_k).
+So E = mat(|Psi| 1) is block-Toeplitz with block (L - |delta|) mat(|G_delta| 1),
+zero for |delta| >= P, and lambda_max(Psi) is the largest
+(L - |delta|) lambda_max(G_delta). Set-up costs O((U + P Q^2) N_T^4),
+independent of L. Phi is block-banded the same way and is assembled from P
+small blocks per iteration, with no cap on N.
 """
 
 from __future__ import annotations
@@ -20,14 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from dfrcwave.model import CapacityError, Weights
-from dfrcwave.radar import RadarScene
-
-#: Largest N = L * n_tx for which the streamed Psi row sums are computed.
-E_CAP = 64
-
-#: Default row-chunk size for the streamed row-sum pass.
-_ROW_CHUNK = 256
+from dfrcwave.model import Weights
+from dfrcwave.radar import RadarScene, bp_quadratic_forms, correlation_values
 
 
 def diagonal_upper_bound(q_mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -46,67 +48,55 @@ def diagonal_upper_bound(q_mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.abs(q_mat).sum(axis=1)
 
 
-def _vec_stack(mats: np.ndarray) -> np.ndarray:
-    """Column-major vec of each matrix in a (T, N, N) stack, as rows (T, N^2)."""
-    t, n, _ = mats.shape
-    return mats.transpose(0, 2, 1).reshape(t, n * n)
+def _lag_weights(scene: RadarScene, weights: Weights) -> np.ndarray:
+    """Psi weight of each D_{tau,q,q'} for tau = 0 .. P-1, shape (P, Q, Q).
 
-
-def _scene_terms(scene: RadarScene, weights: Weights):
-    """Rank-one factors of Psi: rows vec(M_k) with weights c_k.
-
-    Returns (vectors, coeffs) with vectors of shape (T, N^2). Zero-weight
-    cost groups are dropped entirely.
+    D_{tau,q,q'} sits at lag -tau. The terms at lag +tau are its Hermitian
+    transposes D_{-tau,q',q} with the same weights, so this lower half of
+    the lags determines Psi.
     """
-    if not scene.materialized:
-        raise CapacityError(
-            f"scene with N = {scene.n} has no dense B/D matrices; "
-            f"the streamed Psi pass requires N <= {E_CAP}"
-        )
-    p = scene.targets.max_lag
-    q_n = scene.targets.n_targets
-    groups = []
-    if weights.w_bp > 0:
-        groups.append((weights.w_bp, _vec_stack(scene.b_mats)))
-    if weights.w_ac > 0 and p > 1:
-        taus = [t for t in range(2 * p - 1) if t != p - 1]
-        mats = scene.d_mats[taus][:, np.arange(q_n), np.arange(q_n)]
-        groups.append((weights.w_ac, _vec_stack(mats.reshape(-1, scene.n, scene.n))))
-    if weights.w_cc > 0 and q_n > 1:
-        pairs = [(q, qp) for q in range(q_n) for qp in range(q_n) if q != qp]
-        mats = np.stack(
-            [scene.d_mats[t, q, qp] for t in range(2 * p - 1) for q, qp in pairs]
-        )
-        groups.append((weights.w_cc, _vec_stack(mats)))
-    if not groups:
+    own = np.eye(scene.targets.n_targets, dtype=bool)
+    per_pair = np.where(own, weights.w_ac, weights.w_cc)
+    w = np.repeat(per_pair[None], scene.targets.max_lag, axis=0)
+    w[0][own] = 0.0  # a target's lag-0 self-correlation is its peak, not a sidelobe
+    return w
+
+
+def _lower_band(blocks: np.ndarray, block_len: int) -> np.ndarray:
+    """Dense sum_tau J_{-tau} (x) blocks[tau]: block tau sits tau block rows
+    below the diagonal (lags |tau| >= L have no room and are dropped)."""
+    n = blocks.shape[1]
+    out = np.zeros((block_len, n, block_len, n), dtype=blocks.dtype)
+    for tau, blk in enumerate(blocks[:block_len]):
+        rows = np.arange(tau, block_len)
+        out[rows, :, rows - tau, :] = blk
+    return out.reshape(block_len * n, block_len * n)
+
+
+def _lag_grams(scene: RadarScene, weights: Weights) -> np.ndarray:
+    """(L - tau) G_{-tau} for the lags -tau, tau = 0 .. min(P, L) - 1.
+
+    Returns shape (T, N_T^2, N_T^2), with factors vectorized row-major. Lag
+    -tau holds the D_{tau,q,q'} (and, at lag 0, the B_u); lag +tau mirrors
+    it with the same spectrum and transposed row sums.
+    """
+    n_tx = scene.geometry.n_tx
+    length = scene.block_len
+    a = scene.steer_targets
+    # row (q, q') is the factor a_q' a_q^H of D_{tau,q,q'}
+    pair = np.einsum("pi,qj->qpij", a, a.conj()).reshape(-1, n_tx * n_tx)
+    lag_w = _lag_weights(scene, weights).reshape(scene.targets.max_lag, -1)
+    bp = scene.c_factors.reshape(-1, n_tx * n_tx)
+    bp_w = np.full(bp.shape[0], float(weights.w_bp))
+    if not (bp_w.any() or lag_w[:length].any()):
         raise ValueError("no active cost terms: all usable weights are zero")
-    vectors = np.concatenate([g[1] for g in groups], axis=0)
-    coeffs = np.concatenate([np.full(g[1].shape[0], g[0]) for g in groups])
-    return vectors, coeffs
-
-
-def _psi_row_abs_sums(vectors: np.ndarray, coeffs: np.ndarray, chunk: int = _ROW_CHUNK) -> np.ndarray:
-    """Row sums of |Psi| with Psi = sum_k c_k v_k v_k^H, without storing Psi.
-
-    Row blocks are formed as (V[:, rows].T * c) @ conj(V); the absolute row
-    sums use numpy's pairwise summation over the contiguous axis.
-    """
-    n2 = vectors.shape[1]
-    out = np.empty(n2)
-    v_conj = vectors.conj()
-    for start in range(0, n2, chunk):
-        stop = min(start + chunk, n2)
-        rows = (vectors[:, start:stop].T * coeffs) @ v_conj
-        out[start:stop] = np.abs(rows).sum(axis=1)
-    return out
-
-
-def _check_cap(scene: RadarScene) -> None:
-    if scene.n > E_CAP:
-        raise CapacityError(
-            f"N = {scene.n} exceeds the documented cap {E_CAP} for the dense "
-            "quartic-kernel passes"
-        )
+    grams = []
+    for tau in range(min(scene.targets.max_lag, length)):
+        vecs, coeffs = pair, lag_w[tau]
+        if tau == 0:
+            vecs, coeffs = np.concatenate([bp, pair]), np.concatenate([bp_w, coeffs])
+        grams.append((length - tau) * ((vecs.T * coeffs) @ vecs.conj()))
+    return np.array(grams)
 
 
 def precompute_E(scene: RadarScene, weights: Weights) -> np.ndarray:
@@ -115,25 +105,22 @@ def precompute_E(scene: RadarScene, weights: Weights) -> np.ndarray:
     Depends only on the scene and weights, so it is computed once per
     problem and reused across MM iterations.
     """
-    _check_cap(scene)
-    vectors, coeffs = _scene_terms(scene, weights)
-    row_sums = _psi_row_abs_sums(vectors, coeffs)
-    e_mat = row_sums.reshape((scene.n, scene.n), order="F")
-    # symmetric in exact arithmetic; enforce it so E (.) x x^H stays Hermitian
-    return 0.5 * (e_mat + e_mat.T)
+    n_tx = scene.geometry.n_tx
+    rows = np.abs(_lag_grams(scene, weights)).sum(axis=2)
+    blocks = rows.reshape(-1, n_tx, n_tx)
+    blocks[0] *= 0.5  # lag 0 is its own mirror image
+    lower = _lower_band(blocks, scene.block_len)
+    return lower + lower.T
 
 
 def lambda_psi(scene: RadarScene, weights: Weights) -> float:
     """Largest eigenvalue of the assembled quartic kernel Psi.
 
-    Psi = A A^H with A = [sqrt(c_k) vec(M_k)]_k, so the nonzero spectrum
-    equals that of the T x T Gram matrix A^H A, solved densely.
+    Up to a permutation, Psi is the direct sum over lags of 1 1^T (x) G_delta
+    with an all-ones vector of length L - |delta|, whose nonzero spectrum is
+    (L - |delta|) times that of G_delta.
     """
-    _check_cap(scene)
-    vectors, coeffs = _scene_terms(scene, weights)
-    scaled = vectors * np.sqrt(coeffs)[:, None]
-    gram = scaled.conj() @ scaled.T
-    top = float(np.linalg.eigvalsh(gram)[-1])
+    top = max(float(np.linalg.eigvalsh(g)[-1]) for g in _lag_grams(scene, weights))
     return max(top, 0.0)
 
 
@@ -141,47 +128,19 @@ def lambda_psi(scene: RadarScene, weights: Weights) -> float:
 class MajorizerContext:
     """Per-problem majorizer data: E (diagonal kind) or lambda_Psi (eigen kind).
 
-    Also caches the stacked B/D matrices and the canonical half of each
-    correlation index set (the other half enters through Hermitian
-    conjugation), so per-iteration Phi assembly is pure tensor algebra.
+    Phi is rebuilt every iteration from the scene's Kronecker factors, so
+    the scene itself is the only other thing kept.
     """
 
     kind: str
     weights: Weights
-    n: int
-    b_mats: np.ndarray
-    ac_mats: np.ndarray
-    cc_mats: np.ndarray
+    scene: RadarScene
     e_mat: Optional[np.ndarray] = None
     lambda_quartic: Optional[float] = None
 
-
-def _half_index_stacks(scene: RadarScene):
-    """Canonical-half D stacks: lags > 0 for autocorrelation terms, and
-    lags > 0 plus (lag 0, q < q') for cross terms."""
-    p = scene.targets.max_lag
-    q_n = scene.targets.n_targets
-    n = scene.n
-    ac_sel = [
-        scene.d_mats[t, q, q] for t in range(p, 2 * p - 1) for q in range(q_n)
-    ]
-    cc_sel = [
-        scene.d_mats[t, q, qp]
-        for t in range(p, 2 * p - 1)
-        for q in range(q_n)
-        for qp in range(q_n)
-        if q != qp
-    ]
-    cc_sel += [
-        scene.d_mats[p - 1, q, qp]
-        for q in range(q_n)
-        for qp in range(q_n)
-        if q < qp
-    ]
-    empty = np.empty((0, n, n), dtype=complex)
-    ac = np.stack(ac_sel) if ac_sel else empty
-    cc = np.stack(cc_sel) if cc_sel else empty
-    return ac, cc
+    @property
+    def n(self) -> int:
+        return self.scene.n
 
 
 def build_majorizer_context(
@@ -191,12 +150,6 @@ def build_majorizer_context(
     kind = str(getattr(kind, "value", kind))
     if kind not in ("diagonal", "max_eigen"):
         raise ValueError(f"unknown majorizer kind {kind!r}")
-    _check_cap(scene)
-    if not scene.materialized:
-        raise CapacityError("majorization requires a materialized scene (N <= E_CAP)")
-    ac_mats, cc_mats = _half_index_stacks(scene)
-    ac_mats.setflags(write=False)
-    cc_mats.setflags(write=False)
     e_mat = lam = None
     if kind == "diagonal":
         e_mat = precompute_E(scene, weights)
@@ -204,20 +157,8 @@ def build_majorizer_context(
     else:
         lam = lambda_psi(scene, weights)
     return MajorizerContext(
-        kind=kind,
-        weights=weights,
-        n=scene.n,
-        b_mats=scene.b_mats,
-        ac_mats=ac_mats,
-        cc_mats=cc_mats,
-        e_mat=e_mat,
-        lambda_quartic=lam,
+        kind=kind, weights=weights, scene=scene, e_mat=e_mat, lambda_quartic=lam
     )
-
-
-def _quad_coeffs(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """x^H M x for each matrix in a (T, N, N) stack."""
-    return np.einsum("i,kij,j->k", x.conj(), mats, x)
 
 
 def build_phi(x_t: np.ndarray, ctx: MajorizerContext) -> np.ndarray:
@@ -225,24 +166,30 @@ def build_phi(x_t: np.ndarray, ctx: MajorizerContext) -> np.ndarray:
 
     Phi = 2 (w_bp Phi1 + w_ac Phi2 + w_cc Phi3 - E (.) x_t x_t^H) for the
     diagonal kind; the eigen kind replaces the subtracted term with
-    lambda_Psi x_t x_t^H. Exactly Hermitian by construction.
+    lambda_Psi x_t x_t^H. The cost part sum_k c_k conj(x_t^H M_k x_t) M_k
+    is block-banded: its blocks below the diagonal come from the
+    correlations and the C_u, and the blocks above are their Hermitian
+    transposes. Phi is returned as 2 (H + H^H) for one half H, which makes
+    it exactly Hermitian.
     """
     x_t = np.asarray(x_t)
+    scene = ctx.scene
     w = ctx.weights
-    acc = np.zeros((ctx.n, ctx.n), dtype=complex)
+    p = scene.targets.max_lag
+    coef = _lag_weights(scene, w) * correlation_values(x_t, scene)[p - 1 :].conj()
+    a = scene.steer_targets
+    blocks = a.T @ coef.transpose(0, 2, 1) @ a.conj()  # sum coef[q,q'] a_q' a_q^H
     if w.w_bp > 0:
-        beta = _quad_coeffs(x_t, ctx.b_mats).real
-        acc += w.w_bp * np.tensordot(beta, ctx.b_mats, axes=1)
-    for weight, mats in ((w.w_ac, ctx.ac_mats), (w.w_cc, ctx.cc_mats)):
-        if weight > 0 and mats.shape[0]:
-            half = np.tensordot(_quad_coeffs(x_t, mats).conj(), mats, axes=1)
-            acc += weight * (half + half.conj().T)
+        beta = bp_quadratic_forms(x_t, scene)
+        blocks[0] += w.w_bp * np.tensordot(beta, scene.c_factors, axes=1)
+    blocks[0] *= 0.5  # lag 0 is its own mirror image
     outer = np.outer(x_t, x_t.conj())
     if ctx.kind == "diagonal":
         sub = ctx.e_mat * outer
     else:
         sub = ctx.lambda_quartic * outer
-    return 2.0 * (acc - sub)
+    half = _lower_band(blocks, scene.block_len) - 0.5 * sub
+    return 2.0 * (half + half.conj().T)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ Everything here is deliberately naive and shares no code with the library
 paths it certifies: steering vectors, shift matrices, and the quadratic
 cost matrices are rebuilt from their definitions with explicit loops, and
 the quartic kernel Psi is materialized densely (capped at N <= PSI_CAP).
+Above that cap, ``psi_row_sums``, ``psi_top_eigenvalue`` and ``dense_phi``
+reach Psi through its rank-one terms instead, which stays practical up to
+about N = 100.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from dfrcwave.radar import RadarScene
 
 #: Largest N = L * n_tx for which the dense N^2 x N^2 kernel is assembled.
 PSI_CAP = 16
+
+#: Rows of Psi formed at a time by the streamed row-sum pass.
+_ROW_CHUNK = 256
 
 
 def _steer(n_tx: int, spacing: float, theta_deg: float) -> np.ndarray:
@@ -96,35 +102,79 @@ class DenseQuartic:
         return float((v.conj() @ self.psi @ v).real)
 
 
+def _psi_terms(scene: RadarScene, weights: Weights) -> list[tuple[float, np.ndarray]]:
+    """(c_k, M_k) for every cost term with a positive weight."""
+    terms = []
+    if weights.w_bp > 0:
+        terms += [(weights.w_bp, b) for b in _b_mats(scene)]
+    for (tau, q, qp), d in _d_mats(scene).items():
+        if q == qp and tau != 0 and weights.w_ac > 0:
+            terms.append((weights.w_ac, d))
+        if q != qp and weights.w_cc > 0:
+            terms.append((weights.w_cc, d))
+    return terms
+
+
 def assemble_psi(scene: RadarScene, weights: Weights) -> DenseQuartic:
     """Materialize Psi = sum_k c_k vec(M_k) vec^H(M_k) over all cost terms."""
     n = scene.n
     if n > PSI_CAP:
         raise CapacityError(f"dense Psi assembly is capped at N <= {PSI_CAP}, got {n}")
     psi = np.zeros((n * n, n * n), dtype=complex)
-    if weights.w_bp > 0:
-        for b in _b_mats(scene):
-            v = _vec(b)
-            psi += weights.w_bp * np.outer(v, v.conj())
-    d_mats = _d_mats(scene)
-    p = scene.targets.max_lag
-    q_n = scene.targets.n_targets
-    if weights.w_ac > 0:
-        for q in range(q_n):
-            for tau in range(-p + 1, p):
-                if tau == 0:
-                    continue
-                v = _vec(d_mats[(tau, q, q)])
-                psi += weights.w_ac * np.outer(v, v.conj())
-    if weights.w_cc > 0:
-        for q in range(q_n):
-            for qp in range(q_n):
-                if q == qp:
-                    continue
-                for tau in range(-p + 1, p):
-                    v = _vec(d_mats[(tau, q, qp)])
-                    psi += weights.w_cc * np.outer(v, v.conj())
+    for c, m in _psi_terms(scene, weights):
+        v = _vec(m)
+        psi += c * np.outer(v, v.conj())
     return DenseQuartic(psi=psi)
+
+
+def _scaled_term_vectors(scene: RadarScene, weights: Weights) -> np.ndarray:
+    """Rows sqrt(c_k) vec(M_k), so that Psi = A^T conj(A) for this A."""
+    terms = _psi_terms(scene, weights)
+    out = np.zeros((len(terms), scene.n * scene.n), dtype=complex)
+    for k, (c, m) in enumerate(terms):
+        out[k] = np.sqrt(c) * _vec(m)
+    return out
+
+
+def psi_row_sums(scene: RadarScene, weights: Weights) -> np.ndarray:
+    """Row sums |Psi| 1 (length N^2), streamed in row chunks without storing Psi."""
+    a = _scaled_term_vectors(scene, weights)
+    n2 = a.shape[1]
+    out = np.empty(n2)
+    for start in range(0, n2, _ROW_CHUNK):
+        stop = min(start + _ROW_CHUNK, n2)
+        rows = a[:, start:stop].T @ a.conj()
+        out[start:stop] = np.abs(rows).sum(axis=1)
+    return out
+
+
+def psi_top_eigenvalue(scene: RadarScene, weights: Weights) -> float:
+    """lambda_max(Psi) from the T x T Gram matrix of the term vectors.
+
+    Psi = A^T conj(A) and conj(A) A^T share their nonzero spectrum.
+    """
+    a = _scaled_term_vectors(scene, weights)
+    return float(np.linalg.eigvalsh(a.conj() @ a.T)[-1])
+
+
+def dense_phi(x_t, scene: RadarScene, weights: Weights, kind: str) -> np.ndarray:
+    """Quadratic-stage majorizer Phi at x_t, from the dense term matrices.
+
+    Phi = 2 (mat(Psi vec(x_t x_t^H)) - S), where mat(Psi vec(x x^H)) =
+    sum_k c_k conj(x^H M_k x) M_k, and S is mat(|Psi| 1) (.) x_t x_t^H for
+    the diagonal kind or lambda_max(Psi) x_t x_t^H for the eigen kind.
+    """
+    x = np.asarray(x_t)
+    n = scene.n
+    quad = np.zeros((n, n), dtype=complex)
+    for c, m in _psi_terms(scene, weights):
+        quad += c * np.conj(x.conj() @ m @ x) * m
+    outer = np.outer(x, x.conj())
+    if kind == "diagonal":
+        sub = psi_row_sums(scene, weights).reshape((n, n), order="F") * outer
+    else:
+        sub = psi_top_eigenvalue(scene, weights) * outer
+    return 2.0 * (quad - sub)
 
 
 def beampattern_mse(x, scene: RadarScene, alpha: float) -> float:

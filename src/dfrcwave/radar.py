@@ -3,15 +3,16 @@
 Every cost has two equivalent forms: the direct matrix form acting on the
 N_T x L block X, and the vectorized quadratic form acting on x = vec(X)
 through the per-angle matrices B_u = I_L (x) C_u and the lag/angle family
-D_{tau,q,q'} = J_{-tau} (x) a(theta_q') a^H(theta_q). The quadratic-form
-matrices are materialized up to ``MATERIALIZE_CAP`` and represented by
-their Kronecker factors above that.
+D_{tau,q,q'} = J_{-tau} (x) a(theta_q') a^H(theta_q). The N x N matrices
+are never formed: every quadratic form is evaluated from the N_T x N_T
+Kronecker factors (the C_u and the target steering vectors), at O(U N_T^2 L)
+for the beam pattern and O(P Q^2 L) for the correlations, with no size cap.
+(``dfrcwave.oracle`` builds the dense forms to certify these paths.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,11 +23,7 @@ from dfrcwave.model import (
     TargetSet,
     WaveformMatrix,
     Weights,
-    vec,
 )
-
-#: Largest N = L * n_tx for which B_u and D matrices are stored densely.
-MATERIALIZE_CAP = 64
 
 
 def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
@@ -66,9 +63,11 @@ def rectangular_pattern(
 class RadarScene:
     """Precomputed geometry/grid/target data for the radar cost terms.
 
-    ``c_factors[u]`` is the N_T x N_T Kronecker factor of B_u; ``b_mats``
-    and ``d_mats`` are the dense N x N forms (present only when
-    N <= MATERIALIZE_CAP). ``d_mats`` is indexed [tau + P - 1, q, q'].
+    The scene holds only the Kronecker factors of the cost matrices:
+    ``c_factors[u]`` is the N_T x N_T factor C_u of B_u = I_L (x) C_u, and
+    row q of ``steer_targets`` is a(theta_q), giving the factor
+    a(theta_q') a^H(theta_q) of D_{tau,q,q'} = J_{-tau} (x) a(theta_q') a^H(theta_q).
+    Its size is O(U N_T^2), independent of the block length L.
     """
 
     geometry: ArrayGeometry
@@ -79,16 +78,10 @@ class RadarScene:
     steer_grid: np.ndarray
     steer_targets: np.ndarray
     c_factors: np.ndarray
-    b_mats: Optional[np.ndarray]
-    d_mats: Optional[np.ndarray]
 
     @property
     def n(self) -> int:
         return self.block_len * self.geometry.n_tx
-
-    @property
-    def materialized(self) -> bool:
-        return self.b_mats is not None
 
 
 def build_scene(
@@ -97,9 +90,8 @@ def build_scene(
     desired: DesiredBeamPattern,
     targets: TargetSet,
     block_len: int,
-    materialize: Optional[bool] = None,
 ) -> RadarScene:
-    """Assemble a :class:`RadarScene`, materializing B/D matrices at desk scale."""
+    """Assemble a :class:`RadarScene`: steering vectors and the factors C_u."""
     if desired.values.size != len(grid):
         raise ValueError(
             f"desired pattern has {desired.values.size} values for a "
@@ -120,27 +112,8 @@ def build_scene(
     c_factors = (gd[:, None, None] / denom) * s_mat[None, :, :] - np.einsum(
         "ui,uj->uij", a_grid, a_grid.conj()
     )
-
-    n_total = block_len * geometry.n_tx
-    if materialize is None:
-        materialize = n_total <= MATERIALIZE_CAP
-    b_mats = d_mats = None
-    if materialize:
-        eye = np.eye(block_len)
-        b_mats = np.stack([np.kron(eye, c) for c in c_factors])
-        p = targets.max_lag
-        q_n = targets.n_targets
-        d_mats = np.empty((2 * p - 1, q_n, q_n, n_total, n_total), dtype=complex)
-        for t, tau in enumerate(range(-p + 1, p)):
-            j_neg = shift_matrix(-tau, block_len)
-            for q in range(q_n):
-                for qp in range(q_n):
-                    d_mats[t, q, qp] = np.kron(
-                        j_neg, np.outer(a_tgt[qp], a_tgt[q].conj())
-                    )
-    for arr in (a_grid, a_tgt, c_factors, b_mats, d_mats):
-        if arr is not None:
-            arr.setflags(write=False)
+    for arr in (a_grid, a_tgt, c_factors):
+        arr.setflags(write=False)
     return RadarScene(
         geometry=geometry,
         grid=grid,
@@ -150,8 +123,6 @@ def build_scene(
         steer_grid=a_grid,
         steer_targets=a_tgt,
         c_factors=c_factors,
-        b_mats=b_mats,
-        d_mats=d_mats,
     )
 
 
@@ -194,18 +165,19 @@ def optimal_alpha(x, scene: RadarScene) -> float:
     return float(np.dot(achieved_pattern(x, scene), gd) / denom)
 
 
-def _bp_quadratic_forms(X: np.ndarray, scene: RadarScene) -> np.ndarray:
-    """x^H B_u x for every grid angle (real, since each B_u is Hermitian)."""
-    if scene.materialized:
-        xv = vec(X)
-        return np.einsum("i,uij,j->u", xv.conj(), scene.b_mats, xv).real
+def bp_quadratic_forms(x, scene: RadarScene) -> np.ndarray:
+    """x^H B_u x = sum_l X_l^H C_u X_l for every grid angle, shape (U,).
+
+    Real, since each C_u is Hermitian; X_l is column l of the block X.
+    """
+    X = _as_block(x, scene)
     return np.einsum("il,uij,jl->u", X.conj(), scene.c_factors, X).real
 
 
 def beampattern_cost(x, scene: RadarScene) -> float:
     """Scale-free beam-pattern shaping cost sum_u |x^H B_u x|^2."""
     X = _as_block(x, scene)
-    return float(np.sum(_bp_quadratic_forms(X, scene) ** 2))
+    return float(np.sum(bp_quadratic_forms(X, scene) ** 2))
 
 
 def correlation(x, scene: RadarScene, tau: int, q: int, q_prime: int) -> float:
@@ -225,15 +197,12 @@ def correlation(x, scene: RadarScene, tau: int, q: int, q_prime: int) -> float:
 def correlation_values(x, scene: RadarScene) -> np.ndarray:
     """Complex correlations a_q^H X J_tau X^H a_q' for all (tau, q, q').
 
-    Returns shape (2P-1, Q, Q) indexed [tau + P - 1, q, q'], matching the
-    layout of ``scene.d_mats``.
+    Returns shape (2P-1, Q, Q) indexed [tau + P - 1, q, q']; entry
+    [tau + P - 1, q, q'] equals the quadratic form x^H D_{tau,q,q'} x.
     """
     X = _as_block(x, scene)
     p = scene.targets.max_lag
-    if scene.d_mats is not None:
-        xv = vec(X)
-        return np.einsum("i,abcij,j->abc", xv.conj(), scene.d_mats, xv)
-    # Kronecker-factor path: row q of v is a_q^H X
+    # row q of v is a_q^H X
     v = scene.steer_targets.conj() @ X
     q_n = scene.targets.n_targets
     length = scene.block_len
@@ -277,7 +246,7 @@ def crosscorr_isl(x, scene: RadarScene) -> float:
 def objective_terms(x, scene: RadarScene) -> tuple[float, float, float]:
     """(beam-pattern cost, autocorrelation ISL, cross-correlation ISL) for x."""
     X = _as_block(x, scene)
-    g_bp = float(np.sum(_bp_quadratic_forms(X, scene) ** 2))
+    g_bp = float(np.sum(bp_quadratic_forms(X, scene) ** 2))
     chi = np.abs(correlation_values(X, scene)) ** 2
     g_ac, g_cc = _isl_sums(chi, scene.targets.max_lag)
     return g_bp, g_ac, g_cc

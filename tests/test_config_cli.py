@@ -151,6 +151,7 @@ class TestRunExperiment:
         assert summary["termination"] in ("converged", "max_iters")
         assert summary["min_ci_margin"] is not None
         assert summary["config"]["seed"] == 9
+        assert summary["iterations"]["polish_steps"] == result.state.polish_steps
 
     def test_autocorr_peaks_at_zero_db(self, tmp_path):
         cfg = parse_config_text(TINY_CONFIG)

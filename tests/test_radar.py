@@ -182,41 +182,41 @@ class TestCorrelation:
 
     def test_matches_vectorized_form(self, rng):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
+        d_mats = oracle._d_mats(scene)
         x = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         xv = vec(x)
         p = scene.targets.max_lag
-        for t, tau in enumerate(range(-p + 1, p)):
+        for tau in range(-p + 1, p):
             for q in range(2):
                 for qp in range(2):
-                    quad = abs(xv.conj() @ scene.d_mats[t, q, qp] @ xv) ** 2
+                    quad = abs(xv.conj() @ d_mats[(tau, q, qp)] @ xv) ** 2
                     assert rel_err(correlation(x, scene, tau, q, qp), quad) < 1e-10
 
     def test_correlation_values_match_factor_path(self, rng):
-        """Materialized einsum and the Kronecker-factor slicing agree."""
-        from dfrcwave.radar import build_scene
-
+        """The Kronecker-factor slicing equals x^H D_{tau,q,q'} x on the dense D."""
         scene = make_scene(n_tx=2, block_len=5, max_lag=4)
-        implicit = build_scene(
-            scene.geometry, scene.grid, scene.desired, scene.targets,
-            scene.block_len, materialize=False,
-        )
-        assert not implicit.materialized
         x = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-        dense = correlation_values(x, scene)
-        sliced = correlation_values(x, implicit)
+        xv = vec(x)
+        p = scene.targets.max_lag
+        dense = np.empty((2 * p - 1, 2, 2), dtype=complex)
+        for (tau, q, qp), d in oracle._d_mats(scene).items():
+            dense[tau + p - 1, q, qp] = xv.conj() @ d @ xv
+        sliced = correlation_values(x, scene)
         assert np.abs(dense - sliced).max() < 1e-10 * max(1.0, np.abs(dense).max())
 
-    def test_objective_terms_match_factor_path(self, rng, weights_full):
-        """Costs agree whether or not the quadratic forms are materialized."""
-        from dfrcwave.radar import build_scene
-
+    def test_objective_terms_match_factor_path(self, rng):
+        """Costs from the factors equal the quadratic forms on the dense B/D."""
         scene = make_scene(n_tx=2, block_len=5, max_lag=4)
-        implicit = build_scene(
-            scene.geometry, scene.grid, scene.desired, scene.targets,
-            scene.block_len, materialize=False,
-        )
         x = random_cm(rng, scene.n, 1 / np.sqrt(2))
-        for a, b in zip(objective_terms(x, scene), objective_terms(x, implicit)):
+        g_bp = sum((x.conj() @ b @ x).real ** 2 for b in oracle._b_mats(scene))
+        g_ac = g_cc = 0.0
+        for (tau, q, qp), d in oracle._d_mats(scene).items():
+            chi = abs(x.conj() @ d @ x) ** 2
+            if q != qp:
+                g_cc += chi
+            elif tau != 0:
+                g_ac += chi
+        for a, b in zip(objective_terms(x, scene), (g_bp, g_ac, g_cc)):
             assert rel_err(a, b) < 1e-10
 
 
@@ -242,19 +242,27 @@ class TestISL:
 class TestSceneInvariants:
     def test_b_mats_hermitian(self):
         scene = make_scene(n_tx=3, block_len=3, max_lag=2)
-        for b in scene.b_mats:
-            scale = max(1.0, np.abs(b).max())
-            assert np.abs(b - b.conj().T).max() <= 1e-12 * scale
+        for c in scene.c_factors:
+            scale = max(1.0, np.abs(c).max())
+            assert np.abs(c - c.conj().T).max() <= 1e-12 * scale
+        # the factors are those of the dense B_u = I_L (x) C_u
+        for b, c in zip(oracle._b_mats(scene), scene.c_factors):
+            assert np.abs(b - np.kron(np.eye(3), c)).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
-    def test_d_family_conjugation_symmetry(self):
+    def test_d_family_conjugation_symmetry(self, rng):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
+        d_mats = oracle._d_mats(scene)
         p = scene.targets.max_lag
-        for t, tau in enumerate(range(-p + 1, p)):
+        x = random_cm(rng, scene.n, 1 / np.sqrt(2))
+        r = correlation_values(x, scene)
+        for tau in range(-p + 1, p):
             for q in range(2):
                 for qp in range(2):
-                    lhs = scene.d_mats[t, q, qp].conj().T
-                    rhs = scene.d_mats[(-tau) + p - 1, qp, q]
-                    assert np.abs(lhs - rhs).max() < 1e-14
+                    lhs = d_mats[(tau, q, qp)].conj().T
+                    assert np.abs(lhs - d_mats[(-tau, qp, q)]).max() < 1e-14
+                    # hence x^H D_{-tau,q',q} x = conj(x^H D_{tau,q,q'} x)
+                    gap = abs(r[-tau + p - 1, qp, q] - np.conj(r[tau + p - 1, q, qp]))
+                    assert gap < 1e-12 * max(1.0, abs(r[tau + p - 1, q, qp]))
 
     def test_desired_length_must_match_grid(self):
         from dfrcwave.model import AngleGrid, ArrayGeometry, DesiredBeamPattern, TargetSet
