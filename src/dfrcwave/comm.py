@@ -11,6 +11,7 @@ Lambda = pi / M is the half-angle of the PSK decision cone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -103,7 +104,8 @@ class CIConstraintSet:
 
     ``h_tilde`` stores row m = h~_m^H (shape 2KL x N). Each row is zero
     outside the n_tx entries of its symbol block; ``ell_of_row`` and
-    ``block_rows`` expose that sparsity for the solver.
+    ``block_rows`` expose that sparsity for the solver, and ``blocks`` and
+    ``row_scalars`` are views of it built once per set.
     """
 
     h_tilde: np.ndarray
@@ -126,6 +128,33 @@ class CIConstraintSet:
     @property
     def n(self) -> int:
         return self.h_tilde.shape[1]
+
+    @functools.cached_property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and thresholds grouped by symbol block: shapes (L, 2K, n_tx), (L, 2K).
+
+        Block l's rows are m = (2l + half) K + k, contiguous in the canonical
+        order, so the grouping is a reshape.
+        """
+        n_blocks = self.n // self.n_tx
+        per_block = self.n_rows // n_blocks
+        if not np.array_equal(self.ell_of_row, np.repeat(np.arange(n_blocks), per_block)):
+            raise ValueError("constraint rows are not in canonical block order")
+        return (
+            self.block_rows.reshape(n_blocks, per_block, self.n_tx),
+            self.gamma_vec.reshape(n_blocks, per_block),
+        )
+
+    @functools.cached_property
+    def row_scalars(self) -> tuple[list, list, list]:
+        """Per-row Python scalars for the solver's scalar probe loop.
+
+        Returns (pairs, starts, gamma): pairs[m] lists (conj(h), h) for each
+        of row m's n_tx block entries, starts[m] is the index of its block's
+        first entry in x, gamma[m] its threshold. Treat as read-only.
+        """
+        pairs = [list(zip(row.conj().tolist(), row.tolist())) for row in self.block_rows]
+        return pairs, (self.ell_of_row * self.n_tx).tolist(), self.gamma_vec.tolist()
 
 
 def build_ci_constraints(setup: CommSetup, block_len: Optional[int] = None) -> CIConstraintSet:

@@ -71,6 +71,9 @@ def _summarize(config: ExperimentConfig, state: SolverState, objective: float) -
             "bisection_steps": state.bisection_steps,
             "rejected_steps": state.rejected_steps,
             "polish_steps": state.polish_steps,
+            "restorations": state.restorations,
+            "restore_failures": state.restore_failures,
+            "sweep_cap_hits": state.sweep_cap_hits,
         },
         "min_ci_margin": None if margins is None else float(margins.min()),
         "kkt_residual": state.kkt_residual,

@@ -10,11 +10,20 @@ multipliers are driven by coordinate ascent, one bisection per constraint.
 Constraint residuals are re-evaluated from the closed form on every probe
 (only the n_tx entries of the touched symbol block change), never from a
 stale x.
+
+Every CI row touches one symbol block, so feasibility repairs work block by
+block on the (L, 2K, n_tx) view ``CIConstraintSet.blocks``. A recovery
+that lands on an infeasible kink is restored one violated block at a time,
+trying starts lazily in a fixed order (``_restore_feasibility``).
+``polish_feasible`` is the monotone fallback of the MM loop: coordinate
+rounds over the n_tx entries, each one phase search batched over all L
+blocks, that never increase Re{x^H d} and never leave the feasible set.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -82,12 +91,7 @@ class _DualWorkspace:
         self.nu = np.array(nu0, dtype=float, copy=True)
         if self.nu.shape != (constraints.n_rows,):
             raise ValueError("multiplier vector length mismatch")
-        self._pairs = [
-            list(zip(row.conj().tolist(), row.tolist()))
-            for row in constraints.block_rows
-        ]
-        self._starts = (constraints.ell_of_row * constraints.n_tx).tolist()
-        self._gamma = constraints.gamma_vec.tolist()
+        self._pairs, self._starts, self._gamma = constraints.row_scalars
         self._coef: list[complex] = []
         self.refresh()
 
@@ -186,83 +190,135 @@ def bisect_multiplier(
 
 
 _RESTORE_GRID = 512
+_REFINE_GRID = 65
 _RESTORE_REFINES = 2
 _RESTORE_ROUNDS = 8
 _RESTORE_BANK = 8192
 _RESTORE_BANK_SEED = 0x5EED
 
 
+def _grid_offsets() -> tuple[np.ndarray, ...]:
+    """Phase offsets of the coarse grid and of each refinement level.
+
+    Level 0 spans [-pi, pi) in _RESTORE_GRID steps; each refinement spans
+    two steps of the level before it, in _REFINE_GRID steps.
+    """
+    levels = []
+    width, count = np.pi, _RESTORE_GRID
+    for _ in range(_RESTORE_REFINES + 1):
+        levels.append(np.linspace(-width, width, count, endpoint=False))
+        width, count = width / count * 2.0, _REFINE_GRID
+    return tuple(levels)
+
+
+_GRID_OFFSETS = _grid_offsets()
+#: The coarse level is centred on pi in every call, so its phasors are fixed.
+_COARSE_PHIS = np.pi + _GRID_OFFSETS[0]
+_COARSE_UNITS = np.exp(1j * _COARSE_PHIS)
+
+
 def _best_phase(
     base: np.ndarray,
     col: np.ndarray,
-    d_n: complex,
+    d_n: np.ndarray,
     amp: float,
-    phi_now: Optional[float] = None,
-    mode: str = "restore",
-) -> float:
-    """Phase for one block entry on a coarse grid with local refinement.
+    phi_now: np.ndarray,
+    maxmin: bool = False,
+) -> np.ndarray:
+    """Phase for entry n of each block in a batch, on a coarse grid with refinement.
 
-    ``base`` holds the block margins with entry n removed; a candidate
-    phase adds amp * Re{col e^{j phi}} to each. Modes:
-
-    - "restore": feasible candidates ranked by Re{x_n^* d_n}; with none
-      feasible, the max-min-margin phase wins.
-    - "polish": like restore but the current phase competes, so the result
-      never loses feasibility or increases the objective contribution.
-    - "maxmin": pure feasibility push, d_n ignored.
+    ``base`` (B, R) holds each block's margins with entry n removed; a
+    candidate phase adds amp * Re{col e^{j phi}} to them. The current
+    phase ``phi_now`` competes at every level. Feasible candidates are
+    ranked by Re{x_n^* d_n}, so a block that is feasible stays feasible
+    and its objective contribution never increases; with none feasible,
+    or with ``maxmin``, the phase of largest minimum margin wins.
     """
-    center, width, count = np.pi, np.pi, _RESTORE_GRID
-    best = 0.0
-    for _ in range(_RESTORE_REFINES + 1):
-        phis = center + np.linspace(-width, width, count, endpoint=False)
-        if phi_now is not None:
-            phis = np.append(phis, phi_now)
-        units = np.exp(1j * phis)
-        margins = base[None, :] + amp * np.real(units[:, None] * col[None, :])
+    n_batch = base.shape[0]
+    batch = np.arange(n_batch)
+    now_phi = phi_now[:, None]
+    now_unit = np.exp(1j * now_phi)
+    grid = np.broadcast_to(_COARSE_PHIS, (n_batch, _COARSE_PHIS.size))
+    grid_units = np.broadcast_to(_COARSE_UNITS, grid.shape)
+    for level, offsets in enumerate(_GRID_OFFSETS):
+        if level:
+            grid = best[:, None] + offsets
+            grid_units = np.exp(1j * grid)
+        phis = np.concatenate([grid, now_phi], axis=1)
+        units = np.concatenate([grid_units, now_unit], axis=1)
+        # (B, R, C): the minimum over rows runs along a contiguous candidate axis
+        margins = base[:, :, None] + amp * np.real(col[:, :, None] * units[:, None, :])
         min_margin = margins.min(axis=1)
-        if mode == "maxmin":
-            pick = int(np.argmax(min_margin))
-        else:
+        pick = np.argmax(min_margin, axis=1)
+        if not maxmin:
             feasible = min_margin >= 0
-            if feasible.any():
-                score = amp * np.real(units.conj() * d_n)
-                score[~feasible] = np.inf
-                pick = int(np.argmin(score))
-            else:
-                pick = int(np.argmax(min_margin))
-        best = float(phis[pick])
-        center, width, count = best, width / count * 2.0, 65
+            score = amp * np.real(units.conj() * d_n[:, None])
+            score[~feasible] = np.inf
+            pick = np.where(feasible.any(axis=1), np.argmin(score, axis=1), pick)
+        best = phis[batch, pick]
     return best
 
 
-def _block_view(constraints: CIConstraintSet, ell: int):
-    rows_idx = np.flatnonzero(constraints.ell_of_row == ell)
-    rows = constraints.block_rows[rows_idx]
-    gam = constraints.gamma_vec[rows_idx]
-    sl = slice(ell * constraints.n_tx, (ell + 1) * constraints.n_tx)
-    return rows, gam, sl
+def _block_margins(xb: np.ndarray, rows: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    return np.matmul(rows, xb[:, :, None])[:, :, 0].real - gam
 
 
-def _block_rounds(xb, rows, gam, db, amp, mode: str, rounds: int) -> np.ndarray:
+def _block_rounds(
+    xb: np.ndarray,
+    rows: np.ndarray,
+    gam: np.ndarray,
+    db: np.ndarray,
+    amp: float,
+    rounds: int,
+    maxmin: bool = False,
+    until_feasible: bool = False,
+) -> np.ndarray:
+    """Coordinate rounds over the n_tx entries of a batch of blocks, in place.
+
+    ``xb``/``db`` are (B, n_tx), ``rows`` (B, R, n_tx), ``gam`` (B, R).
+    With ``until_feasible`` the rounds stop once every block in the batch
+    is feasible.
+    """
     for _ in range(rounds):
-        if mode != "polish" and ((rows @ xb).real - gam).min() >= 0:
+        if until_feasible and _block_margins(xb, rows, gam).min() >= 0:
             break
-        for n in range(xb.size):
-            base = (rows @ xb).real - gam - np.real(rows[:, n] * xb[n])
-            phi = _best_phase(
-                base, rows[:, n], db[n], amp,
-                phi_now=float(np.angle(xb[n])), mode=mode,
-            )
-            xb[n] = amp * np.exp(1j * phi)
+        for n in range(xb.shape[1]):
+            col = rows[:, :, n]
+            base = _block_margins(xb, rows, gam) - np.real(col * xb[:, n, None])
+            phi = _best_phase(base, col, db[:, n], amp, np.angle(xb[:, n]), maxmin)
+            xb[:, n] = amp * np.exp(1j * phi)
     return xb
 
 
-def _bank_start(rows: np.ndarray, gam: np.ndarray, amp: float, n_tx: int) -> np.ndarray:
-    """Best-of-bank random phase start for a stuck block (fixed internal seed)."""
+@functools.lru_cache(maxsize=None)
+def _bank_units(n_tx: int) -> np.ndarray:
+    """Unit-modulus random phases of the start bank (fixed internal seed).
+
+    Drawn once per n_tx and kept for the life of the process, read-only.
+    """
     rng = np.random.default_rng(_RESTORE_BANK_SEED)
-    cands = amp * np.exp(2j * np.pi * rng.random((_RESTORE_BANK, n_tx)))
+    units = np.exp(2j * np.pi * rng.random((_RESTORE_BANK, n_tx)))
+    units.setflags(write=False)
+    return units
+
+
+def _bank_start(rows: np.ndarray, gam: np.ndarray, amp: float) -> np.ndarray:
+    """Best-of-bank random phase start for a stuck block: max-min margin."""
+    cands = amp * _bank_units(rows.shape[1])
     min_margin = ((cands @ rows.T).real - gam).min(axis=1)
     return cands[int(np.argmax(min_margin))]
+
+
+def _restore_starts(xb, xb_ref, rows, gam, amp):
+    """(start, maxmin) pairs for one block, each built only when reached."""
+    yield xb, False
+    if xb_ref is not None:
+        yield xb_ref, False
+    yield amp * np.exp(1j * _phases(np.conj(rows).sum(axis=0))), False
+    bank = _bank_start(rows, gam, amp)
+    yield bank, False
+    yield xb, True
+    yield bank, True
 
 
 def _restore_feasibility(
@@ -280,37 +336,36 @@ def _restore_feasibility(
     blocks get their phases re-picked entry by entry, trying starts in
     order of objective friendliness: the recovery itself, a reference
     iterate (the previous feasible one, when available), a matched-filter
-    start, and the best of a fixed random bank. Returns (x, feasible).
+    start, and the best of a fixed random bank; then max-min-margin rounds
+    from the recovery and from the bank. A start is built only if every
+    earlier one failed. Returns (x, feasible).
     """
     x = x.copy()
     margins = (constraints.h_tilde @ x).real - constraints.gamma_vec
     bad = np.unique(constraints.ell_of_row[margins < 0])
+    rows_all, gam_all = constraints.blocks
+    n_tx = constraints.n_tx
     all_good = True
     for ell in bad:
-        rows, gam, sl = _block_view(constraints, ell)
-        db = d[sl]
-        matched = amp * np.exp(1j * _phases(np.conj(rows).sum(axis=0)))
-        bank = _bank_start(rows, gam, amp, constraints.n_tx)
-        starts = [(x[sl], "restore")]
-        if x_ref is not None:
-            starts.append((x_ref[sl], "restore"))
-        starts += [
-            (matched, "restore"),
-            (bank, "restore"),
-            (x[sl], "maxmin"),
-            (bank, "maxmin"),
-        ]
+        sl = slice(ell * n_tx, (ell + 1) * n_tx)
+        rows, gam, db = rows_all[ell : ell + 1], gam_all[ell : ell + 1], d[None, sl]
+        starts = _restore_starts(
+            x[sl], None if x_ref is None else x_ref[sl], rows[0], gam[0], amp
+        )
         fixed = None
-        for start, mode in starts:
-            xb = _block_rounds(start.copy(), rows, gam, db, amp, mode, _RESTORE_ROUNDS)
-            if ((rows @ xb).real - gam).min() >= 0:
+        for start, maxmin in starts:
+            xb = _block_rounds(
+                start[None].copy(), rows, gam, db, amp, _RESTORE_ROUNDS,
+                maxmin=maxmin, until_feasible=True,
+            )
+            if _block_margins(xb, rows, gam).min() >= 0:
                 fixed = xb
                 break
         if fixed is None:
             all_good = False
         else:
             # cut objective damage while keeping the block feasible
-            x[sl] = _block_rounds(fixed, rows, gam, db, amp, "polish", 2)
+            x[sl] = _block_rounds(fixed, rows, gam, db, amp, 2)[0]
     return x, all_good
 
 
@@ -321,14 +376,15 @@ def polish_feasible(
 
     Every accepted phase competes against the current one, so the result
     never increases Re{x^H d} and never leaves the feasible set. Used as
-    the monotone fallback when the dual recovery fails to descend.
+    the monotone fallback when the dual recovery fails to descend. The
+    blocks are independent and are polished together, one batched phase
+    search per entry.
     """
-    x = x.copy()
-    n_blocks = constraints.n // constraints.n_tx
-    for ell in range(n_blocks):
-        rows, gam, sl = _block_view(constraints, ell)
-        x[sl] = _block_rounds(x[sl].copy(), rows, gam, d[sl], amp, "polish", rounds)
-    return x
+    rows, gam = constraints.blocks
+    shape = (rows.shape[0], constraints.n_tx)
+    xb = np.array(x, dtype=complex).reshape(shape)
+    db = np.asarray(d).reshape(shape)
+    return _block_rounds(xb, rows, gam, db, amp, rounds).reshape(-1)
 
 
 @dataclass
@@ -417,7 +473,15 @@ def dual_ascent_sweep(
 
 @dataclass
 class SolverState:
-    """Final iterate plus traces and termination diagnostics."""
+    """Final iterate plus traces and termination diagnostics.
+
+    Event counters over the outer iterations: ``restorations`` counts dual
+    recoveries that needed feasibility restoration, ``restore_failures``
+    those whose restoration left a block infeasible (including ones the
+    polish fallback then replaced), ``sweep_cap_hits`` dual ascents that
+    stopped at the sweep cap, ``polish_steps`` steps taken by the polish
+    fallback and ``rejected_steps`` steps rejected for ascent.
+    """
 
     x: np.ndarray
     nu: Optional[np.ndarray]
@@ -433,6 +497,9 @@ class SolverState:
     kkt_residual: Optional[float]
     rejected_steps: int = 0
     polish_steps: int = 0
+    restorations: int = 0
+    restore_failures: int = 0
+    sweep_cap_hits: int = 0
 
 
 def _default_x0(n: int, amp: float, seed: int) -> np.ndarray:
@@ -511,6 +578,8 @@ def mm_solve(
     bracket_bad: set[int] = set()
     sweep_cap_hits = 0
     restore_fail_hits = 0
+    restorations = 0
+    restore_failures = 0
     polish_steps = 0
     nu_state = None if nu is None else nu.copy()
     outer = 0
@@ -535,6 +604,8 @@ def mm_solve(
             bracket_bad.update(res.bracket_failures)
             if not res.converged:
                 sweep_cap_hits += 1
+            restorations += res.restored
+            restore_failures += not res.feasible_exit
             x_new = res.x
             new_feasible = res.feasible_exit
             if prev_feasible:
@@ -613,4 +684,7 @@ def mm_solve(
         kkt_residual=kkt,
         rejected_steps=rejected,
         polish_steps=polish_steps,
+        restorations=restorations,
+        restore_failures=restore_failures,
+        sweep_cap_hits=sweep_cap_hits,
     )

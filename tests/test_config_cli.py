@@ -151,7 +151,8 @@ class TestRunExperiment:
         assert summary["termination"] in ("converged", "max_iters")
         assert summary["min_ci_margin"] is not None
         assert summary["config"]["seed"] == 9
-        assert summary["iterations"]["polish_steps"] == result.state.polish_steps
+        for key in ("polish_steps", "restorations", "restore_failures", "sweep_cap_hits"):
+            assert summary["iterations"][key] == getattr(result.state, key), key
 
     def test_autocorr_peaks_at_zero_db(self, tmp_path):
         cfg = parse_config_text(TINY_CONFIG)

@@ -1,14 +1,18 @@
 """Inner dual solver, bisection, coordinate ascent, and the MM loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_scene
+from conftest import make_scene, random_cm
 from dfrcwave import oracle
 from dfrcwave.comm import CommSetup, build_ci_constraints, ci_margin, draw_channels, draw_symbols
 from dfrcwave.model import (
+    MODULUS_TOL,
     AngleGrid,
     ArrayGeometry,
     DesiredBeamPattern,
@@ -19,7 +23,9 @@ from dfrcwave.model import (
 from dfrcwave.radar import build_scene
 from dfrcwave.solver import (
     Termination,
+    _bank_units,
     _bisect_root,
+    _restore_feasibility,
     bisect_multiplier,
     dual_ascent_sweep,
     mm_solve,
@@ -227,6 +233,85 @@ class TestPolish:
         assert (polished.conj() @ d).real <= (res.x.conj() @ d).real + 1e-12
 
 
+#: Slack for margins recomputed through the dense rows after a block-level
+#: repair: the two products sum the same terms in a different order.
+MARGIN_ROUNDING = 1e-12
+
+
+@st.composite
+def ci_instances(draw):
+    """Small random CI problems: (setup, constraint set, d, amp, rng)."""
+    n_tx = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 6))
+    k_users = draw(st.integers(1, min(2, n_tx)))
+    m_points = draw(st.sampled_from([2, 4, 8]))
+    gamma_db = draw(st.floats(0.0, 12.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    setup = CommSetup(
+        channels=draw_channels(k_users, n_tx, rng.integers(2**31)),
+        symbols=draw_symbols(k_users, length, m_points, rng.integers(2**31)),
+        gamma=np.full(k_users, 10.0 ** (gamma_db / 10.0)),
+        sigma2=0.01,
+        m_points=m_points,
+    )
+    cset = build_ci_constraints(setup)
+    d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
+    return setup, cset, d, math.sqrt(1.0 / n_tx), rng
+
+
+def _feasible_start(cset, d):
+    res = dual_ascent_sweep(
+        np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0, cset.n_tx
+    )
+    assume(res.feasible_exit and ci_margin(res.x, cset).min() >= 0.0)
+    return res.x
+
+
+class TestFeasibilityProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(inst=ci_instances())
+    def test_polish_descends_and_stays_feasible(self, inst):
+        _, cset, d, amp, _ = inst
+        x = _feasible_start(cset, d)
+        polished = polish_feasible(x, d, cset, amp)
+        before = float((x.conj() @ d).real)
+        assert float((polished.conj() @ d).real) <= before + 1e-12 * max(1.0, abs(before))
+        assert ci_margin(polished, cset).min() >= -MARGIN_ROUNDING
+        assert np.abs(np.abs(polished) - amp).max() <= MODULUS_TOL * amp
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inst=ci_instances())
+    def test_batched_polish_matches_per_block(self, inst):
+        setup, cset, d, amp, rng = inst
+        x = random_cm(rng, cset.n, amp)
+        together = polish_feasible(x, d, cset, amp)
+        n_tx = cset.n_tx
+        for ell in range(setup.block_len):
+            sl = slice(ell * n_tx, (ell + 1) * n_tx)
+            one = build_ci_constraints(
+                dataclasses.replace(setup, symbols=setup.symbols[:, ell : ell + 1])
+            )
+            assert np.array_equal(polish_feasible(x[sl], d[sl], one, amp), together[sl])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(inst=ci_instances())
+    def test_restore_reports_feasibility_honestly(self, inst):
+        _, cset, d, amp, rng = inst
+        x0 = random_cm(rng, cset.n, amp)
+        _bank_units.cache_clear()
+        x, ok = _restore_feasibility(x0, d, cset, amp)
+        again, ok_again = _restore_feasibility(x0, d, cset, amp)
+        assert ok == ok_again and np.array_equal(x, again)
+        assert np.abs(np.abs(x) - amp).max() <= MODULUS_TOL * amp
+        if ok:
+            assert ci_margin(x, cset).min() >= -MARGIN_ROUNDING
+        # blocks that were feasible on entry are left alone
+        rows, gam = cset.blocks
+        blocks0 = x0.reshape(-1, cset.n_tx)
+        good = ((rows @ blocks0[:, :, None])[:, :, 0].real - gam).min(axis=1) >= 0
+        assert np.array_equal(x.reshape(-1, cset.n_tx)[good], blocks0[good])
+
+
 def scalar_scene():
     geometry = ArrayGeometry(1)
     grid = AngleGrid.uniform(-90.0, 90.0, 30.0)
@@ -333,3 +418,9 @@ class TestMMSolve:
         state = mm_solve(scene, setup, Weights(1.0, 2.0, 2.0), cfg)
         assert state.termination == Termination.INFEASIBLE_WARNING
         assert any("strictly feasible" in w for w in state.warnings)
+        # no iterate is ever feasible, so every dual recovery fails restoration
+        assert state.restore_failures == state.restorations == state.outer_iterations
+        assert any(
+            w.startswith(f"feasibility restoration failed in {state.restore_failures} ")
+            for w in state.warnings
+        )
