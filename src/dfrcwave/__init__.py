@@ -58,6 +58,7 @@ from dfrcwave.majorize import (
     precompute_E,
 )
 from dfrcwave.solver import (
+    IterationRecord,
     SolverState,
     Termination,
     bisect_multiplier,

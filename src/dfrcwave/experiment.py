@@ -20,7 +20,7 @@ import numpy as np
 from dfrcwave.config import ExperimentConfig, Problem, build_problem
 from dfrcwave.model import WaveformMatrix, mat, save_waveform
 from dfrcwave.radar import achieved_pattern, correlation_values, optimal_alpha
-from dfrcwave.solver import SolverState, mm_solve
+from dfrcwave.solver import IterationRecord, SolverState, mm_solve
 
 #: Environment variable overriding the artifact output root.
 OUTPUT_ROOT_ENV = "DFRCWAVE_OUTPUT_ROOT"
@@ -151,6 +151,15 @@ def _write_artifacts(
         outdir / "convergence.csv",
         "iteration,objective",
         ((str(i + 1), _fmt(g)) for i, g in enumerate(state.objective_trace)),
+    )
+    # one row per outer iteration: the objective, then counts and 0/1 flags
+    _write_csv(
+        outdir / "iterations.csv",
+        ",".join(("iteration",) + IterationRecord._fields),
+        (
+            [str(i + 1), _fmt(r.objective)] + [str(int(v)) for v in r[1:]]
+            for i, r in enumerate(state.iterations)
+        ),
     )
 
     w = problem.weights

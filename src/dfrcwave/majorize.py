@@ -23,6 +23,7 @@ small blocks per iteration, with no cap on N.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,20 +63,43 @@ def _lag_weights(scene: RadarScene, weights: Weights) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=32)
+def _band_index(n_lags: int, n_tx: int, block_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter index of ``_lower_band``: (destination, source) flat positions.
+
+    Destination entries index the N x N result, source entries the
+    (n_lags, N_T, N_T) block stack; only lags below the block length have
+    room. Built once per (n_lags, N_T, L) and kept read-only.
+    """
+    n = n_tx * block_len
+    rows, cols = np.tril_indices(block_len)
+    lag = rows - cols
+    keep = lag < n_lags
+    rows, cols, lag = (a[keep, None, None] for a in (rows, cols, lag))
+    i = np.arange(n_tx)[:, None]
+    j = np.arange(n_tx)
+    dest = ((rows * n_tx + i) * n + cols * n_tx + j).reshape(-1)
+    src = (lag * n_tx * n_tx + i * n_tx + j).reshape(-1)
+    for a in (dest, src):
+        a.setflags(write=False)
+    return dest, src
+
+
 def _lower_band(blocks: np.ndarray, block_len: int) -> np.ndarray:
     """Dense sum_tau J_{-tau} (x) blocks[tau]: block tau sits tau block rows
     below the diagonal (lags |tau| >= L have no room and are dropped)."""
-    n = blocks.shape[1]
-    out = np.zeros((block_len, n, block_len, n), dtype=blocks.dtype)
-    for tau, blk in enumerate(blocks[:block_len]):
-        rows = np.arange(tau, block_len)
-        out[rows, :, rows - tau, :] = blk
-    return out.reshape(block_len * n, block_len * n)
+    n_tx = blocks.shape[1]
+    dest, src = _band_index(blocks.shape[0], n_tx, block_len)
+    n = n_tx * block_len
+    out = np.zeros(n * n, dtype=blocks.dtype)
+    out[dest] = blocks.reshape(-1)[src]
+    return out.reshape(n, n)
 
 
-def _lag_grams(scene: RadarScene, weights: Weights) -> np.ndarray:
+def _lag_grams(scene: RadarScene, w_bp: float, lag_w: np.ndarray) -> np.ndarray:
     """(L - tau) G_{-tau} for the lags -tau, tau = 0 .. min(P, L) - 1.
 
+    ``lag_w`` holds the correlation-term weights of ``_lag_weights``.
     Returns shape (T, N_T^2, N_T^2), with factors vectorized row-major. Lag
     -tau holds the D_{tau,q,q'} (and, at lag 0, the B_u); lag +tau mirrors
     it with the same spectrum and transposed row sums.
@@ -85,9 +109,9 @@ def _lag_grams(scene: RadarScene, weights: Weights) -> np.ndarray:
     a = scene.steer_targets
     # row (q, q') is the factor a_q' a_q^H of D_{tau,q,q'}
     pair = np.einsum("pi,qj->qpij", a, a.conj()).reshape(-1, n_tx * n_tx)
-    lag_w = _lag_weights(scene, weights).reshape(scene.targets.max_lag, -1)
+    lag_w = lag_w.reshape(scene.targets.max_lag, -1)
     bp = scene.c_factors.reshape(-1, n_tx * n_tx)
-    bp_w = np.full(bp.shape[0], float(weights.w_bp))
+    bp_w = np.full(bp.shape[0], float(w_bp))
     if not (bp_w.any() or lag_w[:length].any()):
         raise ValueError("no active cost terms: all usable weights are zero")
     grams = []
@@ -103,14 +127,10 @@ def precompute_E(scene: RadarScene, weights: Weights) -> np.ndarray:
     """Matricized row sums E = mat(|Psi| 1): real, symmetric, nonnegative N x N.
 
     Depends only on the scene and weights, so it is computed once per
-    problem and reused across MM iterations.
+    problem (by ``build_majorizer_context``) and reused across MM
+    iterations. Returned read-only.
     """
-    n_tx = scene.geometry.n_tx
-    rows = np.abs(_lag_grams(scene, weights)).sum(axis=2)
-    blocks = rows.reshape(-1, n_tx, n_tx)
-    blocks[0] *= 0.5  # lag 0 is its own mirror image
-    lower = _lower_band(blocks, scene.block_len)
-    return lower + lower.T
+    return build_majorizer_context(scene, weights, "diagonal").e_mat
 
 
 def lambda_psi(scene: RadarScene, weights: Weights) -> float:
@@ -120,21 +140,22 @@ def lambda_psi(scene: RadarScene, weights: Weights) -> float:
     with an all-ones vector of length L - |delta|, whose nonzero spectrum is
     (L - |delta|) times that of G_delta.
     """
-    top = max(float(np.linalg.eigvalsh(g)[-1]) for g in _lag_grams(scene, weights))
-    return max(top, 0.0)
+    return build_majorizer_context(scene, weights, "max_eigen").lambda_quartic
 
 
 @dataclass(frozen=True)
 class MajorizerContext:
     """Per-problem majorizer data: E (diagonal kind) or lambda_Psi (eigen kind).
 
-    Phi is rebuilt every iteration from the scene's Kronecker factors, so
-    the scene itself is the only other thing kept.
+    Phi is rebuilt every iteration from the scene's Kronecker factors and
+    the correlation-term weights ``lag_weights`` (shape (P, Q, Q), from
+    ``_lag_weights``), so those are the only other things kept.
     """
 
     kind: str
     weights: Weights
     scene: RadarScene
+    lag_weights: np.ndarray
     e_mat: Optional[np.ndarray] = None
     lambda_quartic: Optional[float] = None
 
@@ -146,18 +167,33 @@ class MajorizerContext:
 def build_majorizer_context(
     scene: RadarScene, weights: Weights, kind
 ) -> MajorizerContext:
-    """Precompute everything x_t-independent for the requested majorizer kind."""
+    """Precompute everything x_t-independent for the requested majorizer kind.
+
+    Diagonal kind: E = mat(|Psi| 1) is block-Toeplitz, with the block
+    (L - |delta|) mat(|G_delta| 1) at lag delta, assembled as E_low + E_low^T
+    from its lower band. Eigen kind: lambda_Psi is the largest
+    (L - |delta|) lambda_max(G_delta), clipped at zero.
+    """
     kind = str(getattr(kind, "value", kind))
     if kind not in ("diagonal", "max_eigen"):
         raise ValueError(f"unknown majorizer kind {kind!r}")
+    lag_w = _lag_weights(scene, weights)
+    lag_w.setflags(write=False)
+    grams = _lag_grams(scene, weights.w_bp, lag_w)
     e_mat = lam = None
     if kind == "diagonal":
-        e_mat = precompute_E(scene, weights)
+        n_tx = scene.geometry.n_tx
+        blocks = np.abs(grams).sum(axis=2).reshape(-1, n_tx, n_tx)
+        blocks[0] *= 0.5  # lag 0 is its own mirror image
+        lower = _lower_band(blocks, scene.block_len)
+        e_mat = lower + lower.T
         e_mat.setflags(write=False)
     else:
-        lam = lambda_psi(scene, weights)
+        top = max(float(np.linalg.eigvalsh(g)[-1]) for g in grams)
+        lam = max(top, 0.0)
     return MajorizerContext(
-        kind=kind, weights=weights, scene=scene, e_mat=e_mat, lambda_quartic=lam
+        kind=kind, weights=weights, scene=scene, lag_weights=lag_w,
+        e_mat=e_mat, lambda_quartic=lam,
     )
 
 
@@ -169,27 +205,30 @@ def build_phi(x_t: np.ndarray, ctx: MajorizerContext) -> np.ndarray:
     lambda_Psi x_t x_t^H. The cost part sum_k c_k conj(x_t^H M_k x_t) M_k
     is block-banded: its blocks below the diagonal come from the
     correlations and the C_u, and the blocks above are their Hermitian
-    transposes. Phi is returned as 2 (H + H^H) for one half H, which makes
-    it exactly Hermitian.
+    transposes. The P lag blocks cost O(P Q^2 N_T^2 + U N_T^2), and the
+    dense assembly O(N^2). Phi is returned as 2 (H + H^H) for one half H,
+    which makes it exactly Hermitian.
     """
     x_t = np.asarray(x_t)
     scene = ctx.scene
     w = ctx.weights
     p = scene.targets.max_lag
-    coef = _lag_weights(scene, w) * correlation_values(x_t, scene)[p - 1 :].conj()
+    coef = ctx.lag_weights * correlation_values(x_t, scene)[p - 1 :].conj()
     a = scene.steer_targets
     blocks = a.T @ coef.transpose(0, 2, 1) @ a.conj()  # sum coef[q,q'] a_q' a_q^H
     if w.w_bp > 0:
+        n_tx = scene.geometry.n_tx
         beta = bp_quadratic_forms(x_t, scene)
-        blocks[0] += w.w_bp * np.tensordot(beta, scene.c_factors, axes=1)
+        c_flat = scene.c_factors.reshape(beta.size, -1)
+        blocks[0] += w.w_bp * (beta @ c_flat).reshape(n_tx, n_tx)
     blocks[0] *= 0.5  # lag 0 is its own mirror image
-    outer = np.outer(x_t, x_t.conj())
-    if ctx.kind == "diagonal":
-        sub = ctx.e_mat * outer
-    else:
-        sub = ctx.lambda_quartic * outer
-    half = _lower_band(blocks, scene.block_len) - 0.5 * sub
-    return 2.0 * (half + half.conj().T)
+    sub = np.outer(x_t, 0.5 * x_t.conj())
+    sub *= ctx.e_mat if ctx.kind == "diagonal" else ctx.lambda_quartic
+    half = _lower_band(blocks, scene.block_len)
+    half -= sub
+    phi = half + half.conj().T
+    phi *= 2.0
+    return phi
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,16 @@ N_T x L block X, and the vectorized quadratic form acting on x = vec(X)
 through the per-angle matrices B_u = I_L (x) C_u and the lag/angle family
 D_{tau,q,q'} = J_{-tau} (x) a(theta_q') a^H(theta_q). The N x N matrices
 are never formed: every quadratic form is evaluated from the N_T x N_T
-Kronecker factors (the C_u and the target steering vectors), at O(U N_T^2 L)
-for the beam pattern and O(P Q^2 L) for the correlations, with no size cap.
-(``dfrcwave.oracle`` builds the dense forms to certify these paths.)
+Kronecker factors (the C_u and the target steering vectors), with no size
+cap. The beam-pattern forms cost O(N_T^2 L + U N_T^2) through the Gram
+X X^H, and the correlations O(Q N_T L + P Q^2 L) through one batched
+product over the lags tau >= 0. (``dfrcwave.oracle`` builds the dense
+forms to certify these paths.)
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +85,36 @@ class RadarScene:
     @property
     def n(self) -> int:
         return self.block_len * self.geometry.n_tx
+
+    @functools.cached_property
+    def _lag_index(self) -> np.ndarray:
+        """Gather index of the lag windows, shape (P, L), built once per scene.
+
+        Entry [tau, l] is l + tau, or L (a zero pad appended after the L
+        block columns) when that runs past the block, so lags tau >= L
+        gather only zeros.
+        """
+        length = self.block_len
+        idx = np.arange(self.targets.max_lag)[:, None] + np.arange(length)
+        idx = np.minimum(idx, length)
+        idx.setflags(write=False)
+        return idx
+
+    @functools.cached_property
+    def _isl_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean masks over the (2P-1, Q, Q) correlation stack, built once per scene.
+
+        The first selects the autocorrelation sidelobes (q = q', tau != 0),
+        the second the cross-correlations (q != q', every lag).
+        """
+        p, q_n = self.targets.max_lag, self.targets.n_targets
+        own = np.eye(q_n, dtype=bool)
+        nonzero_lag = (np.arange(2 * p - 1) != p - 1)[:, None, None]
+        ac = own & nonzero_lag
+        cc = np.broadcast_to(~own, (2 * p - 1, q_n, q_n)).copy()
+        for mask in (ac, cc):
+            mask.setflags(write=False)
+        return ac, cc
 
 
 def build_scene(
@@ -166,12 +199,16 @@ def optimal_alpha(x, scene: RadarScene) -> float:
 
 
 def bp_quadratic_forms(x, scene: RadarScene) -> np.ndarray:
-    """x^H B_u x = sum_l X_l^H C_u X_l for every grid angle, shape (U,).
+    """x^H B_u x = tr(C_u X X^H) for every grid angle, shape (U,).
 
-    Real, since each C_u is Hermitian; X_l is column l of the block X.
+    The N_T x N_T Gram X X^H is formed once, in O(N_T^2 L), and then each
+    form is an inner product with C_u: one (U, N_T^2) @ (N_T^2,) product.
+    Real, since each C_u and the Gram are Hermitian.
     """
     X = _as_block(x, scene)
-    return np.einsum("il,uij,jl->u", X.conj(), scene.c_factors, X).real
+    gram_t = X.conj() @ X.T  # (X X^H)^T, so that tr(C R) = sum_ij C_ij R^T_ij
+    c_flat = scene.c_factors.reshape(scene.c_factors.shape[0], -1)
+    return (c_flat @ gram_t.reshape(-1)).real
 
 
 def beampattern_cost(x, scene: RadarScene) -> float:
@@ -199,48 +236,39 @@ def correlation_values(x, scene: RadarScene) -> np.ndarray:
 
     Returns shape (2P-1, Q, Q) indexed [tau + P - 1, q, q']; entry
     [tau + P - 1, q, q'] equals the quadratic form x^H D_{tau,q,q'} x.
+    With v = A^H X (row q is a_q^H X), lag tau >= 0 is v W_tau^H for the
+    window W_tau of v shifted left by tau columns and zero-padded; all P
+    windows are gathered at once and multiplied in one batched product,
+    O(P Q^2 L). A negative lag is the conjugate transpose of its mirror,
+    and lags |tau| >= L come out as exact zeros.
     """
     X = _as_block(x, scene)
-    p = scene.targets.max_lag
-    # row q of v is a_q^H X
     v = scene.steer_targets.conj() @ X
-    q_n = scene.targets.n_targets
-    length = scene.block_len
-    out = np.empty((2 * p - 1, q_n, q_n), dtype=complex)
-    for t, tau in enumerate(range(-p + 1, p)):
-        if abs(tau) >= length:
-            out[t] = 0.0
-            continue
-        if tau >= 0:
-            lead, lag = v[:, : length - tau], v[:, tau:]
-        else:
-            lead, lag = v[:, -tau:], v[:, : length + tau]
-        out[t] = lead @ lag.conj().T
-    return out
+    padded = np.zeros((scene.block_len + 1, v.shape[0]), dtype=complex)
+    padded[:-1] = v.T.conj()
+    # windows[tau, l, q'] = conj(v[q', l + tau]), zero past the block
+    nonneg = v @ padded[scene._lag_index]
+    mirrored = nonneg[:0:-1].conj().transpose(0, 2, 1)
+    return np.concatenate([mirrored, nonneg])
 
 
-def _isl_sums(chi: np.ndarray, max_lag: int) -> tuple[float, float]:
+def _isl_sums(chi: np.ndarray, scene: RadarScene) -> tuple[float, float]:
     """(autocorr, crosscorr) sidelobe sums from |chi|^2, summing only the
     index sets that belong to each term (no subtraction of the lag-0 peak)."""
-    q_n = chi.shape[1]
-    idx = np.arange(q_n)
-    diag = chi[:, idx, idx]
-    nonzero_lag = np.arange(2 * max_lag - 1) != max_lag - 1
-    g_ac = float(diag[nonzero_lag].sum())
-    g_cc = float(chi[:, ~np.eye(q_n, dtype=bool)].sum())
-    return g_ac, g_cc
+    ac, cc = scene._isl_masks
+    return float(chi[ac].sum()), float(chi[cc].sum())
 
 
 def autocorr_isl(x, scene: RadarScene) -> float:
     """Autocorrelation ISL: sum over targets and nonzero lags of chi_{tau,q,q}."""
     chi = np.abs(correlation_values(x, scene)) ** 2
-    return _isl_sums(chi, scene.targets.max_lag)[0]
+    return _isl_sums(chi, scene)[0]
 
 
 def crosscorr_isl(x, scene: RadarScene) -> float:
     """Cross-correlation ISL: sum over ordered target pairs q != q', all lags."""
     chi = np.abs(correlation_values(x, scene)) ** 2
-    return _isl_sums(chi, scene.targets.max_lag)[1]
+    return _isl_sums(chi, scene)[1]
 
 
 def objective_terms(x, scene: RadarScene) -> tuple[float, float, float]:
@@ -248,7 +276,7 @@ def objective_terms(x, scene: RadarScene) -> tuple[float, float, float]:
     X = _as_block(x, scene)
     g_bp = float(np.sum(bp_quadratic_forms(X, scene) ** 2))
     chi = np.abs(correlation_values(X, scene)) ** 2
-    g_ac, g_cc = _isl_sums(chi, scene.targets.max_lag)
+    g_ac, g_cc = _isl_sums(chi, scene)
     return g_bp, g_ac, g_cc
 
 

@@ -26,7 +26,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -471,6 +471,27 @@ def dual_ascent_sweep(
     )
 
 
+class IterationRecord(NamedTuple):
+    """What one outer iteration did, from values the MM loop already has.
+
+    ``objective`` is the true cost of the candidate (the trace value when
+    the step was accepted); ``dual_sweeps`` and ``bisection_evals`` are the
+    dual ascent's work (0 in radar-only mode); ``restored`` and
+    ``feasible_exit`` say whether its recovery needed restoration and
+    whether that left every block feasible; ``polish_step`` marks a step
+    taken by the polish fallback, ``rejected`` the candidate rejected for
+    ascent, which ends the run.
+    """
+
+    objective: float
+    dual_sweeps: int
+    bisection_evals: int
+    restored: bool
+    feasible_exit: bool
+    polish_step: bool
+    rejected: bool
+
+
 @dataclass
 class SolverState:
     """Final iterate plus traces and termination diagnostics.
@@ -481,6 +502,9 @@ class SolverState:
     polish fallback then replaced), ``sweep_cap_hits`` dual ascents that
     stopped at the sweep cap, ``polish_steps`` steps taken by the polish
     fallback and ``rejected_steps`` steps rejected for ascent.
+    ``iterations`` holds one :class:`IterationRecord` per outer iteration,
+    so its columns sum to these counters and to ``dual_sweeps`` and
+    ``bisection_steps``.
     """
 
     x: np.ndarray
@@ -500,6 +524,7 @@ class SolverState:
     restorations: int = 0
     restore_failures: int = 0
     sweep_cap_hits: int = 0
+    iterations: tuple[IterationRecord, ...] = ()
 
 
 def _default_x0(n: int, amp: float, seed: int) -> np.ndarray:
@@ -581,6 +606,7 @@ def mm_solve(
     restorations = 0
     restore_failures = 0
     polish_steps = 0
+    records: list[IterationRecord] = []
     nu_state = None if nu is None else nu.copy()
     outer = 0
 
@@ -590,6 +616,7 @@ def mm_solve(
         sur = build_d(x, phi, ctx)
         new_feasible = True
         dual_step = True
+        res = None
         if cfg.mode == SolveMode.RADAR_ONLY:
             x_new = amp * np.exp(1j * _phases(-sur.d))
         else:
@@ -630,7 +657,17 @@ def mm_solve(
             raise RuntimeError(
                 f"non-finite objective {g_new!r} at outer iteration {t}"
             )
-        if g_new > g_prev and prev_feasible:
+        rejected_step = g_new > g_prev and prev_feasible
+        records.append(IterationRecord(
+            objective=g_new,
+            dual_sweeps=0 if res is None else res.sweeps,
+            bisection_evals=0 if res is None else res.bisection_evals,
+            restored=res is not None and res.restored,
+            feasible_exit=res is None or res.feasible_exit,
+            polish_step=not dual_step,
+            rejected=rejected_step,
+        ))
+        if rejected_step:
             # descent from a feasible iterate is guaranteed up to inner-solve
             # tolerance; treat the slop-level ascent as converged and keep
             # the better previous iterate (ascent from a still-infeasible
@@ -687,4 +724,5 @@ def mm_solve(
         restorations=restorations,
         restore_failures=restore_failures,
         sweep_cap_hits=sweep_cap_hits,
+        iterations=tuple(records),
     )

@@ -138,6 +138,7 @@ class TestRunExperiment:
             "waveform.txt",
             "beampattern.csv",
             "convergence.csv",
+            "iterations.csv",
             "summary.json",
             "autocorr_q1.csv",
             "autocorr_q2.csv",
@@ -153,6 +154,24 @@ class TestRunExperiment:
         assert summary["config"]["seed"] == 9
         for key in ("polish_steps", "restorations", "restore_failures", "sweep_cap_hits"):
             assert summary["iterations"][key] == getattr(result.state, key), key
+        # one iterations.csv row per outer iteration; its columns add up to the counters
+        lines = (out / "iterations.csv").read_text().strip().splitlines()
+        header = lines[0].split(",")
+        assert header[:2] == ["iteration", "objective"]
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        counts = summary["iterations"]
+        assert [int(r["iteration"]) for r in rows] == list(range(1, counts["outer"] + 1))
+        total = lambda col: sum(int(r[col]) for r in rows)
+        assert total("dual_sweeps") == counts["dual_sweeps"]
+        assert total("bisection_evals") == counts["bisection_steps"]
+        assert total("restored") == counts["restorations"]
+        assert sum(1 - int(r["feasible_exit"]) for r in rows) == counts["restore_failures"]
+        assert total("polish_step") == counts["polish_steps"]
+        assert total("rejected") == counts["rejected_steps"]
+        conv = (out / "convergence.csv").read_text().strip().splitlines()[1:]
+        trace = [float(line.split(",")[1]) for line in conv]
+        accepted = [float(r["objective"]) for r in rows if r["rejected"] == "0"]
+        assert accepted == trace
 
     def test_autocorr_peaks_at_zero_db(self, tmp_path):
         cfg = parse_config_text(TINY_CONFIG)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_scene, random_cm
 from dfrcwave import oracle
@@ -10,6 +12,7 @@ from dfrcwave.radar import (
     autocorr_isl,
     beam_pattern,
     beampattern_cost,
+    bp_quadratic_forms,
     correlation,
     correlation_values,
     crosscorr_isl,
@@ -304,3 +307,67 @@ class TestTotalObjective:
         b = objective_terms(rotated, scene)
         for u, v in zip(a, b):
             assert rel_err(u, v) < 1e-10
+
+
+@st.composite
+def scenes_and_waveforms(draw):
+    """Small scenes (P up to L + 1, so lag tau = L is drawn) and a random x,
+    constant-modulus or not."""
+    n_tx = draw(st.integers(1, 4))
+    block_len = draw(st.integers(1, 8))
+    max_lag = draw(st.integers(1, block_len + 1))
+    q_n = draw(st.integers(1, 3))
+    angles = draw(st.lists(st.integers(-80, 80), min_size=q_n, max_size=q_n, unique=True))
+    scene = make_scene(
+        n_tx=n_tx, block_len=block_len, grid_step=30.0, width=30.0,
+        target_angles=tuple(angles), max_lag=max_lag,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = random_cm(rng, scene.n, draw(st.sampled_from([0.5, 1.0, 2.0])))
+    else:
+        x = rng.standard_normal(scene.n) + 1j * rng.standard_normal(scene.n)
+    return scene, x
+
+
+def _dense_correlations(x, scene):
+    p = scene.targets.max_lag
+    q_n = scene.targets.n_targets
+    out = np.empty((2 * p - 1, q_n, q_n), dtype=complex)
+    for (tau, q, qp), d in oracle._d_mats(scene).items():
+        out[tau + p - 1, q, qp] = x.conj() @ d @ x
+    return out
+
+
+class TestKernelProperties:
+    """The structured kernels equal the oracle's dense forms to 1e-12 relative."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=scenes_and_waveforms())
+    def test_bp_quadratic_forms_match_dense(self, case):
+        scene, x = case
+        dense = np.array([(x.conj() @ b @ x).real for b in oracle._b_mats(scene)])
+        fast = bp_quadratic_forms(x, scene)
+        assert np.abs(fast - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=scenes_and_waveforms())
+    def test_correlation_values_match_dense(self, case):
+        scene, x = case
+        dense = _dense_correlations(x, scene)
+        fast = correlation_values(x, scene)
+        assert fast.shape == dense.shape
+        assert np.abs(fast - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+        # a lag with no room in the block is exactly zero, not rounding noise
+        p = scene.targets.max_lag
+        taus = np.arange(-p + 1, p)
+        assert not fast[np.abs(taus) >= scene.block_len].any()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=scenes_and_waveforms())
+    def test_objective_terms_match_oracle(self, case):
+        scene, x = case
+        g_bp = sum((x.conj() @ b @ x).real ** 2 for b in oracle._b_mats(scene))
+        g_ac, g_cc = oracle.direct_isls(x, scene)
+        for fast, dense in zip(objective_terms(x, scene), (g_bp, g_ac, g_cc)):
+            assert rel_err(fast, dense) <= 1e-12

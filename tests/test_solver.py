@@ -312,6 +312,49 @@ class TestFeasibilityProperties:
         assert np.array_equal(x.reshape(-1, cset.n_tx)[good], blocks0[good])
 
 
+def _restoration_miss():
+    """One QPSK block (n_tx = 2, K = 2, about 5.4 dB) that restoration misses.
+
+    Found by a search over random single-block instances: every start of
+    the restoration cascade fails on it, while a phase grid finds feasible
+    points. Returns (constraint set, d, x0, amp).
+    """
+    rng = np.random.default_rng(1968)
+    gamma_db = rng.uniform(4.5, 5.5)
+    setup = CommSetup(
+        channels=draw_channels(2, 2, rng.integers(2**31)),
+        symbols=draw_symbols(2, 1, 4, rng.integers(2**31)),
+        gamma=np.full(2, 10.0 ** (gamma_db / 10.0)),
+        sigma2=0.01,
+        m_points=4,
+    )
+    amp = math.sqrt(0.5)
+    d = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    x0 = amp * np.exp(2j * np.pi * rng.random(2))
+    return build_ci_constraints(setup), d, x0, amp
+
+
+class TestRestorationMiss:
+    def test_block_is_feasible_on_a_phase_grid(self):
+        cset, _, _, amp = _restoration_miss()
+        units = np.exp(2j * np.pi * np.arange(512) / 512)
+        rows, gam = cset.blocks
+        pair = rows[0][:, 0, None, None] * units[:, None] + rows[0][:, 1, None, None] * units
+        margins = amp * pair.real - gam[0][:, None, None]
+        assert margins.min(axis=0).max() > 1e-3
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the heuristic restoration starts miss this narrow feasible region; "
+        "a principled per-block fallback (ROADMAP item 5) should find it",
+    )
+    def test_restoration_finds_the_feasible_point(self):
+        cset, d, x0, amp = _restoration_miss()
+        x, feasible = _restore_feasibility(x0, d, cset, amp)
+        assert feasible
+        assert ci_margin(x, cset).min() >= -MARGIN_ROUNDING
+
+
 def scalar_scene():
     geometry = ArrayGeometry(1)
     grid = AngleGrid.uniform(-90.0, 90.0, 30.0)
@@ -420,6 +463,7 @@ class TestMMSolve:
         assert any("strictly feasible" in w for w in state.warnings)
         # no iterate is ever feasible, so every dual recovery fails restoration
         assert state.restore_failures == state.restorations == state.outer_iterations
+        assert all(r.restored and not r.feasible_exit for r in state.iterations)
         assert any(
             w.startswith(f"feasibility restoration failed in {state.restore_failures} ")
             for w in state.warnings
