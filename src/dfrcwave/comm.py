@@ -7,13 +7,14 @@ turned into the pair of half-space rows
 
 where the two rows differ only in the sign of the j*cos(Lambda) term and
 Lambda = pi / M is the half-angle of the PSK decision cone.
+Row m couples only the n_tx entries of symbol block l, so the constraint set
+keeps just those entries; the dense 2KL x N matrix is a reference in the oracle.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -100,50 +101,33 @@ class CommSetup:
 
 @dataclass(frozen=True)
 class CIConstraintSet:
-    """Half-space rows Re{h~_m^H x} >= Gamma_m in the canonical index order.
+    """Half-space rows Re{h~_m^H x} >= Gamma_m, stored per symbol block.
 
-    ``h_tilde`` stores row m = h~_m^H (shape 2KL x N). Each row is zero
-    outside the n_tx entries of its symbol block; ``ell_of_row`` and
-    ``block_rows`` expose that sparsity for the solver, and ``blocks`` and
-    ``row_scalars`` are views of it built once per set.
+    ``rows[l, r]`` (shape (L, 2K, n_tx)) holds the block-l entries of h~_m^H
+    and ``thresholds[l, r]`` (shape (L, 2K)) Gamma_m, for r = half*K + k and
+    m = (2l + half) K + k: flattening (l, r) gives the canonical row order
+    of margins and multipliers. ``row_scalars`` is a view built once per set.
     """
 
-    h_tilde: np.ndarray
-    gamma_vec: np.ndarray
-    ell_of_row: np.ndarray
-    block_rows: np.ndarray
-    n_tx: int
+    rows: np.ndarray
+    thresholds: np.ndarray
     warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "h_tilde", _frozen_array(self.h_tilde, dtype=complex))
-        object.__setattr__(self, "gamma_vec", _frozen_array(self.gamma_vec, dtype=float))
-        object.__setattr__(self, "ell_of_row", _frozen_array(self.ell_of_row, dtype=int))
-        object.__setattr__(self, "block_rows", _frozen_array(self.block_rows, dtype=complex))
+        object.__setattr__(self, "rows", _frozen_array(self.rows, dtype=complex))
+        object.__setattr__(self, "thresholds", _frozen_array(self.thresholds, dtype=float))
+
+    @property
+    def n_tx(self) -> int:
+        return self.rows.shape[2]
 
     @property
     def n_rows(self) -> int:
-        return self.h_tilde.shape[0]
+        return self.thresholds.size
 
     @property
     def n(self) -> int:
-        return self.h_tilde.shape[1]
-
-    @functools.cached_property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and thresholds grouped by symbol block: shapes (L, 2K, n_tx), (L, 2K).
-
-        Block l's rows are m = (2l + half) K + k, contiguous in the canonical
-        order, so the grouping is a reshape.
-        """
-        n_blocks = self.n // self.n_tx
-        per_block = self.n_rows // n_blocks
-        if not np.array_equal(self.ell_of_row, np.repeat(np.arange(n_blocks), per_block)):
-            raise ValueError("constraint rows are not in canonical block order")
-        return (
-            self.block_rows.reshape(n_blocks, per_block, self.n_tx),
-            self.gamma_vec.reshape(n_blocks, per_block),
-        )
+        return self.rows.shape[0] * self.n_tx
 
     @functools.cached_property
     def row_scalars(self) -> tuple[list, list, list]:
@@ -153,32 +137,25 @@ class CIConstraintSet:
         of row m's n_tx block entries, starts[m] is the index of its block's
         first entry in x, gamma[m] its threshold. Treat as read-only.
         """
-        pairs = [list(zip(row.conj().tolist(), row.tolist())) for row in self.block_rows]
-        return pairs, (self.ell_of_row * self.n_tx).tolist(), self.gamma_vec.tolist()
+        n_blocks, per_block, n_tx = self.rows.shape
+        pairs = [list(zip(r.conj().tolist(), r.tolist())) for r in self.rows.reshape(-1, n_tx)]
+        starts = [ell * n_tx for ell in range(n_blocks) for _ in range(per_block)]
+        return pairs, starts, self.thresholds.ravel().tolist()
 
 
-def build_ci_constraints(setup: CommSetup, block_len: Optional[int] = None) -> CIConstraintSet:
+def build_ci_constraints(setup: CommSetup) -> CIConstraintSet:
     """Build the 2KL constraint rows from channels, codewords, and QoS levels.
 
     A user with a zero channel but a positive QoS target makes its rows
     structurally infeasible; this is reported through ``warnings`` on the
     returned set rather than raised.
     """
-    if block_len is not None and block_len != setup.block_len:
-        raise ValueError(
-            f"block_len {block_len} disagrees with symbols shape {setup.symbols.shape}"
-        )
     k_users, n_tx = setup.channels.shape
     length = setup.block_len
     lam = np.pi / setup.m_points
     sin_l, cos_l = np.sin(lam), np.cos(lam)
-    n_total = length * n_tx
-    n_rows = 2 * k_users * length
 
-    h_tilde = np.zeros((n_rows, n_total), dtype=complex)
-    gamma_vec = np.empty(n_rows)
-    ell_of_row = np.empty(n_rows, dtype=int)
-    block_rows = np.empty((n_rows, n_tx), dtype=complex)
+    rows = np.empty((length, 2 * k_users, n_tx), dtype=complex)
     warnings: list[str] = []
 
     thresholds = setup.sigma2**0.5 * np.sqrt(setup.gamma) * sin_l
@@ -188,33 +165,31 @@ def build_ci_constraints(setup: CommSetup, block_len: Optional[int] = None) -> C
             rot = np.conj(setup.symbols[k, ell])
             base = setup.channels[k].conj() * rot
             for half, factor in enumerate((sin_l - 1j * cos_l, sin_l + 1j * cos_l)):
-                m = (2 * ell + half) * k_users + k
-                row = base * factor
-                h_tilde[m, ell * n_tx : (ell + 1) * n_tx] = row
-                gamma_vec[m] = thresholds[k]
-                ell_of_row[m] = ell
-                block_rows[m] = row
+                rows[ell, half * k_users + k] = base * factor
             if thresholds[k] > 0 and not np.any(setup.channels[k]):
                 warnings.append(
                     f"user {k}, symbol {ell}: zero channel with positive QoS target "
                     "makes rows infeasible"
                 )
     return CIConstraintSet(
-        h_tilde=h_tilde,
-        gamma_vec=gamma_vec,
-        ell_of_row=ell_of_row,
-        block_rows=block_rows,
-        n_tx=n_tx,
+        rows=rows,
+        thresholds=np.tile(thresholds, (length, 2)),
         warnings=tuple(warnings),
     )
 
 
+def block_margins(xb: np.ndarray, rows: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Margins Re{h~^H x_l} - Gamma of a stack of blocks: (B, n_tx), (B, R, n_tx) -> (B, R)."""
+    return np.matmul(rows, xb[:, :, None])[:, :, 0].real - thresholds
+
+
 def ci_margin(x, constraints: CIConstraintSet) -> np.ndarray:
-    """Signed margins Re{h~_m^H x} - Gamma_m; feasible iff all entries >= 0."""
+    """Signed margins Re{h~_m^H x} - Gamma_m in canonical row order; feasible iff all >= 0."""
     x = np.asarray(x)
     if x.shape != (constraints.n,):
         raise ValueError(f"expected vector of length {constraints.n}, got shape {x.shape}")
-    return (constraints.h_tilde @ x).real - constraints.gamma_vec
+    rows = constraints.rows
+    return block_margins(x.reshape(-1, rows.shape[2]), rows, constraints.thresholds).reshape(-1)
 
 
 def geometric_ci_check(

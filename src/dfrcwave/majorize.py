@@ -249,12 +249,14 @@ def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> Surrogat
 
     Diagonal kind: d = 2 (Phi - diag(|Phi| 1)) x_t. Eigen kind:
     d = 2 (Phi - lambda_max(Phi) I) x_t. Requires a constant-modulus x_t,
-    whose squared amplitude is read off the expansion point itself.
+    whose squared amplitude is read off the expansion point itself, and a
+    Phi from ``build_phi``: it is exactly Hermitian by construction, so the
+    row sums skip the Hermitian check of ``diagonal_upper_bound``.
     """
     x_t = np.asarray(x_t)
     amp2 = float(np.mean(np.abs(x_t) ** 2))
     if ctx.kind == "diagonal":
-        row = diagonal_upper_bound(phi)
+        row = np.abs(phi).sum(axis=1)
         d = 2.0 * (phi @ x_t - row * x_t)
         const = amp2 * float(row.sum())
         const += float((row * np.abs(x_t) ** 2).sum() - (x_t.conj() @ phi @ x_t).real)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and shares no code with the library
 paths it certifies: steering vectors, shift matrices, and the quadratic
-cost matrices are rebuilt from their definitions with explicit loops, and
-the quartic kernel Psi is materialized densely (capped at N <= PSI_CAP).
+cost matrices are rebuilt from their definitions with explicit loops, the
+CI constraint matrix is built dense (``dense_h_tilde``), and the quartic
+kernel Psi is materialized densely (capped at N <= PSI_CAP).
 Above that cap, ``psi_row_sums``, ``psi_top_eigenvalue`` and ``dense_phi``
 reach Psi through its rank-one terms instead, which stays practical up to
 about N = 100.
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dfrcwave.comm import CommSetup
 from dfrcwave.model import CapacityError, Weights
 from dfrcwave.radar import RadarScene
 
@@ -233,6 +235,25 @@ def direct_isls(x, scene: RadarScene) -> tuple[float, float]:
             for tau in range(-p + 1, p):
                 g_cc += direct_correlation(x, scene, tau, q, qp)
     return g_ac, g_cc
+
+
+def dense_h_tilde(setup: CommSetup) -> np.ndarray:
+    """The dense CI matrix, row m = h~_m^H (shape 2KL x N), row by row.
+
+    Row m = (2l + half) K + k is conj(s_kl) h_k^H (sin(pi/M) -+ j cos(pi/M))
+    on the entries of symbol block l (minus for half = 0), zero elsewhere.
+    """
+    k_users, n_tx = setup.channels.shape
+    length = setup.symbols.shape[1]
+    lam = np.pi / setup.m_points
+    factors = (np.sin(lam) - 1j * np.cos(lam), np.sin(lam) + 1j * np.cos(lam))
+    out = np.zeros((2 * k_users * length, n_tx * length), dtype=complex)
+    for ell in range(length):
+        for half, factor in enumerate(factors):
+            for k in range(k_users):
+                row = np.conj(setup.channels[k]) * np.conj(setup.symbols[k, ell]) * factor
+                out[(2 * ell + half) * k_users + k, ell * n_tx : (ell + 1) * n_tx] = row
+    return out
 
 
 def phase_bruteforce(

@@ -11,10 +11,11 @@ Constraint residuals are re-evaluated from the closed form on every probe
 (only the n_tx entries of the touched symbol block change), never from a
 stale x.
 
-Every CI row touches one symbol block, so feasibility repairs work block by
-block on the (L, 2K, n_tx) view ``CIConstraintSet.blocks``. A recovery
-that lands on an infeasible kink is restored one violated block at a time,
-trying starts lazily in a fixed order (``_restore_feasibility``).
+Every CI row touches one symbol block, and ``CIConstraintSet`` stores the
+rows as an (L, 2K, n_tx) stack, so products with the rows and feasibility
+repairs work block by block. A recovery that lands on an infeasible kink
+is restored one violated block at a time, trying starts lazily in a fixed
+order (``_restore_feasibility``).
 ``polish_feasible`` is the monotone fallback of the MM loop: coordinate
 rounds over the n_tx entries, each one phase search batched over all L
 blocks, that never increase Re{x^H d} and never leave the feasible set.
@@ -30,7 +31,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from dfrcwave.comm import CIConstraintSet, CommSetup, build_ci_constraints, ci_margin
+from dfrcwave.comm import (
+    CIConstraintSet,
+    CommSetup,
+    block_margins,
+    build_ci_constraints,
+    ci_margin,
+)
 from dfrcwave.majorize import MajorizerContext, build_d, build_majorizer_context, build_phi
 from dfrcwave.model import MODULUS_TOL, SolveMode, SolverConfig, Weights
 from dfrcwave.radar import RadarScene, objective_terms
@@ -50,6 +57,12 @@ def _phases(coef: np.ndarray) -> np.ndarray:
     return np.where(coef == 0, 0.0, np.angle(coef))
 
 
+def _weighted_rows(constraints: CIConstraintSet, nu: np.ndarray) -> np.ndarray:
+    """sum_m nu_m h~_m as a length-N vector: one (1, 2K) x (2K, n_tx) product per block."""
+    rows = constraints.rows
+    return (nu.reshape(rows.shape[0], 1, -1) @ rows.conj()).reshape(-1)
+
+
 def solve_inner(
     nu: np.ndarray,
     d: np.ndarray,
@@ -65,7 +78,7 @@ def solve_inner(
     nu = np.asarray(nu, dtype=float)
     if np.any(nu < 0):
         raise ValueError("multipliers must be nonnegative")
-    coef = constraints.h_tilde.conj().T @ nu - np.asarray(d)
+    coef = _weighted_rows(constraints, nu) - np.asarray(d)
     amp = math.sqrt(p_total / n_tx)
     return amp * np.exp(1j * _phases(coef))
 
@@ -96,7 +109,7 @@ class _DualWorkspace:
         self.refresh()
 
     def refresh(self) -> None:
-        self._coef = (self.cset.h_tilde.conj().T @ self.nu - self.d).tolist()
+        self._coef = (_weighted_rows(self.cset, self.nu) - self.d).tolist()
 
     def residual(self, m: int, nu_trial: float) -> float:
         delta = float(nu_trial - self.nu[m])
@@ -121,9 +134,6 @@ class _DualWorkspace:
 
     def solution(self) -> np.ndarray:
         return self.amp * np.exp(1j * _phases(np.asarray(self._coef)))
-
-    def residual_all(self, x: np.ndarray) -> np.ndarray:
-        return self.cset.gamma_vec - (self.cset.h_tilde @ x).real
 
 
 def _bisect_root(residual, eps2: float, max_iters: int):
@@ -223,7 +233,6 @@ def _best_phase(
     d_n: np.ndarray,
     amp: float,
     phi_now: np.ndarray,
-    maxmin: bool = False,
 ) -> np.ndarray:
     """Phase for entry n of each block in a batch, on a coarse grid with refinement.
 
@@ -232,7 +241,7 @@ def _best_phase(
     phase ``phi_now`` competes at every level. Feasible candidates are
     ranked by Re{x_n^* d_n}, so a block that is feasible stays feasible
     and its objective contribution never increases; with none feasible,
-    or with ``maxmin``, the phase of largest minimum margin wins.
+    the phase of largest minimum margin wins.
     """
     n_batch = base.shape[0]
     batch = np.arange(n_batch)
@@ -249,18 +258,14 @@ def _best_phase(
         # (B, R, C): the minimum over rows runs along a contiguous candidate axis
         margins = base[:, :, None] + amp * np.real(col[:, :, None] * units[:, None, :])
         min_margin = margins.min(axis=1)
-        pick = np.argmax(min_margin, axis=1)
-        if not maxmin:
-            feasible = min_margin >= 0
-            score = amp * np.real(units.conj() * d_n[:, None])
-            score[~feasible] = np.inf
-            pick = np.where(feasible.any(axis=1), np.argmin(score, axis=1), pick)
+        feasible = min_margin >= 0
+        score = amp * np.real(units.conj() * d_n[:, None])
+        score[~feasible] = np.inf
+        pick = np.where(
+            feasible.any(axis=1), np.argmin(score, axis=1), np.argmax(min_margin, axis=1)
+        )
         best = phis[batch, pick]
     return best
-
-
-def _block_margins(xb: np.ndarray, rows: np.ndarray, gam: np.ndarray) -> np.ndarray:
-    return np.matmul(rows, xb[:, :, None])[:, :, 0].real - gam
 
 
 def _block_rounds(
@@ -270,7 +275,6 @@ def _block_rounds(
     db: np.ndarray,
     amp: float,
     rounds: int,
-    maxmin: bool = False,
     until_feasible: bool = False,
 ) -> np.ndarray:
     """Coordinate rounds over the n_tx entries of a batch of blocks, in place.
@@ -280,12 +284,12 @@ def _block_rounds(
     is feasible.
     """
     for _ in range(rounds):
-        if until_feasible and _block_margins(xb, rows, gam).min() >= 0:
+        if until_feasible and block_margins(xb, rows, gam).min() >= 0:
             break
         for n in range(xb.shape[1]):
             col = rows[:, :, n]
-            base = _block_margins(xb, rows, gam) - np.real(col * xb[:, n, None])
-            phi = _best_phase(base, col, db[:, n], amp, np.angle(xb[:, n]), maxmin)
+            base = block_margins(xb, rows, gam) - np.real(col * xb[:, n, None])
+            phi = _best_phase(base, col, db[:, n], amp, np.angle(xb[:, n]))
             xb[:, n] = amp * np.exp(1j * phi)
     return xb
 
@@ -310,15 +314,12 @@ def _bank_start(rows: np.ndarray, gam: np.ndarray, amp: float) -> np.ndarray:
 
 
 def _restore_starts(xb, xb_ref, rows, gam, amp):
-    """(start, maxmin) pairs for one block, each built only when reached."""
-    yield xb, False
+    """Starts for one block, each built only when reached."""
+    yield xb
     if xb_ref is not None:
-        yield xb_ref, False
-    yield amp * np.exp(1j * _phases(np.conj(rows).sum(axis=0))), False
-    bank = _bank_start(rows, gam, amp)
-    yield bank, False
-    yield xb, True
-    yield bank, True
+        yield xb_ref
+    yield amp * np.exp(1j * _phases(np.conj(rows).sum(axis=0)))
+    yield _bank_start(rows, gam, amp)
 
 
 def _restore_feasibility(
@@ -336,36 +337,31 @@ def _restore_feasibility(
     blocks get their phases re-picked entry by entry, trying starts in
     order of objective friendliness: the recovery itself, a reference
     iterate (the previous feasible one, when available), a matched-filter
-    start, and the best of a fixed random bank; then max-min-margin rounds
-    from the recovery and from the bank. A start is built only if every
-    earlier one failed. Returns (x, feasible).
+    start, and the best of a fixed random bank. A start is built only if
+    every earlier one failed (no max-min-margin rounds: the rounds already
+    take the max-min phase while no candidate is feasible). A block that no
+    start fixes is returned unchanged. Returns (x, feasible).
     """
     x = x.copy()
-    margins = (constraints.h_tilde @ x).real - constraints.gamma_vec
-    bad = np.unique(constraints.ell_of_row[margins < 0])
-    rows_all, gam_all = constraints.blocks
-    n_tx = constraints.n_tx
+    rows_all, gam_all = constraints.rows, constraints.thresholds
+    xb_all = x.reshape(-1, constraints.n_tx)  # a view: writing a block writes x
+    db_all = np.asarray(d).reshape(xb_all.shape)
+    ref_all = None if x_ref is None else np.asarray(x_ref).reshape(xb_all.shape)
     all_good = True
-    for ell in bad:
-        sl = slice(ell * n_tx, (ell + 1) * n_tx)
-        rows, gam, db = rows_all[ell : ell + 1], gam_all[ell : ell + 1], d[None, sl]
-        starts = _restore_starts(
-            x[sl], None if x_ref is None else x_ref[sl], rows[0], gam[0], amp
-        )
-        fixed = None
-        for start, maxmin in starts:
+    for ell in np.flatnonzero(block_margins(xb_all, rows_all, gam_all).min(axis=1) < 0):
+        one = slice(ell, ell + 1)
+        rows, gam, db = rows_all[one], gam_all[one], db_all[one]
+        ref = None if ref_all is None else ref_all[ell]
+        for start in _restore_starts(xb_all[ell], ref, rows[0], gam[0], amp):
             xb = _block_rounds(
-                start[None].copy(), rows, gam, db, amp, _RESTORE_ROUNDS,
-                maxmin=maxmin, until_feasible=True,
+                start[None].copy(), rows, gam, db, amp, _RESTORE_ROUNDS, until_feasible=True
             )
-            if _block_margins(xb, rows, gam).min() >= 0:
-                fixed = xb
+            if block_margins(xb, rows, gam).min() >= 0:
+                # cut objective damage while keeping the block feasible
+                xb_all[ell] = _block_rounds(xb, rows, gam, db, amp, 2)[0]
                 break
-        if fixed is None:
-            all_good = False
         else:
-            # cut objective damage while keeping the block feasible
-            x[sl] = _block_rounds(fixed, rows, gam, db, amp, 2)[0]
+            all_good = False
     return x, all_good
 
 
@@ -380,8 +376,8 @@ def polish_feasible(
     blocks are independent and are polished together, one batched phase
     search per entry.
     """
-    rows, gam = constraints.blocks
-    shape = (rows.shape[0], constraints.n_tx)
+    rows, gam = constraints.rows, constraints.thresholds
+    shape = (rows.shape[0], rows.shape[2])
     xb = np.array(x, dtype=complex).reshape(shape)
     db = np.asarray(d).reshape(shape)
     return _block_rounds(xb, rows, gam, db, amp, rounds).reshape(-1)
@@ -438,7 +434,7 @@ def dual_ascent_sweep(
         sweeps += 1
         ws.refresh()
         x = ws.solution()
-        resid = ws.residual_all(x)
+        resid = -ci_margin(x, constraints)
         g_hat = float((x.conj() @ ws.d).real + ws.nu @ resid)
         dual_values.append(g_hat)
         if not np.any(ws.nu != nu_before):
@@ -454,7 +450,7 @@ def dual_ascent_sweep(
         x = ws.solution()
     restored = False
     feasible = True
-    if ws.residual_all(x).max() > 0:
+    if ci_margin(x, constraints).min() < 0:
         x, feasible = _restore_feasibility(x, ws.d, constraints, amp, x_ref=x_ref)
         restored = True
     return DualAscentResult(
@@ -573,8 +569,8 @@ def mm_solve(
             )
         warnings.extend(cset.warnings)
         # strict-feasibility pre-check: the nu_m -> inf limit of gbar_m must be < 0
-        limit_margin = amp * np.abs(cset.block_rows).sum(axis=1) - cset.gamma_vec
-        for m in np.flatnonzero(limit_margin <= 0):
+        limit_margin = amp * np.abs(cset.rows).sum(axis=2) - cset.thresholds
+        for m in np.flatnonzero(limit_margin.ravel() <= 0):
             warnings.append(
                 f"constraint {m}: not strictly feasible even at full phase alignment"
             )

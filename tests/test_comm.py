@@ -1,8 +1,13 @@
 """Channels, PSK codewords, and the CI constraint construction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfrcwave import oracle
 from dfrcwave.comm import (
     CommSetup,
     build_ci_constraints,
@@ -11,6 +16,7 @@ from dfrcwave.comm import (
     draw_symbols,
     geometric_ci_check,
 )
+from dfrcwave.solver import _DualWorkspace, solve_inner
 
 
 def make_setup(rng, k_users=2, n_tx=4, block_len=3, m_points=4, gamma=2.0, sigma2=0.01):
@@ -114,11 +120,12 @@ class TestBuildConstraints:
         rot = np.exp(-1j * np.pi / 4)
         expect0 = rot * (np.sin(lam) - 1j * np.cos(lam))
         expect1 = rot * (np.sin(lam) + 1j * np.cos(lam))
-        assert cset.h_tilde.shape == (2, 1)
-        assert abs(cset.h_tilde[0, 0] - expect0) < 1e-14
-        assert abs(cset.h_tilde[1, 0] - expect1) < 1e-14
+        for h_tilde in (oracle.dense_h_tilde(setup), cset.rows.reshape(2, 1)):
+            assert h_tilde.shape == (2, 1)
+            assert abs(h_tilde[0, 0] - expect0) < 1e-14
+            assert abs(h_tilde[1, 0] - expect1) < 1e-14
         gam = np.sqrt(sigma2) * np.sqrt(gamma) * np.sin(lam)
-        assert np.allclose(cset.gamma_vec, [gam, gam], atol=1e-15)
+        assert np.allclose(cset.thresholds.ravel(), [gam, gam], atol=1e-15)
 
     def test_on_ray_symbol_margins(self):
         # x_1 = c*s with c real positive: both margins equal (c - sigma sqrt(gamma)) sin(lam)
@@ -139,13 +146,13 @@ class TestBuildConstraints:
 
     def test_pair_rows_differ_by_cos_sign(self, rng):
         setup = make_setup(rng)
-        cset = build_ci_constraints(setup)
+        h_tilde = oracle.dense_h_tilde(setup)
         k_users = setup.k_users
         lam = np.pi / setup.m_points
         for ell in range(setup.block_len):
             for k in range(k_users):
-                row_a = cset.h_tilde[(2 * ell) * k_users + k]
-                row_b = cset.h_tilde[(2 * ell + 1) * k_users + k]
+                row_a = h_tilde[(2 * ell) * k_users + k]
+                row_b = h_tilde[(2 * ell + 1) * k_users + k]
                 # common part has the sin factor; the difference isolates -2j cos
                 common = (row_a + row_b) / 2
                 diff = (row_b - row_a) / 2
@@ -154,23 +161,24 @@ class TestBuildConstraints:
     def test_row_count_and_sparsity(self, rng):
         setup = make_setup(rng, k_users=2, n_tx=4, block_len=3)
         cset = build_ci_constraints(setup)
+        h_tilde = oracle.dense_h_tilde(setup)
         assert cset.n_rows == 2 * 2 * 3
         for m in range(cset.n_rows):
-            ell = cset.ell_of_row[m]
-            row = cset.h_tilde[m].copy()
+            ell = m // (2 * 2)
+            row = h_tilde[m].copy()
             block = row[ell * 4 : (ell + 1) * 4]
-            assert np.array_equal(block, cset.block_rows[m])
+            assert np.array_equal(block, cset.rows.reshape(-1, 4)[m])
             row[ell * 4 : (ell + 1) * 4] = 0.0
             assert not row.any()
 
     def test_row_norm_equals_channel_norm(self, rng):
         setup = make_setup(rng)
-        cset = build_ci_constraints(setup)
+        h_tilde = oracle.dense_h_tilde(setup)
         k_users = setup.k_users
-        for m in range(cset.n_rows):
+        for m in range(h_tilde.shape[0]):
             k = m % k_users
             assert abs(
-                np.linalg.norm(cset.h_tilde[m]) - np.linalg.norm(setup.channels[k])
+                np.linalg.norm(h_tilde[m]) - np.linalg.norm(setup.channels[k])
             ) < 1e-9
 
     def test_co_rotation_invariance(self, rng):
@@ -204,18 +212,13 @@ class TestBuildConstraints:
         assert cset.warnings
         assert "infeasible" in cset.warnings[0]
 
-    def test_block_len_mismatch_rejected(self, rng):
-        setup = make_setup(rng, block_len=3)
-        with pytest.raises(ValueError):
-            build_ci_constraints(setup, block_len=4)
-
 
 class TestMargins:
     def test_zero_input(self, rng):
         setup = make_setup(rng)
         cset = build_ci_constraints(setup)
         margins = ci_margin(np.zeros(cset.n, dtype=complex), cset)
-        assert np.allclose(margins, -cset.gamma_vec, atol=1e-15)
+        assert np.allclose(margins, -cset.thresholds.ravel(), atol=1e-15)
 
     def test_zero_qos_zero_margin_at_origin(self, rng):
         setup = make_setup(rng, gamma=0.0)
@@ -228,6 +231,70 @@ class TestMargins:
         cset = build_ci_constraints(setup)
         with pytest.raises(ValueError):
             ci_margin(np.zeros(cset.n + 1, dtype=complex), cset)
+
+
+@st.composite
+def ci_setups(draw):
+    """Small random CI problems: (setup, rng) over n_tx 1-4, L 1-6, K <= 2, M-PSK,
+    with a QoS level per user."""
+    n_tx = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 6))
+    k_users = draw(st.integers(1, min(2, n_tx)))
+    m_points = draw(st.sampled_from([2, 4, 8]))
+    gamma_db = draw(st.lists(st.floats(0.0, 16.0), min_size=k_users, max_size=k_users))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    setup = CommSetup(
+        channels=draw_channels(k_users, n_tx, rng.integers(2**31)),
+        symbols=draw_symbols(k_users, length, m_points, rng.integers(2**31)),
+        gamma=10.0 ** (np.array(gamma_db) / 10.0),
+        sigma2=0.01,
+        m_points=m_points,
+    )
+    return setup, rng
+
+
+class TestBlockLayoutProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(inst=ci_setups())
+    def test_block_rows_match_dense_oracle(self, inst):
+        setup, rng = inst
+        cset = build_ci_constraints(setup)
+        length, k_users, n_tx = setup.block_len, setup.k_users, setup.n_tx
+        assert cset.rows.shape == (length, 2 * k_users, n_tx)
+        assert cset.thresholds.shape == (length, 2 * k_users)
+        dense = oracle.dense_h_tilde(setup)
+        assert dense.shape == (cset.n_rows, cset.n)
+        # (block of the row, row in block, block of the entry, entry in block)
+        tiles = dense.reshape(length, 2 * k_users, length, n_tx).transpose(0, 2, 1, 3)
+        for ell in range(length):
+            assert np.array_equal(tiles[ell, ell], cset.rows[ell])
+        assert not tiles[~np.eye(length, dtype=bool)].any()
+        # Gamma_m = sigma sqrt(gamma_k) sin(pi/M) for row m = (2l + half) K + k
+        sin_l = math.sin(math.pi / setup.m_points)
+        expect = [
+            math.sqrt(setup.sigma2 * setup.gamma[m % k_users]) * sin_l for m in range(cset.n_rows)
+        ]
+        assert np.allclose(cset.thresholds.ravel(), expect, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(inst=ci_setups())
+    def test_block_products_match_dense_forms(self, inst):
+        setup, rng = inst
+        cset = build_ci_constraints(setup)
+        dense = oracle.dense_h_tilde(setup)
+        n, amp = cset.n, math.sqrt(1.0 / setup.n_tx)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        nu = rng.uniform(0.0, 3.0, cset.n_rows) * (rng.random(cset.n_rows) < 0.7)
+        margins = (dense @ x).real - cset.thresholds.ravel()
+        assert np.abs(ci_margin(x, cset) - margins).max() <= 1e-12 * max(1.0, np.abs(margins).max())
+        coef = dense.conj().T @ nu - d
+        scale = max(1.0, np.abs(coef).max())
+        ws = _DualWorkspace(cset, d, amp, nu)
+        assert np.abs(np.asarray(ws._coef) - coef).max() <= 1e-12 * scale
+        x_dense = amp * np.exp(1j * np.where(coef == 0, 0.0, np.angle(coef)))
+        x_inner = solve_inner(nu, d, cset, 1.0, setup.n_tx)
+        assert np.abs(x_inner - x_dense).max() <= 1e-12
 
 
 class TestGeometricEquivalence:

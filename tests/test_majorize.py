@@ -317,13 +317,15 @@ class TestLagStructureProperties:
         lags = np.subtract.outer(np.arange(length), np.arange(length))
         far = np.abs(lags) >= scene.targets.max_lag
         assert not blocks.transpose(0, 2, 1, 3)[far].any()
-        # Phi from the lag blocks equals the dense construction, both kinds
+        # Phi from the lag blocks equals the dense construction, both kinds,
+        # and is exactly Hermitian (build_d relies on it and skips the check)
         xt = random_cm(np.random.default_rng(n), n, 1.0)
         for kind in ("diagonal", "max_eigen"):
             ctx = build_majorizer_context(scene, weights, kind)
             ref = oracle.dense_phi(xt, scene, weights, kind)
-            gap = np.abs(build_phi(xt, ctx) - ref).max()
-            assert gap <= 1e-12 * max(1.0, np.abs(ref).max())
+            phi = build_phi(xt, ctx)
+            assert np.abs(phi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+            assert np.array_equal(phi, phi.conj().T)
 
 
 def test_paper_scale_smoke():

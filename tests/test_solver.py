@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import make_scene, random_cm
 from dfrcwave import oracle
-from dfrcwave.comm import CommSetup, build_ci_constraints, ci_margin, draw_channels, draw_symbols
+from dfrcwave.comm import (
+    CommSetup,
+    block_margins,
+    build_ci_constraints,
+    ci_margin,
+    draw_channels,
+    draw_symbols,
+)
 from dfrcwave.model import (
     MODULUS_TOL,
     AngleGrid,
@@ -54,14 +61,15 @@ class TestSolveInner:
         assert np.allclose(x, amp * np.exp(1j * np.angle(-d)), atol=1e-14)
 
     def test_single_active_multiplier_aligns_with_row(self, rng):
-        _, cset = make_cset(rng)
+        setup, cset = make_cset(rng)
+        h_tilde = oracle.dense_h_tilde(setup)
         nu = np.zeros(cset.n_rows)
         nu[0] = 2.0
         x = solve_inner(nu, np.zeros(cset.n), cset, p_total=1.0, n_tx=3)
         # maximizes Re{h~_0^H x}: inner product equals amp * ||h~_0||_1
         amp = math.sqrt(1.0 / 3.0)
-        attained = float((cset.h_tilde[0] @ x).real)
-        assert abs(attained - amp * np.abs(cset.h_tilde[0]).sum()) < 1e-12
+        attained = float((h_tilde[0] @ x).real)
+        assert abs(attained - amp * np.abs(h_tilde[0]).sum()) < 1e-12
 
     def test_zero_coefficient_gets_zero_phase(self, rng):
         _, cset = make_cset(rng)
@@ -79,11 +87,11 @@ class TestSolveInner:
 
     def test_no_small_phase_perturbation_improves(self, rng):
         # closed form is a per-entry argmin: +-1e-3 rad never lowers the Lagrangian
-        _, cset = make_cset(rng)
+        setup, cset = make_cset(rng)
         nu = rng.uniform(0.0, 2.0, cset.n_rows)
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
         x = solve_inner(nu, d, cset, 1.0, 3)
-        coef = d - cset.h_tilde.conj().T @ nu
+        coef = d - oracle.dense_h_tilde(setup).conj().T @ nu
         base = float(np.real(x.conj() @ coef))
         for n in range(cset.n):
             for delta in (-1e-3, 1e-3):
@@ -93,14 +101,15 @@ class TestSolveInner:
 
     def test_brute_force_certificate(self, rng):
         # no per-entry phase from a dense grid improves the Lagrangian
-        _, cset = make_cset(rng)
+        setup, cset = make_cset(rng)
+        h_tilde = oracle.dense_h_tilde(setup)
         amp = math.sqrt(1.0 / 3.0)
         for _ in range(20):
             nu = rng.uniform(0.0, 3.0, cset.n_rows)
             d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
             x = solve_inner(nu, d, cset, 1.0, 3)
-            coef = d - cset.h_tilde.conj().T @ nu
-            best = oracle.phase_bruteforce(d, cset.h_tilde.conj().T @ nu)
+            coef = d - h_tilde.conj().T @ nu
+            best = oracle.phase_bruteforce(d, h_tilde.conj().T @ nu)
             lag_x = float(np.real(x.conj() @ coef))
             lag_grid = float(np.real((amp * np.exp(1j * best)).conj() @ coef))
             assert lag_x <= lag_grid + 1e-8
@@ -183,7 +192,10 @@ class TestDualAscent:
         phases = 2 * np.pi * np.arange(100_000) / 100_000
         cands = np.exp(1j * phases)
         feas = (
-            (np.outer(cands, cset.h_tilde[:, 0]).real - cset.gamma_vec[None, :]).min(axis=1)
+            (
+                np.outer(cands, oracle.dense_h_tilde(setup)[:, 0]).real
+                - cset.thresholds.ravel()[None, :]
+            ).min(axis=1)
             >= 0
         )
         lagr = (cands.conj() * d[0]).real
@@ -233,8 +245,9 @@ class TestPolish:
         assert (polished.conj() @ d).real <= (res.x.conj() @ d).real + 1e-12
 
 
-#: Slack for margins recomputed through the dense rows after a block-level
-#: repair: the two products sum the same terms in a different order.
+#: Slack for margins recomputed from the final x after a block-level repair:
+#: the repair scores a phase as (margins without entry n) + that entry's
+#: term, which rounds differently from the full block product.
 MARGIN_ROUNDING = 1e-12
 
 
@@ -306,10 +319,17 @@ class TestFeasibilityProperties:
         if ok:
             assert ci_margin(x, cset).min() >= -MARGIN_ROUNDING
         # blocks that were feasible on entry are left alone
-        rows, gam = cset.blocks
+        rows, gam = cset.rows, cset.thresholds
         blocks0 = x0.reshape(-1, cset.n_tx)
-        good = ((rows @ blocks0[:, :, None])[:, :, 0].real - gam).min(axis=1) >= 0
-        assert np.array_equal(x.reshape(-1, cset.n_tx)[good], blocks0[good])
+        good = block_margins(blocks0, rows, gam).min(axis=1) >= 0
+        blocks = x.reshape(-1, cset.n_tx)
+        assert np.array_equal(blocks[good], blocks0[good])
+        # a block still infeasible on exit is returned bitwise unchanged, and
+        # failure is reported exactly when such a block remains
+        exit_min = block_margins(blocks, rows, gam).min(axis=1)
+        unchanged = (blocks == blocks0).all(axis=1)
+        assert np.all(unchanged | (exit_min >= -MARGIN_ROUNDING))
+        assert ok == bool((exit_min[unchanged] >= 0).all())
 
 
 def _restoration_miss():
@@ -338,7 +358,7 @@ class TestRestorationMiss:
     def test_block_is_feasible_on_a_phase_grid(self):
         cset, _, _, amp = _restoration_miss()
         units = np.exp(2j * np.pi * np.arange(512) / 512)
-        rows, gam = cset.blocks
+        rows, gam = cset.rows, cset.thresholds
         pair = rows[0][:, 0, None, None] * units[:, None] + rows[0][:, 1, None, None] * units
         margins = amp * pair.real - gam[0][:, None, None]
         assert margins.min(axis=0).max() > 1e-3
