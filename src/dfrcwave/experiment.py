@@ -103,7 +103,11 @@ def _run_solver(problem: Problem) -> tuple[SolverState, float]:
 
 
 def _write_artifacts(
-    outdir: Path, config: ExperimentConfig, problem: Problem, state: SolverState
+    outdir: Path,
+    config: ExperimentConfig,
+    problem: Problem,
+    state: SolverState,
+    objective: float,
 ) -> dict:
     scene = problem.scene
     waveform = WaveformMatrix(
@@ -162,12 +166,6 @@ def _write_artifacts(
         ),
     )
 
-    w = problem.weights
-    objective = (
-        w.w_bp * state.final_terms[0]
-        + w.w_ac * state.final_terms[1]
-        + w.w_cc * state.final_terms[2]
-    )
     summary = _summarize(config, state, objective)
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -183,8 +181,8 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentResult:
     """
     outdir = _resolve_outdir(config, base_dir)
     problem = build_problem(config)
-    state, _ = _run_solver(problem)
-    summary = _write_artifacts(outdir, config, problem, state)
+    state, objective = _run_solver(problem)
+    summary = _write_artifacts(outdir, config, problem, state, objective)
     return ExperimentResult(artifact_dir=outdir, state=state, summary=summary)
 
 

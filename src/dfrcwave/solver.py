@@ -132,9 +132,6 @@ class _DualWorkspace:
                 coef[start + i] += delta * col_i
             self.nu[m] = nu_new
 
-    def solution(self) -> np.ndarray:
-        return self.amp * np.exp(1j * _phases(np.asarray(self._coef)))
-
 
 def _bisect_root(residual, eps2: float, max_iters: int):
     """One multiplier update exactly as in the bisection listing.
@@ -387,12 +384,10 @@ def polish_feasible(
 class DualAscentResult:
     nu: np.ndarray
     x: np.ndarray
-    dual_values: list[float]
     sweeps: int
     bisection_evals: int
     converged: bool
     bracket_failures: tuple[int, ...]
-    predicate_failures: tuple[int, ...]
     restored: bool = False
     feasible_exit: bool = True
 
@@ -404,39 +399,33 @@ def dual_ascent_sweep(
     cfg: SolverConfig,
     p_total: float,
     n_tx: int,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
     x_ref: Optional[np.ndarray] = None,
 ) -> DualAscentResult:
     """Coordinate ascent over all 2KL multipliers for one fixed d.
 
     Sweeps in index order until the relative change of the dual value
     g^ = gbar(x(nu)) + sum_m nu_m gbar_m(x(nu)) drops below eps1, a sweep
-    leaves every multiplier unchanged, or ``max_sweeps`` is hit.
+    leaves every multiplier unchanged, or ``DEFAULT_MAX_SWEEPS`` is hit.
     """
     amp = math.sqrt(p_total / n_tx)
     ws = _DualWorkspace(constraints, d, amp, nu)
-    dual_values: list[float] = []
     bracket_bad: set[int] = set()
-    predicate_bad: set[int] = set()
     evals_total = 0
     prev = math.inf
     converged = False
     sweeps = 0
-    while sweeps < max_sweeps:
+    while sweeps < DEFAULT_MAX_SWEEPS:
         nu_before = ws.nu.copy()
         for m in range(constraints.n_rows):
-            evals, bracketed, predicate = _bisect_into(ws, m, cfg)
+            evals, bracketed, _ = _bisect_into(ws, m, cfg)
             evals_total += evals
             if not bracketed:
                 bracket_bad.add(m)
-            elif not predicate:
-                predicate_bad.add(m)
         sweeps += 1
         ws.refresh()
-        x = ws.solution()
+        x = solve_inner(ws.nu, ws.d, constraints, p_total, n_tx)
         resid = -ci_margin(x, constraints)
         g_hat = float((x.conj() @ ws.d).real + ws.nu @ resid)
-        dual_values.append(g_hat)
         if not np.any(ws.nu != nu_before):
             converged = True
             break
@@ -446,8 +435,6 @@ def dual_ascent_sweep(
                 converged = True
                 break
         prev = g_hat
-    else:
-        x = ws.solution()
     restored = False
     feasible = True
     if ci_margin(x, constraints).min() < 0:
@@ -456,12 +443,10 @@ def dual_ascent_sweep(
     return DualAscentResult(
         nu=ws.nu.copy(),
         x=x,
-        dual_values=dual_values,
         sweeps=sweeps,
         bisection_evals=evals_total,
         converged=converged,
         bracket_failures=tuple(sorted(bracket_bad)),
-        predicate_failures=tuple(sorted(predicate_bad)),
         restored=restored,
         feasible_exit=feasible,
     )
@@ -472,7 +457,8 @@ class IterationRecord(NamedTuple):
 
     ``objective`` is the true cost of the candidate (the trace value when
     the step was accepted); ``dual_sweeps`` and ``bisection_evals`` are the
-    dual ascent's work (0 in radar-only mode); ``restored`` and
+    dual ascent's work (0 in radar-only mode) and ``sweep_cap_hit`` marks a
+    dual ascent stopped by the sweep cap; ``restored`` and
     ``feasible_exit`` say whether its recovery needed restoration and
     whether that left every block feasible; ``polish_step`` marks a step
     taken by the polish fallback, ``rejected`` the candidate rejected for
@@ -482,45 +468,52 @@ class IterationRecord(NamedTuple):
     objective: float
     dual_sweeps: int
     bisection_evals: int
+    sweep_cap_hit: bool
     restored: bool
     feasible_exit: bool
     polish_step: bool
     rejected: bool
 
 
+def _column_total(column: str) -> property:
+    """A read-only SolverState counter: one IterationRecord column summed."""
+    return property(lambda self: sum(getattr(r, column) for r in self.iterations))
+
+
 @dataclass
 class SolverState:
     """Final iterate plus traces and termination diagnostics.
 
-    Event counters over the outer iterations: ``restorations`` counts dual
-    recoveries that needed feasibility restoration, ``restore_failures``
-    those whose restoration left a block infeasible (including ones the
-    polish fallback then replaced), ``sweep_cap_hits`` dual ascents that
-    stopped at the sweep cap, ``polish_steps`` steps taken by the polish
-    fallback and ``rejected_steps`` steps rejected for ascent.
-    ``iterations`` holds one :class:`IterationRecord` per outer iteration,
-    so its columns sum to these counters and to ``dual_sweeps`` and
-    ``bisection_steps``.
+    ``iterations`` holds one :class:`IterationRecord` per outer iteration
+    and is the only account of the run: the counters below are its column
+    sums. ``restorations`` counts dual recoveries that needed feasibility
+    restoration, ``restore_failures`` those whose restoration left a block
+    infeasible (including ones the polish fallback then replaced),
+    ``sweep_cap_hits`` dual ascents that stopped at the sweep cap,
+    ``polish_steps`` steps taken by the polish fallback and
+    ``rejected_steps`` steps rejected for ascent. ``final_terms`` are the
+    radar terms of the last accepted iterate ``x``, so their weighted sum
+    is ``objective_trace[-1]``.
     """
 
     x: np.ndarray
     nu: Optional[np.ndarray]
     objective_trace: np.ndarray
-    dual_trace: np.ndarray
-    outer_iterations: int
-    dual_sweeps: int
-    bisection_steps: int
     termination: Termination
     warnings: tuple[str, ...]
     final_terms: tuple[float, float, float]
     final_margins: Optional[np.ndarray]
     kkt_residual: Optional[float]
-    rejected_steps: int = 0
-    polish_steps: int = 0
-    restorations: int = 0
-    restore_failures: int = 0
-    sweep_cap_hits: int = 0
-    iterations: tuple[IterationRecord, ...] = ()
+    iterations: tuple[IterationRecord, ...]
+
+    outer_iterations = property(lambda self: len(self.iterations))
+    dual_sweeps = _column_total("dual_sweeps")
+    bisection_steps = _column_total("bisection_evals")
+    sweep_cap_hits = _column_total("sweep_cap_hit")
+    restorations = _column_total("restored")
+    restore_failures = property(lambda self: sum(not r.feasible_exit for r in self.iterations))
+    polish_steps = _column_total("polish_step")
+    rejected_steps = _column_total("rejected")
 
 
 def _default_x0(n: int, amp: float, seed: int) -> np.ndarray:
@@ -589,25 +582,14 @@ def mm_solve(
             raise ValueError("x0 is not constant-modulus at the required amplitude")
 
     trace: list[float] = []
-    dual_values: list[float] = []
-    sweeps_total = 0
-    bisect_total = 0
-    rejected = 0
+    records: list[IterationRecord] = []
+    bracket_bad: set[int] = set()
     g_prev = math.inf
     prev_feasible = cfg.mode == SolveMode.RADAR_ONLY
     termination = Termination.MAX_ITERS
-    bracket_bad: set[int] = set()
-    sweep_cap_hits = 0
-    restore_fail_hits = 0
-    restorations = 0
-    restore_failures = 0
-    polish_steps = 0
-    records: list[IterationRecord] = []
     nu_state = None if nu is None else nu.copy()
-    outer = 0
 
     for t in range(1, cfg.max_outer_iters + 1):
-        outer = t
         phi = build_phi(x, ctx)
         sur = build_d(x, phi, ctx)
         new_feasible = True
@@ -621,14 +603,7 @@ def mm_solve(
                 x_ref=x if prev_feasible else None,
             )
             nu = res.nu
-            dual_values.extend(res.dual_values)
-            sweeps_total += res.sweeps
-            bisect_total += res.bisection_evals
             bracket_bad.update(res.bracket_failures)
-            if not res.converged:
-                sweep_cap_hits += 1
-            restorations += res.restored
-            restore_failures += not res.feasible_exit
             x_new = res.x
             new_feasible = res.feasible_exit
             if prev_feasible:
@@ -644,9 +619,6 @@ def mm_solve(
                         x_new = x_pol
                         new_feasible = True
                         dual_step = False
-                        polish_steps += 1
-            elif not new_feasible:
-                restore_fail_hits += 1
         terms = objective_terms(x_new, scene)
         g_new = weights.w_bp * terms[0] + weights.w_ac * terms[1] + weights.w_cc * terms[2]
         if not math.isfinite(g_new):
@@ -658,6 +630,7 @@ def mm_solve(
             objective=g_new,
             dual_sweeps=0 if res is None else res.sweeps,
             bisection_evals=0 if res is None else res.bisection_evals,
+            sweep_cap_hit=res is not None and not res.converged,
             restored=res is not None and res.restored,
             feasible_exit=res is None or res.feasible_exit,
             polish_step=not dual_step,
@@ -668,10 +641,9 @@ def mm_solve(
             # tolerance; treat the slop-level ascent as converged and keep
             # the better previous iterate (ascent from a still-infeasible
             # iterate is legitimate feasibility acquisition and is accepted)
-            rejected += 1
             termination = Termination.CONVERGED
             break
-        x = x_new
+        x, final_terms = x_new, terms
         prev_feasible = new_feasible
         if nu is not None:
             nu_state = nu.copy()
@@ -685,40 +657,31 @@ def mm_solve(
                 break
         g_prev = g_new
 
-    for m in sorted(bracket_bad):
-        warnings.append(f"constraint {m}: bisection bracket not found in some sweep")
-    if sweep_cap_hits:
-        warnings.append(f"dual ascent hit the sweep cap in {sweep_cap_hits} iteration(s)")
-    if restore_fail_hits:
-        warnings.append(
-            f"feasibility restoration failed in {restore_fail_hits} iteration(s); "
-            "some symbol blocks may be jointly infeasible at the requested QoS"
-        )
-    if warnings:
-        termination = Termination.INFEASIBLE_WARNING
-
-    final_terms = objective_terms(x, scene)
     margins = kkt = None
     if cset is not None:
         margins = ci_margin(x, cset)
         kkt = float(np.max(np.minimum(nu_state, margins)))
-    return SolverState(
+    state = SolverState(
         x=x,
-        nu=None if nu_state is None else nu_state.copy(),
+        nu=nu_state,
         objective_trace=np.asarray(trace),
-        dual_trace=np.asarray(dual_values),
-        outer_iterations=outer,
-        dual_sweeps=sweeps_total,
-        bisection_steps=bisect_total,
         termination=termination,
-        warnings=tuple(warnings),
-        final_terms=(float(final_terms[0]), float(final_terms[1]), float(final_terms[2])),
+        warnings=(),
+        final_terms=tuple(float(v) for v in final_terms),
         final_margins=margins,
         kkt_residual=kkt,
-        rejected_steps=rejected,
-        polish_steps=polish_steps,
-        restorations=restorations,
-        restore_failures=restore_failures,
-        sweep_cap_hits=sweep_cap_hits,
         iterations=tuple(records),
     )
+    for m in sorted(bracket_bad):
+        warnings.append(f"constraint {m}: bisection bracket not found in some sweep")
+    if state.sweep_cap_hits:
+        warnings.append(f"dual ascent hit the sweep cap in {state.sweep_cap_hits} iteration(s)")
+    if margins is not None and margins.min() < 0:
+        warnings.append(
+            f"feasibility restoration failed in {state.restore_failures} iteration(s); "
+            f"the returned design violates {int((margins < 0).sum())} CI constraint(s)"
+        )
+    if warnings:
+        state.warnings = tuple(warnings)
+        state.termination = Termination.INFEASIBLE_WARNING
+    return state

@@ -164,6 +164,7 @@ class TestRunExperiment:
         total = lambda col: sum(int(r[col]) for r in rows)
         assert total("dual_sweeps") == counts["dual_sweeps"]
         assert total("bisection_evals") == counts["bisection_steps"]
+        assert total("sweep_cap_hit") == counts["sweep_cap_hits"]
         assert total("restored") == counts["restorations"]
         assert sum(1 - int(r["feasible_exit"]) for r in rows) == counts["restore_failures"]
         assert total("polish_step") == counts["polish_steps"]
