@@ -130,17 +130,19 @@ class CIConstraintSet:
         return self.rows.shape[0] * self.n_tx
 
     @functools.cached_property
-    def row_scalars(self) -> tuple[list, list, list]:
-        """Per-row Python scalars for the solver's scalar probe loop.
+    def row_scalars(self) -> tuple[list, list]:
+        """Per-row Python scalars for the solver's scalar probe loop, built once per set.
 
-        Returns (pairs, starts, gamma): pairs[m] lists (conj(h), h) for each
-        of row m's n_tx block entries, starts[m] is the index of its block's
-        first entry in x, gamma[m] its threshold. Treat as read-only.
+        Returns (terms, gamma): terms[m] lists (i, conj(h), h) for each of
+        row m's n_tx block entries, i being the entry's index in x, and
+        gamma[m] is row m's threshold. Treat as read-only.
         """
-        n_blocks, per_block, n_tx = self.rows.shape
-        pairs = [list(zip(r.conj().tolist(), r.tolist())) for r in self.rows.reshape(-1, n_tx)]
-        starts = [ell * n_tx for ell in range(n_blocks) for _ in range(per_block)]
-        return pairs, starts, self.thresholds.ravel().tolist()
+        per_block, n_tx = self.rows.shape[1:]
+        terms = []
+        for m, r in enumerate(self.rows.reshape(-1, n_tx)):
+            start = m // per_block * n_tx
+            terms.append(list(zip(range(start, start + n_tx), r.conj().tolist(), r.tolist())))
+        return terms, self.thresholds.ravel().tolist()
 
 
 def build_ci_constraints(setup: CommSetup) -> CIConstraintSet:

@@ -24,13 +24,13 @@ small blocks per iteration, with no cap on N.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 import numpy as np
 
 from dfrcwave.model import Weights
-from dfrcwave.radar import RadarScene, bp_quadratic_forms, correlation_values
+from dfrcwave.radar import RadarKernels, RadarScene, radar_kernels
 
 
 def diagonal_upper_bound(q_mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -197,7 +197,9 @@ def build_majorizer_context(
     )
 
 
-def build_phi(x_t: np.ndarray, ctx: MajorizerContext) -> np.ndarray:
+def build_phi(
+    x_t: np.ndarray, ctx: MajorizerContext, kernels: Optional[RadarKernels] = None
+) -> np.ndarray:
     """Quadratic-stage majorizer matrix Phi at the expansion point x_t.
 
     Phi = 2 (w_bp Phi1 + w_ac Phi2 + w_cc Phi3 - E (.) x_t x_t^H) for the
@@ -208,17 +210,24 @@ def build_phi(x_t: np.ndarray, ctx: MajorizerContext) -> np.ndarray:
     transposes. The P lag blocks cost O(P Q^2 N_T^2 + U N_T^2), and the
     dense assembly O(N^2). Phi is returned as 2 (H + H^H) for one half H,
     which makes it exactly Hermitian.
+
+    The coefficients x_t^H M_k x_t are read from ``kernels``, the
+    :class:`~dfrcwave.radar.RadarKernels` of x_t; the MM loop passes the
+    ones its ``objective_terms`` call already computed at the accepted
+    iterate. Without them they are evaluated here, by the same path.
     """
     x_t = np.asarray(x_t)
     scene = ctx.scene
     w = ctx.weights
+    if kernels is None:
+        kernels = radar_kernels(x_t, scene)
     p = scene.targets.max_lag
-    coef = ctx.lag_weights * correlation_values(x_t, scene)[p - 1 :].conj()
+    coef = ctx.lag_weights * kernels.corr[p - 1 :].conj()
     a = scene.steer_targets
     blocks = a.T @ coef.transpose(0, 2, 1) @ a.conj()  # sum coef[q,q'] a_q' a_q^H
     if w.w_bp > 0:
         n_tx = scene.geometry.n_tx
-        beta = bp_quadratic_forms(x_t, scene)
+        beta = kernels.beta
         c_flat = scene.c_factors.reshape(beta.size, -1)
         blocks[0] += w.w_bp * (beta @ c_flat).reshape(n_tx, n_tx)
     blocks[0] *= 0.5  # lag 0 is its own mirror image
@@ -233,36 +242,41 @@ def build_phi(x_t: np.ndarray, ctx: MajorizerContext) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SurrogateLinear:
-    """Linear-stage majorizer: direction d and the constant completing the bound.
+    """Linear-stage majorizer: direction d, plus what completes the bound.
 
     ``const_offset`` makes x^H Phi x <= Re{x^H d} + const_offset hold for
-    every constant-modulus x; it is diagnostic only, since MM descent under
-    constant modulus compares Re{x^H d} across iterates.
+    every constant-modulus x. It is diagnostic only, since MM descent under
+    constant modulus compares Re{x^H d} across iterates, so it is computed
+    on first read from the expansion point ``x_t``, ``phi`` (both kept by
+    reference) and ``bound``, the diagonal D with D >= Phi: the row sums
+    diag(|Phi| 1) (diagonal kind) or lambda_max(Phi) (eigen kind).
     """
 
     d: np.ndarray
-    const_offset: float
+    x_t: np.ndarray = field(repr=False)
+    phi: np.ndarray = field(repr=False)
+    bound: Union[np.ndarray, float] = field(repr=False)
+
+    @functools.cached_property
+    def const_offset(self) -> float:
+        x2 = np.abs(self.x_t) ** 2
+        diag = np.broadcast_to(self.bound, x2.shape)
+        quad = (self.x_t.conj() @ self.phi @ self.x_t).real
+        return float(x2.mean()) * float(diag.sum()) + float((diag * x2).sum() - quad)
 
 
 def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> SurrogateLinear:
     """Linearize the quadratic surrogate at x_t.
 
     Diagonal kind: d = 2 (Phi - diag(|Phi| 1)) x_t. Eigen kind:
-    d = 2 (Phi - lambda_max(Phi) I) x_t. Requires a constant-modulus x_t,
-    whose squared amplitude is read off the expansion point itself, and a
-    Phi from ``build_phi``: it is exactly Hermitian by construction, so the
-    row sums skip the Hermitian check of ``diagonal_upper_bound``.
+    d = 2 (Phi - lambda_max(Phi) I) x_t. Requires a constant-modulus x_t
+    and a Phi from ``build_phi``: it is exactly Hermitian by construction,
+    so the row sums skip the Hermitian check of ``diagonal_upper_bound``.
     """
     x_t = np.asarray(x_t)
-    amp2 = float(np.mean(np.abs(x_t) ** 2))
     if ctx.kind == "diagonal":
-        row = np.abs(phi).sum(axis=1)
-        d = 2.0 * (phi @ x_t - row * x_t)
-        const = amp2 * float(row.sum())
-        const += float((row * np.abs(x_t) ** 2).sum() - (x_t.conj() @ phi @ x_t).real)
+        bound = np.abs(phi).sum(axis=1)
     else:
-        lam = float(np.linalg.eigvalsh(phi)[-1])
-        d = 2.0 * (phi @ x_t - lam * x_t)
-        const = lam * amp2 * x_t.size
-        const += float(lam * (np.abs(x_t) ** 2).sum() - (x_t.conj() @ phi @ x_t).real)
-    return SurrogateLinear(d=d, const_offset=const)
+        bound = float(np.linalg.eigvalsh(phi)[-1])
+    d = 2.0 * (phi @ x_t - bound * x_t)
+    return SurrogateLinear(d=d, x_t=x_t, phi=phi, bound=bound)

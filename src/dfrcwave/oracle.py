@@ -8,16 +8,24 @@ kernel Psi is materialized densely (capped at N <= PSI_CAP).
 Above that cap, ``psi_row_sums``, ``psi_top_eigenvalue`` and ``dense_phi``
 reach Psi through its rank-one terms instead, which stays practical up to
 about N = 100.
+
+``reference_dual_ascent`` is the one exception: it keeps an earlier probe
+formulation of the dual coordinate ascent (multipliers in a numpy vector,
+per-probe indexing and ``float()`` conversion) and shares the bisection
+listing, the closed-form recovery and the restoration with the solver, so
+tests can hold ``solver.dual_ascent_sweep`` to it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from dfrcwave.comm import CommSetup
-from dfrcwave.model import CapacityError, Weights
+from dfrcwave import solver
+from dfrcwave.comm import CIConstraintSet, CommSetup, ci_margin
+from dfrcwave.model import CapacityError, SolverConfig, Weights
 from dfrcwave.radar import RadarScene
 
 #: Largest N = L * n_tx for which the dense N^2 x N^2 kernel is assembled.
@@ -292,3 +300,89 @@ def power_iteration(mat: np.ndarray, seed: int = 0, tol: float = 1e-12, max_iter
             return lam_new
         lam = lam_new
     return lam
+
+
+def reference_dual_ascent(
+    nu: np.ndarray,
+    d: np.ndarray,
+    constraints: CIConstraintSet,
+    cfg: SolverConfig,
+    p_total: float,
+    n_tx: int,
+    x_ref=None,
+) -> solver.DualAscentResult:
+    """``solver.dual_ascent_sweep`` with the probe loop it had over a numpy ``nu``.
+
+    Each probe indexes the multiplier out of the numpy vector, converts the
+    step with ``float()`` and walks row m's (conj h, h) pairs from its
+    block start; sweeps, stopping rules and restoration are as in the
+    solver.
+    """
+    amp = math.sqrt(p_total / n_tx)
+    d = np.asarray(d)
+    nu = np.array(nu, dtype=float, copy=True)
+    per_block = constraints.rows.shape[1]
+    pairs = [list(zip(r.conj().tolist(), r.tolist())) for r in constraints.rows.reshape(-1, n_tx)]
+    starts = [m // per_block * n_tx for m in range(len(pairs))]
+    gamma = constraints.thresholds.ravel().tolist()
+    coef = (solver._weighted_rows(constraints, nu) - d).tolist()
+
+    def residual(m: int, nu_trial: float) -> float:
+        delta = float(nu_trial - nu[m])
+        start = starts[m]
+        acc = 0.0
+        for i, (col_i, row_i) in enumerate(pairs[m]):
+            c = coef[start + i] + delta * col_i
+            mag = abs(c)
+            unit = c / mag if mag != 0.0 else 1.0 + 0.0j
+            acc += (row_i * unit).real
+        return gamma[m] - amp * acc
+
+    bracket_bad: set[int] = set()
+    evals_total = 0
+    prev = math.inf
+    converged = False
+    sweeps = 0
+    while sweeps < solver.DEFAULT_MAX_SWEEPS:
+        nu_before = nu.copy()
+        for m in range(constraints.n_rows):
+            value, evals, bracketed, _ = solver._bisect_root(
+                lambda v: residual(m, v), cfg.eps2, cfg.max_bisect_iters
+            )
+            delta = float(value - nu[m])
+            if delta != 0.0:
+                for i, (col_i, _) in enumerate(pairs[m]):
+                    coef[starts[m] + i] += delta * col_i
+                nu[m] = value
+            evals_total += evals
+            if not bracketed:
+                bracket_bad.add(m)
+        sweeps += 1
+        coef = (solver._weighted_rows(constraints, nu) - d).tolist()
+        x = solver.solve_inner(nu, d, constraints, p_total, n_tx)
+        resid = -ci_margin(x, constraints)
+        g_hat = float((x.conj() @ d).real + nu @ resid)
+        if not np.any(nu != nu_before):
+            converged = True
+            break
+        if math.isfinite(prev):
+            denom = abs(prev) if prev != 0 else 1.0
+            if abs(g_hat - prev) / denom < cfg.eps1:
+                converged = True
+                break
+        prev = g_hat
+    restored = False
+    feasible = True
+    if ci_margin(x, constraints).min() < 0:
+        x, feasible = solver._restore_feasibility(x, d, constraints, amp, x_ref=x_ref)
+        restored = True
+    return solver.DualAscentResult(
+        nu=nu,
+        x=x,
+        sweeps=sweeps,
+        bisection_evals=evals_total,
+        converged=converged,
+        bracket_failures=tuple(sorted(bracket_bad)),
+        restored=restored,
+        feasible_exit=feasible,
+    )

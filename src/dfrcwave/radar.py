@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -271,13 +272,45 @@ def crosscorr_isl(x, scene: RadarScene) -> float:
     return _isl_sums(chi, scene)[1]
 
 
-def objective_terms(x, scene: RadarScene) -> tuple[float, float, float]:
-    """(beam-pattern cost, autocorrelation ISL, cross-correlation ISL) for x."""
+class RadarKernels(NamedTuple):
+    """The quadratic forms of x that every radar term and Phi are built from.
+
+    ``beta`` holds x^H B_u x per grid angle (``bp_quadratic_forms``) and
+    ``corr`` the correlations x^H D_{tau,q,q'} x (``correlation_values``).
+    """
+
+    beta: np.ndarray
+    corr: np.ndarray
+
+
+def radar_kernels(x, scene: RadarScene) -> RadarKernels:
+    """Evaluate both kernel families at x: the one path to them for the MM loop."""
     X = _as_block(x, scene)
-    g_bp = float(np.sum(bp_quadratic_forms(X, scene) ** 2))
-    chi = np.abs(correlation_values(X, scene)) ** 2
+    return RadarKernels(bp_quadratic_forms(X, scene), correlation_values(X, scene))
+
+
+class ObjectiveTerms(tuple):
+    """(g_bp, g_ac, g_cc), carrying the :class:`RadarKernels` they came from."""
+
+    kernels: Optional[RadarKernels]
+
+    def __new__(cls, terms, kernels: Optional[RadarKernels] = None):
+        self = super().__new__(cls, terms)
+        self.kernels = kernels
+        return self
+
+
+def objective_terms(x, scene: RadarScene) -> ObjectiveTerms:
+    """(beam-pattern cost, autocorrelation ISL, cross-correlation ISL) for x.
+
+    The kernels are computed once and ride along as ``.kernels``, so the
+    MM loop builds the next Phi at an accepted x without re-evaluating them.
+    """
+    kernels = radar_kernels(x, scene)
+    g_bp = float(np.sum(kernels.beta**2))
+    chi = np.abs(kernels.corr) ** 2
     g_ac, g_cc = _isl_sums(chi, scene)
-    return g_bp, g_ac, g_cc
+    return ObjectiveTerms((g_bp, g_ac, g_cc), kernels)
 
 
 def total_objective(x, scene: RadarScene, weights: Weights) -> float:

@@ -9,7 +9,11 @@ x(nu) = sqrt(P_T/N_T) exp(j angle(sum_m nu_m h~_m - d)), and the
 multipliers are driven by coordinate ascent, one bisection per constraint.
 Constraint residuals are re-evaluated from the closed form on every probe
 (only the n_tx entries of the touched symbol block change), never from a
-stale x.
+stale x. A probe is a closure over Python lists: the multipliers, the
+running coefficient vector, and the row's (index, conj h, h) triples that
+``CIConstraintSet.row_scalars`` caches once per constraint set. It runs
+only Python complex arithmetic, with no numpy scalar and no method
+dispatch, so the bisection listing pays one function call per probe.
 
 Every CI row touches one symbol block, and ``CIConstraintSet`` stores the
 rows as an (L, 2K, n_tx) stack, so products with the rows and feasibility
@@ -84,53 +88,54 @@ def solve_inner(
 
 
 class _DualWorkspace:
-    """Running coefficient vector sum_m nu_m h~_m - d with block-local probes.
+    """The multipliers and the running coefficient vector sum_m nu_m h~_m - d.
 
-    ``residual(m, v)`` evaluates gbar_m at x(nu) with entry m set to v; only
-    the n_tx entries of row m's symbol block are recomputed. ``commit``
-    folds an accepted update into the running vector; ``refresh`` rebuilds
-    it from scratch (called once per sweep to stop rounding drift).
-
-    The probe loop runs on plain Python complex scalars: the blocks are a
-    handful of entries, where scalar arithmetic beats numpy dispatch by a
-    wide margin, and x(nu) restricted to the block is amp * c / |c| entry
-    by entry (phase 0 for a vanishing coefficient, as in the closed form).
+    Both are plain Python lists: ``nu`` of floats, ``coef`` of complex
+    scalars. ``refresh`` rebuilds ``coef`` from ``nu`` (once per sweep, to
+    stop rounding drift); ``_update_row`` moves one multiplier and folds
+    the change into the n_tx entries of its symbol block.
     """
 
     def __init__(self, constraints: CIConstraintSet, d: np.ndarray, amp: float, nu0):
+        nu = np.array(nu0, dtype=float)
+        if nu.shape != (constraints.n_rows,):
+            raise ValueError("multiplier vector length mismatch")
         self.cset = constraints
         self.d = np.asarray(d)
         self.amp = amp
-        self.nu = np.array(nu0, dtype=float, copy=True)
-        if self.nu.shape != (constraints.n_rows,):
-            raise ValueError("multiplier vector length mismatch")
-        self._pairs, self._starts, self._gamma = constraints.row_scalars
-        self._coef: list[complex] = []
+        self.terms, self.gamma = constraints.row_scalars
+        self.nu = nu.tolist()
+        self.coef: list[complex] = []
         self.refresh()
 
-    def refresh(self) -> None:
-        self._coef = (_weighted_rows(self.cset, self.nu) - self.d).tolist()
+    def refresh(self) -> np.ndarray:
+        """Rebuild ``coef`` from ``nu``; returns ``nu`` as an array."""
+        nu = np.array(self.nu)
+        self.coef = (_weighted_rows(self.cset, nu) - self.d).tolist()
+        return nu
 
-    def residual(self, m: int, nu_trial: float) -> float:
-        delta = float(nu_trial - self.nu[m])
-        start = self._starts[m]
-        coef = self._coef
-        acc = 0.0
-        for i, (col_i, row_i) in enumerate(self._pairs[m]):
-            c = coef[start + i] + delta * col_i
-            mag = abs(c)
-            unit = c / mag if mag != 0.0 else 1.0 + 0.0j
-            acc += (row_i * unit).real
-        return self._gamma[m] - self.amp * acc
+    def row_residual(self, m: int):
+        """gbar_m at x(nu) as a function of nu_m alone, the other multipliers held.
 
-    def commit(self, m: int, nu_new: float) -> None:
-        delta = float(nu_new - self.nu[m])
-        if delta != 0.0:
-            start = self._starts[m]
-            coef = self._coef
-            for i, (col_i, _) in enumerate(self._pairs[m]):
-                coef[start + i] += delta * col_i
-            self.nu[m] = nu_new
+        Only the n_tx entries of row m's block are recomputed, on Python
+        complex scalars (a handful of entries, where scalar arithmetic beats
+        numpy dispatch): x(nu) there is amp * c / |c| entry by entry, with
+        phase 0 for a vanishing coefficient, as in the closed form.
+        """
+        terms, coef, nu_m = self.terms[m], self.coef, self.nu[m]
+        gamma, amp = self.gamma[m], self.amp
+
+        def residual(nu_trial: float) -> float:
+            delta = nu_trial - nu_m
+            acc = 0.0
+            for i, col, row in terms:
+                c = coef[i] + delta * col
+                mag = abs(c)
+                unit = c / mag if mag != 0.0 else 1.0 + 0.0j
+                acc += (row * unit).real
+            return gamma - amp * acc
+
+        return residual
 
 
 def _bisect_root(residual, eps2: float, max_iters: int):
@@ -156,6 +161,7 @@ def _bisect_root(residual, eps2: float, max_iters: int):
             evals += 1
             doubles += 1
         lo = hi / 2.0
+    half_eps = eps2 / 2.0
     steps = 0
     while steps < max_iters:
         mid = 0.5 * (lo + hi)
@@ -167,16 +173,25 @@ def _bisect_root(residual, eps2: float, max_iters: int):
         else:
             hi = mid
         # the listing's stop rule plus the exact-root boundary it excludes
-        if r == 0.0 or abs(r + eps2 / 2.0) < eps2 / 2.0:
+        if r == 0.0 or abs(r + half_eps) < half_eps:
             return mid, evals, True, True
     return hi, evals, True, False
 
 
-def _bisect_into(ws: _DualWorkspace, m: int, cfg: SolverConfig):
+def _update_row(ws: _DualWorkspace, m: int, cfg: SolverConfig):
+    """Bisect multiplier m with the others held and commit it to ``ws``.
+
+    Returns (n_evals, bracketed, predicate_met) of ``_bisect_root``.
+    """
     value, evals, bracketed, predicate = _bisect_root(
-        lambda v: ws.residual(m, v), cfg.eps2, cfg.max_bisect_iters
+        ws.row_residual(m), cfg.eps2, cfg.max_bisect_iters
     )
-    ws.commit(m, value)
+    delta = value - ws.nu[m]
+    if delta != 0.0:
+        coef = ws.coef
+        for i, col, _ in ws.terms[m]:
+            coef[i] += delta * col
+        ws.nu[m] = value
     return evals, bracketed, predicate
 
 
@@ -190,10 +205,9 @@ def bisect_multiplier(
     n_tx: int,
 ) -> float:
     """Update the single multiplier ``m`` with all others held fixed."""
-    amp = math.sqrt(p_total / n_tx)
-    ws = _DualWorkspace(constraints, d, amp, nu)
-    _bisect_into(ws, m, cfg)
-    return float(ws.nu[m])
+    ws = _DualWorkspace(constraints, d, math.sqrt(p_total / n_tx), nu)
+    _update_row(ws, m, cfg)
+    return ws.nu[m]
 
 
 _RESTORE_GRID = 512
@@ -417,16 +431,16 @@ def dual_ascent_sweep(
     while sweeps < DEFAULT_MAX_SWEEPS:
         nu_before = ws.nu.copy()
         for m in range(constraints.n_rows):
-            evals, bracketed, _ = _bisect_into(ws, m, cfg)
+            evals, bracketed, _ = _update_row(ws, m, cfg)
             evals_total += evals
             if not bracketed:
                 bracket_bad.add(m)
         sweeps += 1
-        ws.refresh()
-        x = solve_inner(ws.nu, ws.d, constraints, p_total, n_tx)
+        nu_arr = ws.refresh()
+        x = solve_inner(nu_arr, ws.d, constraints, p_total, n_tx)
         resid = -ci_margin(x, constraints)
-        g_hat = float((x.conj() @ ws.d).real + ws.nu @ resid)
-        if not np.any(ws.nu != nu_before):
+        g_hat = float((x.conj() @ ws.d).real + nu_arr @ resid)
+        if ws.nu == nu_before:
             converged = True
             break
         if math.isfinite(prev):
@@ -441,7 +455,7 @@ def dual_ascent_sweep(
         x, feasible = _restore_feasibility(x, ws.d, constraints, amp, x_ref=x_ref)
         restored = True
     return DualAscentResult(
-        nu=ws.nu.copy(),
+        nu=nu_arr,
         x=x,
         sweeps=sweeps,
         bisection_evals=evals_total,
@@ -588,9 +602,10 @@ def mm_solve(
     prev_feasible = cfg.mode == SolveMode.RADAR_ONLY
     termination = Termination.MAX_ITERS
     nu_state = None if nu is None else nu.copy()
+    kernels = None  # radar kernels of the accepted x, from its objective_terms call
 
     for t in range(1, cfg.max_outer_iters + 1):
-        phi = build_phi(x, ctx)
+        phi = build_phi(x, ctx, kernels)
         sur = build_d(x, phi, ctx)
         new_feasible = True
         dual_step = True
@@ -643,7 +658,7 @@ def mm_solve(
             # iterate is legitimate feasibility acquisition and is accepted)
             termination = Termination.CONVERGED
             break
-        x, final_terms = x_new, terms
+        x, final_terms, kernels = x_new, terms, terms.kernels
         prev_feasible = new_feasible
         if nu is not None:
             nu_state = nu.copy()

@@ -291,7 +291,7 @@ class TestBlockLayoutProperties:
         coef = dense.conj().T @ nu - d
         scale = max(1.0, np.abs(coef).max())
         ws = _DualWorkspace(cset, d, amp, nu)
-        assert np.abs(np.asarray(ws._coef) - coef).max() <= 1e-12 * scale
+        assert np.abs(np.asarray(ws.coef) - coef).max() <= 1e-12 * scale
         x_dense = amp * np.exp(1j * np.where(coef == 0, 0.0, np.angle(coef)))
         x_inner = solve_inner(nu, d, cset, 1.0, setup.n_tx)
         assert np.abs(x_inner - x_dense).max() <= 1e-12

@@ -221,12 +221,12 @@ class TestDualAscent:
         _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=2)
         d = 0.5 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
         cfg = SolverConfig()
-        from dfrcwave.solver import _DualWorkspace, _bisect_into
+        from dfrcwave.solver import _DualWorkspace, _update_row
 
         ws = _DualWorkspace(cset, d, 0.5, np.zeros(cset.n_rows))
         for m in range(cset.n_rows):
-            _, bracketed, predicate = _bisect_into(ws, m, cfg)
-            resid = ws.residual(m, ws.nu[m])
+            _, bracketed, predicate = _update_row(ws, m, cfg)
+            resid = ws.row_residual(m)(ws.nu[m])
             if ws.nu[m] == 0.0:
                 assert resid <= 0.0
             elif predicate:
@@ -331,6 +331,66 @@ class TestFeasibilityProperties:
         unchanged = (blocks == blocks0).all(axis=1)
         assert np.all(unchanged | (exit_min >= -MARGIN_ROUNDING))
         assert ok == bool((exit_min[unchanged] >= 0).all())
+
+
+@st.composite
+def dual_instances(draw):
+    """Dual-ascent inputs (setup, cset, d, nu0, cfg) over n_tx 1-4, L 1-6, K 1-2, M 2/4/8.
+
+    d always has exact zeros, so from nu0 = 0 the probes meet vanishing
+    coefficients (the phase-0 branch); a drawn "dead" user has a zero
+    channel and a positive QoS target, so its rows cannot be bracketed.
+    """
+    n_tx = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 6))
+    k_users = draw(st.integers(1, min(2, n_tx)))
+    m_points = draw(st.sampled_from([2, 4, 8]))
+    gamma_db = draw(st.lists(st.floats(0.0, 16.0), min_size=k_users, max_size=k_users))
+    dead_user = draw(st.booleans())
+    warm = draw(st.booleans())
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    cfg = SolverConfig(max_bisect_iters=draw(st.sampled_from([8, 200])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = draw_channels(k_users, n_tx, rng.integers(2**31))
+    if dead_user:
+        channels[-1] = 0.0
+    setup = CommSetup(
+        channels=channels,
+        symbols=draw_symbols(k_users, length, m_points, rng.integers(2**31)),
+        gamma=10.0 ** (np.array(gamma_db) / 10.0),
+        sigma2=0.01,
+        m_points=m_points,
+    )
+    cset = build_ci_constraints(setup)
+    d = scale * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
+    d[rng.random(cset.n) < 0.3] = 0.0
+    d[rng.integers(cset.n)] = 0.0
+    nu0 = np.zeros(cset.n_rows)
+    if warm:
+        nu0 = rng.uniform(0.0, 3.0, cset.n_rows) * (rng.random(cset.n_rows) < 0.6)
+    return setup, cset, d, nu0, cfg
+
+
+class TestDualAscentParity:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(inst=dual_instances())
+    def test_matches_reference_probe_formulation_bitwise(self, inst):
+        setup, cset, d, nu0, cfg = inst
+        res = dual_ascent_sweep(nu0, d, cset, cfg, 1.0, setup.n_tx)
+        ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0, setup.n_tx)
+        assert res.nu.tobytes() == ref.nu.tobytes()
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert (res.sweeps, res.bisection_evals, res.bracket_failures) == (
+            ref.sweeps, ref.bisection_evals, ref.bracket_failures
+        )
+        assert (res.converged, res.restored, res.feasible_exit) == (
+            ref.converged, ref.restored, ref.feasible_exit
+        )
+        if setup.gamma[-1] > 0 and not setup.channels[-1].any():
+            # the dead user's rows (r = half*K + K - 1 in every block) never bracket
+            k_users = setup.k_users
+            dead = [m for m in range(cset.n_rows) if m % k_users == k_users - 1]
+            assert set(dead) <= set(res.bracket_failures)
 
 
 def _restoration_miss():
