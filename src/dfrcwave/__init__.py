@@ -9,7 +9,6 @@ for PSK downlink users.
 from dfrcwave.model import (
     AngleGrid,
     ArrayGeometry,
-    CapacityError,
     DesiredBeamPattern,
     MajorizerKind,
     SolveMode,
@@ -25,17 +24,10 @@ from dfrcwave.model import (
 )
 from dfrcwave.radar import (
     RadarScene,
-    autocorr_isl,
-    beam_pattern,
-    beampattern_cost,
     build_scene,
-    correlation,
-    crosscorr_isl,
     objective_terms,
     optimal_alpha,
     rectangular_pattern,
-    shift_matrix,
-    steering_vector,
     total_objective,
 )
 from dfrcwave.comm import (
@@ -45,23 +37,17 @@ from dfrcwave.comm import (
     ci_margin,
     draw_channels,
     draw_symbols,
-    geometric_ci_check,
 )
 from dfrcwave.majorize import (
     MajorizerContext,
-    SurrogateLinear,
     build_d,
     build_majorizer_context,
     build_phi,
-    diagonal_upper_bound,
-    lambda_psi,
-    precompute_E,
 )
 from dfrcwave.solver import (
     IterationRecord,
     SolverState,
     Termination,
-    bisect_multiplier,
     dual_ascent_sweep,
     mm_solve,
     solve_inner,

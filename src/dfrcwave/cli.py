@@ -77,9 +77,8 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"artifacts written to {result.artifact_dir}")
-    warnings = result.state.warnings
-    if warnings:
-        for line in warnings:
+    if result.warnings:
+        for line in result.warnings:
             print(f"warning: {line}", file=sys.stderr)
         return EXIT_WARNINGS
     return EXIT_OK

@@ -192,26 +192,3 @@ def ci_margin(x, constraints: CIConstraintSet) -> np.ndarray:
         raise ValueError(f"expected vector of length {constraints.n}, got shape {x.shape}")
     rows = constraints.rows
     return block_margins(x.reshape(-1, rows.shape[2]), rows, constraints.thresholds).reshape(-1)
-
-
-def geometric_ci_check(
-    x_ell,
-    h_k,
-    s,
-    gamma_k: float,
-    sigma: float,
-    m_points: int,
-    tol: float = 0.0,
-) -> bool:
-    """Decision-region form of the CI condition for one user/symbol.
-
-    Evaluates (Re{v} - sigma*sqrt(gamma)) tan(Lambda) - |Im{v}| >= -tol with
-    v = h^H x_l e^{-j angle(s)}. For BPSK (Lambda = pi/2) the tangent
-    diverges and the condition reduces to Re{v} >= sigma*sqrt(gamma).
-    """
-    v = np.vdot(np.asarray(h_k), np.asarray(x_ell)) * np.exp(-1j * np.angle(s))
-    need = sigma * np.sqrt(gamma_k)
-    if m_points == 2:
-        return bool(v.real - need >= -tol)
-    lam = np.pi / m_points
-    return bool((v.real - need) * np.tan(lam) - abs(v.imag) >= -tol)

@@ -33,7 +33,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_tx: int = 10
-    n_rx: int = 10  # recorded for completeness; no operation consumes it
     block_len: int = 64
     k_users: int = 3
     max_lag: int = 16
@@ -63,7 +62,7 @@ class ExperimentConfig:
     @classmethod
     def desk_preset(cls, **overrides) -> "ExperimentConfig":
         """Small instance (N = 32) that every solver path can run quickly."""
-        base = cls(n_tx=4, n_rx=4, block_len=8, k_users=2, max_lag=4)
+        base = cls(n_tx=4, block_len=8, k_users=2, max_lag=4)
         return replace(base, **overrides) if overrides else base
 
     @property
@@ -107,6 +106,7 @@ _KIND_MAP = {"int": int, "float": float, "str": str, "tuple": tuple}
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the documented key = value grammar into an ExperimentConfig."""
     values = {}
+    first_line = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -117,6 +117,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _FIELD_KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: key {key!r} is already set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
         kind = _KIND_MAP[_FIELD_KINDS[key]]
         values[key] = _parse_value(raw, kind, key)
     return ExperimentConfig(**values)

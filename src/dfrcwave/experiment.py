@@ -51,9 +51,16 @@ def _level_db(chi: np.ndarray, ref: float) -> np.ndarray:
 
 @dataclass
 class ExperimentResult:
+    """Where the artifacts went, the solver state and summary, and the warnings.
+
+    ``warnings`` holds every run's warnings; a comparison tags each with
+    its majorizer kind, while ``state`` is the diagonal run's.
+    """
+
     artifact_dir: Path
     state: SolverState
     summary: dict
+    warnings: tuple[str, ...]
 
 
 def _summarize(config: ExperimentConfig, state: SolverState, objective: float) -> dict:
@@ -93,13 +100,7 @@ def _run_solver(problem: Problem) -> tuple[SolverState, float]:
         x0=problem.x0,
         p_total=problem.p_total,
     )
-    w = problem.weights
-    objective = (
-        w.w_bp * state.final_terms[0]
-        + w.w_ac * state.final_terms[1]
-        + w.w_cc * state.final_terms[2]
-    )
-    return state, objective
+    return state, float(state.objective_trace[-1])
 
 
 def _write_artifacts(
@@ -183,7 +184,9 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentResult:
     problem = build_problem(config)
     state, objective = _run_solver(problem)
     summary = _write_artifacts(outdir, config, problem, state, objective)
-    return ExperimentResult(artifact_dir=outdir, state=state, summary=summary)
+    return ExperimentResult(
+        artifact_dir=outdir, state=state, summary=summary, warnings=state.warnings
+    )
 
 
 def iterations_to_within(trace: np.ndarray, frac: float = 0.05) -> int:
@@ -201,7 +204,8 @@ def compare_majorizers(config: ExperimentConfig, base_dir=None) -> ExperimentRes
     """Run both majorizer kinds on the identical instance and seed.
 
     Writes convergence_diagonal.csv / convergence_max_eigen.csv plus a
-    side-by-side summary; the returned state is the diagonal run's.
+    side-by-side summary; the returned state is the diagonal run's, and the
+    returned warnings are both runs', each tagged with its kind.
     """
     outdir = _resolve_outdir(config, base_dir)
     states: dict[str, SolverState] = {}
@@ -231,4 +235,9 @@ def compare_majorizers(config: ExperimentConfig, base_dir=None) -> ExperimentRes
     (outdir / "summary_compare.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return ExperimentResult(artifact_dir=outdir, state=states["diagonal"], summary=summary)
+    warnings = tuple(
+        f"{kind}: {line}" for kind, state in states.items() for line in state.warnings
+    )
+    return ExperimentResult(
+        artifact_dir=outdir, state=states["diagonal"], summary=summary, warnings=warnings
+    )

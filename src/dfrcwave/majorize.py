@@ -24,29 +24,13 @@ small blocks per iteration, with no cap on N.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from dfrcwave.model import Weights
 from dfrcwave.radar import RadarKernels, RadarScene, radar_kernels
-
-
-def diagonal_upper_bound(q_mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Row sums of |Q| for Hermitian Q; diag of the result dominates Q in the PSD order.
-
-    Raises ValueError when Q is not Hermitian to within ``tol`` (relative,
-    |a - b| <= tol * max(1, |a|, |b|)).
-    """
-    q_mat = np.asarray(q_mat)
-    if q_mat.ndim != 2 or q_mat.shape[0] != q_mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {q_mat.shape}")
-    scale = max(1.0, float(np.abs(q_mat).max(initial=0.0)))
-    asym = float(np.abs(q_mat - q_mat.conj().T).max(initial=0.0))
-    if asym > tol * scale:
-        raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} vs scale {scale:.3e}")
-    return np.abs(q_mat).sum(axis=1)
 
 
 def _lag_weights(scene: RadarScene, weights: Weights) -> np.ndarray:
@@ -123,26 +107,6 @@ def _lag_grams(scene: RadarScene, w_bp: float, lag_w: np.ndarray) -> np.ndarray:
     return np.array(grams)
 
 
-def precompute_E(scene: RadarScene, weights: Weights) -> np.ndarray:
-    """Matricized row sums E = mat(|Psi| 1): real, symmetric, nonnegative N x N.
-
-    Depends only on the scene and weights, so it is computed once per
-    problem (by ``build_majorizer_context``) and reused across MM
-    iterations. Returned read-only.
-    """
-    return build_majorizer_context(scene, weights, "diagonal").e_mat
-
-
-def lambda_psi(scene: RadarScene, weights: Weights) -> float:
-    """Largest eigenvalue of the assembled quartic kernel Psi.
-
-    Up to a permutation, Psi is the direct sum over lags of 1 1^T (x) G_delta
-    with an all-ones vector of length L - |delta|, whose nonzero spectrum is
-    (L - |delta|) times that of G_delta.
-    """
-    return build_majorizer_context(scene, weights, "max_eigen").lambda_quartic
-
-
 @dataclass(frozen=True)
 class MajorizerContext:
     """Per-problem majorizer data: E (diagonal kind) or lambda_Psi (eigen kind).
@@ -158,10 +122,6 @@ class MajorizerContext:
     lag_weights: np.ndarray
     e_mat: Optional[np.ndarray] = None
     lambda_quartic: Optional[float] = None
-
-    @property
-    def n(self) -> int:
-        return self.scene.n
 
 
 def build_majorizer_context(
@@ -240,43 +200,20 @@ def build_phi(
     return phi
 
 
-@dataclass(frozen=True)
-class SurrogateLinear:
-    """Linear-stage majorizer: direction d, plus what completes the bound.
-
-    ``const_offset`` makes x^H Phi x <= Re{x^H d} + const_offset hold for
-    every constant-modulus x. It is diagnostic only, since MM descent under
-    constant modulus compares Re{x^H d} across iterates, so it is computed
-    on first read from the expansion point ``x_t``, ``phi`` (both kept by
-    reference) and ``bound``, the diagonal D with D >= Phi: the row sums
-    diag(|Phi| 1) (diagonal kind) or lambda_max(Phi) (eigen kind).
-    """
-
-    d: np.ndarray
-    x_t: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
-    bound: Union[np.ndarray, float] = field(repr=False)
-
-    @functools.cached_property
-    def const_offset(self) -> float:
-        x2 = np.abs(self.x_t) ** 2
-        diag = np.broadcast_to(self.bound, x2.shape)
-        quad = (self.x_t.conj() @ self.phi @ self.x_t).real
-        return float(x2.mean()) * float(diag.sum()) + float((diag * x2).sum() - quad)
-
-
-def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> SurrogateLinear:
-    """Linearize the quadratic surrogate at x_t.
+def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> np.ndarray:
+    """Linear-stage majorizer direction d at x_t.
 
     Diagonal kind: d = 2 (Phi - diag(|Phi| 1)) x_t. Eigen kind:
-    d = 2 (Phi - lambda_max(Phi) I) x_t. Requires a constant-modulus x_t
-    and a Phi from ``build_phi``: it is exactly Hermitian by construction,
-    so the row sums skip the Hermitian check of ``diagonal_upper_bound``.
+    d = 2 (Phi - lambda_max(Phi) I) x_t. Over constant-modulus x, Re{x^H d}
+    plus a constant majorizes x^H Phi x, tangent at x_t; MM descent never
+    needs the constant, since it compares only Re{x^H d}.
+    Requires a constant-modulus x_t and a Phi from ``build_phi``, which is
+    exactly Hermitian by construction, so the row sums need no Hermitian
+    check.
     """
     x_t = np.asarray(x_t)
     if ctx.kind == "diagonal":
         bound = np.abs(phi).sum(axis=1)
     else:
         bound = float(np.linalg.eigvalsh(phi)[-1])
-    d = 2.0 * (phi @ x_t - bound * x_t)
-    return SurrogateLinear(d=d, x_t=x_t, phi=phi, bound=bound)
+    return 2.0 * (phi @ x_t - bound * x_t)

@@ -18,10 +18,6 @@ import numpy as np
 MODULUS_TOL = 1e-12
 
 
-class CapacityError(RuntimeError):
-    """A dense computation was requested above its documented size cap."""
-
-
 class WaveformFormatError(ValueError):
     """A waveform file could not be parsed; message names line and field."""
 
@@ -206,6 +202,10 @@ class Weights:
             raise ValueError(f"weights must be nonnegative, got {trio}")
         if all(w == 0 for w in trio):
             raise ValueError("at least one weight must be positive")
+
+    def cost(self, terms) -> float:
+        """Weighted radar cost w_bp g_bp + w_ac g_ac + w_cc g_cc of (g_bp, g_ac, g_cc)."""
+        return self.w_bp * terms[0] + self.w_ac * terms[1] + self.w_cc * terms[2]
 
 
 @dataclass(frozen=True)

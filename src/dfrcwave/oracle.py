@@ -4,10 +4,13 @@ Everything here is deliberately naive and shares no code with the library
 paths it certifies: steering vectors, shift matrices, and the quadratic
 cost matrices are rebuilt from their definitions with explicit loops, the
 CI constraint matrix is built dense (``dense_h_tilde``), and the quartic
-kernel Psi is materialized densely (capped at N <= PSI_CAP).
-Above that cap, ``psi_row_sums``, ``psi_top_eigenvalue`` and ``dense_phi``
-reach Psi through its rank-one terms instead, which stays practical up to
-about N = 100.
+kernel Psi is materialized densely (capped at N <= PSI_CAP, else
+``CapacityError``). Above that cap, ``psi_row_sums``,
+``psi_top_eigenvalue`` and ``dense_phi`` reach Psi through its rank-one
+terms instead, which stays practical up to about N = 100. The reference
+checks live here too: ``diagonal_upper_bound`` (the row-sum bound on a
+checked Hermitian matrix) and ``geometric_ci_check`` (the decision-region
+form of the CI condition).
 
 ``reference_dual_ascent`` is the one exception: it keeps an earlier probe
 formulation of the dual coordinate ascent (multipliers in a numpy vector,
@@ -25,8 +28,13 @@ import numpy as np
 
 from dfrcwave import solver
 from dfrcwave.comm import CIConstraintSet, CommSetup, ci_margin
-from dfrcwave.model import CapacityError, SolverConfig, Weights
+from dfrcwave.model import SolverConfig, Weights
 from dfrcwave.radar import RadarScene
+
+
+class CapacityError(RuntimeError):
+    """A dense computation was requested above its documented size cap."""
+
 
 #: Largest N = L * n_tx for which the dense N^2 x N^2 kernel is assembled.
 PSI_CAP = 16
@@ -264,6 +272,29 @@ def dense_h_tilde(setup: CommSetup) -> np.ndarray:
     return out
 
 
+def geometric_ci_check(
+    x_ell,
+    h_k,
+    s,
+    gamma_k: float,
+    sigma: float,
+    m_points: int,
+    tol: float = 0.0,
+) -> bool:
+    """Decision-region form of the CI condition for one user/symbol.
+
+    Evaluates (Re{v} - sigma*sqrt(gamma)) tan(Lambda) - |Im{v}| >= -tol with
+    v = h^H x_l e^{-j angle(s)}. For BPSK (Lambda = pi/2) the tangent
+    diverges and the condition reduces to Re{v} >= sigma*sqrt(gamma).
+    """
+    v = np.vdot(np.asarray(h_k), np.asarray(x_ell)) * np.exp(-1j * np.angle(s))
+    need = sigma * np.sqrt(gamma_k)
+    if m_points == 2:
+        return bool(v.real - need >= -tol)
+    lam = np.pi / m_points
+    return bool((v.real - need) * np.tan(lam) - abs(v.imag) >= -tol)
+
+
 def phase_bruteforce(
     d: np.ndarray,
     h_tilde_weighted: np.ndarray,
@@ -280,6 +311,22 @@ def phase_bruteforce(
     # Re{e^{-j phi} c} for all candidate phases and entries
     scores = np.cos(grid)[:, None] * coef.real[None, :] + np.sin(grid)[:, None] * coef.imag[None, :]
     return grid[np.argmin(scores, axis=0)]
+
+
+def diagonal_upper_bound(q_mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Row sums of |Q| for Hermitian Q; diag of the result dominates Q in the PSD order.
+
+    Raises ValueError when Q is not Hermitian to within ``tol`` (relative,
+    |a - b| <= tol * max(1, |a|, |b|)).
+    """
+    q_mat = np.asarray(q_mat)
+    if q_mat.ndim != 2 or q_mat.shape[0] != q_mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {q_mat.shape}")
+    scale = max(1.0, float(np.abs(q_mat).max(initial=0.0)))
+    asym = float(np.abs(q_mat - q_mat.conj().T).max(initial=0.0))
+    if asym > tol * scale:
+        raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} vs scale {scale:.3e}")
+    return np.abs(q_mat).sum(axis=1)
 
 
 def power_iteration(mat: np.ndarray, seed: int = 0, tol: float = 1e-12, max_iters: int = 200_000) -> float:

@@ -1,15 +1,16 @@
-"""Radar metrics: steering vectors, beam patterns, and space-time correlation ISLs.
+"""Radar metrics: beam patterns and space-time correlation ISLs.
 
-Every cost has two equivalent forms: the direct matrix form acting on the
-N_T x L block X, and the vectorized quadratic form acting on x = vec(X)
-through the per-angle matrices B_u = I_L (x) C_u and the lag/angle family
-D_{tau,q,q'} = J_{-tau} (x) a(theta_q') a^H(theta_q). The N x N matrices
-are never formed: every quadratic form is evaluated from the N_T x N_T
+Every cost is a quadratic form of x = vec(X), the N_T x L block X stacked
+column by column, through the per-angle matrices B_u = I_L (x) C_u and the
+lag/angle family D_{tau,q,q'} = J_{-tau} (x) a(theta_q') a^H(theta_q).
+Each quantity has one path. The N x N matrices are never formed:
+``radar_kernels`` evaluates every quadratic form from the N_T x N_T
 Kronecker factors (the C_u and the target steering vectors), with no size
-cap. The beam-pattern forms cost O(N_T^2 L + U N_T^2) through the Gram
-X X^H, and the correlations O(Q N_T L + P Q^2 L) through one batched
-product over the lags tau >= 0. (``dfrcwave.oracle`` builds the dense
-forms to certify these paths.)
+cap, and ``objective_terms`` reduces the forms to the three costs. The
+beam-pattern forms cost O(N_T^2 L + U N_T^2) through the Gram X X^H, and
+the correlations O(Q N_T L + P Q^2 L) through one batched product over the
+lags tau >= 0. (``dfrcwave.oracle`` builds the dense forms to certify
+these paths.)
 """
 
 from __future__ import annotations
@@ -25,32 +26,16 @@ from dfrcwave.model import (
     ArrayGeometry,
     DesiredBeamPattern,
     TargetSet,
-    WaveformMatrix,
     Weights,
 )
 
 
-def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
-    """Transmit steering vector a(theta), entry n = exp(j 2 pi d (n-1) sin theta)."""
-    theta = np.deg2rad(theta_deg)
-    n = np.arange(geometry.n_tx)
-    return np.exp(2j * np.pi * geometry.spacing * n * np.sin(theta))
-
-
 def steering_matrix(geometry: ArrayGeometry, angles_deg) -> np.ndarray:
-    """Stack steering vectors for several angles as rows: shape (U, n_tx)."""
+    """Transmit steering vectors a(theta) as rows, shape (U, n_tx): entry n of
+    row u is exp(j 2 pi d n sin theta_u), n = 0 .. n_tx - 1."""
     theta = np.deg2rad(np.asarray(angles_deg, dtype=float))
     n = np.arange(geometry.n_tx)
     return np.exp(2j * np.pi * geometry.spacing * np.outer(np.sin(theta), n))
-
-
-def shift_matrix(tau: int, length: int) -> np.ndarray:
-    """L x L lag matrix J_tau with [J]_{i,j} = 1 iff j - i = tau.
-
-    |tau| >= length yields the all-zero matrix (a lag beyond the block
-    contributes nothing); this is documented behaviour, not an error.
-    """
-    return np.eye(length, k=tau)
 
 
 def rectangular_pattern(
@@ -161,9 +146,7 @@ def build_scene(
 
 
 def _as_block(x, scene: RadarScene) -> np.ndarray:
-    """Normalize a WaveformMatrix / block matrix / vec'd vector to N_T x L."""
-    if isinstance(x, WaveformMatrix):
-        return x.entries
+    """Normalize a block matrix / vec'd vector to N_T x L."""
     x = np.asarray(x)
     n_tx = scene.geometry.n_tx
     if x.ndim == 1:
@@ -175,13 +158,6 @@ def _as_block(x, scene: RadarScene) -> np.ndarray:
             f"expected block of shape {(n_tx, scene.block_len)}, got {x.shape}"
         )
     return x
-
-
-def beam_pattern(x, geometry: ArrayGeometry, theta_deg: float) -> float:
-    """Transmit power toward ``theta_deg``: ||a^H(theta) X||^2."""
-    X = x.entries if isinstance(x, WaveformMatrix) else np.asarray(x)
-    a = steering_vector(geometry, theta_deg)
-    return float(np.sum(np.abs(a.conj() @ X) ** 2))
 
 
 def achieved_pattern(x, scene: RadarScene) -> np.ndarray:
@@ -212,26 +188,6 @@ def bp_quadratic_forms(x, scene: RadarScene) -> np.ndarray:
     return (c_flat @ gram_t.reshape(-1)).real
 
 
-def beampattern_cost(x, scene: RadarScene) -> float:
-    """Scale-free beam-pattern shaping cost sum_u |x^H B_u x|^2."""
-    X = _as_block(x, scene)
-    return float(np.sum(bp_quadratic_forms(X, scene) ** 2))
-
-
-def correlation(x, scene: RadarScene, tau: int, q: int, q_prime: int) -> float:
-    """Space-time correlation |a^H(theta_q) X J_tau X^H a(theta_q')|^2.
-
-    ``q`` and ``q_prime`` are 0-based indices into the scene target set;
-    |tau| >= L returns 0 exactly.
-    """
-    X = _as_block(x, scene)
-    j_tau = shift_matrix(tau, scene.block_len)
-    a_q = scene.steer_targets[q]
-    a_qp = scene.steer_targets[q_prime]
-    val = a_q.conj() @ X @ j_tau @ X.conj().T @ a_qp
-    return float(np.abs(val) ** 2)
-
-
 def correlation_values(x, scene: RadarScene) -> np.ndarray:
     """Complex correlations a_q^H X J_tau X^H a_q' for all (tau, q, q').
 
@@ -251,25 +207,6 @@ def correlation_values(x, scene: RadarScene) -> np.ndarray:
     nonneg = v @ padded[scene._lag_index]
     mirrored = nonneg[:0:-1].conj().transpose(0, 2, 1)
     return np.concatenate([mirrored, nonneg])
-
-
-def _isl_sums(chi: np.ndarray, scene: RadarScene) -> tuple[float, float]:
-    """(autocorr, crosscorr) sidelobe sums from |chi|^2, summing only the
-    index sets that belong to each term (no subtraction of the lag-0 peak)."""
-    ac, cc = scene._isl_masks
-    return float(chi[ac].sum()), float(chi[cc].sum())
-
-
-def autocorr_isl(x, scene: RadarScene) -> float:
-    """Autocorrelation ISL: sum over targets and nonzero lags of chi_{tau,q,q}."""
-    chi = np.abs(correlation_values(x, scene)) ** 2
-    return _isl_sums(chi, scene)[0]
-
-
-def crosscorr_isl(x, scene: RadarScene) -> float:
-    """Cross-correlation ISL: sum over ordered target pairs q != q', all lags."""
-    chi = np.abs(correlation_values(x, scene)) ** 2
-    return _isl_sums(chi, scene)[1]
 
 
 class RadarKernels(NamedTuple):
@@ -303,17 +240,20 @@ class ObjectiveTerms(tuple):
 def objective_terms(x, scene: RadarScene) -> ObjectiveTerms:
     """(beam-pattern cost, autocorrelation ISL, cross-correlation ISL) for x.
 
-    The kernels are computed once and ride along as ``.kernels``, so the
-    MM loop builds the next Phi at an accepted x without re-evaluating them.
+    g_bp = sum_u (x^H B_u x)^2. The ISLs sum |x^H D_{tau,q,q'} x|^2 over
+    only the index sets that belong to each term (no subtraction of the
+    lag-0 peak): targets and nonzero lags for the autocorrelation, ordered
+    target pairs q != q' and every lag for the cross-correlation. The
+    kernels are computed once and ride along as ``.kernels``, so the MM
+    loop builds the next Phi at an accepted x without re-evaluating them.
     """
     kernels = radar_kernels(x, scene)
     g_bp = float(np.sum(kernels.beta**2))
     chi = np.abs(kernels.corr) ** 2
-    g_ac, g_cc = _isl_sums(chi, scene)
-    return ObjectiveTerms((g_bp, g_ac, g_cc), kernels)
+    ac, cc = scene._isl_masks
+    return ObjectiveTerms((g_bp, float(chi[ac].sum()), float(chi[cc].sum())), kernels)
 
 
 def total_objective(x, scene: RadarScene, weights: Weights) -> float:
-    """Weighted radar cost w_bp*g_bp + w_ac*g_ac + w_cc*g_cc."""
-    g_bp, g_ac, g_cc = objective_terms(x, scene)
-    return weights.w_bp * g_bp + weights.w_ac * g_ac + weights.w_cc * g_cc
+    """Weighted radar cost of x, ``weights.cost(objective_terms(x, scene))``."""
+    return weights.cost(objective_terms(x, scene))

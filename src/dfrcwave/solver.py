@@ -195,21 +195,6 @@ def _update_row(ws: _DualWorkspace, m: int, cfg: SolverConfig):
     return evals, bracketed, predicate
 
 
-def bisect_multiplier(
-    m: int,
-    nu: np.ndarray,
-    d: np.ndarray,
-    constraints: CIConstraintSet,
-    cfg: SolverConfig,
-    p_total: float,
-    n_tx: int,
-) -> float:
-    """Update the single multiplier ``m`` with all others held fixed."""
-    ws = _DualWorkspace(constraints, d, math.sqrt(p_total / n_tx), nu)
-    _update_row(ws, m, cfg)
-    return ws.nu[m]
-
-
 _RESTORE_GRID = 512
 _REFINE_GRID = 65
 _RESTORE_REFINES = 2
@@ -605,16 +590,15 @@ def mm_solve(
     kernels = None  # radar kernels of the accepted x, from its objective_terms call
 
     for t in range(1, cfg.max_outer_iters + 1):
-        phi = build_phi(x, ctx, kernels)
-        sur = build_d(x, phi, ctx)
+        d = build_d(x, build_phi(x, ctx, kernels), ctx)
         new_feasible = True
         dual_step = True
         res = None
         if cfg.mode == SolveMode.RADAR_ONLY:
-            x_new = amp * np.exp(1j * _phases(-sur.d))
+            x_new = amp * np.exp(1j * _phases(-d))
         else:
             res = dual_ascent_sweep(
-                nu, sur.d, cset, cfg, p_total, n_tx,
+                nu, d, cset, cfg, p_total, n_tx,
                 x_ref=x if prev_feasible else None,
             )
             nu = res.nu
@@ -625,17 +609,17 @@ def mm_solve(
                 # monotone safeguard: the accepted candidate must not increase
                 # the linear surrogate relative to the previous feasible
                 # iterate, which the dual recovery can do on kink iterations
-                gbar_prev = float((x.conj() @ sur.d).real)
-                gbar_dual = float((x_new.conj() @ sur.d).real)
+                gbar_prev = float((x.conj() @ d).real)
+                gbar_dual = float((x_new.conj() @ d).real)
                 if not (new_feasible and gbar_dual <= gbar_prev):
-                    x_pol = polish_feasible(x, sur.d, cset, amp)
-                    gbar_pol = float((x_pol.conj() @ sur.d).real)
+                    x_pol = polish_feasible(x, d, cset, amp)
+                    gbar_pol = float((x_pol.conj() @ d).real)
                     if not (new_feasible and gbar_dual <= gbar_pol):
                         x_new = x_pol
                         new_feasible = True
                         dual_step = False
         terms = objective_terms(x_new, scene)
-        g_new = weights.w_bp * terms[0] + weights.w_ac * terms[1] + weights.w_cc * terms[2]
+        g_new = weights.cost(terms)
         if not math.isfinite(g_new):
             raise RuntimeError(
                 f"non-finite objective {g_new!r} at outer iteration {t}"

@@ -14,7 +14,6 @@ from dfrcwave.comm import (
     ci_margin,
     draw_channels,
     draw_symbols,
-    geometric_ci_check,
 )
 from dfrcwave.solver import _DualWorkspace, solve_inner
 
@@ -303,9 +302,9 @@ class TestGeometricEquivalence:
         h = np.array([1.0 + 0.0j])
         s = 1.0 + 0.0j
         x_boundary = np.array([sigma * np.sqrt(gamma) * s])
-        assert geometric_ci_check(x_boundary, h, s, gamma, sigma, 4, tol=1e-12)
+        assert oracle.geometric_ci_check(x_boundary, h, s, gamma, sigma, 4, tol=1e-12)
         x_short = np.array([0.9 * sigma * np.sqrt(gamma) * s])
-        assert not geometric_ci_check(x_short, h, s, gamma, sigma, 4)
+        assert not oracle.geometric_ci_check(x_short, h, s, gamma, sigma, 4)
 
     def test_matches_compact_form_on_random_draws(self, rng):
         trials = 1000
@@ -325,7 +324,7 @@ class TestGeometricEquivalence:
                         margins[(2 * ell) * k_users + k] >= 0
                         and margins[(2 * ell + 1) * k_users + k] >= 0
                     )
-                    geo_ok = geometric_ci_check(
+                    geo_ok = oracle.geometric_ci_check(
                         X[:, ell], setup.channels[k], setup.symbols[k, ell],
                         setup.gamma[k], np.sqrt(setup.sigma2), setup.m_points,
                     )
@@ -337,5 +336,5 @@ class TestGeometricEquivalence:
         sigma, gamma = 0.1, 1.0
         h = np.array([1.0 + 0.0j])
         # BPSK: only the real part matters
-        assert geometric_ci_check(np.array([0.2 + 5j]), h, 1.0, gamma, sigma, 2)
-        assert not geometric_ci_check(np.array([0.05 + 0.0j]), h, 1.0, gamma, sigma, 2)
+        assert oracle.geometric_ci_check(np.array([0.2 + 5j]), h, 1.0, gamma, sigma, 2)
+        assert not oracle.geometric_ci_check(np.array([0.05 + 0.0j]), h, 1.0, gamma, sigma, 2)

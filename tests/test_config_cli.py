@@ -15,11 +15,11 @@ from dfrcwave.config import (
 )
 from dfrcwave.experiment import compare_majorizers, iterations_to_within, run_experiment
 from dfrcwave.model import load_waveform
+from dfrcwave.solver import mm_solve
 
 TINY_CONFIG = """
 # tiny instance, quick to solve
 n_tx = 2
-n_rx = 2
 block_len = 3
 k_users = 1
 max_lag = 2
@@ -53,8 +53,10 @@ class TestParsing:
         assert cfg.n_tx == 5
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text("n_ty = 3\n")
+        # n_rx was a receive-antenna count that no operation read
+        for text in ("n_ty = 3\n", "n_rx = 4\n"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config_text(text)
 
     def test_bad_scalar(self):
         with pytest.raises(ConfigError, match="expected int"):
@@ -63,6 +65,10 @@ class TestParsing:
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("just a line\n")
+
+    def test_repeated_key(self):
+        with pytest.raises(ConfigError, match=r"line 3: key 'seed' is already set on line 1"):
+            parse_config_text("seed = 0\nn_tx = 4\nseed = 3\n")
 
 
 class TestValidation:
@@ -256,12 +262,32 @@ class TestCLI:
     def test_warning_exit_code(self, tmp_path):
         # unreachable QoS downgrades the run to completed-with-warnings
         path = tmp_path / "warn.cfg"
+        text = TINY_CONFIG.replace("gamma_db = [3.0]", "gamma_db = [90.0]")
         path.write_text(
-            TINY_CONFIG + "gamma_db = [90.0]\nmax_outer_iters = 3\n",
-            encoding="utf-8",
+            text.replace("max_outer_iters = 40", "max_outer_iters = 3"), encoding="utf-8"
         )
         code = cli.main(["run", str(path), "--output-root", str(tmp_path)])
         assert code == 3
+
+    def test_compare_warnings_from_either_kind(self, tmp_path, monkeypatch, capsys):
+        # only the max-eigen run warns; the exit code and stderr must still say so
+        from dfrcwave import experiment
+
+        def solve(scene, comm, weights, cfg, **kwargs):
+            state = mm_solve(scene, comm, weights, cfg, **kwargs)
+            if cfg.majorizer_kind.value == "max_eigen":
+                state.warnings = ("planted warning",)
+            return state
+
+        monkeypatch.setattr(experiment, "mm_solve", solve)
+        path = tmp_path / "cmp.cfg"
+        path.write_text(TINY_CONFIG + "mode = radar_only\n", encoding="utf-8")
+        code = cli.main(["compare-majorizers", str(path), "--output-root", str(tmp_path)])
+        assert code == 3
+        assert "warning: max_eigen: planted warning" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary_compare.json").read_text())
+        assert summary["comparison"]["max_eigen"]["warnings"] == ["planted warning"]
+        assert summary["comparison"]["diagonal"]["warnings"] == []
 
     def test_compare_subcommand(self, tmp_path):
         path = tmp_path / "cmp.cfg"

@@ -10,14 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_scene, random_cm
 from dfrcwave import oracle
 from dfrcwave.config import ExperimentConfig, build_problem
-from dfrcwave.majorize import (
-    build_d,
-    build_majorizer_context,
-    build_phi,
-    diagonal_upper_bound,
-    lambda_psi,
-    precompute_E,
-)
+from dfrcwave.majorize import build_d, build_majorizer_context, build_phi
 from dfrcwave.model import MODULUS_TOL, SolveMode, Weights, vec
 from dfrcwave.radar import objective_terms, total_objective
 from dfrcwave.solver import mm_solve
@@ -28,6 +21,16 @@ def rel_gap(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max() / max(1e-300, np.abs(b).max()))
 
 
+def diagonal_e(scene, weights):
+    """E = mat(|Psi| 1), as the diagonal-kind context holds it."""
+    return build_majorizer_context(scene, weights, "diagonal").e_mat
+
+
+def quartic_lambda(scene, weights):
+    """lambda_max(Psi), as the eigen-kind context holds it."""
+    return build_majorizer_context(scene, weights, "max_eigen").lambda_quartic
+
+
 def random_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (a + a.conj().T) / 2
@@ -36,27 +39,27 @@ def random_hermitian(rng, n):
 class TestDiagonalUpperBound:
     def test_two_by_two_hand_case(self):
         q = np.array([[1.0, -2.0], [-2.0, 1.0]])
-        r = diagonal_upper_bound(q)
+        r = oracle.diagonal_upper_bound(q)
         assert np.array_equal(r, [3.0, 3.0])
         eigs = np.linalg.eigvalsh(np.diag(r) - q)
         assert np.allclose(np.sort(eigs), [0.0, 4.0], atol=1e-12)
 
     def test_diagonal_input_is_tight(self):
         q = np.diag([1.0, 2.5, 0.3])
-        r = diagonal_upper_bound(q)
+        r = oracle.diagonal_upper_bound(q)
         assert np.allclose(np.diag(r) - q, 0.0)
 
     def test_psd_on_random_hermitian(self, rng):
         for _ in range(100):
             q = random_hermitian(rng, 16)
             q /= np.linalg.norm(q, 2)
-            gap = np.diag(diagonal_upper_bound(q)) - q
+            gap = np.diag(oracle.diagonal_upper_bound(q)) - q
             assert np.linalg.eigvalsh(gap).min() >= -1e-10
 
     def test_rejects_non_hermitian(self, rng):
         q = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         with pytest.raises(ValueError, match="Hermitian"):
-            diagonal_upper_bound(q)
+            oracle.diagonal_upper_bound(q)
 
 
 class TestPrecomputeE:
@@ -65,28 +68,28 @@ class TestPrecomputeE:
         scene = make_scene(n_tx=1, block_len=1, max_lag=1, target_angles=(0.0,))
         w = Weights(1.0, 2.0, 2.0)
         expect = float(np.sum(np.abs(scene.c_factors) ** 2))
-        e_mat = precompute_E(scene, w)
+        e_mat = diagonal_e(scene, w)
         assert e_mat.shape == (1, 1)
         assert abs(e_mat[0, 0] - expect) < 1e-14 * expect
-        assert abs(lambda_psi(scene, w) - expect) < 1e-14 * expect
+        assert abs(quartic_lambda(scene, w) - expect) < 1e-14 * expect
 
     def test_matches_dense_psi_row_sums(self, rng, weights_full):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
-        e_mat = precompute_E(scene, weights_full)
+        e_mat = diagonal_e(scene, weights_full)
         psi = oracle.assemble_psi(scene, weights_full).psi
         dense = np.abs(psi).sum(axis=1).reshape((scene.n, scene.n), order="F")
         assert np.abs(e_mat - dense).max() < 1e-9 * max(1.0, dense.max())
 
     def test_symmetric_nonnegative(self, weights_full):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
-        e_mat = precompute_E(scene, weights_full)
+        e_mat = diagonal_e(scene, weights_full)
         assert np.array_equal(e_mat, e_mat.T)
         assert e_mat.min() >= 0.0
 
     def test_constant_modulus_identity(self, rng, weights_full):
         # vec^H(xx^H) diag(|Psi|1) vec(xx^H) == (P_T^2/N_T^2) 1^T Е 1 for CM x
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
-        e_mat = precompute_E(scene, weights_full)
+        e_mat = diagonal_e(scene, weights_full)
         psi_bar_1 = np.abs(oracle.assemble_psi(scene, weights_full).psi).sum(axis=1)
         amp2 = 1.0 / 2.0  # P_T=1, N_T=2
         for _ in range(5):
@@ -99,7 +102,7 @@ class TestPrecomputeE:
     def test_bilinear_identity(self, rng, weights_full):
         # vec^H(xx^H) diag(|Psi|1) vec(xt xt^H) == x^H (E . xt xt^H) x, any x
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
-        e_mat = precompute_E(scene, weights_full)
+        e_mat = diagonal_e(scene, weights_full)
         psi_bar_1 = np.abs(oracle.assemble_psi(scene, weights_full).psi).sum(axis=1)
         for _ in range(5):
             x = rng.standard_normal(scene.n) + 1j * rng.standard_normal(scene.n)
@@ -114,7 +117,7 @@ class TestPrecomputeE:
         # w_ac needs P > 1 and w_cc needs Q > 1: nothing is left to majorize
         scene = make_scene(max_lag=1, target_angles=(0.0,))
         with pytest.raises(ValueError, match="no active cost terms"):
-            precompute_E(scene, Weights(0.0, 1.0, 1.0))
+            diagonal_e(scene, Weights(0.0, 1.0, 1.0))
 
 
 class TestLambdaPsi:
@@ -131,7 +134,7 @@ class TestLambdaPsi:
 
     def test_dominates_diagonal_and_matches_dense(self, weights_full):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
-        lam = lambda_psi(scene, weights_full)
+        lam = quartic_lambda(scene, weights_full)
         psi = oracle.assemble_psi(scene, weights_full).psi
         dense = float(np.linalg.eigvalsh(psi)[-1])
         assert lam >= psi.diagonal().real.max() - 1e-9
@@ -139,7 +142,7 @@ class TestLambdaPsi:
 
     def test_power_iteration_agrees(self, weights_full):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
-        lam = lambda_psi(scene, weights_full)
+        lam = quartic_lambda(scene, weights_full)
         psi = oracle.assemble_psi(scene, weights_full).psi
         lam_pi = oracle.power_iteration(psi)
         assert abs(lam - lam_pi) < 1e-6 * max(1.0, lam)
@@ -151,7 +154,7 @@ class TestBuildPhi:
         # oracle's dense B_u out of Phi / 2 leaves exactly -E (.) x x^H
         scene = make_scene(n_tx=2, block_len=2, max_lag=1, target_angles=(0.0,))
         ctx = build_majorizer_context(scene, Weights(1.0, 0.0, 0.0), "diagonal")
-        xt = random_cm(rng, ctx.n, 0.7)
+        xt = random_cm(rng, scene.n, 0.7)
         stack = sum((xt.conj() @ b @ xt).real * b for b in oracle._b_mats(scene))
         rest = build_phi(xt, ctx) / 2.0 - stack
         expect = -ctx.e_mat * np.outer(xt, xt.conj())
@@ -204,15 +207,15 @@ class TestBuildD:
         phi = 3.0 * np.eye(scene.n, dtype=complex)
         for kind in ("diagonal", "max_eigen"):
             ctx_k = build_majorizer_context(scene, weights_full, kind)
-            sur = build_d(xt, phi, ctx_k)
-            assert np.abs(sur.d).max() < 1e-12
+            d = build_d(xt, phi, ctx_k)
+            assert np.abs(d).max() < 1e-12
 
     def test_tangency_at_expansion_point(self, rng, weights_full):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
         ctx = build_majorizer_context(scene, weights_full, "diagonal")
         xt = random_cm(rng, scene.n, 1 / np.sqrt(2))
-        sur = build_d(xt, build_phi(xt, ctx), ctx)
-        assert abs(np.real((xt - xt).conj() @ sur.d)) == 0.0
+        d = build_d(xt, build_phi(xt, ctx), ctx)
+        assert abs(np.real((xt - xt).conj() @ d)) == 0.0
 
     @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
     def test_chain_dominance(self, rng, weights_full, kind):
@@ -221,27 +224,35 @@ class TestBuildD:
         amp = 1 / np.sqrt(2)
         for _ in range(3):
             xt = random_cm(rng, scene.n, amp)
-            sur = build_d(xt, build_phi(xt, ctx), ctx)
+            d = build_d(xt, build_phi(xt, ctx), ctx)
             g_t = total_objective(xt, scene, weights_full)
             scale = max(1.0, abs(g_t))
             for _ in range(300):
                 x = random_cm(rng, scene.n, amp)
                 lhs = total_objective(x, scene, weights_full) - g_t
-                rhs = float(np.real((x - xt).conj() @ sur.d))
+                rhs = float(np.real((x - xt).conj() @ d))
                 assert lhs <= rhs + 1e-9 * scale
 
     @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
     def test_const_offset_completes_quadratic_bound(self, rng, weights_full, kind):
+        # (x - x_t)^H (D - Phi) (x - x_t) >= 0 for the diagonal D >= Phi that
+        # build_d subtracts, so over constant-modulus x the offset
+        # 2 amp^2 1^T D 1 - x_t^H Phi x_t lifts Re{x^H d} above x^H Phi x
         scene = make_scene(n_tx=2, block_len=3, max_lag=2)
         ctx = build_majorizer_context(scene, weights_full, kind)
         amp = 1 / np.sqrt(2)
         xt = random_cm(rng, scene.n, amp)
         phi = build_phi(xt, ctx)
-        sur = build_d(xt, phi, ctx)
+        d = build_d(xt, phi, ctx)
+        if kind == "diagonal":
+            bound = oracle.diagonal_upper_bound(phi)
+        else:
+            bound = np.full(scene.n, np.linalg.eigvalsh(phi)[-1])
+        const_offset = 2 * amp**2 * bound.sum() - float((xt.conj() @ phi @ xt).real)
         for _ in range(200):
             x = random_cm(rng, scene.n, amp)
             quad = float((x.conj() @ phi @ x).real)
-            lin = float((x.conj() @ sur.d).real) + sur.const_offset
+            lin = float((x.conj() @ d).real) + const_offset
             assert quad <= lin + 1e-9 * max(1.0, abs(quad))
 
 
@@ -281,9 +292,9 @@ class TestStreamedOracle:
         scene, w = make()
         n = scene.n
         e_ref = oracle.psi_row_sums(scene, w).reshape((n, n), order="F")
-        assert rel_gap(precompute_E(scene, w), e_ref) < 1e-12
+        assert rel_gap(diagonal_e(scene, w), e_ref) < 1e-12
         lam_ref = oracle.psi_top_eigenvalue(scene, w)
-        assert abs(lambda_psi(scene, w) - lam_ref) < 1e-12 * lam_ref
+        assert abs(quartic_lambda(scene, w) - lam_ref) < 1e-12 * lam_ref
         xt = random_cm(rng, n, 1 / np.sqrt(scene.geometry.n_tx))
         for kind in ("diagonal", "max_eigen"):
             ctx = build_majorizer_context(scene, w, kind)
@@ -316,7 +327,7 @@ class TestLagStructureProperties:
         weights = Weights(*w)
         psi = oracle.assemble_psi(scene, weights).psi
         try:
-            e_mat = precompute_E(scene, weights)
+            e_mat = diagonal_e(scene, weights)
         except ValueError:
             assert not psi.any()  # only raised when no term survives
             return
@@ -324,7 +335,7 @@ class TestLagStructureProperties:
         dense = np.abs(psi).sum(axis=1).reshape((n, n), order="F")
         assert np.abs(e_mat - dense).max() <= 1e-12 * max(1.0, dense.max())
         top = float(np.linalg.eigvalsh(psi)[-1])
-        assert abs(lambda_psi(scene, weights) - top) <= 1e-12 * max(1.0, top)
+        assert abs(quartic_lambda(scene, weights) - top) <= 1e-12 * max(1.0, top)
         blocks = e_mat.reshape(length, n_tx, length, n_tx)
         lags = np.subtract.outer(np.arange(length), np.arange(length))
         far = np.abs(lags) >= scene.targets.max_lag

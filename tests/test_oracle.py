@@ -1,11 +1,18 @@
-"""The brute-force reference paths themselves."""
+"""The brute-force reference paths themselves, and the boundary that keeps them out of a solve."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dfrcwave
+
 from conftest import make_scene, random_cm
 from dfrcwave import oracle
-from dfrcwave.model import CapacityError, Weights, vec
+from dfrcwave.model import Weights
 from dfrcwave.radar import optimal_alpha, total_objective
 
 
@@ -37,7 +44,7 @@ class TestDensePsi:
 
     def test_capacity_cap(self, weights_full):
         scene = make_scene(n_tx=2, block_len=16)  # N = 32 > 16
-        with pytest.raises(CapacityError):
+        with pytest.raises(oracle.CapacityError):
             oracle.assemble_psi(scene, weights_full)
 
 
@@ -99,3 +106,20 @@ class TestPowerIteration:
 
     def test_zero_matrix(self):
         assert oracle.power_iteration(np.zeros((3, 3), dtype=complex)) == 0.0
+
+
+def test_solve_runs_without_the_oracle():
+    """The library never imports the oracle: one desk solve in a fresh interpreter."""
+    script = (
+        "import sys, dfrcwave as dw\n"
+        "p = dw.build_problem(dw.ExperimentConfig.desk_preset())\n"
+        "dw.mm_solve(p.scene, p.comm, p.weights, p.solver, x0=p.x0, p_total=p.p_total)\n"
+        "print('dfrcwave.oracle' in sys.modules)\n"
+    )
+    src = str(Path(dfrcwave.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

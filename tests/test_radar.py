@@ -1,4 +1,4 @@
-"""Radar metrics: identities between matrix and vectorized forms."""
+"""Radar metrics: the factor paths against their definitions and the oracle's dense forms."""
 
 import numpy as np
 import pytest
@@ -9,17 +9,12 @@ from conftest import make_scene, random_cm
 from dfrcwave import oracle
 from dfrcwave.model import ArrayGeometry, Weights, vec
 from dfrcwave.radar import (
-    autocorr_isl,
-    beam_pattern,
-    beampattern_cost,
+    achieved_pattern,
     bp_quadratic_forms,
-    correlation,
     correlation_values,
-    crosscorr_isl,
     objective_terms,
     optimal_alpha,
-    shift_matrix,
-    steering_vector,
+    steering_matrix,
     total_objective,
 )
 
@@ -28,64 +23,48 @@ def rel_err(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def steering(geometry, theta_deg):
+    return steering_matrix(geometry, [theta_deg])[0]
+
+
 class TestSteering:
     def test_broadside(self):
-        a = steering_vector(ArrayGeometry(2), 0.0)
+        a = steering(ArrayGeometry(2), 0.0)
         assert np.allclose(a, [1.0, 1.0], atol=1e-15)
 
     def test_endfire(self):
-        a = steering_vector(ArrayGeometry(2), 90.0)
+        a = steering(ArrayGeometry(2), 90.0)
         assert np.allclose(a, [1.0, -1.0], atol=1e-12)
 
     def test_thirty_degrees(self):
-        a = steering_vector(ArrayGeometry(2), 30.0)
+        a = steering(ArrayGeometry(2), 30.0)
         assert np.allclose(a, [1.0, 1j], atol=1e-12)
 
     def test_unit_modulus(self, rng):
-        a = steering_vector(ArrayGeometry(7, spacing=0.4), 17.3)
+        a = steering(ArrayGeometry(7, spacing=0.4), 17.3)
         assert np.allclose(np.abs(a), 1.0, atol=1e-15)
-
-
-class TestShiftMatrix:
-    def test_zero_lag_identity(self):
-        assert np.array_equal(shift_matrix(0, 4), np.eye(4))
-
-    def test_superdiagonal(self):
-        j = shift_matrix(1, 3)
-        expect = np.zeros((3, 3))
-        expect[0, 1] = expect[1, 2] = 1.0
-        assert np.array_equal(j, expect)
-
-    def test_transpose_negates_lag(self):
-        for tau in range(-3, 4):
-            assert np.array_equal(shift_matrix(tau, 4).T, shift_matrix(-tau, 4))
-
-    def test_lag_beyond_length_is_zero(self):
-        assert not shift_matrix(5, 4).any()
-        assert not shift_matrix(-4, 4).any()
 
 
 class TestBeamPattern:
     def test_single_antenna_is_power(self, rng):
+        scene = make_scene(n_tx=1, block_len=6)
         x = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
-        geo = ArrayGeometry(1)
-        for theta in (-60.0, 0.0, 45.0):
-            assert rel_err(beam_pattern(x, geo, theta), np.sum(np.abs(x) ** 2)) < 1e-12
+        for value in achieved_pattern(x, scene):
+            assert rel_err(value, np.sum(np.abs(x) ** 2)) < 1e-12
 
     def test_identity_block_broadside(self):
-        assert abs(beam_pattern(np.eye(2), ArrayGeometry(2), 0.0) - 2.0) < 1e-12
+        scene = make_scene(n_tx=2, block_len=2, max_lag=2)
+        broadside = int(np.flatnonzero(scene.grid.angles_deg == 0.0)[0])
+        assert abs(achieved_pattern(np.eye(2), scene)[broadside] - 2.0) < 1e-12
 
     def test_matches_quadratic_form(self, rng):
         scene = make_scene(n_tx=3, block_len=4)
         x = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         xv = vec(x)
-        eye = np.eye(4)
-        for theta in scene.grid.angles_deg[::3]:
-            a = steering_vector(scene.geometry, theta)
-            a_u = np.kron(eye, np.outer(a, a.conj()))
-            direct = beam_pattern(x, scene.geometry, theta)
+        pattern = achieved_pattern(x, scene)
+        for u, a_u in enumerate(oracle._a_mats(scene)):
             quad = (xv.conj() @ a_u @ xv).real
-            assert rel_err(direct, quad) < 1e-10
+            assert rel_err(pattern[u], quad) < 1e-10
 
 
 class TestOptimalAlpha:
@@ -144,18 +123,18 @@ class TestBeampatternCost:
             base.targets, base.block_len,
         )
         x = rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4))
-        assert beampattern_cost(x, flat) < 1e-18
+        assert objective_terms(x, flat)[0] < 1e-18
 
     def test_nonnegative(self, rng):
         scene = make_scene()
         x = random_cm(rng, scene.n, 0.7)
-        assert beampattern_cost(x, scene) >= 0.0
+        assert objective_terms(x, scene)[0] >= 0.0
 
     def test_equals_alpha_minimized_mse(self, rng):
         scene = make_scene(n_tx=2, block_len=4, grid_step=20.0)
         for _ in range(5):
             x = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-            cost = beampattern_cost(x, scene)
+            cost = objective_terms(x, scene)[0]
             alpha = oracle.grid_alpha(x, scene, n_grid=200_000)
             mse = oracle.beampattern_mse(x, scene, alpha)
             assert rel_err(cost, mse) < 1e-6
@@ -166,34 +145,26 @@ class TestBeampatternCost:
 
 class TestCorrelation:
     def test_zero_lag_diagonal_is_pattern_squared(self, rng):
-        scene = make_scene(n_tx=3, block_len=5, max_lag=3)
+        scene = make_scene(n_tx=3, block_len=5, max_lag=3, grid_step=10.0)
         x = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        chi = np.abs(correlation_values(x, scene)) ** 2
+        pattern = achieved_pattern(x, scene)
+        p = scene.targets.max_lag
         for q, theta in enumerate(scene.targets.angles_deg):
-            chi = correlation(x, scene, 0, q, q)
-            bp = beam_pattern(x, scene.geometry, theta)
-            assert rel_err(chi, bp**2) < 1e-12
+            bp = pattern[int(np.flatnonzero(scene.grid.angles_deg == theta)[0])]
+            assert rel_err(chi[p - 1, q, q], bp**2) < 1e-12
 
     def test_lag_angle_symmetry(self, rng):
         scene = make_scene(n_tx=2, block_len=6, max_lag=4)
         x = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+        chi = np.abs(correlation_values(x, scene)) ** 2
+        p = scene.targets.max_lag
         for tau in range(-3, 4):
             for q in range(2):
                 for qp in range(2):
-                    a = correlation(x, scene, tau, q, qp)
-                    b = correlation(x, scene, -tau, qp, q)
+                    a = chi[tau + p - 1, q, qp]
+                    b = chi[-tau + p - 1, qp, q]
                     assert rel_err(a, b) < 1e-12
-
-    def test_matches_vectorized_form(self, rng):
-        scene = make_scene(n_tx=2, block_len=4, max_lag=3)
-        d_mats = oracle._d_mats(scene)
-        x = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        xv = vec(x)
-        p = scene.targets.max_lag
-        for tau in range(-p + 1, p):
-            for q in range(2):
-                for qp in range(2):
-                    quad = abs(xv.conj() @ d_mats[(tau, q, qp)] @ xv) ** 2
-                    assert rel_err(correlation(x, scene, tau, q, qp), quad) < 1e-10
 
     def test_correlation_values_match_factor_path(self, rng):
         """The Kronecker-factor slicing equals x^H D_{tau,q,q'} x on the dense D."""
@@ -227,19 +198,20 @@ class TestISL:
     def test_unit_max_lag_kills_autocorr(self, rng):
         scene = make_scene(max_lag=1)
         x = random_cm(rng, scene.n, 0.7)
-        assert autocorr_isl(x, scene) == 0.0
+        assert objective_terms(x, scene)[1] == 0.0
 
     def test_single_target_kills_crosscorr(self, rng):
         scene = make_scene(target_angles=(10.0,), max_lag=3)
         x = random_cm(rng, scene.n, 0.7)
-        assert crosscorr_isl(x, scene) == 0.0
+        assert objective_terms(x, scene)[2] == 0.0
 
     def test_matches_direct_sums(self, rng):
         scene = make_scene(n_tx=2, block_len=5, max_lag=3)
         x = random_cm(rng, scene.n, 1.0 / np.sqrt(2))
         g_ac, g_cc = oracle.direct_isls(x, scene)
-        assert rel_err(autocorr_isl(x, scene), g_ac) < 1e-9
-        assert rel_err(crosscorr_isl(x, scene), g_cc) < 1e-9
+        _, ac, cc = objective_terms(x, scene)
+        assert rel_err(ac, g_ac) < 1e-9
+        assert rel_err(cc, g_cc) < 1e-9
 
 
 class TestSceneInvariants:
@@ -288,7 +260,7 @@ class TestTotalObjective:
         scene = make_scene()
         x = random_cm(rng, scene.n, 0.7)
         w = Weights(1.0, 0.0, 0.0)
-        assert rel_err(total_objective(x, scene, w), beampattern_cost(x, scene)) < 1e-12
+        assert rel_err(total_objective(x, scene, w), objective_terms(x, scene)[0]) < 1e-12
 
     def test_weighted_sum_of_oracle_terms(self, rng, weights_full):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)

@@ -31,10 +31,11 @@ from dfrcwave.model import (
 from dfrcwave.radar import build_scene
 from dfrcwave.solver import (
     Termination,
+    _DualWorkspace,
     _bank_units,
     _bisect_root,
     _restore_feasibility,
-    bisect_multiplier,
+    _update_row,
     dual_ascent_sweep,
     mm_solve,
     polish_feasible,
@@ -146,11 +147,14 @@ class TestBisectRoot:
         assert (1.0 if value < 0.37 else -1.0) <= 0.0
 
     def test_public_wrapper_updates_single_entry(self, rng):
+        # one row update moves only its own multiplier, on the workspace's copy
         _, cset = make_cset(rng)
         d = 0.1 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
         nu = np.zeros(cset.n_rows)
-        new = bisect_multiplier(0, nu, d, cset, SolverConfig(), 1.0, 3)
-        assert new >= 0.0
+        ws = _DualWorkspace(cset, d, math.sqrt(1.0 / 3.0), nu)
+        _update_row(ws, 0, SolverConfig())
+        assert ws.nu[0] >= 0.0
+        assert ws.nu[1:] == [0.0] * (cset.n_rows - 1)
         assert nu[0] == 0.0  # input untouched
 
 
@@ -221,7 +225,6 @@ class TestDualAscent:
         _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=2)
         d = 0.5 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
         cfg = SolverConfig()
-        from dfrcwave.solver import _DualWorkspace, _update_row
 
         ws = _DualWorkspace(cset, d, 0.5, np.zeros(cset.n_rows))
         for m in range(cset.n_rows):
