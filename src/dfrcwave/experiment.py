@@ -63,10 +63,10 @@ class ExperimentResult:
     warnings: tuple[str, ...]
 
 
-def _summarize(config: ExperimentConfig, state: SolverState, objective: float) -> dict:
+def _summarize(config: ExperimentConfig, state: SolverState) -> dict:
     margins = state.final_margins
     return {
-        "final_objective": objective,
+        "final_objective": float(state.objective_trace[-1]),
         "terms": {
             "beampattern": state.final_terms[0],
             "autocorrelation_isl": state.final_terms[1],
@@ -91,8 +91,8 @@ def _summarize(config: ExperimentConfig, state: SolverState, objective: float) -
     }
 
 
-def _run_solver(problem: Problem) -> tuple[SolverState, float]:
-    state = mm_solve(
+def _run_solver(problem: Problem) -> SolverState:
+    return mm_solve(
         problem.scene,
         problem.comm,
         problem.weights,
@@ -100,7 +100,6 @@ def _run_solver(problem: Problem) -> tuple[SolverState, float]:
         x0=problem.x0,
         p_total=problem.p_total,
     )
-    return state, float(state.objective_trace[-1])
 
 
 def _write_artifacts(
@@ -108,7 +107,6 @@ def _write_artifacts(
     config: ExperimentConfig,
     problem: Problem,
     state: SolverState,
-    objective: float,
 ) -> dict:
     scene = problem.scene
     waveform = WaveformMatrix(
@@ -167,7 +165,7 @@ def _write_artifacts(
         ),
     )
 
-    summary = _summarize(config, state, objective)
+    summary = _summarize(config, state)
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -182,8 +180,8 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentResult:
     """
     outdir = _resolve_outdir(config, base_dir)
     problem = build_problem(config)
-    state, objective = _run_solver(problem)
-    summary = _write_artifacts(outdir, config, problem, state, objective)
+    state = _run_solver(problem)
+    summary = _write_artifacts(outdir, config, problem, state)
     return ExperimentResult(
         artifact_dir=outdir, state=state, summary=summary, warnings=state.warnings
     )
@@ -213,7 +211,7 @@ def compare_majorizers(config: ExperimentConfig, base_dir=None) -> ExperimentRes
     for kind in ("diagonal", "max_eigen"):
         cfg_k = dataclasses.replace(config, majorizer_kind=kind)
         problem = build_problem(cfg_k)
-        state, objective = _run_solver(problem)
+        state = _run_solver(problem)
         states[kind] = state
         _write_csv(
             outdir / f"convergence_{kind}.csv",
@@ -221,7 +219,7 @@ def compare_majorizers(config: ExperimentConfig, base_dir=None) -> ExperimentRes
             ((str(i + 1), _fmt(g)) for i, g in enumerate(state.objective_trace)),
         )
         comparison[kind] = {
-            "final_objective": objective,
+            "final_objective": float(state.objective_trace[-1]),
             "outer_iterations": state.outer_iterations,
             "iterations_to_within_5pct": iterations_to_within(state.objective_trace),
             "termination": state.termination.value,

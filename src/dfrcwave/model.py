@@ -129,7 +129,6 @@ class AngleGrid:
     """Strictly increasing angle grid, in degrees."""
 
     angles_deg: np.ndarray
-    resolution_deg: float = 1.0
 
     def __post_init__(self):
         arr = _frozen_array(self.angles_deg, dtype=float)
@@ -145,7 +144,7 @@ class AngleGrid:
             raise ValueError(f"bad grid bounds [{start_deg}, {stop_deg}] step {step_deg}")
         # epsilon keeps exactly-divisible spans inclusive of the stop angle
         n = int(math.floor((stop_deg - start_deg) / step_deg + 1e-9)) + 1
-        return cls(start_deg + step_deg * np.arange(n), resolution_deg=step_deg)
+        return cls(start_deg + step_deg * np.arange(n))
 
     def __len__(self) -> int:
         return self.angles_deg.size
@@ -297,6 +296,9 @@ def load_waveform(path) -> WaveformMatrix:
         )
     n_tx = _parse_int(head[0], 1, "n_tx")
     block_len = _parse_int(head[1], 1, "block_len")
+    for field, value in (("n_tx", n_tx), ("block_len", block_len)):
+        if value < 1:
+            raise WaveformFormatError(f"line 1: field '{field}': must be >= 1, got {value}")
     p_total = _parse_float(head[2], 1, "p_total")
     constant_modulus = False
     if len(head) == 4:

@@ -355,7 +355,6 @@ def reference_dual_ascent(
     constraints: CIConstraintSet,
     cfg: SolverConfig,
     p_total: float,
-    n_tx: int,
     x_ref=None,
 ) -> solver.DualAscentResult:
     """``solver.dual_ascent_sweep`` with the probe loop it had over a numpy ``nu``.
@@ -365,6 +364,7 @@ def reference_dual_ascent(
     block start; sweeps, stopping rules and restoration are as in the
     solver.
     """
+    n_tx = constraints.n_tx
     amp = math.sqrt(p_total / n_tx)
     d = np.asarray(d)
     nu = np.array(nu, dtype=float, copy=True)
@@ -406,7 +406,7 @@ def reference_dual_ascent(
                 bracket_bad.add(m)
         sweeps += 1
         coef = (solver._weighted_rows(constraints, nu) - d).tolist()
-        x = solver.solve_inner(nu, d, constraints, p_total, n_tx)
+        x = solver.solve_inner(nu, d, constraints, p_total)
         resid = -ci_margin(x, constraints)
         g_hat = float((x.conj() @ d).real + nu @ resid)
         if not np.any(nu != nu_before):

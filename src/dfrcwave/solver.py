@@ -6,14 +6,16 @@ Each MM iteration linearizes the radar cost to Re{x^H d} and solves
 
 through its dual: for fixed multipliers the minimizer is the closed form
 x(nu) = sqrt(P_T/N_T) exp(j angle(sum_m nu_m h~_m - d)), and the
-multipliers are driven by coordinate ascent, one bisection per constraint.
-Constraint residuals are re-evaluated from the closed form on every probe
-(only the n_tx entries of the touched symbol block change), never from a
-stale x. A probe is a closure over Python lists: the multipliers, the
-running coefficient vector, and the row's (index, conj h, h) triples that
-``CIConstraintSet.row_scalars`` caches once per constraint set. It runs
-only Python complex arithmetic, with no numpy scalar and no method
-dispatch, so the bisection listing pays one function call per probe.
+multipliers are driven by coordinate ascent, one bisection per constraint,
+all in ``dual_ascent_sweep``. Constraint residuals are re-evaluated from
+the closed form on every probe (only the n_tx entries of the touched
+symbol block change), never from a stale x. A probe (``_row_residual``)
+is a closure over Python lists: the running coefficient vector and the
+row's (index, conj h, h) triples that ``CIConstraintSet.row_scalars``
+caches once per constraint set. It runs only Python complex arithmetic,
+with no numpy scalar and no method dispatch, so the bisection listing
+pays one function call per probe. The closed form is written once
+(``_closed_form``).
 
 Every CI row touches one symbol block, and ``CIConstraintSet`` stores the
 rows as an (L, 2K, n_tx) stack, so products with the rows and feasibility
@@ -56,9 +58,9 @@ class Termination(str, enum.Enum):
     INFEASIBLE_WARNING = "infeasible_warning"
 
 
-def _phases(coef: np.ndarray) -> np.ndarray:
-    """Entrywise argument with the convention angle(0) = 0 (covers -0.0 too)."""
-    return np.where(coef == 0, 0.0, np.angle(coef))
+def _closed_form(coef: np.ndarray, amp: float) -> np.ndarray:
+    """amp * exp(j angle(coef)) entrywise, with phase 0 where coef vanishes (-0.0 too)."""
+    return amp * np.exp(1j * np.where(coef == 0, 0.0, np.angle(coef)))
 
 
 def _weighted_rows(constraints: CIConstraintSet, nu: np.ndarray) -> np.ndarray:
@@ -68,74 +70,42 @@ def _weighted_rows(constraints: CIConstraintSet, nu: np.ndarray) -> np.ndarray:
 
 
 def solve_inner(
-    nu: np.ndarray,
-    d: np.ndarray,
-    constraints: CIConstraintSet,
-    p_total: float,
-    n_tx: int,
+    nu: np.ndarray, d: np.ndarray, constraints: CIConstraintSet, p_total: float
 ) -> np.ndarray:
     """Closed-form minimizer of the inner Lagrangian over constant-modulus x.
 
-    Returns sqrt(p_total/n_tx) * exp(j angle(sum_m nu_m h~_m - d)); entries
-    where the coefficient vector vanishes get phase 0.
+    Returns sqrt(p_total/n_tx) * exp(j angle(sum_m nu_m h~_m - d)), n_tx
+    being the constraint set's; entries where the coefficient vector
+    vanishes get phase 0.
     """
     nu = np.asarray(nu, dtype=float)
     if np.any(nu < 0):
         raise ValueError("multipliers must be nonnegative")
-    coef = _weighted_rows(constraints, nu) - np.asarray(d)
-    amp = math.sqrt(p_total / n_tx)
-    return amp * np.exp(1j * _phases(coef))
+    amp = math.sqrt(p_total / constraints.n_tx)
+    return _closed_form(_weighted_rows(constraints, nu) - np.asarray(d), amp)
 
 
-class _DualWorkspace:
-    """The multipliers and the running coefficient vector sum_m nu_m h~_m - d.
+def _row_residual(coef: list, terms: list, nu_m: float, gamma: float, amp: float):
+    """gbar_m at x(nu) as a function of nu_m alone, the other multipliers held.
 
-    Both are plain Python lists: ``nu`` of floats, ``coef`` of complex
-    scalars. ``refresh`` rebuilds ``coef`` from ``nu`` (once per sweep, to
-    stop rounding drift); ``_update_row`` moves one multiplier and folds
-    the change into the n_tx entries of its symbol block.
+    ``coef`` is the running coefficient list sum_m nu_m h~_m - d and
+    ``terms`` row m's (index, conj h, h) triples. Only the n_tx entries of
+    row m's block are recomputed, on Python complex scalars: x(nu) there is
+    amp * c / |c| entry by entry, with phase 0 for a vanishing coefficient,
+    as in the closed form.
     """
 
-    def __init__(self, constraints: CIConstraintSet, d: np.ndarray, amp: float, nu0):
-        nu = np.array(nu0, dtype=float)
-        if nu.shape != (constraints.n_rows,):
-            raise ValueError("multiplier vector length mismatch")
-        self.cset = constraints
-        self.d = np.asarray(d)
-        self.amp = amp
-        self.terms, self.gamma = constraints.row_scalars
-        self.nu = nu.tolist()
-        self.coef: list[complex] = []
-        self.refresh()
+    def residual(nu_trial: float) -> float:
+        delta = nu_trial - nu_m
+        acc = 0.0
+        for i, col, row in terms:
+            c = coef[i] + delta * col
+            mag = abs(c)
+            unit = c / mag if mag != 0.0 else 1.0 + 0.0j
+            acc += (row * unit).real
+        return gamma - amp * acc
 
-    def refresh(self) -> np.ndarray:
-        """Rebuild ``coef`` from ``nu``; returns ``nu`` as an array."""
-        nu = np.array(self.nu)
-        self.coef = (_weighted_rows(self.cset, nu) - self.d).tolist()
-        return nu
-
-    def row_residual(self, m: int):
-        """gbar_m at x(nu) as a function of nu_m alone, the other multipliers held.
-
-        Only the n_tx entries of row m's block are recomputed, on Python
-        complex scalars (a handful of entries, where scalar arithmetic beats
-        numpy dispatch): x(nu) there is amp * c / |c| entry by entry, with
-        phase 0 for a vanishing coefficient, as in the closed form.
-        """
-        terms, coef, nu_m = self.terms[m], self.coef, self.nu[m]
-        gamma, amp = self.gamma[m], self.amp
-
-        def residual(nu_trial: float) -> float:
-            delta = nu_trial - nu_m
-            acc = 0.0
-            for i, col, row in terms:
-                c = coef[i] + delta * col
-                mag = abs(c)
-                unit = c / mag if mag != 0.0 else 1.0 + 0.0j
-                acc += (row * unit).real
-            return gamma - amp * acc
-
-        return residual
+    return residual
 
 
 def _bisect_root(residual, eps2: float, max_iters: int):
@@ -176,23 +146,6 @@ def _bisect_root(residual, eps2: float, max_iters: int):
         if r == 0.0 or abs(r + half_eps) < half_eps:
             return mid, evals, True, True
     return hi, evals, True, False
-
-
-def _update_row(ws: _DualWorkspace, m: int, cfg: SolverConfig):
-    """Bisect multiplier m with the others held and commit it to ``ws``.
-
-    Returns (n_evals, bracketed, predicate_met) of ``_bisect_root``.
-    """
-    value, evals, bracketed, predicate = _bisect_root(
-        ws.row_residual(m), cfg.eps2, cfg.max_bisect_iters
-    )
-    delta = value - ws.nu[m]
-    if delta != 0.0:
-        coef = ws.coef
-        for i, col, _ in ws.terms[m]:
-            coef[i] += delta * col
-        ws.nu[m] = value
-    return evals, bracketed, predicate
 
 
 _RESTORE_GRID = 512
@@ -314,7 +267,7 @@ def _restore_starts(xb, xb_ref, rows, gam, amp):
     yield xb
     if xb_ref is not None:
         yield xb_ref
-    yield amp * np.exp(1j * _phases(np.conj(rows).sum(axis=0)))
+    yield _closed_form(np.conj(rows).sum(axis=0), amp)
     yield _bank_start(rows, gam, amp)
 
 
@@ -397,7 +350,6 @@ def dual_ascent_sweep(
     constraints: CIConstraintSet,
     cfg: SolverConfig,
     p_total: float,
-    n_tx: int,
     x_ref: Optional[np.ndarray] = None,
 ) -> DualAscentResult:
     """Coordinate ascent over all 2KL multipliers for one fixed d.
@@ -405,27 +357,44 @@ def dual_ascent_sweep(
     Sweeps in index order until the relative change of the dual value
     g^ = gbar(x(nu)) + sum_m nu_m gbar_m(x(nu)) drops below eps1, a sweep
     leaves every multiplier unchanged, or ``DEFAULT_MAX_SWEEPS`` is hit.
+    A row update folds its step into its block's coefficients; each sweep
+    ends by rebuilding sum_m nu_m h~_m - d from nu (no rounding drift),
+    the one product x(nu), g^ and the restoration check are read from.
     """
-    amp = math.sqrt(p_total / n_tx)
-    ws = _DualWorkspace(constraints, d, amp, nu)
+    nu_arr = np.array(nu, dtype=float)
+    if nu_arr.shape != (constraints.n_rows,):
+        raise ValueError("multiplier vector length mismatch")
+    d = np.asarray(d)
+    amp = math.sqrt(p_total / constraints.n_tx)
+    terms, gamma = constraints.row_scalars
+    nu = nu_arr.tolist()
+    coef = (_weighted_rows(constraints, nu_arr) - d).tolist()
     bracket_bad: set[int] = set()
     evals_total = 0
     prev = math.inf
     converged = False
     sweeps = 0
     while sweeps < DEFAULT_MAX_SWEEPS:
-        nu_before = ws.nu.copy()
+        nu_before = nu.copy()
         for m in range(constraints.n_rows):
-            evals, bracketed, _ = _update_row(ws, m, cfg)
+            residual = _row_residual(coef, terms[m], nu[m], gamma[m], amp)
+            value, evals, bracketed, _ = _bisect_root(residual, cfg.eps2, cfg.max_bisect_iters)
             evals_total += evals
             if not bracketed:
                 bracket_bad.add(m)
+            delta = value - nu[m]
+            if delta != 0.0:
+                for i, col, _ in terms[m]:
+                    coef[i] += delta * col
+                nu[m] = value
         sweeps += 1
-        nu_arr = ws.refresh()
-        x = solve_inner(nu_arr, ws.d, constraints, p_total, n_tx)
-        resid = -ci_margin(x, constraints)
-        g_hat = float((x.conj() @ ws.d).real + nu_arr @ resid)
-        if ws.nu == nu_before:
+        nu_arr = np.array(nu)
+        coef_arr = _weighted_rows(constraints, nu_arr) - d
+        coef = coef_arr.tolist()
+        x = _closed_form(coef_arr, amp)
+        margins = ci_margin(x, constraints)
+        g_hat = float((x.conj() @ d).real + nu_arr @ -margins)
+        if nu == nu_before:
             converged = True
             break
         if math.isfinite(prev):
@@ -436,8 +405,8 @@ def dual_ascent_sweep(
         prev = g_hat
     restored = False
     feasible = True
-    if ci_margin(x, constraints).min() < 0:
-        x, feasible = _restore_feasibility(x, ws.d, constraints, amp, x_ref=x_ref)
+    if margins.min() < 0:
+        x, feasible = _restore_feasibility(x, d, constraints, amp, x_ref=x_ref)
         restored = True
     return DualAscentResult(
         nu=nu_arr,
@@ -554,11 +523,14 @@ def mm_solve(
     if cfg.mode == SolveMode.DFRC:
         if comm is None:
             raise ValueError("dfrc mode requires a CommSetup")
-        cset = build_ci_constraints(comm)
-        if cset.n != n:
+        comm_shape = (comm.n_tx, comm.block_len)
+        scene_shape = (n_tx, scene.block_len)
+        if comm_shape != scene_shape:
             raise ValueError(
-                f"constraint dimension {cset.n} does not match scene N = {n}"
+                f"CommSetup (n_tx, block_len) = {comm_shape} does not match "
+                f"the scene's {scene_shape}"
             )
+        cset = build_ci_constraints(comm)
         warnings.extend(cset.warnings)
         # strict-feasibility pre-check: the nu_m -> inf limit of gbar_m must be < 0
         limit_margin = amp * np.abs(cset.rows).sum(axis=2) - cset.thresholds
@@ -595,11 +567,10 @@ def mm_solve(
         dual_step = True
         res = None
         if cfg.mode == SolveMode.RADAR_ONLY:
-            x_new = amp * np.exp(1j * _phases(-d))
+            x_new = _closed_form(-d, amp)
         else:
             res = dual_ascent_sweep(
-                nu, d, cset, cfg, p_total, n_tx,
-                x_ref=x if prev_feasible else None,
+                nu, d, cset, cfg, p_total, x_ref=x if prev_feasible else None
             )
             nu = res.nu
             bracket_bad.update(res.bracket_failures)

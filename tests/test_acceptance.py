@@ -267,7 +267,7 @@ def test_criterion_9_inner_solution_certificate():
     for _ in range(100):
         nu = rng.uniform(0.0, 5.0, cset.n_rows)
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
-        x = solve_inner(nu, d, cset, p_total=1.0, n_tx=4)
+        x = solve_inner(nu, d, cset, p_total=1.0)
         weighted = h_tilde.conj().T @ nu
         coef = d - weighted
         phases = oracle.phase_bruteforce(d, weighted)

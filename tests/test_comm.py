@@ -15,7 +15,7 @@ from dfrcwave.comm import (
     draw_channels,
     draw_symbols,
 )
-from dfrcwave.solver import _DualWorkspace, solve_inner
+from dfrcwave.solver import _weighted_rows, solve_inner
 
 
 def make_setup(rng, k_users=2, n_tx=4, block_len=3, m_points=4, gamma=2.0, sigma2=0.01):
@@ -289,10 +289,9 @@ class TestBlockLayoutProperties:
         assert np.abs(ci_margin(x, cset) - margins).max() <= 1e-12 * max(1.0, np.abs(margins).max())
         coef = dense.conj().T @ nu - d
         scale = max(1.0, np.abs(coef).max())
-        ws = _DualWorkspace(cset, d, amp, nu)
-        assert np.abs(np.asarray(ws.coef) - coef).max() <= 1e-12 * scale
+        assert np.abs(_weighted_rows(cset, nu) - d - coef).max() <= 1e-12 * scale
         x_dense = amp * np.exp(1j * np.where(coef == 0, 0.0, np.angle(coef)))
-        x_inner = solve_inner(nu, d, cset, 1.0, setup.n_tx)
+        x_inner = solve_inner(nu, d, cset, 1.0)
         assert np.abs(x_inner - x_dense).max() <= 1e-12
 
 

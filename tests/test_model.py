@@ -155,3 +155,12 @@ class TestWaveformIO:
         path.write_text("x,2,1.0\n1:0,2:0\n")
         with pytest.raises(WaveformFormatError, match="n_tx"):
             load_waveform(path)
+
+    @pytest.mark.parametrize(
+        ("header", "field"), [("1,-2,1.0", "block_len"), ("0,2,1.0", "n_tx")]
+    )
+    def test_nonpositive_dimension_names_field(self, tmp_path, header, field):
+        path = tmp_path / "wave.txt"
+        path.write_text(header + "\n1:0,2:0\n")
+        with pytest.raises(WaveformFormatError, match=f"line 1: field '{field}'"):
+            load_waveform(path)

@@ -31,11 +31,10 @@ from dfrcwave.model import (
 from dfrcwave.radar import build_scene
 from dfrcwave.solver import (
     Termination,
-    _DualWorkspace,
     _bank_units,
     _bisect_root,
     _restore_feasibility,
-    _update_row,
+    _row_residual,
     dual_ascent_sweep,
     mm_solve,
     polish_feasible,
@@ -58,7 +57,7 @@ class TestSolveInner:
     def test_zero_multipliers_align_against_d(self, rng):
         _, cset = make_cset(rng)
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
-        x = solve_inner(np.zeros(cset.n_rows), d, cset, p_total=1.0, n_tx=3)
+        x = solve_inner(np.zeros(cset.n_rows), d, cset, p_total=1.0)
         amp = math.sqrt(1.0 / 3.0)
         assert np.allclose(x, amp * np.exp(1j * np.angle(-d)), atol=1e-14)
 
@@ -67,7 +66,7 @@ class TestSolveInner:
         h_tilde = oracle.dense_h_tilde(setup)
         nu = np.zeros(cset.n_rows)
         nu[0] = 2.0
-        x = solve_inner(nu, np.zeros(cset.n), cset, p_total=1.0, n_tx=3)
+        x = solve_inner(nu, np.zeros(cset.n), cset, p_total=1.0)
         # maximizes Re{h~_0^H x}: inner product equals amp * ||h~_0||_1
         amp = math.sqrt(1.0 / 3.0)
         attained = float((h_tilde[0] @ x).real)
@@ -76,23 +75,21 @@ class TestSolveInner:
     def test_zero_coefficient_gets_zero_phase(self, rng):
         _, cset = make_cset(rng)
         d = np.zeros(cset.n, dtype=complex)
-        x = solve_inner(np.zeros(cset.n_rows), d, cset, p_total=1.0, n_tx=3)
+        x = solve_inner(np.zeros(cset.n_rows), d, cset, p_total=1.0)
         amp = math.sqrt(1.0 / 3.0)
         assert np.allclose(x, amp, atol=1e-15)
 
     def test_negative_multiplier_rejected(self, rng):
         _, cset = make_cset(rng)
         with pytest.raises(ValueError):
-            solve_inner(
-                np.full(cset.n_rows, -1.0), np.zeros(cset.n), cset, 1.0, 3
-            )
+            solve_inner(np.full(cset.n_rows, -1.0), np.zeros(cset.n), cset, 1.0)
 
     def test_no_small_phase_perturbation_improves(self, rng):
         # closed form is a per-entry argmin: +-1e-3 rad never lowers the Lagrangian
         setup, cset = make_cset(rng)
         nu = rng.uniform(0.0, 2.0, cset.n_rows)
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
-        x = solve_inner(nu, d, cset, 1.0, 3)
+        x = solve_inner(nu, d, cset, 1.0)
         coef = d - oracle.dense_h_tilde(setup).conj().T @ nu
         base = float(np.real(x.conj() @ coef))
         for n in range(cset.n):
@@ -109,7 +106,7 @@ class TestSolveInner:
         for _ in range(20):
             nu = rng.uniform(0.0, 3.0, cset.n_rows)
             d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
-            x = solve_inner(nu, d, cset, 1.0, 3)
+            x = solve_inner(nu, d, cset, 1.0)
             coef = d - h_tilde.conj().T @ nu
             best = oracle.phase_bruteforce(d, h_tilde.conj().T @ nu)
             lag_x = float(np.real(x.conj() @ coef))
@@ -146,17 +143,6 @@ class TestBisectRoot:
         assert bracketed and not predicate
         assert (1.0 if value < 0.37 else -1.0) <= 0.0
 
-    def test_public_wrapper_updates_single_entry(self, rng):
-        # one row update moves only its own multiplier, on the workspace's copy
-        _, cset = make_cset(rng)
-        d = 0.1 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
-        nu = np.zeros(cset.n_rows)
-        ws = _DualWorkspace(cset, d, math.sqrt(1.0 / 3.0), nu)
-        _update_row(ws, 0, SolverConfig())
-        assert ws.nu[0] >= 0.0
-        assert ws.nu[1:] == [0.0] * (cset.n_rows - 1)
-        assert nu[0] == 0.0  # input untouched
-
 
 class TestDualAscent:
     def test_all_slack_terminates_in_one_sweep(self):
@@ -171,9 +157,7 @@ class TestDualAscent:
         )
         cset = build_ci_constraints(setup)
         d = -np.ones(cset.n, dtype=complex)
-        res = dual_ascent_sweep(
-            np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0, 2
-        )
+        res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0)
         assert res.sweeps == 1 and res.converged and not res.restored
         assert not res.nu.any()
         amp = math.sqrt(1.0 / 2.0)
@@ -190,7 +174,7 @@ class TestDualAscent:
         )
         cset = build_ci_constraints(setup)
         d = np.array([0.8 + 0.5j])
-        res = dual_ascent_sweep(np.zeros(2), d, cset, SolverConfig(), 1.0, 1)
+        res = dual_ascent_sweep(np.zeros(2), d, cset, SolverConfig(), 1.0)
         margins = ci_margin(res.x, cset)
         assert margins.min() >= -1e-9
         # exhaustive феasible optimum over 1e5 phases
@@ -212,9 +196,7 @@ class TestDualAscent:
         for _ in range(5):
             _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=3)
             d = 2.0 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
-            res = dual_ascent_sweep(
-                np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0, 4
-            )
+            res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0)
             margins = ci_margin(res.x, cset)
             if res.restored:
                 continue  # complementarity is checked on clean dual recoveries
@@ -225,15 +207,35 @@ class TestDualAscent:
         _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=2)
         d = 0.5 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
         cfg = SolverConfig()
-
-        ws = _DualWorkspace(cset, d, 0.5, np.zeros(cset.n_rows))
+        # one sweep of row updates as the solver makes them, each checked once committed
+        terms, gamma = cset.row_scalars
+        nu = [0.0] * cset.n_rows
+        coef = (-d).tolist()
         for m in range(cset.n_rows):
-            _, bracketed, predicate = _update_row(ws, m, cfg)
-            resid = ws.row_residual(m)(ws.nu[m])
-            if ws.nu[m] == 0.0:
+            value, _, _, predicate = _bisect_root(
+                _row_residual(coef, terms[m], nu[m], gamma[m], 0.5),
+                cfg.eps2,
+                cfg.max_bisect_iters,
+            )
+            for i, col, _ in terms[m]:
+                coef[i] += (value - nu[m]) * col
+            nu[m] = value
+            resid = _row_residual(coef, terms[m], nu[m], gamma[m], 0.5)(nu[m])
+            if nu[m] == 0.0:
                 assert resid <= 0.0
             elif predicate:
                 assert -cfg.eps2 < resid < 0.0
+
+    def test_leaves_nu0_untouched_and_keeps_modulus(self, rng):
+        # the amplitude is sqrt(p_total / n_tx) of the constraint set's n_tx
+        _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=2)
+        d = 0.1 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
+        nu0 = rng.uniform(0.0, 1.0, cset.n_rows)
+        before = nu0.copy()
+        res = dual_ascent_sweep(nu0, d, cset, SolverConfig(), 2.0)
+        assert np.array_equal(nu0, before)
+        assert np.all(res.nu >= 0.0)
+        assert np.abs(np.abs(res.x) - math.sqrt(2.0 / cset.n_tx)).max() <= MODULUS_TOL
 
 
 class TestPolish:
@@ -242,7 +244,7 @@ class TestPolish:
         amp = 0.5
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
         # start from a feasible point found by the dual machinery
-        res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0, 4)
+        res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0)
         assert ci_margin(res.x, cset).min() >= 0.0
         polished = polish_feasible(res.x, d, cset, amp)
         assert ci_margin(polished, cset).min() >= 0.0
@@ -277,9 +279,7 @@ def ci_instances(draw):
 
 
 def _feasible_start(cset, d):
-    res = dual_ascent_sweep(
-        np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0, cset.n_tx
-    )
+    res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0)
     assume(res.feasible_exit and ci_margin(res.x, cset).min() >= 0.0)
     return res.x
 
@@ -379,8 +379,8 @@ class TestDualAscentParity:
     @given(inst=dual_instances())
     def test_matches_reference_probe_formulation_bitwise(self, inst):
         setup, cset, d, nu0, cfg = inst
-        res = dual_ascent_sweep(nu0, d, cset, cfg, 1.0, setup.n_tx)
-        ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0, setup.n_tx)
+        res = dual_ascent_sweep(nu0, d, cset, cfg, 1.0)
+        ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0)
         assert res.nu.tobytes() == ref.nu.tobytes()
         assert res.x.tobytes() == ref.x.tobytes()
         assert (res.sweeps, res.bisection_evals, res.bracket_failures) == (
@@ -460,6 +460,20 @@ class TestMMSolve:
         scene = make_scene(n_tx=2, block_len=3, max_lag=2)
         with pytest.raises(ValueError):
             mm_solve(scene, None, Weights(1.0, 1.0, 1.0), SolverConfig())
+
+    def test_comm_shape_must_match_scene(self):
+        # same N = 32 as the desk scene (n_tx = 4, L = 8), split differently
+        scene = make_scene(n_tx=4, block_len=8, max_lag=3)
+        comm = CommSetup(
+            channels=draw_channels(2, 2, 1),
+            symbols=draw_symbols(2, 16, 4, 2),
+            gamma=np.full(2, 4.0),
+            sigma2=0.01,
+            m_points=4,
+        )
+        cfg = SolverConfig(max_outer_iters=3)
+        with pytest.raises(ValueError, match=r"\(2, 16\).*\(4, 8\)"):
+            mm_solve(scene, comm, Weights(1.0, 1.0, 1.0), cfg)
 
     def test_x0_must_be_constant_modulus(self, rng):
         scene = make_scene(n_tx=2, block_len=3, max_lag=2)
