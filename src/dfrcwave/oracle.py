@@ -375,6 +375,8 @@ def reference_dual_ascent(
     coef = (solver._weighted_rows(constraints, nu) - d).tolist()
 
     def residual(m: int, nu_trial: float) -> float:
+        nonlocal evals_total
+        evals_total += 1
         delta = float(nu_trial - nu[m])
         start = starts[m]
         acc = 0.0
@@ -393,7 +395,7 @@ def reference_dual_ascent(
     while sweeps < solver.DEFAULT_MAX_SWEEPS:
         nu_before = nu.copy()
         for m in range(constraints.n_rows):
-            value, evals, bracketed, _ = solver._bisect_root(
+            value, bracketed, _ = solver._bisect_root(
                 lambda v: residual(m, v), cfg.eps2, cfg.max_bisect_iters
             )
             delta = float(value - nu[m])
@@ -401,7 +403,6 @@ def reference_dual_ascent(
                 for i, (col_i, _) in enumerate(pairs[m]):
                     coef[starts[m] + i] += delta * col_i
                 nu[m] = value
-            evals_total += evals
             if not bracketed:
                 bracket_bad.add(m)
         sweeps += 1
