@@ -28,7 +28,6 @@ from dfrcwave.radar import (
     objective_terms,
     optimal_alpha,
     rectangular_pattern,
-    total_objective,
 )
 from dfrcwave.comm import (
     CIConstraintSet,

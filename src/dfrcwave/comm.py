@@ -14,7 +14,7 @@ keeps just those entries; the dense 2KL x N matrix is a reference in the oracle.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,8 +69,8 @@ class CommSetup:
             raise ValueError(f"symbols must be K x L with K={k_users}, got {sym.shape}")
         if gam.shape != (k_users,):
             raise ValueError(f"gamma must have one entry per user, got shape {gam.shape}")
-        if np.any(gam < 0):
-            raise ValueError("gamma must be nonnegative")
+        if not (np.isfinite(gam).all() and (gam >= 0).all()):
+            raise ValueError(f"gamma must be finite and nonnegative, got {gam}")
         if not self.sigma2 > 0:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
         if self.m_points < 2:
@@ -111,7 +111,6 @@ class CIConstraintSet:
 
     rows: np.ndarray
     thresholds: np.ndarray
-    warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _frozen_array(self.rows, dtype=complex))
@@ -146,19 +145,13 @@ class CIConstraintSet:
 
 
 def build_ci_constraints(setup: CommSetup) -> CIConstraintSet:
-    """Build the 2KL constraint rows from channels, codewords, and QoS levels.
-
-    A user with a zero channel but a positive QoS target makes its rows
-    structurally infeasible; this is reported through ``warnings`` on the
-    returned set rather than raised.
-    """
+    """Build the 2KL constraint rows from channels, codewords, and QoS levels."""
     k_users, n_tx = setup.channels.shape
     length = setup.block_len
     lam = np.pi / setup.m_points
     sin_l, cos_l = np.sin(lam), np.cos(lam)
 
     rows = np.empty((length, 2 * k_users, n_tx), dtype=complex)
-    warnings: list[str] = []
 
     thresholds = setup.sigma2**0.5 * np.sqrt(setup.gamma) * sin_l
     for ell in range(length):
@@ -168,16 +161,7 @@ def build_ci_constraints(setup: CommSetup) -> CIConstraintSet:
             base = setup.channels[k].conj() * rot
             for half, factor in enumerate((sin_l - 1j * cos_l, sin_l + 1j * cos_l)):
                 rows[ell, half * k_users + k] = base * factor
-            if thresholds[k] > 0 and not np.any(setup.channels[k]):
-                warnings.append(
-                    f"user {k}, symbol {ell}: zero channel with positive QoS target "
-                    "makes rows infeasible"
-                )
-    return CIConstraintSet(
-        rows=rows,
-        thresholds=np.tile(thresholds, (length, 2)),
-        warnings=tuple(warnings),
-    )
+    return CIConstraintSet(rows=rows, thresholds=np.tile(thresholds, (length, 2)))
 
 
 def block_margins(xb: np.ndarray, rows: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ small instance used by the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -136,6 +137,12 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     """All precondition violations, each as one human-readable line."""
     bad: list[str] = []
     c = config
+    for name, kind in _FIELD_KINDS.items():
+        value = getattr(c, name)
+        if kind == "float" and not math.isfinite(value):
+            bad.append(f"{name} must be finite (got {value})")
+        elif kind == "tuple" and not all(map(math.isfinite, value)):
+            bad.append(f"{name} entries must be finite (got {list(value)})")
     if c.n_tx < 1:
         bad.append(f"n_tx must be >= 1 (got {c.n_tx})")
     if c.block_len < 1:

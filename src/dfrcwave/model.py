@@ -197,8 +197,8 @@ class Weights:
 
     def __post_init__(self):
         trio = (self.w_bp, self.w_ac, self.w_cc)
-        if any(w < 0 for w in trio):
-            raise ValueError(f"weights must be nonnegative, got {trio}")
+        if not all(0 <= w < math.inf for w in trio):  # NaN fails
+            raise ValueError(f"weights must be finite and nonnegative, got {trio}")
         if all(w == 0 for w in trio):
             raise ValueError("at least one weight must be positive")
 

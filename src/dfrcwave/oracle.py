@@ -12,11 +12,12 @@ checks live here too: ``diagonal_upper_bound`` (the row-sum bound on a
 checked Hermitian matrix) and ``geometric_ci_check`` (the decision-region
 form of the CI condition).
 
-``reference_dual_ascent`` is the one exception: it keeps an earlier probe
-formulation of the dual coordinate ascent (multipliers in a numpy vector,
-per-probe indexing and ``float()`` conversion) and shares the bisection
-listing, the closed-form recovery and the restoration with the solver, so
-tests can hold ``solver.dual_ascent_sweep`` to it bit for bit.
+``reference_dual_ascent`` keeps an earlier probe formulation of the dual
+coordinate ascent (multipliers in a numpy vector, per-probe indexing and
+``float()`` conversion) and runs the plain bisection listing
+(``_bisect_root``) on every probe, with no seeds and no skipped blocks, so
+tests can hold ``solver.dual_ascent_sweep`` to it bit for bit. It shares
+only the closed-form recovery and the restoration with the solver.
 """
 
 from __future__ import annotations
@@ -349,6 +350,42 @@ def power_iteration(mat: np.ndarray, seed: int = 0, tol: float = 1e-12, max_iter
     return lam
 
 
+def _bisect_root(residual, eps2: float, max_iters: int):
+    """One multiplier update exactly as in the bisection listing.
+
+    Returns (value, bracketed, predicate_met). On a bracketing failure the
+    value is the last doubled upper bound; on a predicate failure it is the
+    feasible (residual <= 0) side of the final interval.
+    """
+    if residual(0.0) <= 0:
+        return 0.0, True, True
+    lo, hi = 0.0, 1.0
+    r_hi = residual(hi)
+    if r_hi > 0:
+        doubles = 0
+        while r_hi > 0:
+            if doubles >= max_iters:
+                return hi, False, False
+            hi *= 2.0
+            r_hi = residual(hi)
+            doubles += 1
+        lo = hi / 2.0
+    half_eps = eps2 / 2.0
+    steps = 0
+    while steps < max_iters:
+        mid = 0.5 * (lo + hi)
+        r = residual(mid)
+        steps += 1
+        if r > 0:
+            lo = mid
+        else:
+            hi = mid
+        # the listing's stop rule plus the exact-root boundary it excludes
+        if r == 0.0 or abs(r + half_eps) < half_eps:
+            return mid, True, True
+    return hi, True, False
+
+
 def reference_dual_ascent(
     nu: np.ndarray,
     d: np.ndarray,
@@ -395,7 +432,7 @@ def reference_dual_ascent(
     while sweeps < solver.DEFAULT_MAX_SWEEPS:
         nu_before = nu.copy()
         for m in range(constraints.n_rows):
-            value, bracketed, _ = solver._bisect_root(
+            value, bracketed, _ = _bisect_root(
                 lambda v: residual(m, v), cfg.eps2, cfg.max_bisect_iters
             )
             delta = float(value - nu[m])

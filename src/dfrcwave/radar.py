@@ -26,7 +26,6 @@ from dfrcwave.model import (
     ArrayGeometry,
     DesiredBeamPattern,
     TargetSet,
-    Weights,
 )
 
 
@@ -252,8 +251,3 @@ def objective_terms(x, scene: RadarScene) -> ObjectiveTerms:
     chi = np.abs(kernels.corr) ** 2
     ac, cc = scene._isl_masks
     return ObjectiveTerms((g_bp, float(chi[ac].sum()), float(chi[cc].sum())), kernels)
-
-
-def total_objective(x, scene: RadarScene, weights: Weights) -> float:
-    """Weighted radar cost of x, ``weights.cost(objective_terms(x, scene))``."""
-    return weights.cost(objective_terms(x, scene))

@@ -6,16 +6,16 @@ Each MM iteration linearizes the radar cost to Re{x^H d} and solves
 
 through its dual: for fixed multipliers the minimizer is the closed form
 x(nu) = sqrt(P_T/N_T) exp(j angle(sum_m nu_m h~_m - d)), and the
-multipliers are driven by coordinate ascent, one bisection per constraint,
-all in ``dual_ascent_sweep``. Residuals are re-evaluated from the closed
-form (only the touched block's n_tx entries change), never from a stale x,
-by ``_row_residual``: a closure over Python lists (the running coefficient
-vector and the row's (index, conj h, h) triples that
-``CIConstraintSet.row_scalars`` caches) running only Python complex
-arithmetic. A sweep evaluates only the probes whose outcome is not already
+multipliers are driven by coordinate ascent in ``dual_ascent_sweep``, one
+bisection per constraint, each run inline by ``_update_multiplier``.
+Residuals are re-evaluated from the closed form (only the touched block's
+n_tx entries change), never from a stale x, by ``_row_residual``: Python
+complex arithmetic over Python lists (the running coefficient vector and
+the row's (index, conj h, h) triples that ``CIConstraintSet.row_scalars``
+caches). A sweep evaluates only the probes whose outcome is not already
 fixed, so every result stays bitwise that of probing everything: two seeds
-around a warm multiplier fix the signs outside them (``_seeded_probe``),
-and a block whose multipliers all kept their values skips the next sweep.
+around a warm multiplier fix the signs outside them, and a block whose
+multipliers all kept their values skips the next sweep.
 
 Every CI row touches one symbol block, and ``CIConstraintSet`` stores the
 rows as an (L, 2K, n_tx) stack, so products with the rows and feasibility
@@ -88,8 +88,8 @@ def solve_inner(
     return _closed_form(_weighted_rows(constraints, nu) - d, amp)
 
 
-def _row_residual(coef: list, terms: list, nu_m: float, gamma: float, amp: float):
-    """gbar_m at x(nu) as a function of nu_m alone, the other multipliers held.
+def _row_residual(coef: list, terms: list, delta: float, gamma: float, amp: float) -> float:
+    """gbar_m at x(nu) with nu_m moved by ``delta``, the other multipliers held.
 
     ``coef`` is the running coefficient list sum_m nu_m h~_m - d and
     ``terms`` row m's (index, conj h, h) triples. Only the n_tx entries of
@@ -97,83 +97,69 @@ def _row_residual(coef: list, terms: list, nu_m: float, gamma: float, amp: float
     amp * c / |c| entry by entry, with phase 0 for a vanishing coefficient,
     as in the closed form.
     """
-
-    def residual(nu_trial: float) -> float:
-        delta = nu_trial - nu_m
-        acc = 0.0
-        for i, col, row in terms:
-            c = coef[i] + delta * col
-            mag = abs(c)
-            unit = c / mag if mag != 0.0 else 1.0 + 0.0j
-            acc += (row * unit).real
-        return gamma - amp * acc
-
-    return residual
+    acc = 0.0
+    for i, col, row in terms:
+        c = coef[i] + delta * col
+        mag = abs(c)
+        unit = c / mag if mag != 0.0 else 1.0 + 0.0j
+        acc += (row * unit).real
+    return gamma - amp * acc
 
 
-def _seeded_probe(residual, nu_m: float, eps2: float, slack: float, evals: list):
-    """``residual`` with each probe whose outcome two seeds fix answered unevaluated.
+def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, slack, max_iters):
+    """One multiplier update as the bisection listing makes it on r(t) = gbar_m.
 
-    r is non-increasing in nu_m (a partial supergradient of the concave dual):
-    a seed s with r(s) > slack fixes r > 0 on [0, s], one with r(s) <= -eps2 -
-    slack fixes r <= -eps2 on [s, inf). A fixed probe returns +/-inf, which
-    sends the listing down the same branch without stopping. Seeds are nu_m
-    (1 -/+ rho), for nu_m > 0; ``evals[0]`` counts the evaluations made.
+    r is non-increasing in t (a partial supergradient of the concave dual), so
+    seeds s = nu_m (1 -/+ rho), for nu_m > 0, fix signs: r(s) > slack fixes
+    r > 0 on [0, s], r(s) <= -eps2 - slack fixes r <= -eps2 on [s, inf). A
+    probe of fixed sign takes its branch unevaluated and never meets the stop
+    rule, so the result is the listing's on r. Returns (value, bracketed,
+    evaluations made); ``oracle._bisect_root`` is the listing itself.
     """
-    pos_upto, neg_from = -math.inf, math.inf
-
-    def probe(nu_trial: float) -> float:
-        if nu_trial <= pos_upto:
-            return math.inf
-        if nu_trial >= neg_from:
-            return -math.inf
-        evals[0] += 1
-        return residual(nu_trial)
-
-    for seed in (nu_m * (1.0 - _SEED_RHO), nu_m * (1.0 + _SEED_RHO)) if nu_m > 0.0 else ():
-        r = probe(seed)
-        if r > slack:
-            pos_upto = seed
-        elif r <= -eps2 - slack:
-            neg_from = seed
-            break  # the upper seed is fixed too
-    return probe
-
-
-def _bisect_root(residual, eps2: float, max_iters: int):
-    """One multiplier update exactly as in the bisection listing.
-
-    Returns (value, bracketed, predicate_met). On a bracketing failure the
-    value is the last doubled upper bound; on a predicate failure it is the
-    feasible (residual <= 0) side of the final interval.
-    """
-    if residual(0.0) <= 0:
-        return 0.0, True, True
-    lo, hi = 0.0, 1.0
-    r_hi = residual(hi)
-    if r_hi > 0:
-        doubles = 0
-        while r_hi > 0:
-            if doubles >= max_iters:
-                return hi, False, False
-            hi *= 2.0
-            r_hi = residual(hi)
-            doubles += 1
-        lo = hi / 2.0
+    pos_upto, neg_from, evals = -math.inf, math.inf, 0
+    if nu_m > 0.0:
+        for seed in (nu_m * (1.0 - _SEED_RHO), nu_m * (1.0 + _SEED_RHO)):
+            evals += 1
+            r = _row_residual(coef, terms, seed - nu_m, gamma, amp)
+            if r > slack:
+                pos_upto = seed
+            elif r <= -eps2 - slack:
+                neg_from = seed
+                break  # the upper seed is fixed too
+    # the seeds are positive, so r(0) can only be fixed positive
+    if pos_upto < 0.0:
+        evals += 1
+        if _row_residual(coef, terms, 0.0 - nu_m, gamma, amp) <= 0:
+            return 0.0, True, evals
+    hi, doubles = 1.0, 0
+    while hi < neg_from:
+        if hi > pos_upto:
+            evals += 1
+            if not _row_residual(coef, terms, hi - nu_m, gamma, amp) > 0:
+                break
+        if doubles >= max_iters:
+            return hi, False, evals
+        hi *= 2.0
+        doubles += 1
+    lo = hi / 2.0 if doubles else 0.0
     half_eps = eps2 / 2.0
-    steps = 0
-    while steps < max_iters:
+    for _ in range(max_iters):
         mid = 0.5 * (lo + hi)
-        r = residual(mid)
-        steps += 1
-        if r > 0:
+        if mid <= pos_upto:
             lo = mid
-        else:
+        elif mid >= neg_from:
             hi = mid
-        # the listing's stop rule plus the exact-root boundary it excludes
-        if r == 0.0 or abs(r + half_eps) < half_eps:
-            return mid, True, True
-    return hi, True, False
+        else:
+            evals += 1
+            r = _row_residual(coef, terms, mid - nu_m, gamma, amp)
+            if r > 0:
+                lo = mid
+            else:
+                hi = mid
+            # the listing's stop rule plus the exact-root boundary it excludes
+            if r == 0.0 or abs(r + half_eps) < half_eps:
+                return mid, True, evals
+    return hi, True, evals
 
 
 _RESTORE_GRID = 512
@@ -406,7 +392,7 @@ def dual_ascent_sweep(
     nu = nu_arr.tolist()
     coef = (_weighted_rows(constraints, nu_arr) - d).tolist()
     bracket_bad: set[int] = set()
-    evals = [0]
+    evals = 0
     moving = [True] * constraints.rows.shape[0]
     prev = math.inf
     converged = False
@@ -414,9 +400,10 @@ def dual_ascent_sweep(
     while sweeps < DEFAULT_MAX_SWEEPS:
         nu_before = nu.copy()
         for m in np.flatnonzero(np.repeat(moving, per_block)).tolist():
-            residual = _row_residual(coef, terms[m], nu[m], gamma[m], amp)
-            probe = _seeded_probe(residual, nu[m], cfg.eps2, slack[m], evals)
-            value, bracketed, _ = _bisect_root(probe, cfg.eps2, cfg.max_bisect_iters)
+            value, bracketed, made = _update_multiplier(
+                coef, terms[m], nu[m], gamma[m], amp, cfg.eps2, slack[m], cfg.max_bisect_iters
+            )
+            evals += made
             if not bracketed:
                 bracket_bad.add(m)
             delta = value - nu[m]
@@ -442,16 +429,15 @@ def dual_ascent_sweep(
                 converged = True
                 break
         prev = g_hat
-    restored = False
+    restored = bool(margins.min() < 0)
     feasible = True
-    if margins.min() < 0:
+    if restored:
         x, feasible = _restore_feasibility(x, d, constraints, amp, x_ref=x_ref)
-        restored = True
     return DualAscentResult(
         nu=nu_arr,
         x=x,
         sweeps=sweeps,
-        bisection_evals=evals[0],
+        bisection_evals=evals,
         converged=converged,
         bracket_failures=tuple(sorted(bracket_bad)),
         restored=restored,
@@ -570,7 +556,6 @@ def mm_solve(
                 f"the scene's {scene_shape}"
             )
         cset = build_ci_constraints(comm)
-        warnings.extend(cset.warnings)
         # strict-feasibility pre-check: the nu_m -> inf limit of gbar_m must be < 0
         limit_margin = amp * np.abs(cset.rows).sum(axis=2) - cset.thresholds
         for m in np.flatnonzero(limit_margin.ravel() <= 0):

@@ -29,7 +29,6 @@ from dfrcwave.radar import (
     correlation_values,
     objective_terms,
     optimal_alpha,
-    total_objective,
 )
 from dfrcwave.solver import mm_solve, solve_inner
 
@@ -143,15 +142,15 @@ def test_criterion_4_majorization_chain(chain_scene):
         for _ in range(10):
             xt = amp * np.exp(2j * np.pi * rng.random(chain_scene.n))
             d = build_d(xt, build_phi(xt, ctx), ctx)
-            g_t = total_objective(xt, chain_scene, weights)
+            g_t = weights.cost(objective_terms(xt, chain_scene))
             scale = max(1.0, abs(g_t))
             # equality at the expansion point
-            lhs_eq = total_objective(xt, chain_scene, weights) - g_t
+            lhs_eq = weights.cost(objective_terms(xt, chain_scene)) - g_t
             rhs_eq = float(np.real((xt - xt).conj() @ d))
             assert abs(lhs_eq) <= 1e-12 and abs(rhs_eq) <= 1e-12
             for _ in range(1000):
                 x = amp * np.exp(2j * np.pi * rng.random(chain_scene.n))
-                lhs = total_objective(x, chain_scene, weights) - g_t
+                lhs = weights.cost(objective_terms(x, chain_scene)) - g_t
                 rhs = float(np.real((x - xt).conj() @ d))
                 assert lhs <= rhs + 1e-9 * scale
     elapsed = time.time() - t0
@@ -170,7 +169,7 @@ def test_criterion_5_dense_psi_cross_check(chain_scene):
     for _ in range(20):
         x = np.sqrt(amp2) * np.exp(2j * np.pi * rng.random(chain_scene.n))
         quartic = dq.evaluate(x)
-        direct = total_objective(x, chain_scene, weights)
+        direct = weights.cost(objective_terms(x, chain_scene))
         assert abs(quartic - direct) <= 1e-8 * max(1.0, quartic, direct)
         v = vec(np.outer(x, x.conj()))
         lhs = float(np.real(v.conj() @ (psi_row_sums * v)))

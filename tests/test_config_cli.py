@@ -96,6 +96,16 @@ class TestValidation:
         bad = ExperimentConfig.desk_preset(k_users=9, max_lag=10, sigma2=-1.0)
         assert len(validate_config(bad)) >= 3
 
+    @pytest.mark.parametrize(
+        "line",
+        ["gamma_db = [nan]", "target_angles_deg = [-30, inf]", "w_ac = nan", "p_total = inf",
+         "eps2 = nan"],
+    )
+    def test_non_finite_floats_rejected(self, line):
+        key = line.split()[0]
+        report = validate_config(parse_config_text(line + "\n"))
+        assert any(entry.startswith(f"{key} ") and "finite" in entry for entry in report)
+
     def test_gamma_broadcast(self):
         cfg = ExperimentConfig.desk_preset()
         assert cfg.gamma_db_per_user == (6.0, 6.0)
@@ -237,6 +247,12 @@ class TestCLI:
         code = cli.main(["validate", str(path)])
         assert code == 1
         assert "k_users" in capsys.readouterr().out
+
+    def test_validate_rejects_nan_qos(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text(TINY_CONFIG.replace("[3.0]", "[nan]"), encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 1
+        assert "gamma_db entries must be finite" in capsys.readouterr().out
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "nope.cfg")]) == 1

@@ -12,7 +12,7 @@ from dfrcwave import oracle
 from dfrcwave.config import ExperimentConfig, build_problem
 from dfrcwave.majorize import build_d, build_majorizer_context, build_phi
 from dfrcwave.model import MODULUS_TOL, SolveMode, Weights, vec
-from dfrcwave.radar import objective_terms, total_objective
+from dfrcwave.radar import objective_terms
 from dfrcwave.solver import mm_solve
 
 
@@ -189,12 +189,12 @@ class TestBuildPhi:
         for _ in range(3):
             xt = random_cm(rng, scene.n, amp)
             phi = build_phi(xt, ctx)
-            g_t = total_objective(xt, scene, weights_full)
+            g_t = weights_full.cost(objective_terms(xt, scene))
             base = float((xt.conj() @ phi @ xt).real)
             scale = max(1.0, abs(g_t))
             for _ in range(300):
                 x = random_cm(rng, scene.n, amp)
-                lhs = total_objective(x, scene, weights_full) - g_t
+                lhs = weights_full.cost(objective_terms(x, scene)) - g_t
                 rhs = float((x.conj() @ phi @ x).real) - base
                 assert lhs <= rhs + 1e-9 * scale
 
@@ -225,11 +225,11 @@ class TestBuildD:
         for _ in range(3):
             xt = random_cm(rng, scene.n, amp)
             d = build_d(xt, build_phi(xt, ctx), ctx)
-            g_t = total_objective(xt, scene, weights_full)
+            g_t = weights_full.cost(objective_terms(xt, scene))
             scale = max(1.0, abs(g_t))
             for _ in range(300):
                 x = random_cm(rng, scene.n, amp)
-                lhs = total_objective(x, scene, weights_full) - g_t
+                lhs = weights_full.cost(objective_terms(x, scene)) - g_t
                 rhs = float(np.real((x - xt).conj() @ d))
                 assert lhs <= rhs + 1e-9 * scale
 

@@ -87,6 +87,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             Weights(-1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weights_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Weights(1.0, bad, 2.0)
+
     def test_solver_config_coerces_enums(self):
         cfg = SolverConfig(majorizer_kind="max_eigen", mode="radar_only")
         assert cfg.majorizer_kind.value == "max_eigen"

@@ -13,7 +13,7 @@ import dfrcwave
 from conftest import make_scene, random_cm
 from dfrcwave import oracle
 from dfrcwave.model import Weights
-from dfrcwave.radar import optimal_alpha, total_objective
+from dfrcwave.radar import objective_terms, optimal_alpha
 
 
 class TestDensePsi:
@@ -23,7 +23,7 @@ class TestDensePsi:
         for _ in range(10):
             x = random_cm(rng, scene.n, 1 / np.sqrt(2))
             a = dq.evaluate(x)
-            b = total_objective(x, scene, weights_full)
+            b = weights_full.cost(objective_terms(x, scene))
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
 
     def test_hermitian_psd(self, weights_full):

@@ -15,7 +15,6 @@ from dfrcwave.radar import (
     objective_terms,
     optimal_alpha,
     steering_matrix,
-    total_objective,
 )
 
 
@@ -260,7 +259,7 @@ class TestTotalObjective:
         scene = make_scene()
         x = random_cm(rng, scene.n, 0.7)
         w = Weights(1.0, 0.0, 0.0)
-        assert rel_err(total_objective(x, scene, w), objective_terms(x, scene)[0]) < 1e-12
+        assert rel_err(w.cost(objective_terms(x, scene)), objective_terms(x, scene)[0]) < 1e-12
 
     def test_weighted_sum_of_oracle_terms(self, rng, weights_full):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
@@ -269,7 +268,7 @@ class TestTotalObjective:
         alpha = optimal_alpha(x, scene)
         g_bp = oracle.beampattern_mse(x, scene, alpha)
         expect = 1.0 * g_bp + 2.0 * g_ac + 2.0 * g_cc
-        assert rel_err(total_objective(x, scene, weights_full), expect) < 1e-8
+        assert rel_err(weights_full.cost(objective_terms(x, scene)), expect) < 1e-8
 
     def test_global_phase_invariance(self, rng, weights_full):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)

@@ -34,10 +34,9 @@ from dfrcwave.radar import build_scene
 from dfrcwave.solver import (
     Termination,
     _bank_units,
-    _bisect_root,
     _restore_feasibility,
     _row_residual,
-    _seeded_probe,
+    _update_multiplier,
     dual_ascent_sweep,
     mm_solve,
     polish_feasible,
@@ -60,17 +59,10 @@ def make_cset(rng, k_users=2, n_tx=3, block_len=2, gamma=2.0, sigma2=0.01):
 def counted_evaluations():
     """Log the symbol block of every residual evaluation the dual ascent makes."""
     blocks = []
-    plain = _row_residual
 
-    def counting(coef, terms, nu_m, gamma, amp):
-        residual = plain(coef, terms, nu_m, gamma, amp)
-        block = terms[0][0] // len(terms)
-
-        def counted(nu_trial):
-            blocks.append(block)
-            return residual(nu_trial)
-
-        return counted
+    def counting(coef, terms, delta, gamma, amp):
+        blocks.append(terms[0][0] // len(terms))
+        return _row_residual(coef, terms, delta, gamma, amp)
 
     with mock.patch("dfrcwave.solver._row_residual", counting):
         yield blocks
@@ -152,15 +144,19 @@ class TestSolveInner:
 
 
 class TestBisectRoot:
+    """The plain listing in the oracle, the reference of every multiplier update."""
+
     def test_slack_constraint_returns_zero(self):
         calls = []
-        value, bracketed, predicate = _bisect_root(lambda v: calls.append(v) or -1.0, 1e-4, 100)
+        value, bracketed, predicate = oracle._bisect_root(
+            lambda v: calls.append(v) or -1.0, 1e-4, 100
+        )
         assert value == 0.0 and bracketed and predicate and calls == [0.0]
 
     def test_affine_residual_lands_in_tolerance_band(self):
         eps2 = 1e-4
         for a, b in ((0.7, 0.9), (3.0, 0.004), (0.2, 40.0)):
-            value, bracketed, predicate = _bisect_root(
+            value, bracketed, predicate = oracle._bisect_root(
                 lambda v: a - b * v, eps2, 200
             )
             assert bracketed and predicate
@@ -169,13 +165,13 @@ class TestBisectRoot:
             assert abs(value - a / b) <= eps2 / b + 1e-12  # within the bracket slack
 
     def test_bracket_failure_flagged(self):
-        value, bracketed, predicate = _bisect_root(lambda v: 1.0, 1e-4, 16)
+        value, bracketed, predicate = oracle._bisect_root(lambda v: 1.0, 1e-4, 16)
         assert not bracketed and not predicate
         assert value == 2.0**16
 
     def test_jump_discontinuity_returns_feasible_side(self):
         # residual jumps from +1 straight to -1: the predicate can never hold
-        value, bracketed, predicate = _bisect_root(
+        value, bracketed, predicate = oracle._bisect_root(
             lambda v: 1.0 if v < 0.37 else -1.0, 1e-4, 60
         )
         assert bracketed and not predicate
@@ -250,15 +246,15 @@ class TestDualAscent:
         nu = [0.0] * cset.n_rows
         coef = (-d).tolist()
         for m in range(cset.n_rows):
-            value, _, predicate = _bisect_root(
-                _row_residual(coef, terms[m], nu[m], gamma[m], 0.5),
+            value, _, predicate = oracle._bisect_root(
+                lambda t: _row_residual(coef, terms[m], t - nu[m], gamma[m], 0.5),
                 cfg.eps2,
                 cfg.max_bisect_iters,
             )
             for i, col, _ in terms[m]:
                 coef[i] += (value - nu[m]) * col
             nu[m] = value
-            resid = _row_residual(coef, terms[m], nu[m], gamma[m], 0.5)(nu[m])
+            resid = _row_residual(coef, terms[m], 0.0, gamma[m], 0.5)
             if nu[m] == 0.0:
                 assert resid <= 0.0
             elif predicate:
@@ -463,7 +459,7 @@ def probe_rows(draw):
     coef = coef.tolist()
     kind = draw(st.sampled_from(["root", "root", "root", "slack", "unbracketable"]))
     if kind == "root":
-        gamma = -_row_residual(coef, terms, nu_m, 0.0, amp)(root)
+        gamma = -_row_residual(coef, terms, root - nu_m, 0.0, amp)
     elif kind == "slack":
         gamma = -amp * float(np.abs(h).sum()) - 1.0
     else:
@@ -498,25 +494,27 @@ class TestDualAscentParity:
     # the example budget comes from the hypothesis profile (conftest.py)
     @settings(deadline=None, derandomize=True)
     @given(row=probe_rows())
-    def test_seeded_probe_matches_plain_probe(self, row):
+    def test_update_multiplier_matches_listing(self, row):
         coef, terms, nu_m, gamma, amp, eps2, max_iters = row
-        calls = []
-        plain = _row_residual(coef, terms, nu_m, gamma, amp)
-
-        def counted(nu_trial):
-            calls.append(nu_trial)
-            return plain(nu_trial)
-
-        evals = [0]
         # the rounding bound dual_ascent_sweep passes for this row
         row_abs = sum(abs(h) for _, _, h in terms)
         slack = 16 * len(terms) * np.finfo(float).eps * (abs(gamma) + amp * row_abs)
-        seeded = _seeded_probe(counted, nu_m, eps2, slack, evals)
-        value, bracketed, predicate = _bisect_root(seeded, eps2, max_iters)
-        ref = _bisect_root(plain, eps2, max_iters)
-        assert (value, bracketed, predicate) == ref
+        calls = []
+
+        def counted(coef, terms, delta, gamma, amp):
+            calls.append(delta)
+            return _row_residual(coef, terms, delta, gamma, amp)
+
+        with mock.patch("dfrcwave.solver._row_residual", counted):
+            value, bracketed, evals = _update_multiplier(
+                coef, terms, nu_m, gamma, amp, eps2, slack, max_iters
+            )
+        ref = oracle._bisect_root(
+            lambda t: _row_residual(coef, terms, t - nu_m, gamma, amp), eps2, max_iters
+        )
+        assert (value, bracketed) == ref[:2]
         assert math.copysign(1.0, value) == math.copysign(1.0, ref[0])
-        assert evals[0] == len(calls)
+        assert evals == len(calls)
 
 
 def _restoration_miss():
@@ -676,6 +674,24 @@ class TestMMSolve:
         b = mm_solve(scene, None, Weights(1.0, 2.0, 2.0), cfg)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.objective_trace, b.objective_trace)
+
+    def test_zero_channel_warns_for_its_rows(self):
+        # user 1 has a zero channel and a positive QoS target; the
+        # strict-feasibility pre-check flags exactly its rows, m % K == 1
+        setup = CommSetup(
+            channels=np.array([[1.0, 0.5j, -0.3], [0.0, 0.0, 0.0]]),
+            symbols=draw_symbols(2, 4, 4, 6),
+            gamma=np.full(2, 2.0),
+            sigma2=0.01,
+            m_points=4,
+        )
+        scene = make_scene(n_tx=3, block_len=4, max_lag=2)
+        cfg = SolverConfig(seed=1, max_outer_iters=3)
+        state = mm_solve(scene, setup, Weights(1.0, 2.0, 2.0), cfg)
+        flagged = [
+            int(w.split(":")[0].split()[1]) for w in state.warnings if "not strictly feasible" in w
+        ]
+        assert flagged == list(range(1, 2 * 2 * 4, 2))
 
     def test_infeasible_qos_downgrades_to_warning(self, rng):
         # gigantic QoS target: the strict-feasibility pre-check must fail
