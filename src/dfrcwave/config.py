@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from dfrcwave.comm import CommSetup, draw_channels, draw_symbols
+from dfrcwave.majorize import lag_weights
 from dfrcwave.model import (
     AngleGrid,
     ArrayGeometry,
@@ -134,7 +135,23 @@ def config_from_file(path) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
-    """All precondition violations, each as one human-readable line."""
+    """All precondition violations, each as one human-readable line.
+
+    Once every field is valid, the scene and weights are built as
+    ``build_problem`` builds them, so a config that they reject (no grid
+    angle inside a beam, no active cost term) is reported here too.
+    """
+    bad = _field_violations(config)
+    if not bad:
+        try:
+            _scene_and_weights(config)
+        except ValueError as exc:
+            bad.append(str(exc))
+    return bad
+
+
+def _field_violations(config: ExperimentConfig) -> list[str]:
+    """Violations of the rules on single fields and field pairs."""
     bad: list[str] = []
     c = config
     for name, kind in _FIELD_KINDS.items():
@@ -197,6 +214,22 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     return bad
 
 
+def _scene_and_weights(config: ExperimentConfig) -> tuple[RadarScene, Weights]:
+    """Radar scene and cost weights of a config whose fields are valid.
+
+    Raises ValueError when the desired pattern has no positive value or
+    no cost term is active (``lag_weights``).
+    """
+    geometry = ArrayGeometry(n_tx=config.n_tx, spacing=config.spacing)
+    grid = AngleGrid.uniform(config.grid_start_deg, config.grid_stop_deg, config.grid_step_deg)
+    desired = rectangular_pattern(grid, config.target_angles_deg, config.beam_width_deg)
+    targets = TargetSet(np.asarray(config.target_angles_deg, dtype=float), config.max_lag)
+    scene = build_scene(geometry, grid, desired, targets, config.block_len)
+    weights = Weights(config.w_bp, config.w_ac, config.w_cc)
+    lag_weights(scene, weights)
+    return scene, weights
+
+
 @dataclass(frozen=True)
 class Problem:
     """Everything mm_solve needs, built deterministically from one config."""
@@ -216,15 +249,13 @@ def build_problem(config: ExperimentConfig) -> Problem:
     initialization are spawned from the master seed, so one config + seed
     pins the whole trajectory.
     """
-    violations = validate_config(config)
+    violations = _field_violations(config)
     if violations:
         raise ConfigError("; ".join(violations))
-    geometry = ArrayGeometry(n_tx=config.n_tx, spacing=config.spacing)
-    grid = AngleGrid.uniform(config.grid_start_deg, config.grid_stop_deg, config.grid_step_deg)
-    desired = rectangular_pattern(grid, config.target_angles_deg, config.beam_width_deg)
-    targets = TargetSet(np.asarray(config.target_angles_deg, dtype=float), config.max_lag)
-    scene = build_scene(geometry, grid, desired, targets, config.block_len)
-    weights = Weights(config.w_bp, config.w_ac, config.w_cc)
+    try:
+        scene, weights = _scene_and_weights(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     solver = SolverConfig(
         eps1=config.eps1,
         eps2=config.eps2,

@@ -33,17 +33,21 @@ from dfrcwave.model import Weights
 from dfrcwave.radar import RadarKernels, RadarScene, radar_kernels
 
 
-def _lag_weights(scene: RadarScene, weights: Weights) -> np.ndarray:
+def lag_weights(scene: RadarScene, weights: Weights) -> np.ndarray:
     """Psi weight of each D_{tau,q,q'} for tau = 0 .. P-1, shape (P, Q, Q).
 
+    The scene's ISL masks at tau >= 0, weighted by w_ac and w_cc.
     D_{tau,q,q'} sits at lag -tau. The terms at lag +tau are its Hermitian
     transposes D_{-tau,q',q} with the same weights, so this lower half of
-    the lags determines Psi.
+    the lags determines Psi. Raises ValueError when no cost term is active:
+    w_bp is zero, and so is every weight at a lag below the block length
+    (lags tau >= L have no room).
     """
-    own = np.eye(scene.targets.n_targets, dtype=bool)
-    per_pair = np.where(own, weights.w_ac, weights.w_cc)
-    w = np.repeat(per_pair[None], scene.targets.max_lag, axis=0)
-    w[0][own] = 0.0  # a target's lag-0 self-correlation is its peak, not a sidelobe
+    p = scene.targets.max_lag
+    ac, cc = scene.isl_masks
+    w = weights.w_ac * ac[p - 1 :] + weights.w_cc * cc[p - 1 :]
+    if not (weights.w_bp > 0 or w[: scene.block_len].any()):
+        raise ValueError("no active cost terms: all usable weights are zero")
     return w
 
 
@@ -83,7 +87,7 @@ def _lower_band(blocks: np.ndarray, block_len: int) -> np.ndarray:
 def _lag_grams(scene: RadarScene, w_bp: float, lag_w: np.ndarray) -> np.ndarray:
     """(L - tau) G_{-tau} for the lags -tau, tau = 0 .. min(P, L) - 1.
 
-    ``lag_w`` holds the correlation-term weights of ``_lag_weights``.
+    ``lag_w`` holds the correlation-term weights of ``lag_weights``.
     Returns shape (T, N_T^2, N_T^2), with factors vectorized row-major. Lag
     -tau holds the D_{tau,q,q'} (and, at lag 0, the B_u); lag +tau mirrors
     it with the same spectrum and transposed row sums.
@@ -96,8 +100,6 @@ def _lag_grams(scene: RadarScene, w_bp: float, lag_w: np.ndarray) -> np.ndarray:
     lag_w = lag_w.reshape(scene.targets.max_lag, -1)
     bp = scene.c_factors.reshape(-1, n_tx * n_tx)
     bp_w = np.full(bp.shape[0], float(w_bp))
-    if not (bp_w.any() or lag_w[:length].any()):
-        raise ValueError("no active cost terms: all usable weights are zero")
     grams = []
     for tau in range(min(scene.targets.max_lag, length)):
         vecs, coeffs = pair, lag_w[tau]
@@ -112,8 +114,8 @@ class MajorizerContext:
     """Per-problem majorizer data: E (diagonal kind) or lambda_Psi (eigen kind).
 
     Phi is rebuilt every iteration from the scene's Kronecker factors and
-    the correlation-term weights ``lag_weights`` (shape (P, Q, Q), from
-    ``_lag_weights``), so those are the only other things kept.
+    the correlation-term weights ``lag_weights`` (shape (P, Q, Q), from the
+    function of that name), so those are the only other things kept.
     """
 
     kind: str
@@ -137,7 +139,7 @@ def build_majorizer_context(
     kind = str(getattr(kind, "value", kind))
     if kind not in ("diagonal", "max_eigen"):
         raise ValueError(f"unknown majorizer kind {kind!r}")
-    lag_w = _lag_weights(scene, weights)
+    lag_w = lag_weights(scene, weights)
     lag_w.setflags(write=False)
     grams = _lag_grams(scene, weights.w_bp, lag_w)
     e_mat = lam = None

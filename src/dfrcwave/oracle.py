@@ -9,15 +9,17 @@ kernel Psi is materialized densely (capped at N <= PSI_CAP, else
 ``psi_top_eigenvalue`` and ``dense_phi`` reach Psi through its rank-one
 terms instead, which stays practical up to about N = 100. The reference
 checks live here too: ``diagonal_upper_bound`` (the row-sum bound on a
-checked Hermitian matrix) and ``geometric_ci_check`` (the decision-region
-form of the CI condition).
+checked Hermitian matrix), ``geometric_ci_check`` (the decision-region
+form of the CI condition) and ``monte_carlo_ser`` (symbol error rates
+simulated over the noisy downlink, a physical check of the CI rows that
+reads neither them nor their thresholds).
 
 ``reference_dual_ascent`` keeps an earlier probe formulation of the dual
 coordinate ascent (multipliers in a numpy vector, per-probe indexing and
 ``float()`` conversion) and runs the plain bisection listing
 (``_bisect_root``) on every probe, with no seeds and no skipped blocks, so
 tests can hold ``solver.dual_ascent_sweep`` to it bit for bit. It shares
-only the closed-form recovery and the restoration with the solver.
+only the closed form x(nu) with the solver.
 """
 
 from __future__ import annotations
@@ -296,6 +298,30 @@ def geometric_ci_check(
     return bool((v.real - need) * np.tan(lam) - abs(v.imag) >= -tol)
 
 
+def monte_carlo_ser(x, setup: CommSetup, trials: int, seed) -> np.ndarray:
+    """Per-user symbol error rate of design x over the noisy downlink, simulated.
+
+    Symbol l of user k is sent ``trials`` times: the user receives
+    y = h_k^H x_l + n with n ~ CN(0, sigma^2), x_l being the n_tx entries of
+    symbol block l, and detects the nearest point of the M-PSK
+    constellation that holds its symbol s_kl. Returns the fraction of
+    wrong detections per user, shape (K,).
+    """
+    k_users, n_tx = setup.channels.shape
+    blocks = np.asarray(x).reshape(-1, n_tx)
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(setup.sigma2 / 2.0)  # per real dimension
+    turns = np.exp(2j * np.pi * np.arange(setup.m_points) / setup.m_points)
+    errors = np.zeros(k_users)
+    for k in range(k_users):
+        for ell, s in enumerate(setup.symbols[k]):
+            noise = scale * (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
+            y = np.vdot(setup.channels[k], blocks[ell]) + noise
+            nearest = np.abs(y[:, None] - s * turns).argmin(axis=1)  # 0 is s itself
+            errors[k] += np.count_nonzero(nearest)
+    return errors / (trials * setup.block_len)
+
+
 def phase_bruteforce(
     d: np.ndarray,
     h_tilde_weighted: np.ndarray,
@@ -392,14 +418,13 @@ def reference_dual_ascent(
     constraints: CIConstraintSet,
     cfg: SolverConfig,
     p_total: float,
-    x_ref=None,
 ) -> solver.DualAscentResult:
     """``solver.dual_ascent_sweep`` with the probe loop it had over a numpy ``nu``.
 
     Each probe indexes the multiplier out of the numpy vector, converts the
     step with ``float()`` and walks row m's (conj h, h) pairs from its
-    block start; sweeps, stopping rules and restoration are as in the
-    solver.
+    block start; sweeps and stopping rules are as in the solver, and x is
+    x(nu), unrepaired.
     """
     n_tx = constraints.n_tx
     amp = math.sqrt(p_total / n_tx)
@@ -456,11 +481,6 @@ def reference_dual_ascent(
                 converged = True
                 break
         prev = g_hat
-    restored = False
-    feasible = True
-    if ci_margin(x, constraints).min() < 0:
-        x, feasible = solver._restore_feasibility(x, d, constraints, amp, x_ref=x_ref)
-        restored = True
     return solver.DualAscentResult(
         nu=nu,
         x=x,
@@ -468,6 +488,5 @@ def reference_dual_ascent(
         bisection_evals=evals_total,
         converged=converged,
         bracket_failures=tuple(sorted(bracket_bad)),
-        restored=restored,
-        feasible_exit=feasible,
+        restored=bool(resid.max() > 0),
     )

@@ -86,11 +86,12 @@ class RadarScene:
         return idx
 
     @functools.cached_property
-    def _isl_masks(self) -> tuple[np.ndarray, np.ndarray]:
+    def isl_masks(self) -> tuple[np.ndarray, np.ndarray]:
         """Boolean masks over the (2P-1, Q, Q) correlation stack, built once per scene.
 
         The first selects the autocorrelation sidelobes (q = q', tau != 0),
-        the second the cross-correlations (q != q', every lag).
+        the second the cross-correlations (q != q', every lag): the one
+        account of which correlation terms each ISL weight covers.
         """
         p, q_n = self.targets.max_lag, self.targets.n_targets
         own = np.eye(q_n, dtype=bool)
@@ -249,5 +250,5 @@ def objective_terms(x, scene: RadarScene) -> ObjectiveTerms:
     kernels = radar_kernels(x, scene)
     g_bp = float(np.sum(kernels.beta**2))
     chi = np.abs(kernels.corr) ** 2
-    ac, cc = scene._isl_masks
+    ac, cc = scene.isl_masks
     return ObjectiveTerms((g_bp, float(chi[ac].sum()), float(chi[cc].sum())), kernels)

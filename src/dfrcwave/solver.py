@@ -19,9 +19,9 @@ multipliers all kept their values skips the next sweep.
 
 Every CI row touches one symbol block, and ``CIConstraintSet`` stores the
 rows as an (L, 2K, n_tx) stack, so products with the rows and feasibility
-repairs work block by block. A recovery that lands on an infeasible kink
-is restored one violated block at a time, trying starts lazily in a fixed
-order (``_restore_feasibility``).
+repairs work block by block. ``mm_solve`` owns both repairs of x(nu): one
+on an infeasible kink is restored one violated block at a time, trying
+starts lazily in a fixed order (``_restore_feasibility``), and
 ``polish_feasible`` is the monotone fallback of the MM loop: coordinate
 rounds over the n_tx entries, each one phase search batched over all L
 blocks, that never increase Re{x^H d} and never leave the feasible set.
@@ -354,8 +354,7 @@ class DualAscentResult:
     bisection_evals: int
     converged: bool
     bracket_failures: tuple[int, ...]
-    restored: bool = False
-    feasible_exit: bool = True
+    restored: bool
 
 
 def dual_ascent_sweep(
@@ -364,7 +363,6 @@ def dual_ascent_sweep(
     constraints: CIConstraintSet,
     cfg: SolverConfig,
     p_total: float,
-    x_ref: Optional[np.ndarray] = None,
 ) -> DualAscentResult:
     """Coordinate ascent over all 2KL multipliers for one fixed d.
 
@@ -373,9 +371,11 @@ def dual_ascent_sweep(
     leaves every multiplier unchanged, or ``DEFAULT_MAX_SWEEPS`` is hit.
     A row update folds its step into its block's coefficients; each sweep
     ends by rebuilding sum_m nu_m h~_m - d from nu (no rounding drift),
-    the one product x(nu), g^ and the restoration check are read from.
+    the one product x(nu) and g^ are read from.
     A block whose multipliers all kept their values skips the next sweep, which
-    would repeat it exactly. Rejects a non-finite ``nu`` or ``d``.
+    would repeat it exactly. Rejects a non-finite ``nu`` or ``d``. Returns
+    x(nu) unrepaired, bitwise ``solve_inner(res.nu, ...)``; ``restored``
+    flags that it violates a CI row.
     """
     nu_arr, d = np.array(nu, dtype=float), np.asarray(d)
     if nu_arr.shape != (constraints.n_rows,):
@@ -429,10 +429,6 @@ def dual_ascent_sweep(
                 converged = True
                 break
         prev = g_hat
-    restored = bool(margins.min() < 0)
-    feasible = True
-    if restored:
-        x, feasible = _restore_feasibility(x, d, constraints, amp, x_ref=x_ref)
     return DualAscentResult(
         nu=nu_arr,
         x=x,
@@ -440,8 +436,7 @@ def dual_ascent_sweep(
         bisection_evals=evals,
         converged=converged,
         bracket_failures=tuple(sorted(bracket_bad)),
-        restored=restored,
-        feasible_exit=feasible,
+        restored=bool(margins.min() < 0),
     )
 
 
@@ -452,7 +447,7 @@ class IterationRecord(NamedTuple):
     the step was accepted); ``dual_sweeps`` and ``bisection_evals`` are the
     dual ascent's work (0 in radar-only mode) and ``sweep_cap_hit`` marks a
     dual ascent stopped by the sweep cap; ``restored`` and
-    ``feasible_exit`` say whether its recovery needed restoration and
+    ``feasible_exit`` say whether its x(nu) needed restoration and
     whether that left every block feasible; ``polish_step`` marks a step
     taken by the polish fallback, ``rejected`` the candidate rejected for
     ascent, which ends the run.
@@ -478,10 +473,11 @@ class SolverState:
     """Final iterate plus traces and termination diagnostics.
 
     ``iterations`` holds one :class:`IterationRecord` per outer iteration
-    and is the only account of the run: the counters below are its column
-    sums. ``restorations`` counts dual recoveries that needed feasibility
-    restoration, ``restore_failures`` those whose restoration left a block
-    infeasible (including ones the polish fallback then replaced),
+    and is the only account of the run: ``objective_trace`` is its accepted
+    rows' objectives and the counters below are its column sums.
+    ``restorations`` counts dual recoveries whose x(nu) needed restoration,
+    ``restore_failures`` those whose restoration left a block infeasible
+    (including ones the polish fallback then replaced),
     ``sweep_cap_hits`` dual ascents that stopped at the sweep cap,
     ``polish_steps`` steps taken by the polish fallback and
     ``rejected_steps`` steps rejected for ascent. ``final_terms`` are the
@@ -491,7 +487,6 @@ class SolverState:
 
     x: np.ndarray
     nu: Optional[np.ndarray]
-    objective_trace: np.ndarray
     termination: Termination
     warnings: tuple[str, ...]
     final_terms: tuple[float, float, float]
@@ -499,6 +494,9 @@ class SolverState:
     kkt_residual: Optional[float]
     iterations: tuple[IterationRecord, ...]
 
+    objective_trace = property(
+        lambda self: np.array([r.objective for r in self.iterations if not r.rejected])
+    )
     outer_iterations = property(lambda self: len(self.iterations))
     dual_sweeps = _column_total("dual_sweeps")
     bisection_steps = _column_total("bisection_evals")
@@ -530,9 +528,10 @@ def mm_solve(
     unconstrained closed form in radar-only mode), and re-evaluates the
     true objective for the trace and the stopping rule.
 
-    The inner solve is tolerance-limited, so in dfrc mode the accepted step
-    is safeguarded: once the iterate is feasible, a dual candidate that
-    fails to descend the linear surrogate is replaced by a
+    In dfrc mode the dual step's x(nu) is restored here when it violates a
+    CI row, and the accepted step is safeguarded (the inner solve is
+    tolerance-limited): once the iterate is feasible, a candidate that is
+    infeasible or fails to descend the linear surrogate is replaced by a
     feasibility-preserving polish of the previous iterate, which descends
     by construction and keeps the trace monotone. Convergence is declared
     only on dual-accepted steps so the reported multipliers belong to the
@@ -576,7 +575,6 @@ def mm_solve(
         if not np.abs(np.abs(x) - amp).max() <= MODULUS_TOL * max(1.0, amp):  # NaN fails
             raise ValueError("x0 is not constant-modulus at the required amplitude")
 
-    trace: list[float] = []
     records: list[IterationRecord] = []
     bracket_bad: set[int] = set()
     g_prev = math.inf
@@ -587,31 +585,31 @@ def mm_solve(
 
     for t in range(1, cfg.max_outer_iters + 1):
         d = build_d(x, build_phi(x, ctx, kernels), ctx)
-        new_feasible = True
+        restore_ok = True
         dual_step = True
         res = None
         if cfg.mode == SolveMode.RADAR_ONLY:
             x_new = _closed_form(-d, amp)
         else:
-            res = dual_ascent_sweep(
-                nu, d, cset, cfg, p_total, x_ref=x if prev_feasible else None
-            )
+            res = dual_ascent_sweep(nu, d, cset, cfg, p_total)
             nu = res.nu
             bracket_bad.update(res.bracket_failures)
             x_new = res.x
-            new_feasible = res.feasible_exit
+            if res.restored:
+                x_new, restore_ok = _restore_feasibility(
+                    x_new, d, cset, amp, x_ref=x if prev_feasible else None
+                )
             if prev_feasible:
                 # monotone safeguard: the accepted candidate must not increase
                 # the linear surrogate relative to the previous feasible
                 # iterate, which the dual recovery can do on kink iterations
                 gbar_prev = float((x.conj() @ d).real)
                 gbar_dual = float((x_new.conj() @ d).real)
-                if not (new_feasible and gbar_dual <= gbar_prev):
+                if not (restore_ok and gbar_dual <= gbar_prev):
                     x_pol = polish_feasible(x, d, cset, amp)
                     gbar_pol = float((x_pol.conj() @ d).real)
-                    if not (new_feasible and gbar_dual <= gbar_pol):
+                    if not (restore_ok and gbar_dual <= gbar_pol):
                         x_new = x_pol
-                        new_feasible = True
                         dual_step = False
         terms = objective_terms(x_new, scene)
         g_new = weights.cost(terms)
@@ -626,7 +624,7 @@ def mm_solve(
             bisection_evals=0 if res is None else res.bisection_evals,
             sweep_cap_hit=res is not None and not res.converged,
             restored=res is not None and res.restored,
-            feasible_exit=res is None or res.feasible_exit,
+            feasible_exit=restore_ok,
             polish_step=not dual_step,
             rejected=rejected_step,
         ))
@@ -638,10 +636,9 @@ def mm_solve(
             termination = Termination.CONVERGED
             break
         x, final_terms, kernels = x_new, terms, terms.kernels
-        prev_feasible = new_feasible
+        prev_feasible = restore_ok or not dual_step  # a polish step stays feasible
         if nu is not None:
             nu_state = nu.copy()
-        trace.append(g_new)
         # declare convergence only on dual-accepted steps so the reported
         # multipliers describe the final iterate (polish steps are rescues)
         if math.isfinite(g_prev) and g_new <= g_prev and dual_step:
@@ -658,7 +655,6 @@ def mm_solve(
     state = SolverState(
         x=x,
         nu=nu_state,
-        objective_trace=np.asarray(trace),
         termination=termination,
         warnings=(),
         final_terms=tuple(float(v) for v in final_terms),

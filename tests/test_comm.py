@@ -15,7 +15,8 @@ from dfrcwave.comm import (
     draw_channels,
     draw_symbols,
 )
-from dfrcwave.solver import _weighted_rows, solve_inner
+from dfrcwave.config import ExperimentConfig, build_problem
+from dfrcwave.solver import Termination, _weighted_rows, mm_solve, solve_inner
 
 
 def make_setup(rng, k_users=2, n_tx=4, block_len=3, m_points=4, gamma=2.0, sigma2=0.01):
@@ -336,3 +337,56 @@ class TestGeometricEquivalence:
         # BPSK: only the real part matters
         assert oracle.geometric_ci_check(np.array([0.2 + 5j]), h, 1.0, gamma, sigma, 2)
         assert not oracle.geometric_ci_check(np.array([0.05 + 0.0j]), h, 1.0, gamma, sigma, 2)
+
+
+def _q(z: float) -> float:
+    """Gaussian tail probability Q(z)."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def ser_bound(gamma_db: float, m_points: int) -> float:
+    """SER bound of a design whose every CI margin is >= 0.
+
+    Each noiseless received symbol then lies at least sigma sqrt(gamma)
+    sin(pi/M) from both edges of its decision cone, and the noise reaches
+    past one edge with probability Q(sqrt(2 gamma) sin(pi/M)); the two
+    edges are one line for BPSK. gamma is converted from dB here.
+    """
+    gamma = 10.0 ** (gamma_db / 10.0)
+    if m_points == 2:
+        return _q(math.sqrt(2.0 * gamma))
+    return 2.0 * _q(math.sqrt(2.0 * gamma) * math.sin(math.pi / m_points))
+
+
+class TestMonteCarloSER:
+    """Symbol error rates simulated over the noisy downlink, an independent
+    check of the CI rows' conventions (sigma, dB, the cos term's sign)."""
+
+    TRIALS = 20_000
+
+    def allowed(self, gamma_db, m_points, block_len):
+        """The bound plus 4 binomial standard errors over TRIALS * L symbols."""
+        bound = ser_bound(gamma_db, m_points)
+        return bound + 4.0 * math.sqrt(bound * (1.0 - bound) / (self.TRIALS * block_len))
+
+    @pytest.mark.parametrize(
+        "seed, gamma_db, m_psk", [(0, 6.0, 4), (1, 10.0, 8), (2, 0.0, 2)]
+    )
+    def test_converged_designs_meet_the_bound(self, seed, gamma_db, m_psk):
+        config = ExperimentConfig.desk_preset(seed=seed, gamma_db=(gamma_db,), m_psk=m_psk)
+        problem = build_problem(config)
+        state = mm_solve(
+            problem.scene, problem.comm, problem.weights, problem.solver,
+            x0=problem.x0, p_total=problem.p_total,
+        )
+        assert state.termination == Termination.CONVERGED
+        assert state.final_margins.min() >= 0.0
+        ser = oracle.monte_carlo_ser(state.x, problem.comm, self.TRIALS, seed=0)
+        assert ser.max() <= self.allowed(gamma_db, m_psk, config.block_len)
+
+    def test_random_start_misses_the_bound(self):
+        # negative control: the random starting point has no QoS guarantee
+        config = ExperimentConfig.desk_preset()
+        problem = build_problem(config)
+        ser = oracle.monte_carlo_ser(problem.x0, problem.comm, self.TRIALS, seed=0)
+        assert ser.min() > self.allowed(config.gamma_db[0], config.m_psk, config.block_len)

@@ -71,6 +71,22 @@ class TestParsing:
             parse_config_text("seed = 0\nn_tx = 4\nseed = 3\n")
 
 
+#: Configs whose fields are each valid but that no design can serve, with the
+#: reason build_problem gives: no grid angle inside a beam, or no cost term left.
+UNSERVABLE = {
+    "target outside the grid": (
+        "target_angles_deg = [200]\nmax_lag = 2\n", "desired pattern"),
+    "grid step wider than the grid": (
+        "grid_step_deg = 400\nmax_lag = 2\n", "desired pattern"),
+    "cross-correlation weight with one target": (
+        "w_bp = 0\nw_ac = 0\nw_cc = 1\ntarget_angles_deg = [0]\nmax_lag = 2\n",
+        "no active cost terms"),
+    "autocorrelation weight without a sidelobe lag": (
+        "w_bp = 0\nw_ac = 1\nw_cc = 0\nmax_lag = 1\n", "no active cost terms"),
+}
+SMALL_HEADER = "n_tx = 2\nblock_len = 3\nk_users = 1\nmax_outer_iters = 3\n"
+
+
 class TestValidation:
     def test_desk_preset_is_clean(self):
         assert validate_config(ExperimentConfig.desk_preset()) == []
@@ -105,6 +121,13 @@ class TestValidation:
         key = line.split()[0]
         report = validate_config(parse_config_text(line + "\n"))
         assert any(entry.startswith(f"{key} ") and "finite" in entry for entry in report)
+
+    @pytest.mark.parametrize("text, reason", UNSERVABLE.values(), ids=UNSERVABLE)
+    def test_unservable_config_rejected(self, text, reason):
+        config = parse_config_text(SMALL_HEADER + text)
+        assert any(reason in line for line in validate_config(config))
+        with pytest.raises(ConfigError, match=reason):
+            build_problem(config)
 
     def test_gamma_broadcast(self):
         cfg = ExperimentConfig.desk_preset()
@@ -253,6 +276,17 @@ class TestCLI:
         path.write_text(TINY_CONFIG.replace("[3.0]", "[nan]"), encoding="utf-8")
         assert cli.main(["validate", str(path)]) == 1
         assert "gamma_db entries must be finite" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, reason", UNSERVABLE.values(), ids=UNSERVABLE)
+    def test_validate_and_run_agree(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "unservable.cfg"
+        path.write_text(SMALL_HEADER + text, encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 1
+        assert reason in capsys.readouterr().out
+        for command in ("run", "compare-majorizers"):
+            code = cli.main([command, str(path), "--output-root", str(tmp_path)])
+            assert code == 1
+            assert f"config error: {reason}" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "nope.cfg")]) == 1

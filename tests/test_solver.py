@@ -32,6 +32,7 @@ from dfrcwave.model import (
 )
 from dfrcwave.radar import build_scene
 from dfrcwave.solver import (
+    _SEED_RHO,
     Termination,
     _bank_units,
     _restore_feasibility,
@@ -66,6 +67,15 @@ def counted_evaluations():
 
     with mock.patch("dfrcwave.solver._row_residual", counting):
         yield blocks
+
+
+def repaired_dual_exit(cset, d):
+    """x(nu) of a dual ascent from nu = 0 at p_total = 1, repaired as mm_solve
+    repairs it before a feasible iterate exists. Returns (x, feasible)."""
+    res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0)
+    if not res.restored:
+        return res.x, True
+    return _restore_feasibility(res.x, d, cset, math.sqrt(1.0 / cset.n_tx))
 
 
 class TestSolveInner:
@@ -260,6 +270,23 @@ class TestDualAscent:
             elif predicate:
                 assert -cfg.eps2 < resid < 0.0
 
+    def test_dual_step_returns_unrepaired_closed_form(self, rng):
+        # x(nu) violates a CI row here; restoration belongs to mm_solve, so
+        # neither the dual ascent nor its reference may reach it
+        _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=3)
+        d = 2.0 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
+        nu0 = np.zeros(cset.n_rows)
+        cfg = SolverConfig()
+        with mock.patch(
+            "dfrcwave.solver._restore_feasibility",
+            side_effect=AssertionError("the dual step ran restoration"),
+        ):
+            res = dual_ascent_sweep(nu0, d, cset, cfg, 1.0)
+            ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0)
+        assert res.restored and ref.restored
+        assert ci_margin(res.x, cset).min() < 0
+        assert res.x.tobytes() == solve_inner(res.nu, d, cset, 1.0).tobytes() == ref.x.tobytes()
+
     def test_settled_block_is_not_probed_again(self):
         # block 0 is slack as in test_all_slack_terminates_in_one_sweep; d
         # turns block 1 against its rows, so its multipliers move and a
@@ -297,11 +324,11 @@ class TestPolish:
         amp = 0.5
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
         # start from a feasible point found by the dual machinery
-        res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0)
-        assert ci_margin(res.x, cset).min() >= 0.0
-        polished = polish_feasible(res.x, d, cset, amp)
+        x, _ = repaired_dual_exit(cset, d)
+        assert ci_margin(x, cset).min() >= 0.0
+        polished = polish_feasible(x, d, cset, amp)
         assert ci_margin(polished, cset).min() >= 0.0
-        assert (polished.conj() @ d).real <= (res.x.conj() @ d).real + 1e-12
+        assert (polished.conj() @ d).real <= (x.conj() @ d).real + 1e-12
 
 
 #: Slack for margins recomputed from the final x after a block-level repair:
@@ -332,9 +359,9 @@ def ci_instances(draw):
 
 
 def _feasible_start(cset, d):
-    res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0)
-    assume(res.feasible_exit and ci_margin(res.x, cset).min() >= 0.0)
-    return res.x
+    x, feasible = repaired_dual_exit(cset, d)
+    assume(feasible and ci_margin(x, cset).min() >= 0.0)
+    return x
 
 
 class TestFeasibilityProperties:
@@ -436,6 +463,12 @@ def probe_rows(draw):
     drawn nu >= 0; gamma puts the root at a drawn point, and nu_m sits at,
     just off, at a seed's distance from or far from it (or at 0). Some rows
     are slack at 0 and some cannot be bracketed.
+
+    A "flat" row pins the seeds' rounding slack: every line crosses 0 below
+    the lower seed, so from there on x(nu) is aligned with the row and r is
+    flat, at exactly -eps2 or 0 in exact arithmetic. Rounding scatters r
+    across that threshold from probe to probe, so a seed certificate without
+    its slack fixes a sign that a later probe of the listing contradicts.
     """
     n_tx = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -457,8 +490,17 @@ def probe_rows(draw):
     coef[free] = rng.standard_normal(free.sum()) + 1j * rng.standard_normal(free.sum())
     terms = [(i, hi.conjugate(), hi) for i, hi in enumerate(h.tolist())]
     coef = coef.tolist()
-    kind = draw(st.sampled_from(["root", "root", "root", "slack", "unbracketable"]))
-    if kind == "root":
+    kind = draw(st.sampled_from(["root", "root", "root", "slack", "unbracketable", "flat"]))
+    if kind == "flat":
+        nu_m = draw(st.sampled_from([0.3, 1.0, 7.5]))
+        seed = nu_m * (1.0 - _SEED_RHO)
+        coef = ((nu_m - seed * rng.uniform(0.0, 1.0, n_tx)) * h.conj()).tolist()
+        level = draw(st.sampled_from([-eps2, 0.0]))
+        # r(seed) lands on the threshold, or one rounding unit below it
+        gamma = level - _row_residual(coef, terms, seed - nu_m, 0.0, amp)
+        if _row_residual(coef, terms, seed - nu_m, gamma, amp) > level:
+            gamma = math.nextafter(gamma, -math.inf)
+    elif kind == "root":
         gamma = -_row_residual(coef, terms, root - nu_m, 0.0, amp)
     elif kind == "slack":
         gamma = -amp * float(np.abs(h).sum()) - 1.0
@@ -478,13 +520,13 @@ class TestDualAscentParity:
         ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0)
         assert res.nu.tobytes() == ref.nu.tobytes()
         assert res.x.tobytes() == ref.x.tobytes()
+        # the dual step returns the closed form x(nu), unrepaired
+        assert res.x.tobytes() == solve_inner(res.nu, d, cset, 1.0).tobytes()
         assert (res.sweeps, res.bracket_failures) == (ref.sweeps, ref.bracket_failures)
         # evaluations made, not the reference's probe count: seeds and skipped
         # blocks change it, and it may exceed the reference's
         assert res.bisection_evals == len(blocks)
-        assert (res.converged, res.restored, res.feasible_exit) == (
-            ref.converged, ref.restored, ref.feasible_exit
-        )
+        assert (res.converged, res.restored) == (ref.converged, ref.restored)
         if setup.gamma[-1] > 0 and not setup.channels[-1].any():
             # the dead user's rows (r = half*K + K - 1 in every block) never bracket
             k_users = setup.k_users
