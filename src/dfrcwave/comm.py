@@ -106,7 +106,8 @@ class CIConstraintSet:
     ``rows[l, r]`` (shape (L, 2K, n_tx)) holds the block-l entries of h~_m^H
     and ``thresholds[l, r]`` (shape (L, 2K)) Gamma_m, for r = half*K + k and
     m = (2l + half) K + k: flattening (l, r) gives the canonical row order
-    of margins and multipliers. ``row_scalars`` is a view built once per set.
+    of margins and multipliers. ``row_scalars`` and ``row_abs_sums`` are
+    built once per set.
     """
 
     rows: np.ndarray
@@ -127,6 +128,15 @@ class CIConstraintSet:
     @property
     def n(self) -> int:
         return self.rows.shape[0] * self.n_tx
+
+    @functools.cached_property
+    def row_abs_sums(self) -> np.ndarray:
+        """sum_n |h~_{m,n}| of each row, shape (L, 2K), read-only.
+
+        amp times it is a row's margin at full phase alignment (the nu_m -> inf
+        limit) and bounds the rounding of its residuals.
+        """
+        return _frozen_array(np.abs(self.rows).sum(axis=2), dtype=float)
 
     @functools.cached_property
     def row_scalars(self) -> tuple[list, list]:

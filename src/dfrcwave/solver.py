@@ -13,9 +13,13 @@ n_tx entries change), never from a stale x, by ``_row_residual``: Python
 complex arithmetic over Python lists (the running coefficient vector and
 the row's (index, conj h, h) triples that ``CIConstraintSet.row_scalars``
 caches). A sweep evaluates only the probes whose outcome is not already
-fixed, so every result stays bitwise that of probing everything: two seeds
-around a warm multiplier fix the signs outside them, and a block whose
-multipliers all kept their values skips the next sweep.
+fixed, so every result stays bitwise that of probing everything. A warm
+multiplier is seeded at its own value, a probe the listing reuses, and at
+the ends of the dyadic bracket the listing last returned it from; relative
+seeds cover a side still open, and each seed fixes the signs beyond it. A
+row at 0 whose margin, from the numpy tail of the sweep before, clears a
+rounding bound stays at 0 unprobed while its block is unchanged, and a
+block whose multipliers all kept their values skips the next sweep.
 
 Every CI row touches one symbol block, and ``CIConstraintSet`` stores the
 rows as an (L, 2K, n_tx) stack, so products with the rows and feasibility
@@ -50,8 +54,8 @@ from dfrcwave.radar import RadarScene, objective_terms
 
 #: Cap on coordinate-ascent sweeps within one MM iteration.
 DEFAULT_MAX_SWEEPS = 200
-#: Relative offset of the seed probes around a warm multiplier (on desk seeds
-#: 0-1, 0.05 / 0.1 / 0.2 took 210k / 201k / 211k residual evaluations).
+#: Relative offset of the seeds on a side of a warm multiplier still open (on
+#: desk seeds 0-1, 0.05 / 0.1 / 0.2 take 136k / 127k / 125k residual evaluations).
 _SEED_RHO = 0.1
 
 
@@ -106,26 +110,53 @@ def _row_residual(coef: list, terms: list, delta: float, gamma: float, amp: floa
     return gamma - amp * acc
 
 
+def _lowest_bit(v: float) -> float:
+    """Weight of the lowest set mantissa bit of v > 0: v is an odd multiple of it."""
+    num, den = v.as_integer_ratio()  # in lowest terms, den a power of two
+    return (num & -num) / den
+
+
 def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, slack, max_iters):
     """One multiplier update as the bisection listing makes it on r(t) = gbar_m.
 
     r is non-increasing in t (a partial supergradient of the concave dual), so
-    seeds s = nu_m (1 -/+ rho), for nu_m > 0, fix signs: r(s) > slack fixes
-    r > 0 on [0, s], r(s) <= -eps2 - slack fixes r <= -eps2 on [s, inf). A
-    probe of fixed sign takes its branch unevaluated and never meets the stop
-    rule, so the result is the listing's on r. Returns (value, bracketed,
-    evaluations made); ``oracle._bisect_root`` is the listing itself.
+    a seed s fixes signs: r(s) > slack fixes r > 0 on [0, s], and
+    r(s) <= -eps2 - slack fixes r <= -eps2 on [s, inf). A probe of fixed
+    sign takes its branch unevaluated and never meets the stop rule, so the
+    result is the listing's on r. A warm nu_m = v > 0 is seeded at v itself
+    first, a probe the listing makes on its way back to v, which then reuses
+    r(v). If r(v) fixes nothing, the seeds are v -/+ w, w being v's lowest
+    mantissa bit: the listing's midpoints are dyadic, so when it returned v
+    its last bracket was [v - w, v + w] and every earlier probe lay outside
+    it. The relative seeds v (1 -/+ rho) cover a side still open beyond
+    those. Returns (value, bracketed, evaluations made);
+    ``oracle._bisect_root`` is the listing itself.
     """
     pos_upto, neg_from, evals = -math.inf, math.inf, 0
+    at_nu = r_nu = math.nan  # NaN equals no probe: a cold row reuses nothing
     if nu_m > 0.0:
-        for seed in (nu_m * (1.0 - _SEED_RHO), nu_m * (1.0 + _SEED_RHO)):
-            evals += 1
-            r = _row_residual(coef, terms, seed - nu_m, gamma, amp)
-            if r > slack:
-                pos_upto = seed
-            elif r <= -eps2 - slack:
-                neg_from = seed
-                break  # the upper seed is fixed too
+        at_nu, evals = nu_m, 1
+        r_nu = _row_residual(coef, terms, 0.0, gamma, amp)
+        if r_nu > slack:
+            pos_upto = nu_m
+            seeds = (nu_m * (1.0 + _SEED_RHO),)
+        elif r_nu <= -eps2 - slack:
+            neg_from = nu_m
+            seeds = (nu_m * (1.0 - _SEED_RHO),)
+        else:
+            w = _lowest_bit(nu_m)
+            seeds = (nu_m - w, nu_m + w)
+            if w < _SEED_RHO * nu_m:
+                seeds += (nu_m * (1.0 - _SEED_RHO), nu_m * (1.0 + _SEED_RHO))
+        for seed in seeds:
+            # a seed inside the known-sign interval, away from the listing's own r(0)
+            if pos_upto < seed < neg_from and seed > 0.0:
+                evals += 1
+                r = _row_residual(coef, terms, seed - nu_m, gamma, amp)
+                if r > slack:
+                    pos_upto = seed
+                elif r <= -eps2 - slack:
+                    neg_from = seed
     # the seeds are positive, so r(0) can only be fixed positive
     if pos_upto < 0.0:
         evals += 1
@@ -134,8 +165,12 @@ def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, slack, max_iters):
     hi, doubles = 1.0, 0
     while hi < neg_from:
         if hi > pos_upto:
-            evals += 1
-            if not _row_residual(coef, terms, hi - nu_m, gamma, amp) > 0:
+            if hi == at_nu:
+                r = r_nu
+            else:
+                evals += 1
+                r = _row_residual(coef, terms, hi - nu_m, gamma, amp)
+            if not r > 0:
                 break
         if doubles >= max_iters:
             return hi, False, evals
@@ -150,8 +185,11 @@ def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, slack, max_iters):
         elif mid >= neg_from:
             hi = mid
         else:
-            evals += 1
-            r = _row_residual(coef, terms, mid - nu_m, gamma, amp)
+            if mid == at_nu:
+                r = r_nu
+            else:
+                evals += 1
+                r = _row_residual(coef, terms, mid - nu_m, gamma, amp)
             if r > 0:
                 lo = mid
             else:
@@ -371,9 +409,11 @@ def dual_ascent_sweep(
     leaves every multiplier unchanged, or ``DEFAULT_MAX_SWEEPS`` is hit.
     A row update folds its step into its block's coefficients; each sweep
     ends by rebuilding sum_m nu_m h~_m - d from nu (no rounding drift),
-    the one product x(nu) and g^ are read from.
+    the one product x(nu) and g^ are read from, and the margins that clear
+    inactive rows in the next sweep (computed once more up front).
     A block whose multipliers all kept their values skips the next sweep, which
-    would repeat it exactly. Rejects a non-finite ``nu`` or ``d``. Returns
+    would repeat it exactly. Rejects a non-finite ``nu`` or ``d`` and a
+    negative ``nu``. Returns
     x(nu) unrepaired, bitwise ``solve_inner(res.nu, ...)``; ``restored``
     flags that it violates a CI row.
     """
@@ -382,15 +422,23 @@ def dual_ascent_sweep(
         raise ValueError("multiplier vector length mismatch")
     if not (np.isfinite(nu_arr).all() and np.isfinite(d).all()):
         raise ValueError("multipliers and d must be finite")
+    if not np.all(nu_arr >= 0):
+        raise ValueError("multipliers must be nonnegative")
     amp = math.sqrt(p_total / constraints.n_tx)
     terms, gamma = constraints.row_scalars
     per_block = constraints.rows.shape[1]
-    # a seed must clear its threshold by slack, a bound on a residual's rounding off a
-    # kink: rounding scatters a residual that is flat at the threshold across it
-    bound = np.abs(constraints.thresholds) + amp * np.abs(constraints.rows).sum(axis=2)
-    slack = (16 * constraints.n_tx * np.finfo(float).eps * bound).ravel().tolist()
+    # a certificate must clear its threshold by slack, a bound on a residual's rounding
+    # off a kink: rounding scatters a residual that is flat at the threshold across it
+    bound = np.abs(constraints.thresholds) + amp * constraints.row_abs_sums
+    slack = 16 * constraints.n_tx * np.finfo(float).eps * bound.ravel()
+    # an inactive row whose numpy margin at x(nu) clears both roundings, the margin's
+    # and its residual r(0)'s, keeps nu_m = 0 unprobed while its block is unchanged
+    clear_by = 2.0 * slack
+    slack = slack.tolist()
     nu = nu_arr.tolist()
-    coef = (_weighted_rows(constraints, nu_arr) - d).tolist()
+    coef_arr = _weighted_rows(constraints, nu_arr) - d
+    coef = coef_arr.tolist()
+    clear = (ci_margin(_closed_form(coef_arr, amp), constraints) > clear_by).tolist()
     bracket_bad: set[int] = set()
     evals = 0
     moving = [True] * constraints.rows.shape[0]
@@ -399,7 +447,10 @@ def dual_ascent_sweep(
     sweeps = 0
     while sweeps < DEFAULT_MAX_SWEEPS:
         nu_before = nu.copy()
+        moved = -1  # the last block whose coefficients a row update changed
         for m in np.flatnonzero(np.repeat(moving, per_block)).tolist():
+            if clear[m] and nu[m] == 0.0 and m // per_block != moved:
+                continue  # r(0) <= 0 for certain: the listing returns 0.0
             value, bracketed, made = _update_multiplier(
                 coef, terms[m], nu[m], gamma[m], amp, cfg.eps2, slack[m], cfg.max_bisect_iters
             )
@@ -411,6 +462,7 @@ def dual_ascent_sweep(
                 for i, col, _ in terms[m]:
                     coef[i] += delta * col
                 nu[m] = value
+                moved = m // per_block
         sweeps += 1
         nu_arr = np.array(nu)
         # a settled block's rows would repeat their results in the next sweep
@@ -419,6 +471,7 @@ def dual_ascent_sweep(
         coef = coef_arr.tolist()
         x = _closed_form(coef_arr, amp)
         margins = ci_margin(x, constraints)
+        clear = (margins > clear_by).tolist()
         g_hat = float((x.conj() @ d).real + nu_arr @ -margins)
         if nu == nu_before:
             converged = True
@@ -556,7 +609,7 @@ def mm_solve(
             )
         cset = build_ci_constraints(comm)
         # strict-feasibility pre-check: the nu_m -> inf limit of gbar_m must be < 0
-        limit_margin = amp * np.abs(cset.rows).sum(axis=2) - cset.thresholds
+        limit_margin = amp * cset.row_abs_sums - cset.thresholds
         for m in np.flatnonzero(limit_margin.ravel() <= 0):
             warnings.append(
                 f"constraint {m}: not strictly feasible even at full phase alignment"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import make_scene, random_cm
 from dfrcwave import oracle
 from dfrcwave.comm import (
+    CIConstraintSet,
     CommSetup,
     block_margins,
     build_ci_constraints,
@@ -38,6 +39,7 @@ from dfrcwave.solver import (
     _restore_feasibility,
     _row_residual,
     _update_multiplier,
+    _weighted_rows,
     dual_ascent_sweep,
     mm_solve,
     polish_feasible,
@@ -287,10 +289,11 @@ class TestDualAscent:
         assert ci_margin(res.x, cset).min() < 0
         assert res.x.tobytes() == solve_inner(res.nu, d, cset, 1.0).tobytes() == ref.x.tobytes()
 
-    def test_settled_block_is_not_probed_again(self):
-        # block 0 is slack as in test_all_slack_terminates_in_one_sweep; d
-        # turns block 1 against its rows, so its multipliers move and a
-        # second sweep runs, which must not evaluate block 0 again
+    @staticmethod
+    def _slack_and_moving_blocks():
+        """Block 0 slack by 0.46 at x(0), as in test_all_slack_terminates_in_one_sweep;
+        d turns block 1 against its rows, so its multipliers move and a second
+        sweep runs. Returns (cset, d)."""
         setup = CommSetup(
             channels=np.array([[1.0 + 0.0j, 0.0 + 0.0j]]),
             symbols=np.ones((1, 2), dtype=complex),
@@ -298,13 +301,41 @@ class TestDualAscent:
             sigma2=0.01,
             m_points=4,
         )
-        cset = build_ci_constraints(setup)
-        d = np.array([-1.0, -1.0, 1.0, 1.0], dtype=complex)
+        return build_ci_constraints(setup), np.array([-1.0, -1.0, 1.0, 1.0], dtype=complex)
+
+    def test_settled_block_is_not_probed_again(self):
+        # block 0 moved onto its thresholds at x(0) (margin 0, so the margins
+        # clear none of its rows): the second sweep must not evaluate it again
+        cset, d = self._slack_and_moving_blocks()
+        x0 = solve_inner(np.zeros(cset.n_rows), d, cset, 1.0)
+        thresholds = cset.thresholds.copy()
+        thresholds[0] = ci_margin(x0, CIConstraintSet(cset.rows, 0.0 * thresholds))[:2]
+        cset = CIConstraintSet(cset.rows, thresholds)
+        assert not ci_margin(x0, cset)[:2].any()
         with counted_evaluations() as blocks:
             res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0)
         assert res.sweeps >= 2 and res.nu[2:].any() and not res.nu[:2].any()
         assert blocks.count(0) == 2  # one residual(0) per row, first sweep only
         assert res.bisection_evals == len(blocks)
+
+    def test_inactive_rows_cleared_by_margins_are_not_probed(self):
+        # block 0's margins clear its rows, which keep nu = 0 without a
+        # residual evaluation; the result is the listing's
+        cset, d = self._slack_and_moving_blocks()
+        nu0, cfg = np.zeros(cset.n_rows), SolverConfig()
+        with counted_evaluations() as blocks:
+            res = dual_ascent_sweep(nu0, d, cset, cfg, 1.0)
+        ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0)
+        assert blocks.count(0) == 0 and blocks.count(1) > 0
+        assert res.nu.tobytes() == ref.nu.tobytes() and res.sweeps == ref.sweeps
+
+    def test_negative_multiplier_rejected(self, rng):
+        # every sign certificate assumes the listing searches t >= 0
+        _, cset = make_cset(rng)
+        nu0 = np.zeros(cset.n_rows)
+        nu0[1] = -0.5
+        with pytest.raises(ValueError, match="nonnegative"):
+            dual_ascent_sweep(nu0, np.ones(cset.n, dtype=complex), cset, SolverConfig(), 1.0)
 
     def test_leaves_nu0_untouched_and_keeps_modulus(self, rng):
         # the amplitude is sqrt(p_total / n_tx) of the constraint set's n_tx
@@ -423,6 +454,8 @@ def dual_instances(draw):
     d always has exact zeros, so from nu0 = 0 the probes meet vanishing
     coefficients (the phase-0 branch); a drawn "dead" user has a zero
     channel and a positive QoS target, so its rows cannot be bracketed.
+    An inactive row at the edge pins the rounding bound of the inactive-row
+    skip: a skip on its margin alone can contradict the listing's r(0).
     """
     n_tx = draw(st.integers(1, 4))
     length = draw(st.integers(1, 6))
@@ -451,6 +484,26 @@ def dual_instances(draw):
     nu0 = np.zeros(cset.n_rows)
     if warm:
         nu0 = rng.uniform(0.0, 3.0, cset.n_rows) * (rng.random(cset.n_rows) < 0.6)
+    if draw(st.booleans()) and channels[0].any():
+        # an inactive row at the edge: the first row of a block gets the threshold
+        # halfway between its numpy margin at x(nu0) and its residual r(0), which
+        # round differently, so its margin sits within the rounding bound; the
+        # block where numpy's side exceeds the residual's most is taken, so a skip
+        # without the bound would clear a row that the listing moves
+        firsts = np.arange(length) * cset.rows.shape[1]
+        nu0[firsts] = 0.0
+        aligned = ci_margin(
+            solve_inner(nu0, d, cset, 1.0), CIConstraintSet(cset.rows, 0.0 * cset.thresholds)
+        )[firsts]
+        terms = cset.row_scalars[0]
+        coef = (_weighted_rows(cset, nu0) - d).tolist()
+        residual_side = np.array(
+            [-_row_residual(coef, terms[m], 0.0, 0.0, math.sqrt(1.0 / n_tx)) for m in firsts]
+        )
+        pick = int(np.argmax(aligned - residual_side))
+        thresholds = cset.thresholds.copy().ravel()
+        thresholds[firsts[pick]] = 0.5 * (aligned[pick] + residual_side[pick])
+        cset = CIConstraintSet(cset.rows, thresholds.reshape(cset.thresholds.shape))
     return setup, cset, d, nu0, cfg
 
 
@@ -463,6 +516,10 @@ def probe_rows(draw):
     drawn nu >= 0; gamma puts the root at a drawn point, and nu_m sits at,
     just off, at a seed's distance from or far from it (or at 0). Some rows
     are slack at 0 and some cannot be bracketed.
+
+    A "warm" row starts from the listing's own output on a nudged copy of
+    the row (or from a power of two >= 1, or at a jump of r), so its
+    own-bracket seeds fire and the listing meets the reused probe r(nu_m).
 
     A "flat" row pins the seeds' rounding slack: every line crosses 0 below
     the lower seed, so from there on x(nu) is aligned with the row and r is
@@ -490,8 +547,32 @@ def probe_rows(draw):
     coef[free] = rng.standard_normal(free.sum()) + 1j * rng.standard_normal(free.sum())
     terms = [(i, hi.conjugate(), hi) for i, hi in enumerate(h.tolist())]
     coef = coef.tolist()
-    kind = draw(st.sampled_from(["root", "root", "root", "slack", "unbracketable", "flat"]))
-    if kind == "flat":
+    kind = draw(
+        st.sampled_from(["root", "root", "root", "slack", "unbracketable", "flat", "warm", "warm"])
+    )
+    if kind == "warm":
+        gamma = -_row_residual(coef, terms, root - nu_m, 0.0, amp)
+        start = draw(st.sampled_from(["listing", "listing", "power of two", "jump"]))
+        if start == "jump":
+            # every line vanishes at nu_m, where r jumps across the stop band and
+            # r(nu_m) sits inside it or just above it: the listing closes in on
+            # nu_m to the last bit
+            nu_m = nu_m or 0.3
+            coef = [0j] * n_tx
+            level = draw(st.sampled_from([-0.5, 0.5])) * eps2
+            gamma = level - _row_residual(coef, terms, 0.0, 0.0, amp)
+        else:
+            # nu_m moves to the listing's own output on the row with gamma nudged,
+            # or to a power of two >= 1, and coef with it as the solver moves it
+            nudged = gamma + draw(st.sampled_from([0.0, 1e-12, -1e-7, 1e-3]))
+            value = oracle._bisect_root(
+                lambda t: _row_residual(coef, terms, t - nu_m, nudged, amp), eps2, max_iters
+            )[0]
+            if start == "power of two":
+                value = draw(st.sampled_from([1.0, 4.0]))
+            coef = [c + (value - nu_m) * col for c, (_, col, _) in zip(coef, terms)]
+            nu_m = value
+    elif kind == "flat":
         nu_m = draw(st.sampled_from([0.3, 1.0, 7.5]))
         seed = nu_m * (1.0 - _SEED_RHO)
         coef = ((nu_m - seed * rng.uniform(0.0, 1.0, n_tx)) * h.conj()).tolist()
@@ -532,6 +613,40 @@ class TestDualAscentParity:
             k_users = setup.k_users
             dead = [m for m in range(cset.n_rows) if m % k_users == k_users - 1]
             assert set(dead) <= set(res.bracket_failures)
+
+    # the example budget comes from the hypothesis profile (conftest.py)
+    @settings(deadline=None, derandomize=True)
+    @given(inst=dual_instances())
+    def test_inactive_row_bound_covers_margin_rounding(self, inst):
+        # dual_ascent_sweep skips a row with nu_m = 0 whose numpy margin at x(nu)
+        # exceeds twice the seeds' slack; the margin must match -r(0), the
+        # listing's first probe, to within that bound
+        _, cset, d, nu0, _ = inst
+        amp = math.sqrt(1.0 / cset.n_tx)
+        margins = ci_margin(solve_inner(nu0, d, cset, 1.0), cset)
+        bound = np.abs(cset.thresholds) + amp * cset.row_abs_sums
+        clear_by = 2.0 * 16 * cset.n_tx * np.finfo(float).eps * bound.ravel()
+        terms, gamma = cset.row_scalars
+        coef = (_weighted_rows(cset, nu0) - d).tolist()
+        for m in range(cset.n_rows):
+            r0 = _row_residual(coef, terms[m], 0.0, gamma[m], amp)
+            assert abs(r0 + margins[m]) <= clear_by[m]
+
+    def test_mm_solve_matches_reference_dual_ascent_end_to_end(self):
+        # the full desk seed 0 solve, restorations and polish steps included:
+        # every iteration, multiplier and waveform bit is the plain listing's,
+        # and only the count of residual evaluations differs
+        state = desk_solve(seed=0)
+        with mock.patch("dfrcwave.solver.dual_ascent_sweep", oracle.reference_dual_ascent):
+            ref = desk_solve(seed=0)
+        assert (state.outer_iterations, state.restorations, state.polish_steps) == (648, 71, 8)
+        assert state.x.tobytes() == ref.x.tobytes()
+        assert state.nu.tobytes() == ref.nu.tobytes()
+        assert state.objective_trace.tobytes() == ref.objective_trace.tobytes()
+        assert [repr(r._replace(bisection_evals=0)) for r in state.iterations] == [
+            repr(r._replace(bisection_evals=0)) for r in ref.iterations
+        ]
+        assert state.bisection_steps < ref.bisection_steps
 
     # the example budget comes from the hypothesis profile (conftest.py)
     @settings(deadline=None, derandomize=True)
