@@ -161,16 +161,15 @@ def build_ci_constraints(setup: CommSetup) -> CIConstraintSet:
     lam = np.pi / setup.m_points
     sin_l, cos_l = np.sin(lam), np.cos(lam)
 
-    rows = np.empty((length, 2 * k_users, n_tx), dtype=complex)
-
+    factors = np.array([sin_l - 1j * cos_l, sin_l + 1j * cos_l])
     thresholds = setup.sigma2**0.5 * np.sqrt(setup.gamma) * sin_l
-    for ell in range(length):
-        for k in range(k_users):
-            # e^{-j angle(s)} == conj(s) for the unit-modulus symbols
-            rot = np.conj(setup.symbols[k, ell])
-            base = setup.channels[k].conj() * rot
-            for half, factor in enumerate((sin_l - 1j * cos_l, sin_l + 1j * cos_l)):
-                rows[ell, half * k_users + k] = base * factor
+    # rows[l, half, k] = conj(h_k) conj(s_kl) factor[half]; e^{-j angle(s)} == conj(s)
+    # for the unit-modulus symbols
+    rows = (
+        setup.channels.conj()[None, None]
+        * np.conj(setup.symbols).T[:, None, :, None]
+        * factors[:, None, None]
+    ).reshape(length, 2 * k_users, n_tx)
     return CIConstraintSet(rows=rows, thresholds=np.tile(thresholds, (length, 2)))
 
 

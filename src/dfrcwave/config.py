@@ -51,14 +51,14 @@ class ExperimentConfig:
     w_bp: float = 1.0
     w_ac: float = 2.0
     w_cc: float = 2.0
-    eps1: float = 1e-4
-    eps2: float = 1e-4
-    eps3: float = 3e-5
-    max_outer_iters: int = 5000
-    max_bisect_iters: int = 200
-    majorizer_kind: str = "diagonal"
-    mode: str = "dfrc"
-    seed: int = 0
+    eps1: float = SolverConfig.eps1
+    eps2: float = SolverConfig.eps2
+    eps3: float = SolverConfig.eps3
+    max_outer_iters: int = SolverConfig.max_outer_iters
+    max_bisect_iters: int = SolverConfig.max_bisect_iters
+    majorizer_kind: str = SolverConfig.majorizer_kind.value
+    mode: str = SolverConfig.mode.value
+    seed: int = SolverConfig.seed
     output_dir: str = "results"
 
     @classmethod
@@ -102,6 +102,7 @@ def _parse_value(raw: str, kind: type, key: str):
 
 
 _FIELD_KINDS = {f.name: f.type for f in fields(ExperimentConfig)}
+_SOLVER_FIELDS = tuple(f.name for f in fields(SolverConfig))  # once, not a tuple per call
 _KIND_MAP = {"int": int, "float": float, "str": str, "tuple": tuple}
 
 
@@ -256,16 +257,7 @@ def build_problem(config: ExperimentConfig) -> Problem:
         scene, weights = _scene_and_weights(config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    solver = SolverConfig(
-        eps1=config.eps1,
-        eps2=config.eps2,
-        eps3=config.eps3,
-        max_outer_iters=config.max_outer_iters,
-        max_bisect_iters=config.max_bisect_iters,
-        majorizer_kind=config.majorizer_kind,
-        mode=config.mode,
-        seed=config.seed,
-    )
+    solver = SolverConfig(**{name: getattr(config, name) for name in _SOLVER_FIELDS})
     chan_seed, sym_seed, x0_seed = np.random.SeedSequence(config.seed).spawn(3)
     gamma_lin = 10.0 ** (np.asarray(config.gamma_db_per_user, dtype=float) / 10.0)
     comm = CommSetup(

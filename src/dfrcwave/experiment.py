@@ -201,17 +201,19 @@ def iterations_to_within(trace: np.ndarray, frac: float = 0.05) -> int:
 def compare_majorizers(config: ExperimentConfig, base_dir=None) -> ExperimentResult:
     """Run both majorizer kinds on the identical instance and seed.
 
-    Writes convergence_diagonal.csv / convergence_max_eigen.csv plus a
-    side-by-side summary; the returned state is the diagonal run's, and the
-    returned warnings are both runs', each tagged with its kind.
+    The problem is built once; the runs differ only in the solver's
+    majorizer kind. Writes convergence_diagonal.csv /
+    convergence_max_eigen.csv plus a side-by-side summary; the returned
+    state is the diagonal run's, and the returned warnings are both runs',
+    each tagged with its kind.
     """
     outdir = _resolve_outdir(config, base_dir)
+    problem = build_problem(config)
     states: dict[str, SolverState] = {}
     comparison: dict[str, dict] = {}
     for kind in ("diagonal", "max_eigen"):
-        cfg_k = dataclasses.replace(config, majorizer_kind=kind)
-        problem = build_problem(cfg_k)
-        state = _run_solver(problem)
+        solver = dataclasses.replace(problem.solver, majorizer_kind=kind)
+        state = _run_solver(dataclasses.replace(problem, solver=solver))
         states[kind] = state
         _write_csv(
             outdir / f"convergence_{kind}.csv",

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from dfrcwave.model import Weights
+from dfrcwave.model import MajorizerKind, Weights
 from dfrcwave.radar import RadarKernels, RadarScene, radar_kernels
 
 
@@ -113,12 +113,15 @@ def _lag_grams(scene: RadarScene, w_bp: float, lag_w: np.ndarray) -> np.ndarray:
 class MajorizerContext:
     """Per-problem majorizer data: E (diagonal kind) or lambda_Psi (eigen kind).
 
-    Phi is rebuilt every iteration from the scene's Kronecker factors and
-    the correlation-term weights ``lag_weights`` (shape (P, Q, Q), from the
-    function of that name), so those are the only other things kept.
+    ``kind``, ``weights`` and ``scene`` are what the context was built
+    from; ``mm_solve`` rejects a context whose three differ from its own
+    (the scene compared by identity). Phi is rebuilt every iteration from
+    the scene's Kronecker factors and the correlation-term weights
+    ``lag_weights`` (shape (P, Q, Q), from the function of that name), so
+    those are the only other things kept.
     """
 
-    kind: str
+    kind: MajorizerKind
     weights: Weights
     scene: RadarScene
     lag_weights: np.ndarray
@@ -134,16 +137,15 @@ def build_majorizer_context(
     Diagonal kind: E = mat(|Psi| 1) is block-Toeplitz, with the block
     (L - |delta|) mat(|G_delta| 1) at lag delta, assembled as E_low + E_low^T
     from its lower band. Eigen kind: lambda_Psi is the largest
-    (L - |delta|) lambda_max(G_delta), clipped at zero.
+    (L - |delta|) lambda_max(G_delta), clipped at zero. ``kind`` is a
+    ``MajorizerKind`` or its value; any other raises ValueError.
     """
-    kind = str(getattr(kind, "value", kind))
-    if kind not in ("diagonal", "max_eigen"):
-        raise ValueError(f"unknown majorizer kind {kind!r}")
+    kind = MajorizerKind(kind)
     lag_w = lag_weights(scene, weights)
     lag_w.setflags(write=False)
     grams = _lag_grams(scene, weights.w_bp, lag_w)
     e_mat = lam = None
-    if kind == "diagonal":
+    if kind == MajorizerKind.DIAGONAL:
         n_tx = scene.geometry.n_tx
         blocks = np.abs(grams).sum(axis=2).reshape(-1, n_tx, n_tx)
         blocks[0] *= 0.5  # lag 0 is its own mirror image
@@ -194,7 +196,7 @@ def build_phi(
         blocks[0] += w.w_bp * (beta @ c_flat).reshape(n_tx, n_tx)
     blocks[0] *= 0.5  # lag 0 is its own mirror image
     sub = np.outer(x_t, 0.5 * x_t.conj())
-    sub *= ctx.e_mat if ctx.kind == "diagonal" else ctx.lambda_quartic
+    sub *= ctx.e_mat if ctx.kind == MajorizerKind.DIAGONAL else ctx.lambda_quartic
     half = _lower_band(blocks, scene.block_len)
     half -= sub
     phi = half + half.conj().T
@@ -214,7 +216,7 @@ def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> np.ndarr
     check.
     """
     x_t = np.asarray(x_t)
-    if ctx.kind == "diagonal":
+    if ctx.kind == MajorizerKind.DIAGONAL:
         bound = np.abs(phi).sum(axis=1)
     else:
         bound = float(np.linalg.eigvalsh(phi)[-1])

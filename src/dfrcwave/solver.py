@@ -62,7 +62,6 @@ _SEED_RHO = 0.1
 class Termination(str, enum.Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
-    INFEASIBLE_WARNING = "infeasible_warning"
 
 
 def _closed_form(coef: np.ndarray, amp: float) -> np.ndarray:
@@ -206,6 +205,8 @@ _RESTORE_REFINES = 2
 _RESTORE_ROUNDS = 8
 _RESTORE_BANK = 8192
 _RESTORE_BANK_SEED = 0x5EED
+#: Finishing rounds of a polish step, and of a block that restoration rescued.
+_POLISH_ROUNDS = 2
 
 
 def _grid_offsets() -> tuple[np.ndarray, ...]:
@@ -359,7 +360,7 @@ def _restore_feasibility(
             )
             if block_margins(xb, rows, gam).min() >= 0:
                 # cut objective damage while keeping the block feasible
-                xb_all[ell] = _block_rounds(xb, rows, gam, db, amp, 2)[0]
+                xb_all[ell] = _block_rounds(xb, rows, gam, db, amp, _POLISH_ROUNDS)[0]
                 break
         else:
             all_good = False
@@ -367,21 +368,23 @@ def _restore_feasibility(
 
 
 def polish_feasible(
-    x: np.ndarray, d: np.ndarray, constraints: CIConstraintSet, amp: float, rounds: int = 2
+    x: np.ndarray, d: np.ndarray, constraints: CIConstraintSet, amp: float
 ) -> np.ndarray:
     """Feasibility-preserving coordinate descent on Re{x^H d} from a feasible x.
 
-    Every accepted phase competes against the current one, so the result
-    never increases Re{x^H d} and never leaves the feasible set. Used as
-    the monotone fallback when the dual recovery fails to descend. The
-    blocks are independent and are polished together, one batched phase
-    search per entry.
+    Runs ``_POLISH_ROUNDS`` coordinate rounds, the finishing rounds that
+    restoration also gives a rescued block. Every accepted phase competes
+    against the current one, so the result never increases Re{x^H d} and
+    never leaves the feasible set.
+    Used as the monotone fallback when the dual recovery fails to descend.
+    The blocks are independent and are polished together, one batched
+    phase search per entry.
     """
     rows, gam = constraints.rows, constraints.thresholds
     shape = (rows.shape[0], rows.shape[2])
     xb = np.array(x, dtype=complex).reshape(shape)
     db = np.asarray(d).reshape(shape)
-    return _block_rounds(xb, rows, gam, db, amp, rounds).reshape(-1)
+    return _block_rounds(xb, rows, gam, db, amp, _POLISH_ROUNDS).reshape(-1)
 
 
 @dataclass
@@ -407,13 +410,12 @@ def dual_ascent_sweep(
     Sweeps in index order until the relative change of the dual value
     g^ = gbar(x(nu)) + sum_m nu_m gbar_m(x(nu)) drops below eps1, a sweep
     leaves every multiplier unchanged, or ``DEFAULT_MAX_SWEEPS`` is hit.
-    A row update folds its step into its block's coefficients; each sweep
-    ends by rebuilding sum_m nu_m h~_m - d from nu (no rounding drift),
-    the one product x(nu) and g^ are read from, and the margins that clear
-    inactive rows in the next sweep (computed once more up front).
-    A block whose multipliers all kept their values skips the next sweep, which
-    would repeat it exactly. Rejects a non-finite ``nu`` or ``d`` and a
-    negative ``nu``. Returns
+    A row update folds its step into its block's coefficients. One tail,
+    run up front and after every sweep, rebuilds sum_m nu_m h~_m - d from
+    nu (no rounding drift) and reads from it x(nu), the margins that clear
+    inactive rows in the next sweep, and g^. A block whose multipliers all
+    kept their values skips the next sweep, which would repeat it exactly.
+    Rejects a non-finite ``nu`` or ``d`` and a negative ``nu``. Returns
     x(nu) unrepaired, bitwise ``solve_inner(res.nu, ...)``; ``restored``
     flags that it violates a CI row.
     """
@@ -436,17 +438,25 @@ def dual_ascent_sweep(
     clear_by = 2.0 * slack
     slack = slack.tolist()
     nu = nu_arr.tolist()
-    coef_arr = _weighted_rows(constraints, nu_arr) - d
-    coef = coef_arr.tolist()
-    clear = (ci_margin(_closed_form(coef_arr, amp), constraints) > clear_by).tolist()
     bracket_bad: set[int] = set()
     evals = 0
-    moving = [True] * constraints.rows.shape[0]
+    moving = np.ones(constraints.rows.shape[0], dtype=bool)
     prev = math.inf
     converged = False
     sweeps = 0
-    while sweeps < DEFAULT_MAX_SWEEPS:
-        nu_before = nu.copy()
+    while True:
+        coef_arr = _weighted_rows(constraints, nu_arr) - d
+        coef = coef_arr.tolist()
+        x = _closed_form(coef_arr, amp)
+        margins = ci_margin(x, constraints)
+        clear = (margins > clear_by).tolist()
+        if sweeps:
+            g_hat = float((x.conj() @ d).real + nu_arr @ -margins)
+            change = abs(g_hat - prev) / (abs(prev) or 1.0)  # NaN after the first sweep
+            converged = not moving.any() or change < cfg.eps1
+            prev = g_hat
+        if converged or sweeps == DEFAULT_MAX_SWEEPS:
+            break
         moved = -1  # the last block whose coefficients a row update changed
         for m in np.flatnonzero(np.repeat(moving, per_block)).tolist():
             if clear[m] and nu[m] == 0.0 and m // per_block != moved:
@@ -464,24 +474,9 @@ def dual_ascent_sweep(
                 nu[m] = value
                 moved = m // per_block
         sweeps += 1
-        nu_arr = np.array(nu)
+        nu_before, nu_arr = nu_arr, np.array(nu)
         # a settled block's rows would repeat their results in the next sweep
         moving = (nu_arr != nu_before).reshape(-1, per_block).any(axis=1)
-        coef_arr = _weighted_rows(constraints, nu_arr) - d
-        coef = coef_arr.tolist()
-        x = _closed_form(coef_arr, amp)
-        margins = ci_margin(x, constraints)
-        clear = (margins > clear_by).tolist()
-        g_hat = float((x.conj() @ d).real + nu_arr @ -margins)
-        if nu == nu_before:
-            converged = True
-            break
-        if math.isfinite(prev):
-            denom = abs(prev) if prev != 0 else 1.0
-            if abs(g_hat - prev) / denom < cfg.eps1:
-                converged = True
-                break
-        prev = g_hat
     return DualAscentResult(
         nu=nu_arr,
         x=x,
@@ -581,15 +576,22 @@ def mm_solve(
     unconstrained closed form in radar-only mode), and re-evaluates the
     true objective for the trace and the stopping rule.
 
+    A passed ``ctx`` must have been built from this scene object, equal
+    weights and ``cfg.majorizer_kind``, else ValueError, as for a
+    non-finite or non-positive ``p_total``.
+
     In dfrc mode the dual step's x(nu) is restored here when it violates a
     CI row, and the accepted step is safeguarded (the inner solve is
     tolerance-limited): once the iterate is feasible, a candidate that is
     infeasible or fails to descend the linear surrogate is replaced by a
     feasibility-preserving polish of the previous iterate, which descends
-    by construction and keeps the trace monotone. Convergence is declared
-    only on dual-accepted steps so the reported multipliers belong to the
-    final iterate.
+    by construction and keeps the trace monotone. ``nu`` is the last
+    accepted step's dual result; convergence is declared only on
+    dual-accepted steps so it belongs to the final iterate.
+    ``termination`` says how the loop ended; what went wrong is in ``warnings``.
     """
+    if not (math.isfinite(p_total) and p_total > 0):
+        raise ValueError(f"p_total must be finite and > 0, got {p_total!r}")
     n_tx = scene.geometry.n_tx
     n = scene.n
     amp = math.sqrt(p_total / n_tx)
@@ -618,6 +620,8 @@ def mm_solve(
 
     if ctx is None:
         ctx = build_majorizer_context(scene, weights, cfg.majorizer_kind)
+    elif not (ctx.scene is scene and (ctx.weights, ctx.kind) == (weights, cfg.majorizer_kind)):
+        raise ValueError("ctx was built from another scene, other weights or another kind")
 
     if x0 is None:
         x = _default_x0(n, amp, cfg.seed)
@@ -633,7 +637,6 @@ def mm_solve(
     g_prev = math.inf
     prev_feasible = cfg.mode == SolveMode.RADAR_ONLY
     termination = Termination.MAX_ITERS
-    nu_state = None if nu is None else nu.copy()
     kernels = None  # radar kernels of the accepted x, from its objective_terms call
 
     for t in range(1, cfg.max_outer_iters + 1):
@@ -645,7 +648,6 @@ def mm_solve(
             x_new = _closed_form(-d, amp)
         else:
             res = dual_ascent_sweep(nu, d, cset, cfg, p_total)
-            nu = res.nu
             bracket_bad.update(res.bracket_failures)
             x_new = res.x
             if res.restored:
@@ -690,8 +692,8 @@ def mm_solve(
             break
         x, final_terms, kernels = x_new, terms, terms.kernels
         prev_feasible = restore_ok or not dual_step  # a polish step stays feasible
-        if nu is not None:
-            nu_state = nu.copy()
+        if res is not None:
+            nu = res.nu
         # declare convergence only on dual-accepted steps so the reported
         # multipliers describe the final iterate (polish steps are rescues)
         if math.isfinite(g_prev) and g_new <= g_prev and dual_step:
@@ -704,10 +706,10 @@ def mm_solve(
     margins = kkt = None
     if cset is not None:
         margins = ci_margin(x, cset)
-        kkt = float(np.max(np.minimum(nu_state, margins)))
+        kkt = float(np.max(np.minimum(nu, margins)))
     state = SolverState(
         x=x,
-        nu=nu_state,
+        nu=nu,
         termination=termination,
         warnings=(),
         final_terms=tuple(float(v) for v in final_terms),
@@ -724,7 +726,5 @@ def mm_solve(
             f"feasibility restoration failed in {state.restore_failures} iteration(s); "
             f"the returned design violates {int((margins < 0).sum())} CI constraint(s)"
         )
-    if warnings:
-        state.warnings = tuple(warnings)
-        state.termination = Termination.INFEASIBLE_WARNING
+    state.warnings = tuple(warnings)
     return state

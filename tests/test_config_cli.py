@@ -1,5 +1,6 @@
 """Config parsing/validation, experiment artifacts, and the CLI contract."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -244,6 +245,17 @@ class TestRunExperiment:
         assert (out / "convergence_max_eigen.csv").exists()
         summary = json.loads((out / "summary_compare.json").read_text())
         assert set(summary["comparison"]) == {"diagonal", "max_eigen"}
+
+    @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
+    def test_compare_traces_match_single_runs(self, tmp_path, kind):
+        cfg = parse_config_text(TINY_CONFIG + "mode = radar_only\n")
+        compared = compare_majorizers(cfg, base_dir=tmp_path / "cmp").artifact_dir
+        single = run_experiment(
+            dataclasses.replace(cfg, majorizer_kind=kind), base_dir=tmp_path / "one"
+        ).artifact_dir
+        assert (compared / f"convergence_{kind}.csv").read_bytes() == (
+            single / "convergence.csv"
+        ).read_bytes()
 
 
 class TestIterationsToWithin:

@@ -22,6 +22,7 @@ from dfrcwave.comm import (
     draw_symbols,
 )
 from dfrcwave.config import ExperimentConfig, build_problem
+from dfrcwave.majorize import build_majorizer_context
 from dfrcwave.model import (
     MODULUS_TOL,
     AngleGrid,
@@ -708,7 +709,7 @@ class TestRestorationMiss:
     @pytest.mark.xfail(
         strict=True,
         reason="the heuristic restoration starts miss this narrow feasible region; "
-        "a principled per-block fallback (ROADMAP item 3) should find it",
+        "a principled per-block fallback (ROADMAP item 6) should find it",
     )
     def test_restoration_finds_the_feasible_point(self):
         cset, d, x0, amp = _restoration_miss()
@@ -752,6 +753,37 @@ class TestMMSolve:
         cfg = SolverConfig(max_outer_iters=3)
         with pytest.raises(ValueError, match=r"\(2, 16\).*\(4, 8\)"):
             mm_solve(scene, comm, Weights(1.0, 1.0, 1.0), cfg)
+
+    @pytest.mark.parametrize("p_total", [0.0, -1.0, math.nan, math.inf])
+    def test_p_total_must_be_finite_and_positive(self, p_total):
+        scene = make_scene(n_tx=2, block_len=3, max_lag=2)
+        cfg = SolverConfig(mode="radar_only", max_outer_iters=3)
+        with pytest.raises(ValueError, match="p_total"):
+            mm_solve(scene, None, Weights(1.0, 0.0, 0.0), cfg, p_total=p_total)
+
+    @pytest.mark.parametrize(
+        "kind, weights, same_scene",
+        [("max_eigen", (1.0, 2.0, 2.0), True), ("diagonal", (1.0, 5.0, 5.0), True),
+         ("diagonal", (1.0, 2.0, 2.0), False)],
+        ids=["kind", "weights", "scene-object"],
+    )
+    def test_context_must_match_the_solve(self, kind, weights, same_scene):
+        scene = make_scene(n_tx=2, block_len=3, max_lag=2)
+        built_on = scene if same_scene else make_scene(n_tx=2, block_len=3, max_lag=2)
+        ctx = build_majorizer_context(built_on, Weights(*weights), kind)
+        cfg = SolverConfig(mode="radar_only", max_outer_iters=3)
+        with pytest.raises(ValueError, match="ctx was built from"):
+            mm_solve(scene, None, Weights(1.0, 2.0, 2.0), cfg, ctx=ctx)
+
+    def test_matching_context_is_used_as_is(self):
+        scene = make_scene(n_tx=2, block_len=3, max_lag=2)
+        w = Weights(1.0, 2.0, 2.0)
+        cfg = SolverConfig(mode="radar_only", majorizer_kind="max_eigen", max_outer_iters=20)
+        ctx = build_majorizer_context(scene, Weights(1.0, 2.0, 2.0), "max_eigen")
+        passed = mm_solve(scene, None, w, cfg, ctx=ctx)
+        built = mm_solve(scene, None, w, cfg)
+        assert passed.x.tobytes() == built.x.tobytes()
+        assert passed.iterations == built.iterations
 
     def test_x0_must_be_constant_modulus(self, rng):
         scene = make_scene(n_tx=2, block_len=3, max_lag=2)
@@ -862,7 +894,14 @@ class TestMMSolve:
         scene = make_scene(n_tx=3, block_len=4, max_lag=2)
         cfg = SolverConfig(seed=1, max_outer_iters=5)
         state = mm_solve(scene, setup, Weights(1.0, 2.0, 2.0), cfg)
-        assert state.termination == Termination.INFEASIBLE_WARNING
+        # the warnings leave the end reason alone: the flat trace converges at
+        # iteration 2, and a run cut at 1 iteration says max_iters
+        assert state.termination == Termination.CONVERGED
+        assert state.outer_iterations == 2
+        cut = mm_solve(
+            scene, setup, Weights(1.0, 2.0, 2.0), dataclasses.replace(cfg, max_outer_iters=1)
+        )
+        assert cut.termination == Termination.MAX_ITERS and cut.warnings
         assert any("strictly feasible" in w for w in state.warnings)
         # no iterate is ever feasible, so every dual recovery fails restoration
         assert state.restore_failures == state.restorations == state.outer_iterations
