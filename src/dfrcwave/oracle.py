@@ -19,7 +19,9 @@ coordinate ascent (multipliers in a numpy vector, per-probe indexing and
 ``float()`` conversion) and runs the plain bisection listing
 (``_bisect_root``) on every probe, with no seeds and no skipped blocks, so
 tests can hold ``solver.dual_ascent_sweep`` to it bit for bit. It shares
-only the closed form x(nu) with the solver.
+only the closed form x(nu) with the solver. ``_best_phase`` is the plain
+listing of the repairs' phase search, which ``solver._best_phase`` must
+match bit for bit; it shares only the solver's phase grid.
 """
 
 from __future__ import annotations
@@ -410,6 +412,52 @@ def _bisect_root(residual, eps2: float, max_iters: int):
         if r == 0.0 or abs(r + half_eps) < half_eps:
             return mid, True, True
     return hi, True, False
+
+
+def _best_phase(
+    base: np.ndarray,
+    col: np.ndarray,
+    d_n: np.ndarray,
+    amp: float,
+    phi_now: np.ndarray,
+) -> np.ndarray:
+    """Phase for entry n of each block in a batch, on a coarse grid with refinement.
+
+    The plain listing of ``solver._best_phase``, on the solver's grid
+    (``_COARSE_PHIS``, ``_COARSE_UNITS``, ``_GRID_OFFSETS``): each level
+    joins its candidates and the current phase with ``np.concatenate`` and
+    picks with ``np.where`` over both the argmin and the argmax.
+
+    ``base`` (B, R) holds each block's margins with entry n removed; a
+    candidate phase adds amp * Re{col e^{j phi}} to them. The current
+    phase ``phi_now`` competes at every level. Feasible candidates are
+    ranked by Re{x_n^* d_n}, so a block that is feasible stays feasible
+    and its objective contribution never increases; with none feasible,
+    the phase of largest minimum margin wins.
+    """
+    n_batch = base.shape[0]
+    batch = np.arange(n_batch)
+    now_phi = phi_now[:, None]
+    now_unit = np.exp(1j * now_phi)
+    grid = np.broadcast_to(solver._COARSE_PHIS, (n_batch, solver._COARSE_PHIS.size))
+    grid_units = np.broadcast_to(solver._COARSE_UNITS, grid.shape)
+    for level, offsets in enumerate(solver._GRID_OFFSETS):
+        if level:
+            grid = best[:, None] + offsets
+            grid_units = np.exp(1j * grid)
+        phis = np.concatenate([grid, now_phi], axis=1)
+        units = np.concatenate([grid_units, now_unit], axis=1)
+        # (B, R, C): the minimum over rows runs along a contiguous candidate axis
+        margins = base[:, :, None] + amp * np.real(col[:, :, None] * units[:, None, :])
+        min_margin = margins.min(axis=1)
+        feasible = min_margin >= 0
+        score = amp * np.real(units.conj() * d_n[:, None])
+        score[~feasible] = np.inf
+        pick = np.where(
+            feasible.any(axis=1), np.argmin(score, axis=1), np.argmax(min_margin, axis=1)
+        )
+        best = phis[batch, pick]
+    return best
 
 
 def reference_dual_ascent(

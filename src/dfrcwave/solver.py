@@ -29,6 +29,8 @@ starts lazily in a fixed order (``_restore_feasibility``), and
 ``polish_feasible`` is the monotone fallback of the MM loop: coordinate
 rounds over the n_tx entries, each one phase search batched over all L
 blocks, that never increase Re{x^H d} and never leave the feasible set.
+The phase search (``_best_phase``) writes each grid level's candidates
+into one (B, C+1) buffer per quantity, the current phase in the last column.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ DEFAULT_MAX_SWEEPS = 200
 #: Relative offset of the seeds on a side of a warm multiplier still open (on
 #: desk seeds 0-1, 0.05 / 0.1 / 0.2 take 136k / 127k / 125k residual evaluations).
 _SEED_RHO = 0.1
+_EPS = np.finfo(float).eps
 
 
 class Termination(str, enum.Enum):
@@ -66,13 +69,30 @@ class Termination(str, enum.Enum):
 
 def _closed_form(coef: np.ndarray, amp: float) -> np.ndarray:
     """amp * exp(j angle(coef)) entrywise, with phase 0 where coef vanishes (-0.0 too)."""
-    return amp * np.exp(1j * np.where(coef == 0, 0.0, np.angle(coef)))
+    return amp * np.exp(1j * np.where(coef == 0, 0.0, np.arctan2(coef.imag, coef.real)))
 
 
 def _weighted_rows(constraints: CIConstraintSet, nu: np.ndarray) -> np.ndarray:
     """sum_m nu_m h~_m as a length-N vector: one (1, 2K) x (2K, n_tx) product per block."""
     rows = constraints.rows
     return (nu.reshape(rows.shape[0], 1, -1) @ rows.conj()).reshape(-1)
+
+
+def _dual_inputs(nu, d, constraints: CIConstraintSet) -> tuple[np.ndarray, np.ndarray]:
+    """``nu`` as a float array and ``d`` as an array, checked.
+
+    Raises ValueError unless nu has shape (n_rows,), d has shape (n,), both
+    are finite and nu >= 0; numpy would broadcast a wrong-shaped d silently.
+    """
+    nu, d = np.asarray(nu, dtype=float), np.asarray(d)
+    if nu.shape != (constraints.n_rows,) or d.shape != (constraints.n,):
+        raise ValueError(
+            f"expected nu of shape ({constraints.n_rows},) and d of shape ({constraints.n},), "
+            f"got {nu.shape} and {d.shape}"
+        )
+    if not (np.isfinite(d).all() and 0.0 <= nu.min() and nu.max() < math.inf):  # NaN fails
+        raise ValueError("multipliers must be finite and nonnegative, d finite")
+    return nu, d
 
 
 def solve_inner(
@@ -82,11 +102,9 @@ def solve_inner(
 
     Returns sqrt(p_total/n_tx) * exp(j angle(sum_m nu_m h~_m - d)), n_tx
     being the constraint set's; entries where the coefficient vector
-    vanishes get phase 0.
+    vanishes get phase 0. ``nu`` must have shape (n_rows,) and ``d`` (n,).
     """
-    nu, d = np.asarray(nu, dtype=float), np.asarray(d)
-    if not (np.isfinite(nu).all() and np.isfinite(d).all() and np.all(nu >= 0)):
-        raise ValueError("multipliers must be finite and nonnegative, d finite")
+    nu, d = _dual_inputs(nu, d, constraints)
     amp = math.sqrt(p_total / constraints.n_tx)
     return _closed_form(_weighted_rows(constraints, nu) - d, amp)
 
@@ -243,29 +261,34 @@ def _best_phase(
     phase ``phi_now`` competes at every level. Feasible candidates are
     ranked by Re{x_n^* d_n}, so a block that is feasible stays feasible
     and its objective contribution never increases; with none feasible,
-    the phase of largest minimum margin wins.
+    the phase of largest minimum margin wins. ``oracle._best_phase`` is
+    the plain listing, which this matches bit for bit.
     """
     n_batch = base.shape[0]
     batch = np.arange(n_batch)
-    now_phi = phi_now[:, None]
-    now_unit = np.exp(1j * now_phi)
-    grid = np.broadcast_to(_COARSE_PHIS, (n_batch, _COARSE_PHIS.size))
-    grid_units = np.broadcast_to(_COARSE_UNITS, grid.shape)
+    base, col, d_conj = base[:, :, None], col[:, :, None], d_n.conj()[:, None]
+    # one (B, C+1) candidate buffer per quantity, the current phase in the last
+    # column; each refinement writes its C candidates just before that column
+    phis = np.empty((n_batch, _COARSE_PHIS.size + 1))
+    units = np.empty(phis.shape, dtype=complex)
+    phis[:, :-1], units[:, :-1] = _COARSE_PHIS, _COARSE_UNITS
+    phis[:, -1], units[:, -1] = phi_now, np.exp(1j * phi_now)
     for level, offsets in enumerate(_GRID_OFFSETS):
         if level:
-            grid = best[:, None] + offsets
-            grid_units = np.exp(1j * grid)
-        phis = np.concatenate([grid, now_phi], axis=1)
-        units = np.concatenate([grid_units, now_unit], axis=1)
+            phis, units = phis[:, -offsets.size - 1 :], units[:, -offsets.size - 1 :]
+            np.add(best[:, None], offsets, out=phis[:, :-1])
+            np.exp(1j * phis, out=units)
         # (B, R, C): the minimum over rows runs along a contiguous candidate axis
-        margins = base[:, :, None] + amp * np.real(col[:, :, None] * units[:, None, :])
-        min_margin = margins.min(axis=1)
+        margins = (col * units[:, None, :]).real * amp
+        margins += base
+        min_margin = np.minimum.reduce(margins, axis=1)
         feasible = min_margin >= 0
-        score = amp * np.real(units.conj() * d_n[:, None])
-        score[~feasible] = np.inf
-        pick = np.where(
-            feasible.any(axis=1), np.argmin(score, axis=1), np.argmax(min_margin, axis=1)
-        )
+        pick = np.where(feasible, (units * d_conj).real * amp, np.inf).argmin(axis=1)
+        # the argmin lands on an infeasible candidate only in a block with none feasible
+        found = feasible[batch, pick]
+        if np.count_nonzero(found) < n_batch:
+            stuck = ~found
+            pick[stuck] = min_margin[stuck].argmax(axis=1)
         best = phis[batch, pick]
     return best
 
@@ -289,9 +312,9 @@ def _block_rounds(
         if until_feasible and block_margins(xb, rows, gam).min() >= 0:
             break
         for n in range(xb.shape[1]):
-            col = rows[:, :, n]
-            base = block_margins(xb, rows, gam) - np.real(col * xb[:, n, None])
-            phi = _best_phase(base, col, db[:, n], amp, np.angle(xb[:, n]))
+            col, x_n = rows[:, :, n], xb[:, n]
+            base = block_margins(xb, rows, gam) - (col * x_n[:, None]).real
+            phi = _best_phase(base, col, db[:, n], amp, np.arctan2(x_n.imag, x_n.real))
             xb[:, n] = amp * np.exp(1j * phi)
     return xb
 
@@ -415,24 +438,20 @@ def dual_ascent_sweep(
     nu (no rounding drift) and reads from it x(nu), the margins that clear
     inactive rows in the next sweep, and g^. A block whose multipliers all
     kept their values skips the next sweep, which would repeat it exactly.
-    Rejects a non-finite ``nu`` or ``d`` and a negative ``nu``. Returns
-    x(nu) unrepaired, bitwise ``solve_inner(res.nu, ...)``; ``restored``
-    flags that it violates a CI row.
+    Rejects a ``nu`` or ``d`` of the wrong shape or not finite, and a
+    negative ``nu``, as ``solve_inner`` does. Returns x(nu) unrepaired,
+    bitwise ``solve_inner(res.nu, ...)``; ``restored`` flags that it
+    violates a CI row.
     """
-    nu_arr, d = np.array(nu, dtype=float), np.asarray(d)
-    if nu_arr.shape != (constraints.n_rows,):
-        raise ValueError("multiplier vector length mismatch")
-    if not (np.isfinite(nu_arr).all() and np.isfinite(d).all()):
-        raise ValueError("multipliers and d must be finite")
-    if not np.all(nu_arr >= 0):
-        raise ValueError("multipliers must be nonnegative")
-    amp = math.sqrt(p_total / constraints.n_tx)
+    nu_arr, d = _dual_inputs(nu, d, constraints)
+    rows, thresholds = constraints.rows, constraints.thresholds
+    n_blocks, per_block, n_tx = rows.shape
+    amp = math.sqrt(p_total / n_tx)
     terms, gamma = constraints.row_scalars
-    per_block = constraints.rows.shape[1]
+    eps2, max_iters = cfg.eps2, cfg.max_bisect_iters
     # a certificate must clear its threshold by slack, a bound on a residual's rounding
     # off a kink: rounding scatters a residual that is flat at the threshold across it
-    bound = np.abs(constraints.thresholds) + amp * constraints.row_abs_sums
-    slack = 16 * constraints.n_tx * np.finfo(float).eps * bound.ravel()
+    slack = 16 * n_tx * _EPS * (np.abs(thresholds) + amp * constraints.row_abs_sums).ravel()
     # an inactive row whose numpy margin at x(nu) clears both roundings, the margin's
     # and its residual r(0)'s, keeps nu_m = 0 unprobed while its block is unchanged
     clear_by = 2.0 * slack
@@ -440,7 +459,7 @@ def dual_ascent_sweep(
     nu = nu_arr.tolist()
     bracket_bad: set[int] = set()
     evals = 0
-    moving = np.ones(constraints.rows.shape[0], dtype=bool)
+    moving = range(n_blocks)  # the blocks whose rows the next sweep visits
     prev = math.inf
     converged = False
     sweeps = 0
@@ -448,35 +467,38 @@ def dual_ascent_sweep(
         coef_arr = _weighted_rows(constraints, nu_arr) - d
         coef = coef_arr.tolist()
         x = _closed_form(coef_arr, amp)
-        margins = ci_margin(x, constraints)
+        margins = block_margins(x.reshape(n_blocks, n_tx), rows, thresholds).reshape(-1)
         clear = (margins > clear_by).tolist()
         if sweeps:
-            g_hat = float((x.conj() @ d).real + nu_arr @ -margins)
+            g_hat = float((x.conj() @ d).real - nu_arr @ margins)
             change = abs(g_hat - prev) / (abs(prev) or 1.0)  # NaN after the first sweep
-            converged = not moving.any() or change < cfg.eps1
+            converged = not moving or change < cfg.eps1
             prev = g_hat
         if converged or sweeps == DEFAULT_MAX_SWEEPS:
             break
         moved = -1  # the last block whose coefficients a row update changed
-        for m in np.flatnonzero(np.repeat(moving, per_block)).tolist():
-            if clear[m] and nu[m] == 0.0 and m // per_block != moved:
-                continue  # r(0) <= 0 for certain: the listing returns 0.0
-            value, bracketed, made = _update_multiplier(
-                coef, terms[m], nu[m], gamma[m], amp, cfg.eps2, slack[m], cfg.max_bisect_iters
-            )
-            evals += made
-            if not bracketed:
-                bracket_bad.add(m)
-            delta = value - nu[m]
-            if delta != 0.0:
-                for i, col, _ in terms[m]:
-                    coef[i] += delta * col
-                nu[m] = value
-                moved = m // per_block
+        changed = []
+        for ell in moving:
+            for m in range(ell * per_block, (ell + 1) * per_block):
+                if clear[m] and nu[m] == 0.0 and ell != moved:
+                    continue  # r(0) <= 0 for certain: the listing returns 0.0
+                value, bracketed, made = _update_multiplier(
+                    coef, terms[m], nu[m], gamma[m], amp, eps2, slack[m], max_iters
+                )
+                evals += made
+                if not bracketed:
+                    bracket_bad.add(m)
+                delta = value - nu[m]
+                if delta != 0.0:
+                    for i, col, _ in terms[m]:
+                        coef[i] += delta * col
+                    nu[m] = value
+                    if ell != moved:
+                        moved = ell
+                        changed.append(ell)
         sweeps += 1
-        nu_before, nu_arr = nu_arr, np.array(nu)
         # a settled block's rows would repeat their results in the next sweep
-        moving = (nu_arr != nu_before).reshape(-1, per_block).any(axis=1)
+        nu_arr, moving = np.array(nu, dtype=float), changed
     return DualAscentResult(
         nu=nu_arr,
         x=x,

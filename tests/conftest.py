@@ -5,11 +5,13 @@ from hypothesis import settings
 from dfrcwave.model import AngleGrid, ArrayGeometry, TargetSet, Weights
 from dfrcwave.radar import build_scene, rectangular_pattern
 
-# a larger example budget for the dual-parity properties, which carry the
+# a larger example budget for the parity properties, which carry the
 # bitwise-parity argument of the dual ascent's certificates (seeded multiplier
-# updates, the reused probe r(v) and the inactive-row skip):
-#   pytest tests/test_solver.py -k TestDualAscentParity --hypothesis-profile=dual-parity
-settings.register_profile("dual-parity", max_examples=2000)
+# updates, the reused probe r(v) and the inactive-row skip) and of the
+# repairs' buffered phase search:
+#   pytest tests/test_solver.py -k "TestDualAscentParity or TestPhaseSearchParity" \
+#       --hypothesis-profile=parity
+settings.register_profile("parity", max_examples=2000)
 
 
 def make_scene(

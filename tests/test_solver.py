@@ -34,8 +34,12 @@ from dfrcwave.model import (
 )
 from dfrcwave.radar import build_scene
 from dfrcwave.solver import (
+    _COARSE_PHIS,
+    _COARSE_UNITS,
     _SEED_RHO,
     Termination,
+    _best_phase,
+    _closed_form,
     _bank_units,
     _restore_feasibility,
     _row_residual,
@@ -125,6 +129,54 @@ class TestSolveInner:
                 solve_inner(nu, d, cset, 1.0)
             else:
                 dual_ascent_sweep(nu, d, cset, SolverConfig(), 1.0)
+
+    @pytest.mark.parametrize("solve", ["solve_inner", "dual_ascent_sweep"])
+    @pytest.mark.parametrize("bad", ["d length 1", "d column", "d short", "nu column"])
+    def test_wrong_shape_rejected(self, rng, solve, bad):
+        # numpy would broadcast these: a length-1 d gave a length-n x, a column
+        # d an n x n array, and a column nu reshapes to the row stack's blocks
+        _, cset = make_cset(rng)
+        nu = np.zeros(cset.n_rows)
+        d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
+        if bad == "d length 1":
+            d = d[:1]
+        elif bad == "d column":
+            d = d[:, None]
+        elif bad == "d short":
+            d = d[:-1]
+        else:
+            nu = nu[:, None]
+        with pytest.raises(ValueError, match=r"expected nu of shape .* and d of shape"):
+            if solve == "solve_inner":
+                solve_inner(nu, d, cset, 1.0)
+            else:
+                dual_ascent_sweep(nu, d, cset, SolverConfig(), 1.0)
+
+    #: Real and imaginary parts at the edges of the closed form's phase: signed
+    #: zeros (angle 0, pi or -pi on the real axis), the smallest subnormal, and
+    #: magnitudes near overflow.
+    EDGE_PARTS = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        coef=st.lists(
+            st.builds(
+                complex,
+                st.sampled_from(EDGE_PARTS) | st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from(EDGE_PARTS) | st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        amp=st.sampled_from([1.0, 0.5, math.sqrt(1.0 / 3.0)]),
+    )
+    def test_closed_form_matches_angle_listing(self, coef, amp):
+        # _closed_form takes the phase with arctan2 on the parts; it must be
+        # bitwise the np.angle listing, zeros, signed zeros and +/-pi included
+        edges = [complex(a, b) for a in self.EDGE_PARTS for b in self.EDGE_PARTS]
+        coef = np.array(coef + edges)
+        listing = amp * np.exp(1j * np.where(coef == 0, 0.0, np.angle(coef)))
+        assert _closed_form(coef, amp).tobytes() == listing.tobytes()
 
     def test_no_small_phase_perturbation_improves(self, rng):
         # closed form is a per-entry argmin: +-1e-3 rad never lowers the Lagrangian
@@ -673,6 +725,99 @@ class TestDualAscentParity:
         assert (value, bracketed) == ref[:2]
         assert math.copysign(1.0, value) == math.copysign(1.0, ref[0])
         assert evals == len(calls)
+
+
+@st.composite
+def phase_searches(draw):
+    """Inputs (base, col, d_n, amp, phi_now) of one batched phase search.
+
+    B and R run 1-8. Each block is "loose" (feasible at most phases),
+    "tight" (every row needs its column nearly aligned, so few or no
+    phases are feasible), "infeasible" (one row falls short of its
+    threshold even at full alignment) or "edge": d_n favours a coarse
+    candidate at which one row's margin is exactly 0 as the listing rounds
+    it, so a margin that rounds differently moves the pick. A batch can be
+    all infeasible, or mix the kinds. phi_now sits anywhere, exactly on a
+    coarse grid phase (a tie with that grid column), or exactly pi, and
+    d_n can vanish in some or all blocks, where every score ties at zero.
+    """
+    n_batch = draw(st.integers(1, 8))
+    n_rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # amp = sqrt(1 / n_tx); a power of two scales exactly, the others round
+    amp = draw(st.sampled_from([0.5, 1.0, math.sqrt(1.0 / 3.0), math.sqrt(0.2)]))
+    col = rng.standard_normal((n_batch, n_rows)) + 1j * rng.standard_normal((n_batch, n_rows))
+    col[rng.random(col.shape) < 0.1] = 0.0
+    reach = amp * np.abs(col)  # a row's margin gain at full alignment
+    if draw(st.booleans()):
+        kinds = ["infeasible"] * n_batch
+    else:
+        kinds = draw(
+            st.lists(
+                st.sampled_from(["loose", "tight", "infeasible", "edge"]),
+                min_size=n_batch,
+                max_size=n_batch,
+            )
+        )
+    d_n = rng.standard_normal(n_batch) + 1j * rng.standard_normal(n_batch)
+    zero_d = draw(st.sampled_from(["none", "some", "all"]))
+    if zero_d == "all":
+        d_n[:] = 0.0
+    elif zero_d == "some":
+        d_n[rng.random(n_batch) < 0.5] = 0.0
+    # each row's margin gain at each coarse candidate, as the listing computes it
+    gains = amp * np.real(col[:, :, None] * _COARSE_UNITS[None, None, :])
+    base = np.empty((n_batch, n_rows))
+    for b, kind in enumerate(kinds):
+        if kind == "edge":
+            base[b] = reach[b]  # the other rows hold at every phase
+            k, r = rng.integers(_COARSE_PHIS.size), rng.integers(n_rows)
+            base[b, r] = -gains[b, r, k]
+            d_n[b] = -rng.uniform(0.5, 2.0) * np.exp(1j * _COARSE_PHIS[k])
+        elif kind == "loose":
+            base[b] = rng.uniform(-0.3, 1.0, n_rows) * reach[b]
+        elif kind == "tight":
+            base[b] = -rng.uniform(0.8, 1.0, n_rows) * reach[b]
+        else:
+            base[b] = rng.uniform(-1.0, 1.0, n_rows) * reach[b]
+            short = rng.integers(n_rows)
+            base[b, short] = -reach[b, short] - rng.uniform(1e-9, 1.0)
+    phi_now = rng.uniform(-np.pi, np.pi, n_batch)
+    on_grid = draw(st.sampled_from(["off", "coarse", "pi"]))
+    if on_grid == "coarse":
+        phi_now = _COARSE_PHIS[rng.integers(_COARSE_PHIS.size, size=n_batch)]
+    elif on_grid == "pi":
+        phi_now[:] = np.pi
+    return base, col, d_n, amp, phi_now
+
+
+class TestPhaseSearchParity:
+    # the example budget comes from the hypothesis profile (conftest.py)
+    @settings(deadline=None, derandomize=True)
+    @given(search=phase_searches())
+    def test_matches_listing_bitwise(self, search):
+        base, col, d_n, amp, phi_now = search
+        inputs = [np.copy(a) for a in (base, col, d_n)] + [amp, np.copy(phi_now)]
+        got = _best_phase(base, col, d_n, amp, phi_now)
+        ref = oracle._best_phase(*inputs)
+        assert got.shape == (base.shape[0],)
+        assert got.tobytes() == ref.tobytes()
+        # the inputs are left as they were
+        for before, after in zip(inputs, (base, col, d_n, amp, phi_now)):
+            assert np.asarray(before).tobytes() == np.asarray(after).tobytes()
+
+    def test_mm_solve_matches_phase_search_listing_end_to_end(self):
+        # the full desk seed 0 solve with both repairs, restoration (71 times)
+        # and the polish fallback (8 steps), run on the phase-search listing:
+        # every iteration, multiplier and waveform bit is the same
+        state = desk_solve(seed=0)
+        with mock.patch("dfrcwave.solver._best_phase", oracle._best_phase):
+            ref = desk_solve(seed=0)
+        assert (state.outer_iterations, state.restorations, state.polish_steps) == (648, 71, 8)
+        assert state.x.tobytes() == ref.x.tobytes()
+        assert state.nu.tobytes() == ref.nu.tobytes()
+        assert state.objective_trace.tobytes() == ref.objective_trace.tobytes()
+        assert state.iterations == ref.iterations
 
 
 def _restoration_miss():
