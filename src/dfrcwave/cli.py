@@ -55,9 +55,8 @@ def main(argv=None) -> int:
     if parse_error is not None:
         print(f"config error: {parse_error}", file=sys.stderr)
         return EXIT_CONFIG
-    violations = validate_config(config)
-
     if args.command == "validate":
+        violations = validate_config(config)
         if violations:
             for line in violations:
                 print(line)
@@ -65,14 +64,13 @@ def main(argv=None) -> int:
         print("ok")
         return EXIT_OK
 
-    if violations:
-        for line in violations:
-            print(f"config error: {line}", file=sys.stderr)
-        return EXIT_CONFIG
-
     runner = compare_majorizers if args.command == "compare-majorizers" else run_experiment
     try:
         result = runner(config, base_dir=args.output_root)
+    except ConfigError as exc:
+        for line in str(exc).splitlines():
+            print(f"config error: {line}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:  # surfaced as a runtime failure with exit code 2
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dfrcwave.model import _frozen_array
+from dfrcwave.model import _frozen_array, check_rules
 
 #: Tolerance for the unit-modulus / constellation-lattice symbol checks.
 SYMBOL_TOL = 1e-9
@@ -26,8 +26,10 @@ SYMBOL_TOL = 1e-9
 
 def draw_channels(k_users: int, n_tx: int, seed) -> np.ndarray:
     """Uncorrelated Rayleigh channels: i.i.d. CN(0, 1) entries, shape (K, n_tx)."""
-    if k_users < 1 or n_tx < 1:
-        raise ValueError("k_users and n_tx must be >= 1")
+    check_rules(
+        (k_users >= 1, "k_users must be >= 1, got {}", k_users),
+        (n_tx >= 1, "n_tx must be >= 1, got {}", n_tx),
+    )
     rng = np.random.default_rng(seed)
     shape = (k_users, n_tx)
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
@@ -35,8 +37,11 @@ def draw_channels(k_users: int, n_tx: int, seed) -> np.ndarray:
 
 def draw_symbols(k_users: int, block_len: int, m_points: int, seed) -> np.ndarray:
     """Uniform i.i.d. M-PSK codewords with phases 2 pi i / M, shape (K, block_len)."""
-    if m_points < 2:
-        raise ValueError(f"constellation size must be >= 2, got {m_points}")
+    check_rules(
+        (k_users >= 1, "k_users must be >= 1, got {}", k_users),
+        (block_len >= 1, "block_len must be >= 1, got {}", block_len),
+        (m_points >= 2, "m_psk, the constellation size, must be >= 2, got {}", m_points),
+    )
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, m_points, size=(k_users, block_len))
     return np.exp(2j * np.pi * idx / m_points)
@@ -63,25 +68,23 @@ class CommSetup:
         if ch.ndim != 2:
             raise ValueError("channels must be a K x n_tx matrix")
         k_users, n_tx = ch.shape
-        if k_users > n_tx:
-            raise ValueError(f"need K <= n_tx, got K={k_users}, n_tx={n_tx}")
         if sym.ndim != 2 or sym.shape[0] != k_users:
             raise ValueError(f"symbols must be K x L with K={k_users}, got {sym.shape}")
         if gam.shape != (k_users,):
             raise ValueError(f"gamma must have one entry per user, got shape {gam.shape}")
-        if not (np.isfinite(gam).all() and (gam >= 0).all()):
-            raise ValueError(f"gamma must be finite and nonnegative, got {gam}")
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
-        if self.m_points < 2:
-            raise ValueError(f"m_points must be >= 2, got {self.m_points}")
-        if np.abs(np.abs(sym) - 1.0).max() > SYMBOL_TOL:
-            raise ValueError("symbols must be unit modulus")
         # phases must sit on the M-PSK lattice (base or pi/M-rotated)
         steps = np.angle(sym) * self.m_points / (2 * np.pi)
-        off = np.abs(steps - np.round(steps * 2) / 2).max()
-        if off > SYMBOL_TOL:
-            raise ValueError("symbol phases are not multiples of pi/M")
+        check_rules(
+            (k_users <= n_tx, "k_users must be <= n_tx (need K <= n_tx, got K={}, n_tx={})",
+             k_users, n_tx),
+            (np.isfinite(gam).all() and (gam >= 0).all(),
+             "gamma must be finite and nonnegative, got {} (gamma_db = 10 log10 gamma)", gam),
+            (self.sigma2 > 0, "sigma2 must be > 0, got {}", self.sigma2),
+            (self.m_points >= 2, "m_points must be >= 2, got {}", self.m_points),
+            (np.abs(np.abs(sym) - 1.0).max() <= SYMBOL_TOL, "symbols must be unit modulus"),
+            (np.abs(steps - np.round(steps * 2) / 2).max() <= SYMBOL_TOL,
+             "symbol phases are not multiples of pi/M"),
+        )
         object.__setattr__(self, "channels", ch)
         object.__setattr__(self, "symbols", sym)
         object.__setattr__(self, "gamma", gam)

@@ -19,11 +19,11 @@ from dfrcwave.majorize import lag_weights
 from dfrcwave.model import (
     AngleGrid,
     ArrayGeometry,
-    MajorizerKind,
-    SolveMode,
     SolverConfig,
     TargetSet,
     Weights,
+    amplitude,
+    random_start,
 )
 from dfrcwave.radar import RadarScene, build_scene, rectangular_pattern
 
@@ -136,99 +136,34 @@ def config_from_file(path) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
-    """All precondition violations, each as one human-readable line.
+    """Every rule the config breaks, one line each: a dry run of ``build_problem``.
 
-    Once every field is valid, the scene and weights are built as
-    ``build_problem`` builds them, so a config that they reject (no grid
-    angle inside a beam, no active cost term) is reported here too.
+    Returns [] exactly when ``build_problem(config)`` succeeds.
     """
-    bad = _field_violations(config)
-    if not bad:
-        try:
-            _scene_and_weights(config)
-        except ValueError as exc:
-            bad.append(str(exc))
-    return bad
+    try:
+        build_problem(config)
+    except ConfigError as exc:
+        return str(exc).splitlines()
+    return []
 
 
-def _field_violations(config: ExperimentConfig) -> list[str]:
-    """Violations of the rules on single fields and field pairs."""
-    bad: list[str] = []
-    c = config
+def _own_violations(config: ExperimentConfig) -> list[tuple[str, str]]:
+    """(key, message) for each of the config's own rules that a key breaks.
+
+    Every float and tuple value must be finite, and ``gamma_db`` must hold
+    1 or ``k_users`` entries. Every other rule belongs to the part it builds.
+    """
+    bad = []
     for name, kind in _FIELD_KINDS.items():
-        value = getattr(c, name)
+        value = getattr(config, name)
         if kind == "float" and not math.isfinite(value):
-            bad.append(f"{name} must be finite (got {value})")
+            bad.append((name, f"{name} must be finite (got {value})"))
         elif kind == "tuple" and not all(map(math.isfinite, value)):
-            bad.append(f"{name} entries must be finite (got {list(value)})")
-    if c.n_tx < 1:
-        bad.append(f"n_tx must be >= 1 (got {c.n_tx})")
-    if c.block_len < 1:
-        bad.append(f"block_len must be >= 1 (got {c.block_len})")
-    if c.k_users < 1:
-        bad.append(f"k_users must be >= 1 (got {c.k_users})")
-    elif c.k_users > c.n_tx:
-        bad.append(f"k_users must be <= n_tx (got K={c.k_users}, n_tx={c.n_tx})")
-    if c.max_lag < 1:
-        bad.append(f"max_lag must be >= 1 (got {c.max_lag})")
-    elif c.max_lag - 1 > c.block_len:
-        bad.append(
-            f"max_lag - 1 must be <= block_len (got P={c.max_lag}, L={c.block_len})"
-        )
-    if not c.p_total > 0:
-        bad.append(f"p_total must be > 0 (got {c.p_total})")
-    if not c.sigma2 > 0:
-        bad.append(f"sigma2 must be > 0 (got {c.sigma2})")
-    if c.m_psk < 2:
-        bad.append(f"m_psk must be >= 2 (got {c.m_psk})")
-    if len(c.gamma_db) not in (1, c.k_users):
-        bad.append(
-            f"gamma_db needs 1 or k_users={c.k_users} entries (got {len(c.gamma_db)})"
-        )
-    if not c.target_angles_deg:
-        bad.append("target_angles_deg must list at least one angle")
-    if not c.beam_width_deg > 0:
-        bad.append(f"beam_width_deg must be > 0 (got {c.beam_width_deg})")
-    if not c.grid_step_deg > 0 or c.grid_stop_deg < c.grid_start_deg:
-        bad.append(
-            f"bad angle grid [{c.grid_start_deg}, {c.grid_stop_deg}] "
-            f"step {c.grid_step_deg}"
-        )
-    if not c.spacing > 0:
-        bad.append(f"spacing must be > 0 (got {c.spacing})")
-    if any(w < 0 for w in (c.w_bp, c.w_ac, c.w_cc)):
-        bad.append(f"weights must be nonnegative (got {(c.w_bp, c.w_ac, c.w_cc)})")
-    elif c.w_bp == c.w_ac == c.w_cc == 0:
-        bad.append("weights must not all be zero")
-    for name in ("eps1", "eps2", "eps3"):
-        if not getattr(c, name) > 0:
-            bad.append(f"{name} must be > 0 (got {getattr(c, name)})")
-    for name in ("max_outer_iters", "max_bisect_iters"):
-        if getattr(c, name) < 1:
-            bad.append(f"{name} must be >= 1 (got {getattr(c, name)})")
-    if c.majorizer_kind not in tuple(k.value for k in MajorizerKind):
-        bad.append(f"majorizer_kind must be diagonal or max_eigen (got {c.majorizer_kind!r})")
-    if c.mode not in tuple(m.value for m in SolveMode):
-        bad.append(f"mode must be dfrc or radar_only (got {c.mode!r})")
-    if c.seed < 0:
-        bad.append(f"seed must be nonnegative (got {c.seed})")
+            bad.append((name, f"{name} entries must be finite (got {list(value)})"))
+    if len(config.gamma_db) not in (1, config.k_users):
+        bad.append(("gamma_db", f"gamma_db needs 1 or k_users={config.k_users} entries "
+                                f"(got {len(config.gamma_db)})"))
     return bad
-
-
-def _scene_and_weights(config: ExperimentConfig) -> tuple[RadarScene, Weights]:
-    """Radar scene and cost weights of a config whose fields are valid.
-
-    Raises ValueError when the desired pattern has no positive value or
-    no cost term is active (``lag_weights``).
-    """
-    geometry = ArrayGeometry(n_tx=config.n_tx, spacing=config.spacing)
-    grid = AngleGrid.uniform(config.grid_start_deg, config.grid_stop_deg, config.grid_step_deg)
-    desired = rectangular_pattern(grid, config.target_angles_deg, config.beam_width_deg)
-    targets = TargetSet(np.asarray(config.target_angles_deg, dtype=float), config.max_lag)
-    scene = build_scene(geometry, grid, desired, targets, config.block_len)
-    weights = Weights(config.w_bp, config.w_ac, config.w_cc)
-    lag_weights(scene, weights)
-    return scene, weights
 
 
 @dataclass(frozen=True)
@@ -246,30 +181,65 @@ class Problem:
 def build_problem(config: ExperimentConfig) -> Problem:
     """Construct scene, channels, codewords, and the starting point from a config.
 
+    Each part is built by the type or function that owns its rules, and
+    every rule each part breaks is collected; a part is skipped only when a
+    value it reads already failed, a part or a key that broke the config's
+    own rules. Raises one ConfigError listing every violation, one per line.
+
     Child seeds for the channel draw, the symbol draw, and the phase
     initialization are spawned from the master seed, so one config + seed
     pins the whole trajectory.
     """
-    violations = _field_violations(config)
-    if violations:
-        raise ConfigError("; ".join(violations))
-    try:
-        scene, weights = _scene_and_weights(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    solver = SolverConfig(**{name: getattr(config, name) for name in _SOLVER_FIELDS})
-    chan_seed, sym_seed, x0_seed = np.random.SeedSequence(config.seed).spawn(3)
-    gamma_lin = 10.0 ** (np.asarray(config.gamma_db_per_user, dtype=float) / 10.0)
-    comm = CommSetup(
-        channels=draw_channels(config.k_users, config.n_tx, chan_seed),
-        symbols=draw_symbols(config.k_users, config.block_len, config.m_psk, sym_seed),
-        gamma=gamma_lin,
-        sigma2=config.sigma2,
-        m_points=config.m_psk,
+    own = _own_violations(config)
+    bad = [line for _, line in own]
+    # a key that broke the config's own rules reads None
+    c = replace(config, **{key: None for key, _ in own}) if own else config
+
+    def part(build, *args):
+        """build(*args), or None when an argument is None or a rule breaks.
+
+        A rule two owners share (n_tx: the geometry and the channel draw)
+        is listed once.
+        """
+        for arg in args:
+            if arg is None:
+                return None
+        try:
+            return build(*args)
+        except ValueError as exc:
+            bad.extend(line for line in str(exc).splitlines() if line not in bad)
+            return None
+
+    geometry = part(ArrayGeometry, c.n_tx, c.spacing)
+    grid = part(AngleGrid.uniform, c.grid_start_deg, c.grid_stop_deg, c.grid_step_deg)
+    desired = part(rectangular_pattern, grid, c.target_angles_deg, c.beam_width_deg)
+    targets = part(TargetSet, c.target_angles_deg, c.max_lag)
+    scene = part(build_scene, geometry, grid, desired, targets, c.block_len)
+    weights = part(Weights, c.w_bp, c.w_ac, c.w_cc)
+    part(lag_weights, scene, weights)
+    solver = part(SolverConfig, *(getattr(c, name) for name in _SOLVER_FIELDS))
+    amp = part(lambda geo, p_total: amplitude(p_total, geo.n_tx), geometry, c.p_total)
+    # the draws read only the seed, whose rule the solver config owns: when
+    # another solver setting fails, the seed is checked alone (same message)
+    seeded = solver or part(lambda seed: SolverConfig(seed=seed), c.seed)
+    chan_seed, sym_seed, x0_seed = (
+        (None,) * 3 if seeded is None else np.random.SeedSequence(seeded.seed).spawn(3)
     )
-    amp = np.sqrt(config.p_total / config.n_tx)
-    rng = np.random.default_rng(x0_seed)
-    x0 = amp * np.exp(2j * np.pi * rng.random(scene.n))
+    with np.errstate(over="ignore"):  # an infinite target is CommSetup's to report
+        gamma = None if c.gamma_db is None else 10.0 ** (
+            np.asarray(config.gamma_db_per_user, dtype=float) / 10.0
+        )
+    comm = part(
+        CommSetup,
+        part(draw_channels, c.k_users, c.n_tx, chan_seed),
+        part(draw_symbols, c.k_users, c.block_len, c.m_psk, sym_seed),
+        gamma,
+        c.sigma2,
+        c.m_psk,
+    )
+    x0 = part(lambda sc, a, seed: random_start(sc.n, a, seed), scene, amp, x0_seed)
+    if bad:
+        raise ConfigError("\n".join(bad))
     return Problem(
         scene=scene, comm=comm, weights=weights, solver=solver,
         p_total=config.p_total, x0=x0,

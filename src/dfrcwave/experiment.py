@@ -37,6 +37,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _resolve_outdir(config: ExperimentConfig, base_dir) -> Path:
+    """Create and return the artifact directory; called after ``build_problem``,
+    so a rejected config leaves no directory behind."""
     if base_dir is None:
         base_dir = os.environ.get(OUTPUT_ROOT_ENV, ".")
     out = Path(base_dir) / config.output_dir
@@ -178,8 +180,8 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentResult:
     A failed strict-feasibility pre-check downgrades the run to a warning
     recorded in summary.json; it does not abort.
     """
-    outdir = _resolve_outdir(config, base_dir)
     problem = build_problem(config)
+    outdir = _resolve_outdir(config, base_dir)
     state = _run_solver(problem)
     summary = _write_artifacts(outdir, config, problem, state)
     return ExperimentResult(
@@ -207,8 +209,8 @@ def compare_majorizers(config: ExperimentConfig, base_dir=None) -> ExperimentRes
     state is the diagonal run's, and the returned warnings are both runs',
     each tagged with its kind.
     """
-    outdir = _resolve_outdir(config, base_dir)
     problem = build_problem(config)
+    outdir = _resolve_outdir(config, base_dir)
     states: dict[str, SolverState] = {}
     comparison: dict[str, dict] = {}
     for kind in ("diagonal", "max_eigen"):

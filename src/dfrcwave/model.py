@@ -36,6 +36,34 @@ class SolveMode(str, enum.Enum):
     RADAR_ONLY = "radar_only"
 
 
+def check_rules(*rules) -> None:
+    """Raise one ValueError that lists every broken rule, one per line.
+
+    Each rule is ``(holds, template, *args)``; a broken rule's message is
+    ``template.format(*args)``, formatted only then, so rules that hold cost
+    no formatting.
+    """
+    broken = [rule[1].format(*rule[2:]) for rule in rules if not rule[0]]
+    if broken:
+        raise ValueError("\n".join(broken))
+
+
+def amplitude(p_total: float, n_tx: int) -> float:
+    """Per-sample magnitude sqrt(p_total / n_tx) of a constant-modulus design.
+
+    Raises ValueError unless p_total is finite and > 0.
+    """
+    check_rules((math.isfinite(p_total) and p_total > 0,
+                 "p_total must be finite and > 0, got {!r}", p_total))
+    return math.sqrt(p_total / n_tx)
+
+
+def random_start(n: int, amp: float, seed) -> np.ndarray:
+    """Length-n constant-modulus start of magnitude amp, phases uniform from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return amp * np.exp(2j * np.pi * rng.random(n))
+
+
 def _frozen_array(values, dtype=None) -> np.ndarray:
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
@@ -71,10 +99,10 @@ class ArrayGeometry:
     spacing: float = 0.5
 
     def __post_init__(self):
-        if self.n_tx < 1:
-            raise ValueError(f"n_tx must be >= 1, got {self.n_tx}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be > 0, got {self.spacing}")
+        check_rules(
+            (self.n_tx >= 1, "n_tx must be >= 1, got {}", self.n_tx),
+            (self.spacing > 0, "spacing must be > 0, got {}", self.spacing),
+        )
 
 
 @dataclass(frozen=True)
@@ -93,11 +121,9 @@ class WaveformMatrix:
         arr = _frozen_array(self.entries, dtype=complex)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"entries must be a non-empty 2-D array, got shape {arr.shape}")
-        if not self.p_total > 0:
-            raise ValueError(f"p_total must be > 0, got {self.p_total}")
+        amp = amplitude(self.p_total, arr.shape[0])
         object.__setattr__(self, "entries", arr)
         if self.constant_modulus:
-            amp = self.amplitude
             err = np.abs(np.abs(arr) - amp).max()
             if err > MODULUS_TOL * max(1.0, amp):
                 raise ValueError(
@@ -112,11 +138,6 @@ class WaveformMatrix:
     @property
     def block_len(self) -> int:
         return self.entries.shape[1]
-
-    @property
-    def amplitude(self) -> float:
-        """Per-sample magnitude sqrt(p_total / n_tx) implied by the power budget."""
-        return math.sqrt(self.p_total / self.n_tx)
 
     @property
     def vector(self) -> np.ndarray:
@@ -140,10 +161,12 @@ class AngleGrid:
 
     @classmethod
     def uniform(cls, start_deg: float, stop_deg: float, step_deg: float) -> "AngleGrid":
-        if not step_deg > 0 or stop_deg < start_deg:
-            raise ValueError(f"bad grid bounds [{start_deg}, {stop_deg}] step {step_deg}")
+        span = (stop_deg - start_deg) / step_deg if step_deg > 0 else -1.0
+        check_rules((0 <= span < math.inf,  # NaN fails
+                     "bad angle grid [{}, {}] step {}: need grid_step_deg > 0, grid_stop_deg >= "
+                     "grid_start_deg and a finite point count", start_deg, stop_deg, step_deg))
         # epsilon keeps exactly-divisible spans inclusive of the stop angle
-        n = int(math.floor((stop_deg - start_deg) / step_deg + 1e-9)) + 1
+        n = int(math.floor(span + 1e-9)) + 1
         return cls(start_deg + step_deg * np.arange(n))
 
     def __len__(self) -> int:
@@ -176,10 +199,10 @@ class TargetSet:
 
     def __post_init__(self):
         arr = _frozen_array(self.angles_deg, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("target set must contain at least one angle")
-        if self.max_lag < 1:
-            raise ValueError(f"max_lag must be >= 1, got {self.max_lag}")
+        check_rules(
+            (arr.ndim == 1 and arr.size >= 1, "target_angles_deg must list at least one angle"),
+            (self.max_lag >= 1, "max_lag must be >= 1, got {}", self.max_lag),
+        )
         object.__setattr__(self, "angles_deg", arr)
 
     @property
@@ -197,10 +220,11 @@ class Weights:
 
     def __post_init__(self):
         trio = (self.w_bp, self.w_ac, self.w_cc)
-        if not all(0 <= w < math.inf for w in trio):  # NaN fails
-            raise ValueError(f"weights must be finite and nonnegative, got {trio}")
-        if all(w == 0 for w in trio):
-            raise ValueError("at least one weight must be positive")
+        check_rules(
+            (all(0 <= w < math.inf for w in trio),  # NaN fails
+             "weights w_bp, w_ac, w_cc must be finite and nonnegative, got {}", trio),
+            (not all(w == 0 for w in trio), "weights w_bp, w_ac, w_cc must not all be zero"),
+        )
 
     def cost(self, terms) -> float:
         """Weighted radar cost w_bp g_bp + w_ac g_ac + w_cc g_cc of (g_bp, g_ac, g_cc)."""
@@ -221,14 +245,20 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("eps1", "eps2", "eps3"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("max_outer_iters", "max_bisect_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_rules(
+            (self.eps1 > 0, "eps1 must be > 0, got {}", self.eps1),
+            (self.eps2 > 0, "eps2 must be > 0, got {}", self.eps2),
+            (self.eps3 > 0, "eps3 must be > 0, got {}", self.eps3),
+            (self.max_outer_iters >= 1, "max_outer_iters must be >= 1, got {}",
+             self.max_outer_iters),
+            (self.max_bisect_iters >= 1, "max_bisect_iters must be >= 1, got {}",
+             self.max_bisect_iters),
+            (self.majorizer_kind in tuple(MajorizerKind),
+             "majorizer_kind must be diagonal or max_eigen, got {!r}", self.majorizer_kind),
+            (self.mode in tuple(SolveMode), "mode must be dfrc or radar_only, got {!r}",
+             self.mode),
+            (self.seed >= 0, "seed must be nonnegative, got {}", self.seed),
+        )
         object.__setattr__(self, "majorizer_kind", MajorizerKind(self.majorizer_kind))
         object.__setattr__(self, "mode", SolveMode(self.mode))
 

@@ -26,6 +26,7 @@ from dfrcwave.model import (
     ArrayGeometry,
     DesiredBeamPattern,
     TargetSet,
+    check_rules,
 )
 
 
@@ -41,6 +42,7 @@ def rectangular_pattern(
     grid: AngleGrid, target_angles_deg, width_deg: float
 ) -> DesiredBeamPattern:
     """Rectangular desired pattern: 1 within width/2 of any target angle, else 0."""
+    check_rules((width_deg > 0, "beam_width_deg must be > 0, got {}", width_deg))
     angles = grid.angles_deg[:, None]
     targets = np.asarray(target_angles_deg, dtype=float)[None, :]
     hit = np.abs(angles - targets) <= width_deg / 2 + 1e-12
@@ -111,17 +113,14 @@ def build_scene(
     block_len: int,
 ) -> RadarScene:
     """Assemble a :class:`RadarScene`: steering vectors and the factors C_u."""
-    if desired.values.size != len(grid):
-        raise ValueError(
-            f"desired pattern has {desired.values.size} values for a "
-            f"{len(grid)}-point grid"
-        )
-    if block_len < 1:
-        raise ValueError(f"block_len must be >= 1, got {block_len}")
-    if targets.max_lag - 1 > block_len:
-        raise ValueError(
-            f"max_lag - 1 = {targets.max_lag - 1} exceeds block length {block_len}"
-        )
+    check_rules(
+        (desired.values.size == len(grid),
+         "desired pattern has {} values for a {}-point grid", desired.values.size, len(grid)),
+        (block_len >= 1, "block_len must be >= 1, got {}", block_len),
+        (targets.max_lag - 1 <= block_len,
+         "max_lag - 1 must be <= block_len (got P={}, block length L={})",
+         targets.max_lag, block_len),
+    )
     a_grid = steering_matrix(geometry, grid.angles_deg)
     a_tgt = steering_matrix(geometry, targets.angles_deg)
     gd = desired.values

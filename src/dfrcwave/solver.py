@@ -51,7 +51,7 @@ from dfrcwave.comm import (
     ci_margin,
 )
 from dfrcwave.majorize import MajorizerContext, build_d, build_majorizer_context, build_phi
-from dfrcwave.model import MODULUS_TOL, SolveMode, SolverConfig, Weights
+from dfrcwave.model import MODULUS_TOL, SolveMode, SolverConfig, Weights, amplitude, random_start
 from dfrcwave.radar import RadarScene, objective_terms
 
 #: Cap on coordinate-ascent sweeps within one MM iteration.
@@ -102,10 +102,11 @@ def solve_inner(
 
     Returns sqrt(p_total/n_tx) * exp(j angle(sum_m nu_m h~_m - d)), n_tx
     being the constraint set's; entries where the coefficient vector
-    vanishes get phase 0. ``nu`` must have shape (n_rows,) and ``d`` (n,).
+    vanishes get phase 0. ``nu`` must have shape (n_rows,) and ``d`` (n,),
+    and ``p_total`` must be finite and > 0.
     """
     nu, d = _dual_inputs(nu, d, constraints)
-    amp = math.sqrt(p_total / constraints.n_tx)
+    amp = amplitude(p_total, constraints.n_tx)
     return _closed_form(_weighted_rows(constraints, nu) - d, amp)
 
 
@@ -438,15 +439,15 @@ def dual_ascent_sweep(
     nu (no rounding drift) and reads from it x(nu), the margins that clear
     inactive rows in the next sweep, and g^. A block whose multipliers all
     kept their values skips the next sweep, which would repeat it exactly.
-    Rejects a ``nu`` or ``d`` of the wrong shape or not finite, and a
-    negative ``nu``, as ``solve_inner`` does. Returns x(nu) unrepaired,
-    bitwise ``solve_inner(res.nu, ...)``; ``restored`` flags that it
-    violates a CI row.
+    Rejects a ``nu`` or ``d`` of the wrong shape or not finite, a negative
+    ``nu``, and a ``p_total`` not finite and > 0, as ``solve_inner`` does.
+    Returns x(nu) unrepaired, bitwise ``solve_inner(res.nu, ...)``;
+    ``restored`` flags that it violates a CI row.
     """
     nu_arr, d = _dual_inputs(nu, d, constraints)
     rows, thresholds = constraints.rows, constraints.thresholds
     n_blocks, per_block, n_tx = rows.shape
-    amp = math.sqrt(p_total / n_tx)
+    amp = amplitude(p_total, n_tx)
     terms, gamma = constraints.row_scalars
     eps2, max_iters = cfg.eps2, cfg.max_bisect_iters
     # a certificate must clear its threshold by slack, a bound on a residual's rounding
@@ -577,11 +578,6 @@ class SolverState:
     rejected_steps = _column_total("rejected")
 
 
-def _default_x0(n: int, amp: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return amp * np.exp(2j * np.pi * rng.random(n))
-
-
 def mm_solve(
     scene: RadarScene,
     comm: Optional[CommSetup],
@@ -612,11 +608,9 @@ def mm_solve(
     dual-accepted steps so it belongs to the final iterate.
     ``termination`` says how the loop ended; what went wrong is in ``warnings``.
     """
-    if not (math.isfinite(p_total) and p_total > 0):
-        raise ValueError(f"p_total must be finite and > 0, got {p_total!r}")
     n_tx = scene.geometry.n_tx
     n = scene.n
-    amp = math.sqrt(p_total / n_tx)
+    amp = amplitude(p_total, n_tx)
     warnings: list[str] = []
 
     cset = None
@@ -646,7 +640,7 @@ def mm_solve(
         raise ValueError("ctx was built from another scene, other weights or another kind")
 
     if x0 is None:
-        x = _default_x0(n, amp, cfg.seed)
+        x = random_start(n, amp, cfg.seed)
     else:
         x = np.asarray(x0, dtype=complex).copy()
         if x.shape != (n,):

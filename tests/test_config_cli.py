@@ -73,7 +73,8 @@ class TestParsing:
 
 
 #: Configs whose fields are each valid but that no design can serve, with the
-#: reason build_problem gives: no grid angle inside a beam, or no cost term left.
+#: reason build_problem gives: no grid angle inside a beam, no cost term left,
+#: or a QoS target whose linear value overflows.
 UNSERVABLE = {
     "target outside the grid": (
         "target_angles_deg = [200]\nmax_lag = 2\n", "desired pattern"),
@@ -84,6 +85,7 @@ UNSERVABLE = {
         "no active cost terms"),
     "autocorrelation weight without a sidelobe lag": (
         "w_bp = 0\nw_ac = 1\nw_cc = 0\nmax_lag = 1\n", "no active cost terms"),
+    "QoS target beyond float range": ("gamma_db = [4000]\n", "gamma must be finite"),
 }
 SMALL_HEADER = "n_tx = 2\nblock_len = 3\nk_users = 1\nmax_outer_iters = 3\n"
 
@@ -110,8 +112,13 @@ class TestValidation:
         assert any("weights" in line for line in validate_config(bad))
 
     def test_multiple_violations_all_reported(self):
-        bad = ExperimentConfig.desk_preset(k_users=9, max_lag=10, sigma2=-1.0)
-        assert len(validate_config(bad)) >= 3
+        # faults in three parts, then two faults inside one part (the solver config)
+        for overrides in ({"k_users": 9, "max_lag": 10, "sigma2": -1.0},
+                          {"eps1": 0.0, "eps2": -1.0}):
+            report = validate_config(ExperimentConfig.desk_preset(**overrides))
+            assert len(report) >= len(overrides)
+            for key in overrides:
+                assert any(line.startswith(key) for line in report), key
 
     @pytest.mark.parametrize(
         "line",
@@ -289,6 +296,18 @@ class TestCLI:
         assert cli.main(["validate", str(path)]) == 1
         assert "gamma_db entries must be finite" in capsys.readouterr().out
 
+    def test_validate_reports_overflowing_grid(self, tmp_path, capsys):
+        # the point count overflows before anything is allocated
+        path = tmp_path / "grid.cfg"
+        path.write_text(
+            "grid_start_deg = -1e308\ngrid_stop_deg = 1e308\ngrid_step_deg = 1e-300\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "bad angle grid" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     @pytest.mark.parametrize("text, reason", UNSERVABLE.values(), ids=UNSERVABLE)
     def test_validate_and_run_agree(self, tmp_path, capsys, text, reason):
         path = tmp_path / "unservable.cfg"
@@ -299,6 +318,7 @@ class TestCLI:
             code = cli.main([command, str(path), "--output-root", str(tmp_path)])
             assert code == 1
             assert f"config error: {reason}" in capsys.readouterr().err
+            assert not (tmp_path / "results").exists()  # rejected before any artifact dir
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "nope.cfg")]) == 1

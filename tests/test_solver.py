@@ -899,12 +899,26 @@ class TestMMSolve:
         with pytest.raises(ValueError, match=r"\(2, 16\).*\(4, 8\)"):
             mm_solve(scene, comm, Weights(1.0, 1.0, 1.0), cfg)
 
-    @pytest.mark.parametrize("p_total", [0.0, -1.0, math.nan, math.inf])
-    def test_p_total_must_be_finite_and_positive(self, p_total):
-        scene = make_scene(n_tx=2, block_len=3, max_lag=2)
-        cfg = SolverConfig(mode="radar_only", max_outer_iters=3)
+    @pytest.mark.parametrize(
+        "entry, p_total",
+        [pytest.param(entry, p, id=str(p) if entry == "mm_solve" else f"{entry}-{p}")
+         for entry in ("mm_solve", "solve_inner", "dual_ascent_sweep")
+         for p in (0.0, -1.0, math.nan, math.inf)],
+    )
+    def test_p_total_must_be_finite_and_positive(self, rng, entry, p_total):
+        # 0 once gave the dual entry points an all-zero x, -1 a "math domain error"
         with pytest.raises(ValueError, match="p_total"):
-            mm_solve(scene, None, Weights(1.0, 0.0, 0.0), cfg, p_total=p_total)
+            if entry == "mm_solve":
+                scene = make_scene(n_tx=2, block_len=3, max_lag=2)
+                cfg = SolverConfig(mode="radar_only", max_outer_iters=3)
+                mm_solve(scene, None, Weights(1.0, 0.0, 0.0), cfg, p_total=p_total)
+            else:
+                _, cset = make_cset(rng)
+                nu, d = np.zeros(cset.n_rows), np.ones(cset.n)
+                if entry == "solve_inner":
+                    solve_inner(nu, d, cset, p_total)
+                else:
+                    dual_ascent_sweep(nu, d, cset, SolverConfig(), p_total)
 
     @pytest.mark.parametrize(
         "kind, weights, same_scene",
