@@ -212,8 +212,12 @@ def build_problem(config: ExperimentConfig) -> Problem:
 
     geometry = part(ArrayGeometry, c.n_tx, c.spacing)
     grid = part(AngleGrid.uniform, c.grid_start_deg, c.grid_stop_deg, c.grid_step_deg)
-    desired = part(rectangular_pattern, grid, c.target_angles_deg, c.beam_width_deg)
     targets = part(TargetSet, c.target_angles_deg, c.max_lag)
+    # the pattern reads the checked target set: no pattern from angles that failed
+    desired = part(
+        lambda g, t, width: rectangular_pattern(g, t.angles_deg, width),
+        grid, targets, c.beam_width_deg,
+    )
     scene = part(build_scene, geometry, grid, desired, targets, c.block_len)
     weights = part(Weights, c.w_bp, c.w_ac, c.w_cc)
     part(lag_weights, scene, weights)

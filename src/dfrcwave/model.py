@@ -233,7 +233,15 @@ class Weights:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping thresholds, iteration caps, majorizer kind, mode, and seed."""
+    """Stopping thresholds, iteration caps, majorizer kind, mode, and seed.
+
+    ``eps1`` stops a dual ascent on the relative change of its dual value,
+    ``eps2`` sets a multiplier update's stop band (-eps2, 0] on its row's
+    residual, and ``eps3`` stops the MM loop on the relative change of the
+    objective. ``max_bisect_iters`` caps one multiplier update's bracket
+    doublings (a row still unbracketed at 2**max_bisect_iters is flagged)
+    and, separately, its root steps.
+    """
 
     eps1: float = 1e-4
     eps2: float = 1e-4

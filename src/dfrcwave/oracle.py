@@ -17,11 +17,14 @@ reads neither them nor their thresholds).
 ``reference_dual_ascent`` keeps an earlier probe formulation of the dual
 coordinate ascent (multipliers in a numpy vector, per-probe indexing and
 ``float()`` conversion) and runs the plain bisection listing
-(``_bisect_root``) on every probe, with no seeds and no skipped blocks, so
-tests can hold ``solver.dual_ascent_sweep`` to it bit for bit. It shares
-only the closed form x(nu) with the solver. ``_best_phase`` is the plain
-listing of the repairs' phase search, which ``solver._best_phase`` must
-match bit for bit; it shares only the solver's phase grid.
+(``_bisect_root``) on every row, with no skipped rows or blocks: the
+paper's algorithm, which ``solver.dual_ascent_sweep`` must be no worse
+than. The solver's root step is not the listing, so the tests hold each
+update to the listing's contract and each sweep's dual value to the
+listing's, not bit for bit. It shares only the closed form x(nu) with the
+solver. ``_best_phase`` is the plain listing of the repairs' phase search,
+which ``solver._best_phase`` must match bit for bit; it shares only the
+solver's phase grid.
 """
 
 from __future__ import annotations

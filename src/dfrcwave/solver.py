@@ -7,19 +7,16 @@ Each MM iteration linearizes the radar cost to Re{x^H d} and solves
 through its dual: for fixed multipliers the minimizer is the closed form
 x(nu) = sqrt(P_T/N_T) exp(j angle(sum_m nu_m h~_m - d)), and the
 multipliers are driven by coordinate ascent in ``dual_ascent_sweep``, one
-bisection per constraint, each run inline by ``_update_multiplier``.
+root step per constraint, each run inline by ``_update_multiplier``: a
+safeguarded regula falsi step from the current multiplier that stops on the
+bisection listing's own rule (``oracle._bisect_root``).
 Residuals are re-evaluated from the closed form (only the touched block's
 n_tx entries change), never from a stale x, by ``_row_residual``: Python
 complex arithmetic over Python lists (the running coefficient vector and
 the row's (index, conj h, h) triples that ``CIConstraintSet.row_scalars``
-caches). A sweep evaluates only the probes whose outcome is not already
-fixed, so every result stays bitwise that of probing everything. A warm
-multiplier is seeded at its own value, a probe the listing reuses, and at
-the ends of the dyadic bracket the listing last returned it from; relative
-seeds cover a side still open, and each seed fixes the signs beyond it. A
-row at 0 whose margin, from the numpy tail of the sweep before, clears a
-rounding bound stays at 0 unprobed while its block is unchanged, and a
-block whose multipliers all kept their values skips the next sweep.
+caches). A row at 0 whose margin, from the numpy tail of the sweep before,
+clears a rounding bound stays at 0 unprobed while its block is unchanged,
+and a block whose multipliers all kept their values skips the next sweep.
 
 Every CI row touches one symbol block, and ``CIConstraintSet`` stores the
 rows as an (L, 2K, n_tx) stack, so products with the rows and feasibility
@@ -56,9 +53,10 @@ from dfrcwave.radar import RadarScene, objective_terms
 
 #: Cap on coordinate-ascent sweeps within one MM iteration.
 DEFAULT_MAX_SWEEPS = 200
-#: Relative offset of the seeds on a side of a warm multiplier still open (on
-#: desk seeds 0-1, 0.05 / 0.1 / 0.2 take 136k / 127k / 125k residual evaluations).
-_SEED_RHO = 0.1
+#: Relative step of a warm multiplier's local bracket, v (1 -/+ step).
+_BRACKET_STEP = 0.1
+#: Regula falsi steps that must halve the bracket, else a bisection step follows.
+_STALL_STEPS = 3
 _EPS = np.finfo(float).eps
 
 
@@ -128,93 +126,118 @@ def _row_residual(coef: list, terms: list, delta: float, gamma: float, amp: floa
     return gamma - amp * acc
 
 
-def _lowest_bit(v: float) -> float:
-    """Weight of the lowest set mantissa bit of v > 0: v is an odd multiple of it."""
-    num, den = v.as_integer_ratio()  # in lowest terms, den a power of two
-    return (num & -num) / den
+def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, max_iters):
+    """One multiplier update: a safeguarded regula falsi root step on r(t) = gbar_m.
 
+    r is non-increasing in t (a partial supergradient of the concave dual).
+    The step returns only values the bisection listing ``oracle._bisect_root``
+    returns too: 0.0 once r(0) <= 0 is seen; a t where r == 0 or
+    -eps2 < r < 0 (the listing's stop rule: the row's margin in [0, eps2));
+    2**max_iters with ``bracketed`` False when r is still positive there; or,
+    once the root steps run out or the bracket's ends are adjacent floats (r
+    jumps across the band between them), the bracket's upper end, where
+    r <= -eps2 (the listing's predicate-failure value). Where r(0) is itself
+    in the band the listing returns 0.0, and the step may keep another t there.
 
-def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, slack, max_iters):
-    """One multiplier update as the bisection listing makes it on r(t) = gbar_m.
-
-    r is non-increasing in t (a partial supergradient of the concave dual), so
-    a seed s fixes signs: r(s) > slack fixes r > 0 on [0, s], and
-    r(s) <= -eps2 - slack fixes r <= -eps2 on [s, inf). A probe of fixed
-    sign takes its branch unevaluated and never meets the stop rule, so the
-    result is the listing's on r. A warm nu_m = v > 0 is seeded at v itself
-    first, a probe the listing makes on its way back to v, which then reuses
-    r(v). If r(v) fixes nothing, the seeds are v -/+ w, w being v's lowest
-    mantissa bit: the listing's midpoints are dyadic, so when it returned v
-    its last bracket was [v - w, v + w] and every earlier probe lay outside
-    it. The relative seeds v (1 -/+ rho) cover a side still open beyond
-    those. Returns (value, bracketed, evaluations made);
-    ``oracle._bisect_root`` is the listing itself.
+    A warm multiplier v > 0 (at most 2**max_iters, the listing's range) whose
+    r(v) lies in the band is kept. Otherwise the bracket is found locally:
+    above v it starts at v (1 + 0.1) and doubles, capped at 2**max_iters;
+    below v it tries v (1 - 0.1), then 0. A cold row tests r(0), then
+    brackets up from 1.0 as the listing does. Inside the bracket an Illinois
+    step (Dowell & Jarratt, BIT 11, 1971) aims at the middle of the band,
+    r = -eps2/2, and a bisection step follows whenever three of its steps
+    fail to halve the bracket. ``max_iters`` caps the doublings and,
+    separately, the root steps, so an update makes at most 2 max_iters + 2
+    residual evaluations, the listing's own worst case. Returns (value,
+    bracketed, evaluations made).
     """
-    pos_upto, neg_from, evals = -math.inf, math.inf, 0
-    at_nu = r_nu = math.nan  # NaN equals no probe: a cold row reuses nothing
-    if nu_m > 0.0:
-        at_nu, evals = nu_m, 1
-        r_nu = _row_residual(coef, terms, 0.0, gamma, amp)
-        if r_nu > slack:
-            pos_upto = nu_m
-            seeds = (nu_m * (1.0 + _SEED_RHO),)
-        elif r_nu <= -eps2 - slack:
-            neg_from = nu_m
-            seeds = (nu_m * (1.0 - _SEED_RHO),)
-        else:
-            w = _lowest_bit(nu_m)
-            seeds = (nu_m - w, nu_m + w)
-            if w < _SEED_RHO * nu_m:
-                seeds += (nu_m * (1.0 - _SEED_RHO), nu_m * (1.0 + _SEED_RHO))
-        for seed in seeds:
-            # a seed inside the known-sign interval, away from the listing's own r(0)
-            if pos_upto < seed < neg_from and seed > 0.0:
-                evals += 1
-                r = _row_residual(coef, terms, seed - nu_m, gamma, amp)
-                if r > slack:
-                    pos_upto = seed
-                elif r <= -eps2 - slack:
-                    neg_from = seed
-    # the seeds are positive, so r(0) can only be fixed positive
-    if pos_upto < 0.0:
-        evals += 1
-        if _row_residual(coef, terms, 0.0 - nu_m, gamma, amp) <= 0:
-            return 0.0, True, evals
-    hi, doubles = 1.0, 0
-    while hi < neg_from:
-        if hi > pos_upto:
-            if hi == at_nu:
-                r = r_nu
-            else:
-                evals += 1
-                r = _row_residual(coef, terms, hi - nu_m, gamma, amp)
-            if not r > 0:
-                break
-        if doubles >= max_iters:
-            return hi, False, evals
-        hi *= 2.0
-        doubles += 1
-    lo = hi / 2.0 if doubles else 0.0
     half_eps = eps2 / 2.0
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        if mid <= pos_upto:
-            lo = mid
-        elif mid >= neg_from:
-            hi = mid
+    cap = 2.0**max_iters
+    evals = 0
+
+    def residual(t):
+        nonlocal evals
+        evals += 1
+        return _row_residual(coef, terms, t - nu_m, gamma, amp)
+
+    def stops(r):  # the listing's stop rule plus the exact root it excludes
+        return r == 0.0 or abs(r + half_eps) < half_eps
+
+    # the bracket: r(lo) > 0 and r(hi) <= -eps2
+    hi = None
+    if nu_m > 0.0:
+        v = min(nu_m, cap)  # the listing searches [0, 2**max_iters]
+        r = residual(v)
+        if stops(r):
+            return v, True, evals
+        if r > 0:
+            lo, r_lo, t = v, r, v * (1.0 + _BRACKET_STEP)
         else:
-            if mid == at_nu:
-                r = r_nu
-            else:
-                evals += 1
-                r = _row_residual(coef, terms, mid - nu_m, gamma, amp)
-            if r > 0:
-                lo = mid
-            else:
-                hi = mid
-            # the listing's stop rule plus the exact-root boundary it excludes
-            if r == 0.0 or abs(r + half_eps) < half_eps:
-                return mid, True, evals
+            hi, r_hi = v, r
+            for t in (v * (1.0 - _BRACKET_STEP), 0.0):
+                r = residual(t)
+                if r > 0:
+                    lo, r_lo = t, r
+                    break
+                if t == 0.0:
+                    return 0.0, True, evals
+                if stops(r):
+                    return t, True, evals
+                hi, r_hi = t, r
+    else:
+        r = residual(0.0)
+        if r <= 0:
+            return 0.0, True, evals
+        lo, r_lo, t = 0.0, r, 1.0
+    if hi is None:
+        if lo >= cap:
+            return cap, False, evals
+        for doublings in range(max_iters + 1):
+            t = cap if doublings == max_iters else min(t, cap)
+            r = residual(t)
+            if stops(r):
+                return t, True, evals
+            if not r > 0:
+                hi, r_hi = t, r
+                break
+            if t == cap:
+                return cap, False, evals
+            lo, r_lo, t = t, r, 2.0 * t
+    # regula falsi on r + eps2/2, f(lo) > 0 > f(hi); Illinois halves the f of an
+    # end kept twice in a row
+    f_lo, f_hi = r_lo + half_eps, r_hi + half_eps
+    kept = 0  # +1 when the last step moved lo (kept hi), -1 when it moved hi
+    width, secants = hi - lo, 0
+    for _ in range(max_iters):
+        # bisect when a run of three secant steps has not halved the bracket
+        stalled = secants == _STALL_STEPS and hi - lo > 0.5 * width
+        if secants == _STALL_STEPS:
+            width, secants = hi - lo, 0
+        t = 0.5 * (lo + hi)
+        if stalled:
+            kept = 0
+        else:
+            secant = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+            if lo < secant < hi:
+                t = secant
+            secants += 1
+        if not lo < t < hi:
+            return hi, True, evals  # lo and hi are adjacent floats: r jumps here
+        r = residual(t)
+        if stops(r):
+            return t, True, evals
+        if r > 0:
+            lo, f_lo = t, r + half_eps
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = t, r + half_eps
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+        if stalled:
+            width = hi - lo
     return hi, True, evals
 
 
@@ -450,13 +473,11 @@ def dual_ascent_sweep(
     amp = amplitude(p_total, n_tx)
     terms, gamma = constraints.row_scalars
     eps2, max_iters = cfg.eps2, cfg.max_bisect_iters
-    # a certificate must clear its threshold by slack, a bound on a residual's rounding
-    # off a kink: rounding scatters a residual that is flat at the threshold across it
-    slack = 16 * n_tx * _EPS * (np.abs(thresholds) + amp * constraints.row_abs_sums).ravel()
     # an inactive row whose numpy margin at x(nu) clears both roundings, the margin's
-    # and its residual r(0)'s, keeps nu_m = 0 unprobed while its block is unchanged
-    clear_by = 2.0 * slack
-    slack = slack.tolist()
+    # and its residual r(0)'s (each within 16 n_tx eps of the row's scale), keeps
+    # nu_m = 0 unprobed while its block is unchanged
+    row_scale = np.abs(thresholds) + amp * constraints.row_abs_sums
+    clear_by = (2.0 * 16 * n_tx * _EPS * row_scale).ravel()
     nu = nu_arr.tolist()
     bracket_bad: set[int] = set()
     evals = 0
@@ -482,9 +503,9 @@ def dual_ascent_sweep(
         for ell in moving:
             for m in range(ell * per_block, (ell + 1) * per_block):
                 if clear[m] and nu[m] == 0.0 and ell != moved:
-                    continue  # r(0) <= 0 for certain: the listing returns 0.0
+                    continue  # r(0) <= 0 for certain: the update returns 0.0
                 value, bracketed, made = _update_multiplier(
-                    coef, terms[m], nu[m], gamma[m], amp, eps2, slack[m], max_iters
+                    coef, terms[m], nu[m], gamma[m], amp, eps2, max_iters
                 )
                 evals += made
                 if not bracketed:

@@ -5,10 +5,9 @@ from hypothesis import settings
 from dfrcwave.model import AngleGrid, ArrayGeometry, TargetSet, Weights
 from dfrcwave.radar import build_scene, rectangular_pattern
 
-# a larger example budget for the parity properties, which carry the
-# bitwise-parity argument of the dual ascent's certificates (seeded multiplier
-# updates, the reused probe r(v) and the inactive-row skip) and of the
-# repairs' buffered phase search:
+# a larger example budget for the parity properties, which hold the multiplier
+# update and the dual sweep to the plain bisection listing's contract and the
+# repairs' buffered phase search bitwise to its listing:
 #   pytest tests/test_solver.py -k "TestDualAscentParity or TestPhaseSearchParity" \
 #       --hypothesis-profile=parity
 settings.register_profile("parity", max_examples=2000)

@@ -296,6 +296,16 @@ class TestCLI:
         assert cli.main(["validate", str(path)]) == 1
         assert "gamma_db entries must be finite" in capsys.readouterr().out
 
+    def test_validate_reports_the_cause_not_its_consequence(self, tmp_path, capsys):
+        # the desired pattern reads the checked target set, so an empty angle
+        # list is reported once, not again as an all-zero pattern
+        path = tmp_path / "no_targets.cfg"
+        path.write_text("target_angles_deg = []\n", encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "target_angles_deg must list at least one angle" in out
+        assert "desired pattern" not in out
+
     def test_validate_reports_overflowing_grid(self, tmp_path, capsys):
         # the point count overflows before anything is allocated
         path = tmp_path / "grid.cfg"

@@ -2,12 +2,13 @@
 
 import contextlib
 import dataclasses
+import functools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import make_scene, random_cm
@@ -36,7 +37,6 @@ from dfrcwave.radar import build_scene
 from dfrcwave.solver import (
     _COARSE_PHIS,
     _COARSE_UNITS,
-    _SEED_RHO,
     Termination,
     _best_phase,
     _closed_form,
@@ -311,19 +311,18 @@ class TestDualAscent:
         nu = [0.0] * cset.n_rows
         coef = (-d).tolist()
         for m in range(cset.n_rows):
-            value, _, predicate = oracle._bisect_root(
-                lambda t: _row_residual(coef, terms[m], t - nu[m], gamma[m], 0.5),
-                cfg.eps2,
-                cfg.max_bisect_iters,
+            value, bracketed, _ = _update_multiplier(
+                coef, terms[m], nu[m], gamma[m], 0.5, cfg.eps2, cfg.max_bisect_iters
             )
             for i, col, _ in terms[m]:
                 coef[i] += (value - nu[m]) * col
             nu[m] = value
             resid = _row_residual(coef, terms[m], 0.0, gamma[m], 0.5)
+            assert bracketed
             if nu[m] == 0.0:
                 assert resid <= 0.0
-            elif predicate:
-                assert -cfg.eps2 < resid < 0.0
+            else:
+                assert -cfg.eps2 < resid <= 0.0
 
     def test_dual_step_returns_unrepaired_closed_form(self, rng):
         # x(nu) violates a CI row here; restoration belongs to mm_solve, so
@@ -340,7 +339,8 @@ class TestDualAscent:
             ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0)
         assert res.restored and ref.restored
         assert ci_margin(res.x, cset).min() < 0
-        assert res.x.tobytes() == solve_inner(res.nu, d, cset, 1.0).tobytes() == ref.x.tobytes()
+        assert res.x.tobytes() == solve_inner(res.nu, d, cset, 1.0).tobytes()
+        assert ref.x.tobytes() == solve_inner(ref.nu, d, cset, 1.0).tobytes()
 
     @staticmethod
     def _slack_and_moving_blocks():
@@ -373,17 +373,18 @@ class TestDualAscent:
 
     def test_inactive_rows_cleared_by_margins_are_not_probed(self):
         # block 0's margins clear its rows, which keep nu = 0 without a
-        # residual evaluation; the result is the listing's
+        # residual evaluation, as the listing's r(0) <= 0 would keep them
         cset, d = self._slack_and_moving_blocks()
         nu0, cfg = np.zeros(cset.n_rows), SolverConfig()
         with counted_evaluations() as blocks:
             res = dual_ascent_sweep(nu0, d, cset, cfg, 1.0)
-        ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0)
         assert blocks.count(0) == 0 and blocks.count(1) > 0
-        assert res.nu.tobytes() == ref.nu.tobytes() and res.sweeps == ref.sweeps
+        assert res.sweeps >= 2 and not res.nu[:2].any() and res.nu[2:].any()
+        ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0)
+        assert not ref.nu[:2].any()
 
     def test_negative_multiplier_rejected(self, rng):
-        # every sign certificate assumes the listing searches t >= 0
+        # the root step, like the listing, searches t >= 0
         _, cset = make_cset(rng)
         nu0 = np.zeros(cset.n_rows)
         nu0[1] = -0.5
@@ -501,8 +502,9 @@ class TestFeasibilityProperties:
 
 
 @st.composite
-def dual_instances(draw):
-    """Dual-ascent inputs (setup, cset, d, nu0, cfg) over n_tx 1-4, L 1-6, K 1-2, M 2/4/8.
+def dual_instances(draw, budgets=(8, 200)):
+    """Dual-ascent inputs (setup, cset, d, nu0, cfg) over n_tx 1-4, L 1-6, K 1-2, M 2/4/8,
+    with ``max_bisect_iters`` drawn from ``budgets``.
 
     d always has exact zeros, so from nu0 = 0 the probes meet vanishing
     coefficients (the phase-0 branch); a drawn "dead" user has a zero
@@ -518,7 +520,7 @@ def dual_instances(draw):
     dead_user = draw(st.booleans())
     warm = draw(st.booleans())
     scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
-    cfg = SolverConfig(max_bisect_iters=draw(st.sampled_from([8, 200])))
+    cfg = SolverConfig(max_bisect_iters=draw(st.sampled_from(budgets)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     channels = draw_channels(k_users, n_tx, rng.integers(2**31))
     if dead_user:
@@ -567,18 +569,19 @@ def probe_rows(draw):
     n_tx runs 1-8 with some zero row entries. Most coefficient lines
     c_i(nu) = coef_i + (nu - nu_m) conj(h_i) pass through or near 0 at a
     drawn nu >= 0; gamma puts the root at a drawn point, and nu_m sits at,
-    just off, at a seed's distance from or far from it (or at 0). Some rows
-    are slack at 0 and some cannot be bracketed.
+    just off, within the local bracket nu_m (1 -/+ 0.1) of or far from it
+    (or at 0). Some rows are slack at 0 and some cannot be bracketed.
 
     A "warm" row starts from the listing's own output on a nudged copy of
-    the row (or from a power of two >= 1, or at a jump of r), so its
-    own-bracket seeds fire and the listing meets the reused probe r(nu_m).
+    the row, from a power of two >= 1 (a point the listing probes), or at a
+    jump of r, where r crosses the stop band between two adjacent floats
+    and a bracket around nu_m closes in on it to the last bit.
 
-    A "flat" row pins the seeds' rounding slack: every line crosses 0 below
-    the lower seed, so from there on x(nu) is aligned with the row and r is
-    flat, at exactly -eps2 or 0 in exact arithmetic. Rounding scatters r
-    across that threshold from probe to probe, so a seed certificate without
-    its slack fixes a sign that a later probe of the listing contradicts.
+    A "flat" row has every line cross 0 below 0.9 nu_m, so from there on
+    x(nu) is aligned with the row and r is flat, at exactly -eps2 or 0 in
+    exact arithmetic: rounding scatters r across that edge of the stop band
+    from probe to probe, and a step that trusts r to be monotone there
+    meets a sign its last probe contradicts.
     """
     n_tx = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -627,12 +630,12 @@ def probe_rows(draw):
             nu_m = value
     elif kind == "flat":
         nu_m = draw(st.sampled_from([0.3, 1.0, 7.5]))
-        seed = nu_m * (1.0 - _SEED_RHO)
-        coef = ((nu_m - seed * rng.uniform(0.0, 1.0, n_tx)) * h.conj()).tolist()
+        below = 0.9 * nu_m
+        coef = ((nu_m - below * rng.uniform(0.0, 1.0, n_tx)) * h.conj()).tolist()
         level = draw(st.sampled_from([-eps2, 0.0]))
-        # r(seed) lands on the threshold, or one rounding unit below it
-        gamma = level - _row_residual(coef, terms, seed - nu_m, 0.0, amp)
-        if _row_residual(coef, terms, seed - nu_m, gamma, amp) > level:
+        # r(below) lands on the threshold, or one rounding unit below it
+        gamma = level - _row_residual(coef, terms, below - nu_m, 0.0, amp)
+        if _row_residual(coef, terms, below - nu_m, gamma, amp) > level:
             gamma = math.nextafter(gamma, -math.inf)
     elif kind == "root":
         gamma = -_row_residual(coef, terms, root - nu_m, 0.0, amp)
@@ -644,23 +647,96 @@ def probe_rows(draw):
 
 
 class TestDualAscentParity:
+    """The dual ascent held to the contract of the plain bisection listing.
+
+    The root step is not the listing's: it may end anywhere in the stop band
+    and makes fewer evaluations, so the sweep's trajectory differs from
+    ``oracle.reference_dual_ascent``. What the listing guarantees per update,
+    and the dual value it reaches per sweep, the fast path must match.
+    """
+
     # the example budget comes from the hypothesis profile (conftest.py)
     @settings(deadline=None, derandomize=True)
-    @given(inst=dual_instances())
-    def test_matches_reference_probe_formulation_bitwise(self, inst):
+    @given(row=probe_rows())
+    def test_update_meets_the_listing_contract(self, row):
+        coef, terms, nu_m, gamma, amp, eps2, max_iters = row
+        probes = []  # (t - nu_m, r(t)) of every evaluation the step makes
+
+        def counted(coef, terms, delta, gamma, amp):
+            probes.append((delta, _row_residual(coef, terms, delta, gamma, amp)))
+            return probes[-1][1]
+
+        with mock.patch("dfrcwave.solver._row_residual", counted):
+            value, bracketed, evals = _update_multiplier(
+                coef, terms, nu_m, gamma, amp, eps2, max_iters
+            )
+
+        def residual(t):
+            return _row_residual(coef, terms, t - nu_m, gamma, amp)
+
+        ref_value, ref_bracketed, _ = oracle._bisect_root(residual, eps2, max_iters)
+        # no more evaluations than the listing's worst case
+        assert evals == len(probes) <= 2 * max_iters + 2
+        assert math.copysign(1.0, value) == 1.0
+        # a bracket failure, with the listing's value, where r(2**max_iters) > 0:
+        # where the listing fails, except on a row flat at r = 0 out to there, whose
+        # probes rounding alone puts on either side of the band's edge
+        cap = 2.0**max_iters
+        if bracketed != ref_bracketed:
+            row_abs = sum(abs(h) for _, _, h in terms)
+            rounding = 16 * len(terms) * np.finfo(float).eps * (abs(gamma) + amp * row_abs)
+            assert abs(residual(cap)) <= rounding
+        if not bracketed:
+            assert value == cap and residual(cap) > 0.0
+            return
+        # 0.0 exactly where r(0) <= 0 made the listing return it, except that a
+        # t in the stop band may stand (r(0) is then in the band too)
+        r = residual(value)
+        met = r == 0.0 or abs(r + eps2 / 2.0) < eps2 / 2.0
+        if value == 0.0:
+            assert ref_value == 0.0 and r <= 0.0
+        else:
+            assert ref_value != 0.0 or met
+        if not (value == 0.0 or met):
+            # the listing's predicate-failure value: the feasible upper end of a
+            # bracket whose lower end the step saw above the band, left when the
+            # root steps ran out or, with the full budget, where r jumps across
+            # the band between two adjacent floats
+            assert r <= -eps2
+            assert any(r_t > 0.0 and d_t < value - nu_m for d_t, r_t in probes)
+            if max_iters == SolverConfig().max_bisect_iters:
+                assert residual(math.nextafter(value, 0.0)) > 0.0
+
+    # the example budget comes from the hypothesis profile (conftest.py); the
+    # sweeps run at the solver's own budget of root steps: with 8, both steps
+    # stop short at kinks, and where coordinate ascent stalls at a kink the
+    # listing's overshoot sometimes escapes it, ending above what both reach
+    # with 200
+    @settings(deadline=None, derandomize=True)
+    @given(inst=dual_instances(budgets=(SolverConfig().max_bisect_iters,)))
+    def test_sweep_is_no_worse_than_the_listing(self, inst):
         setup, cset, d, nu0, cfg = inst
         with counted_evaluations() as blocks:
             res = dual_ascent_sweep(nu0, d, cset, cfg, 1.0)
         ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0)
-        assert res.nu.tobytes() == ref.nu.tobytes()
-        assert res.x.tobytes() == ref.x.tobytes()
+
+        def dual_value(nu):
+            x = solve_inner(nu, d, cset, 1.0)
+            return float((x.conj() @ d).real - nu @ ci_margin(x, cset))
+
+        # the dual value g^ where both sweeps stopped on their rule, not the cap.
+        # Coordinate ascent can stall where g has a kink, and a row kept at an
+        # in-band value stalls where the listing's fresh dyadic path creeps on:
+        # in two sets of 2,000 examples the worst shortfall was 1.1%, and in one
+        # set 170 of 1,961 converged pairs ended more than 1e-3 above the
+        # listing's, 1 below. Where d = 0 both round to a few ulps around 0.
+        if res.converged and ref.converged:
+            g_hat, g_ref = dual_value(res.nu), dual_value(ref.nu)
+            assert g_hat >= g_ref - 2e-2 * abs(g_ref) - 1e-12
         # the dual step returns the closed form x(nu), unrepaired
         assert res.x.tobytes() == solve_inner(res.nu, d, cset, 1.0).tobytes()
-        assert (res.sweeps, res.bracket_failures) == (ref.sweeps, ref.bracket_failures)
-        # evaluations made, not the reference's probe count: seeds and skipped
-        # blocks change it, and it may exceed the reference's
+        assert res.restored == bool(ci_margin(res.x, cset).min() < 0)
         assert res.bisection_evals == len(blocks)
-        assert (res.converged, res.restored) == (ref.converged, ref.restored)
         if setup.gamma[-1] > 0 and not setup.channels[-1].any():
             # the dead user's rows (r = half*K + K - 1 in every block) never bracket
             k_users = setup.k_users
@@ -672,8 +748,8 @@ class TestDualAscentParity:
     @given(inst=dual_instances())
     def test_inactive_row_bound_covers_margin_rounding(self, inst):
         # dual_ascent_sweep skips a row with nu_m = 0 whose numpy margin at x(nu)
-        # exceeds twice the seeds' slack; the margin must match -r(0), the
-        # listing's first probe, to within that bound
+        # exceeds twice the rounding bound; the margin must match -r(0), the
+        # update's first probe, to within that bound
         _, cset, d, nu0, _ = inst
         amp = math.sqrt(1.0 / cset.n_tx)
         margins = ci_margin(solve_inner(nu0, d, cset, 1.0), cset)
@@ -684,47 +760,6 @@ class TestDualAscentParity:
         for m in range(cset.n_rows):
             r0 = _row_residual(coef, terms[m], 0.0, gamma[m], amp)
             assert abs(r0 + margins[m]) <= clear_by[m]
-
-    def test_mm_solve_matches_reference_dual_ascent_end_to_end(self):
-        # the full desk seed 0 solve, restorations and polish steps included:
-        # every iteration, multiplier and waveform bit is the plain listing's,
-        # and only the count of residual evaluations differs
-        state = desk_solve(seed=0)
-        with mock.patch("dfrcwave.solver.dual_ascent_sweep", oracle.reference_dual_ascent):
-            ref = desk_solve(seed=0)
-        assert (state.outer_iterations, state.restorations, state.polish_steps) == (648, 71, 8)
-        assert state.x.tobytes() == ref.x.tobytes()
-        assert state.nu.tobytes() == ref.nu.tobytes()
-        assert state.objective_trace.tobytes() == ref.objective_trace.tobytes()
-        assert [repr(r._replace(bisection_evals=0)) for r in state.iterations] == [
-            repr(r._replace(bisection_evals=0)) for r in ref.iterations
-        ]
-        assert state.bisection_steps < ref.bisection_steps
-
-    # the example budget comes from the hypothesis profile (conftest.py)
-    @settings(deadline=None, derandomize=True)
-    @given(row=probe_rows())
-    def test_update_multiplier_matches_listing(self, row):
-        coef, terms, nu_m, gamma, amp, eps2, max_iters = row
-        # the rounding bound dual_ascent_sweep passes for this row
-        row_abs = sum(abs(h) for _, _, h in terms)
-        slack = 16 * len(terms) * np.finfo(float).eps * (abs(gamma) + amp * row_abs)
-        calls = []
-
-        def counted(coef, terms, delta, gamma, amp):
-            calls.append(delta)
-            return _row_residual(coef, terms, delta, gamma, amp)
-
-        with mock.patch("dfrcwave.solver._row_residual", counted):
-            value, bracketed, evals = _update_multiplier(
-                coef, terms, nu_m, gamma, amp, eps2, slack, max_iters
-            )
-        ref = oracle._bisect_root(
-            lambda t: _row_residual(coef, terms, t - nu_m, gamma, amp), eps2, max_iters
-        )
-        assert (value, bracketed) == ref[:2]
-        assert math.copysign(1.0, value) == math.copysign(1.0, ref[0])
-        assert evals == len(calls)
 
 
 @st.composite
@@ -807,13 +842,13 @@ class TestPhaseSearchParity:
             assert np.asarray(before).tobytes() == np.asarray(after).tobytes()
 
     def test_mm_solve_matches_phase_search_listing_end_to_end(self):
-        # the full desk seed 0 solve with both repairs, restoration (71 times)
-        # and the polish fallback (8 steps), run on the phase-search listing:
+        # the full desk seed 1 solve with both repairs, restoration (57 times)
+        # and the polish fallback (21 steps), run on the phase-search listing:
         # every iteration, multiplier and waveform bit is the same
-        state = desk_solve(seed=0)
+        state = desk_solve(seed=1)
         with mock.patch("dfrcwave.solver._best_phase", oracle._best_phase):
-            ref = desk_solve(seed=0)
-        assert (state.outer_iterations, state.restorations, state.polish_steps) == (648, 71, 8)
+            ref = desk_solve(seed=1)
+        assert (state.outer_iterations, state.restorations, state.polish_steps) == (717, 57, 21)
         assert state.x.tobytes() == ref.x.tobytes()
         assert state.nu.tobytes() == ref.nu.tobytes()
         assert state.objective_trace.tobytes() == ref.objective_trace.tobytes()
@@ -1082,31 +1117,128 @@ def desk_solve(**overrides):
 
 class TestTermination:
     def test_restoration_failures_before_feasibility_do_not_warn(self):
-        # two restorations fail while the iterate is still infeasible; the
+        # three restorations fail while the iterate is still infeasible; the
         # run then converges to a feasible design (min margin 1.1e-5)
         state = desk_solve(seed=1, gamma_db=(15.0,), m_psk=8)
         assert state.termination == Termination.CONVERGED
-        assert state.outer_iterations == 258
+        assert state.outer_iterations == 250
         assert state.final_margins.min() > 0.0
-        assert state.restore_failures == 2
+        assert state.restore_failures == 3
         assert not any("feasibility restoration failed" in w for w in state.warnings)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="convergence is declared only on dual-accepted steps, so a run "
-        "that continues on polish steps alone ends at max_iters (ROADMAP item 4a)",
-    )
     def test_polish_only_tail_converges(self):
+        # this run once spent its last 50 of 400 iterations on polish steps and
+        # ended at max_iters (ROADMAP item 4a); no desk seed 0-5, sweep config
+        # or N = 64 seed 0 run shows that tail now
         state = desk_solve(seed=0, gamma_db=(15.0,), max_outer_iters=400)
-        # the defect: a max_iters exit whose last 50 steps are all polish steps
         polish_tail = all(r.polish_step for r in state.iterations[-50:])
         assert state.termination == Termination.CONVERGED or not polish_tail
 
     @pytest.mark.xfail(
         strict=True,
-        reason="converges at iteration 437 with KKT residual 3.78e-4 (ROADMAP item 4c)",
+        reason="converges at iteration 251 with KKT residual 1.018e-4 (ROADMAP item 4c)",
     )
     def test_converged_run_meets_the_kkt_bound(self):
-        state = desk_solve(seed=1, m_psk=8)
+        state = desk_solve(seed=2, gamma_db=(15.0,), m_psk=8)
         assert state.termination == Termination.CONVERGED
         assert state.kkt_residual <= 1e-4
+
+
+@st.composite
+def small_configs(draw):
+    """Small valid desk-style configs: n_tx 1-4, L 2-8, K 1-min(3, n_tx), P 1-L,
+    M in {2, 4, 8}, gamma -5..15 dB, a 2-degree grid and at most 100 iterations."""
+    n_tx = draw(st.integers(1, 4))
+    block_len = draw(st.integers(2, 8))
+    return ExperimentConfig.desk_preset(
+        n_tx=n_tx,
+        block_len=block_len,
+        k_users=draw(st.integers(1, min(3, n_tx))),
+        max_lag=draw(st.integers(1, block_len)),
+        m_psk=draw(st.sampled_from([2, 4, 8])),
+        gamma_db=(draw(st.floats(-5.0, 15.0)),),
+        grid_step_deg=2.0,
+        max_outer_iters=100,
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def contract_solve(config):
+    """(problem, state) of one small config, solved once for every clause."""
+    problem = build_problem(config)
+    state = mm_solve(
+        problem.scene, problem.comm, problem.weights, problem.solver,
+        x0=problem.x0, p_total=problem.p_total,
+    )
+    return problem, state
+
+
+def _feasible_flags(state):
+    """Per accepted iterate: feasible (restored or polished) or not."""
+    return [r.feasible_exit or r.polish_step for r in state.iterations if not r.rejected]
+
+
+def over_small_configs(test):
+    """Run ``test`` on 20 small configs, the same for every clause of the contract.
+
+    One seed draws them, so each is solved once (``contract_solve``), and
+    nothing is shrunk: a broken clause reports the first instance it fails.
+    """
+    examples = settings(
+        max_examples=20, deadline=None, database=None, phases=(Phase.explicit, Phase.generate)
+    )
+    return seed(1)(examples(given(config=small_configs())(test)))
+
+
+class TestSolveContract:
+    """The solve's contract (ROADMAP item 11) over random small instances."""
+
+    @over_small_configs
+    def test_constant_modulus(self, config):
+        problem, state = contract_solve(config)
+        amp = math.sqrt(problem.p_total / problem.scene.geometry.n_tx)
+        assert np.abs(np.abs(state.x) - amp).max() <= MODULUS_TOL * max(1.0, amp)
+
+    @over_small_configs
+    def test_trace_is_monotone_once_feasible(self, config):
+        _, state = contract_solve(config)
+        trace, feasible = state.objective_trace, _feasible_flags(state)
+        if any(feasible):
+            tail = trace[feasible.index(True):]
+            assert np.all(np.diff(tail) <= 1e-9 * np.abs(tail[:-1]))
+
+    @over_small_configs
+    def test_feasible_exit_or_a_warning(self, config):
+        _, state = contract_solve(config)
+        assert state.final_margins.min() >= 0.0 or state.warnings
+
+    @over_small_configs
+    def test_termination_says_how_the_run_ended(self, config):
+        _, state = contract_solve(config)
+        assert state.termination in (Termination.CONVERGED, Termination.MAX_ITERS)
+        if state.termination == Termination.MAX_ITERS:
+            assert state.outer_iterations == config.max_outer_iters
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the KKT residual pairs the last dual step's multipliers with the "
+        "returned, possibly restored design and checks complementarity only "
+        "(ROADMAP item 4)",
+    )
+    @over_small_configs
+    def test_converged_run_meets_the_kkt_bound(self, config):
+        _, state = contract_solve(config)
+        if state.termination == Termination.CONVERGED:
+            assert state.kkt_residual <= 1e-4
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a run whose iterates are never feasible still stops on eps3 as "
+        "converged, with a warning (ROADMAP item 4)",
+    )
+    @over_small_configs
+    def test_never_feasible_run_does_not_converge(self, config):
+        _, state = contract_solve(config)
+        if not any(_feasible_flags(state)):
+            assert state.termination != Termination.CONVERGED
