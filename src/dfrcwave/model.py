@@ -240,7 +240,10 @@ class SolverConfig:
     residual, and ``eps3`` stops the MM loop on the relative change of the
     objective. ``max_bisect_iters`` caps one multiplier update's bracket
     doublings (a row still unbracketed at 2**max_bisect_iters is flagged)
-    and, separately, its root steps.
+    and, separately, its root steps (``solver._update_multiplier``). It lies
+    in [32, 1000]: with fewer, the bisection listing's own dual value turns on
+    where its starved steps stop, and 2**max_bisect_iters and its reciprocal
+    must stay normal floats.
     """
 
     eps1: float = 1e-4
@@ -259,8 +262,8 @@ class SolverConfig:
             (self.eps3 > 0, "eps3 must be > 0, got {}", self.eps3),
             (self.max_outer_iters >= 1, "max_outer_iters must be >= 1, got {}",
              self.max_outer_iters),
-            (self.max_bisect_iters >= 1, "max_bisect_iters must be >= 1, got {}",
-             self.max_bisect_iters),
+            (32 <= self.max_bisect_iters <= 1000,
+             "max_bisect_iters must be in [32, 1000], got {}", self.max_bisect_iters),
             (self.majorizer_kind in tuple(MajorizerKind),
              "majorizer_kind must be diagonal or max_eigen, got {!r}", self.majorizer_kind),
             (self.mode in tuple(SolveMode), "mode must be dfrc or radar_only, got {!r}",

@@ -7,9 +7,9 @@ Each MM iteration linearizes the radar cost to Re{x^H d} and solves
 through its dual: for fixed multipliers the minimizer is the closed form
 x(nu) = sqrt(P_T/N_T) exp(j angle(sum_m nu_m h~_m - d)), and the
 multipliers are driven by coordinate ascent in ``dual_ascent_sweep``, one
-root step per constraint, each run inline by ``_update_multiplier``: a
-safeguarded regula falsi step from the current multiplier that stops on the
-bisection listing's own rule (``oracle._bisect_root``).
+root step per constraint, each run inline by ``_update_multiplier``, a
+safeguarded regula falsi step held to the contract of the bisection listing
+(``oracle._bisect_root``); its docstring has the step's rules.
 Residuals are re-evaluated from the closed form (only the touched block's
 n_tx entries change), never from a stale x, by ``_row_residual``: Python
 complex arithmetic over Python lists (the running coefficient vector and
@@ -130,29 +130,33 @@ def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, max_iters):
     """One multiplier update: a safeguarded regula falsi root step on r(t) = gbar_m.
 
     r is non-increasing in t (a partial supergradient of the concave dual).
-    The step returns only values the bisection listing ``oracle._bisect_root``
-    returns too: 0.0 once r(0) <= 0 is seen; a t where r == 0 or
-    -eps2 < r < 0 (the listing's stop rule: the row's margin in [0, eps2));
-    2**max_iters with ``bracketed`` False when r is still positive there; or,
-    once the root steps run out or the bracket's ends are adjacent floats (r
-    jumps across the band between them), the bracket's upper end, where
-    r <= -eps2 (the listing's predicate-failure value). Where r(0) is itself
-    in the band the listing returns 0.0, and the step may keep another t there.
+    The step returns only what the bisection listing ``oracle._bisect_root``
+    returns: 0.0 exactly when r(0) <= 0; a t where r == 0 or -eps2 < r < 0
+    (the listing's stop rule: the row's margin in [0, eps2)); 2**max_iters
+    with ``bracketed`` False when r is still positive there; or the upper
+    end of a bracket, where r <= -eps2 (the listing's predicate-failure
+    value), once the root steps run out or the bracket cannot shrink: its
+    ends are adjacent floats, or 0 and 2**-max_iters, and r jumps across the
+    band between them. No positive value is below 2**-max_iters, the
+    listing's smallest: nearer 0, the products of a multiplier with its row
+    go subnormal and x(nu) loses its phases to rounding.
 
-    A warm multiplier v > 0 (at most 2**max_iters, the listing's range) whose
-    r(v) lies in the band is kept. Otherwise the bracket is found locally:
-    above v it starts at v (1 + 0.1) and doubles, capped at 2**max_iters;
-    below v it tries v (1 - 0.1), then 0. A cold row tests r(0), then
-    brackets up from 1.0 as the listing does. Inside the bracket an Illinois
-    step (Dowell & Jarratt, BIT 11, 1971) aims at the middle of the band,
-    r = -eps2/2, and a bisection step follows whenever three of its steps
-    fail to halve the bracket. ``max_iters`` caps the doublings and,
-    separately, the root steps, so an update makes at most 2 max_iters + 2
-    residual evaluations, the listing's own worst case. Returns (value,
-    bracketed, evaluations made).
+    A warm multiplier v >= 2**-max_iters (clipped to 2**max_iters, the top
+    of the listing's range) is probed first. Above the band, the bracket is
+    found at v (1 + 0.1) and then by doubling, capped at 2**max_iters. In or
+    below it, v (1 - 0.1) is tried, then 0, and a t in the band is returned
+    only once some probe has shown r > 0, so that r(0) > 0. A cold row tests
+    r(0), then brackets up from 1.0 as the listing does. Inside the bracket
+    an Illinois step (Dowell & Jarratt, BIT 11, 1971) aims at the middle of
+    the band, r = -eps2/2, and a bisection step follows whenever three of
+    its steps fail to halve the bracket. ``max_iters`` caps the doublings
+    and, separately, the root steps, so an update makes at most
+    2 max_iters + 2 residual evaluations, the listing's own worst case.
+    Returns (value, bracketed, evaluations made).
     """
     half_eps = eps2 / 2.0
     cap = 2.0**max_iters
+    floor = 1.0 / cap
     evals = 0
 
     def residual(t):
@@ -164,31 +168,28 @@ def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, max_iters):
         return r == 0.0 or abs(r + half_eps) < half_eps
 
     # the bracket: r(lo) > 0 and r(hi) <= -eps2
-    hi = None
-    if nu_m > 0.0:
+    lo = hi = None
+    if nu_m >= floor:
         v = min(nu_m, cap)  # the listing searches [0, 2**max_iters]
-        r = residual(v)
-        if stops(r):
-            return v, True, evals
-        if r > 0:
-            lo, r_lo, t = v, r, v * (1.0 + _BRACKET_STEP)
-        else:
-            hi, r_hi = v, r
-            for t in (v * (1.0 - _BRACKET_STEP), 0.0):
-                r = residual(t)
-                if r > 0:
-                    lo, r_lo = t, r
-                    break
-                if t == 0.0:
-                    return 0.0, True, evals
-                if stops(r):
-                    return t, True, evals
-                hi, r_hi = t, r
-    else:
+        down = v * (1.0 - _BRACKET_STEP)
+        for t in (v, down) if down >= floor else (v,):
+            r = residual(t)
+            if r > 0:
+                lo, r_lo = t, r
+                break
+            hi, r_hi = t, r
+            if stops(r):
+                break
+    if lo is None:
+        # r(0) >= r(hi): 0.0 where the listing returns it, else the lower end
         r = residual(0.0)
         if r <= 0:
             return 0.0, True, evals
+        if hi is not None and stops(r_hi):
+            return hi, True, evals
         lo, r_lo, t = 0.0, r, 1.0
+    else:
+        t = lo * (1.0 + _BRACKET_STEP)
     if hi is None:
         if lo >= cap:
             return cap, False, evals
@@ -221,6 +222,10 @@ def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, max_iters):
             if lo < secant < hi:
                 t = secant
             secants += 1
+        if t < floor:  # the listing's positive values are all >= 2**-max_iters
+            if hi <= floor:
+                return hi, True, evals
+            t = floor
         if not lo < t < hi:
             return hi, True, evals  # lo and hi are adjacent floats: r jumps here
         r = residual(t)

@@ -101,6 +101,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             SolverConfig(max_outer_iters=0)
 
+    @pytest.mark.parametrize("budget", [1, 31, 1001, 1100])
+    def test_bisection_budget_range(self, budget):
+        # below 32 the listing's dual value turns on where its starved steps
+        # stop; above 1000, 2**budget or its reciprocal leaves the normal floats
+        with pytest.raises(ValueError, match=r"max_bisect_iters must be in \[32, 1000\]"):
+            SolverConfig(max_bisect_iters=budget)
+        for ok in (32, 1000):
+            assert SolverConfig(max_bisect_iters=ok).max_bisect_iters == ok
+
     def test_waveform_modulus_check(self):
         amp = np.sqrt(1.0 / 2.0)
         good = amp * np.exp(1j * np.linspace(0, 3, 8)).reshape(2, 4)

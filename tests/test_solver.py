@@ -502,9 +502,9 @@ class TestFeasibilityProperties:
 
 
 @st.composite
-def dual_instances(draw, budgets=(8, 200)):
+def dual_instances(draw):
     """Dual-ascent inputs (setup, cset, d, nu0, cfg) over n_tx 1-4, L 1-6, K 1-2, M 2/4/8,
-    with ``max_bisect_iters`` drawn from ``budgets``.
+    with ``max_bisect_iters`` the smallest that ``SolverConfig`` accepts or its default.
 
     d always has exact zeros, so from nu0 = 0 the probes meet vanishing
     coefficients (the phase-0 branch); a drawn "dead" user has a zero
@@ -520,7 +520,7 @@ def dual_instances(draw, budgets=(8, 200)):
     dead_user = draw(st.booleans())
     warm = draw(st.booleans())
     scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
-    cfg = SolverConfig(max_bisect_iters=draw(st.sampled_from(budgets)))
+    cfg = SolverConfig(max_bisect_iters=draw(st.sampled_from([32, 200])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     channels = draw_channels(k_users, n_tx, rng.integers(2**31))
     if dead_user:
@@ -678,42 +678,40 @@ class TestDualAscentParity:
         # no more evaluations than the listing's worst case
         assert evals == len(probes) <= 2 * max_iters + 2
         assert math.copysign(1.0, value) == 1.0
-        # a bracket failure, with the listing's value, where r(2**max_iters) > 0:
-        # where the listing fails, except on a row flat at r = 0 out to there, whose
-        # probes rounding alone puts on either side of the band's edge
+        # the listing's decisions on the sign of r, except on a row flat within
+        # rounding of r = 0, whose probes rounding alone puts on either side
+        row_abs = sum(abs(h) for _, _, h in terms)
+        rounding = 16 * len(terms) * np.finfo(float).eps * (abs(gamma) + amp * row_abs)
         cap = 2.0**max_iters
+        # a bracket failure, with the listing's value, where r(2**max_iters) > 0
         if bracketed != ref_bracketed:
-            row_abs = sum(abs(h) for _, _, h in terms)
-            rounding = 16 * len(terms) * np.finfo(float).eps * (abs(gamma) + amp * row_abs)
             assert abs(residual(cap)) <= rounding
         if not bracketed:
             assert value == cap and residual(cap) > 0.0
             return
-        # 0.0 exactly where r(0) <= 0 made the listing return it, except that a
-        # t in the stop band may stand (r(0) is then in the band too)
+        # 0.0 exactly where r(0) <= 0 made the listing return it, and otherwise
+        # no positive value below the listing's smallest, 2**-max_iters
         r = residual(value)
         met = r == 0.0 or abs(r + eps2 / 2.0) < eps2 / 2.0
+        if (value == 0.0) != (ref_value == 0.0):
+            assert abs(residual(0.0)) <= rounding and abs(r) <= rounding
         if value == 0.0:
-            assert ref_value == 0.0 and r <= 0.0
+            assert r <= 0.0
         else:
-            assert ref_value != 0.0 or met
+            assert value >= 1.0 / cap
         if not (value == 0.0 or met):
             # the listing's predicate-failure value: the feasible upper end of a
             # bracket whose lower end the step saw above the band, left when the
             # root steps ran out or, with the full budget, where r jumps across
-            # the band between two adjacent floats
+            # the band between two adjacent floats or below 2**-max_iters
             assert r <= -eps2
             assert any(r_t > 0.0 and d_t < value - nu_m for d_t, r_t in probes)
-            if max_iters == SolverConfig().max_bisect_iters:
+            if max_iters == SolverConfig().max_bisect_iters and value > 1.0 / cap:
                 assert residual(math.nextafter(value, 0.0)) > 0.0
 
-    # the example budget comes from the hypothesis profile (conftest.py); the
-    # sweeps run at the solver's own budget of root steps: with 8, both steps
-    # stop short at kinks, and where coordinate ascent stalls at a kink the
-    # listing's overshoot sometimes escapes it, ending above what both reach
-    # with 200
+    # the example budget comes from the hypothesis profile (conftest.py)
     @settings(deadline=None, derandomize=True)
-    @given(inst=dual_instances(budgets=(SolverConfig().max_bisect_iters,)))
+    @given(inst=dual_instances())
     def test_sweep_is_no_worse_than_the_listing(self, inst):
         setup, cset, d, nu0, cfg = inst
         with counted_evaluations() as blocks:
@@ -724,15 +722,13 @@ class TestDualAscentParity:
             x = solve_inner(nu, d, cset, 1.0)
             return float((x.conj() @ d).real - nu @ ci_margin(x, cset))
 
-        # the dual value g^ where both sweeps stopped on their rule, not the cap.
-        # Coordinate ascent can stall where g has a kink, and a row kept at an
-        # in-band value stalls where the listing's fresh dyadic path creeps on:
-        # in two sets of 2,000 examples the worst shortfall was 1.1%, and in one
-        # set 170 of 1,961 converged pairs ended more than 1e-3 above the
-        # listing's, 1 below. Where d = 0 both round to a few ulps around 0.
-        if res.converged and ref.converged:
+        # the dual value g^ wherever the listing stops on its own rule; where it
+        # runs to the sweep cap its multipliers diverge (the dual is unbounded)
+        # and its g^ there says only how fast. Where d = 0 both round to a few
+        # ulps around 0.
+        if ref.converged:
             g_hat, g_ref = dual_value(res.nu), dual_value(ref.nu)
-            assert g_hat >= g_ref - 2e-2 * abs(g_ref) - 1e-12
+            assert g_hat >= g_ref - 1e-3 * abs(g_ref) - 1e-12
         # the dual step returns the closed form x(nu), unrepaired
         assert res.x.tobytes() == solve_inner(res.nu, d, cset, 1.0).tobytes()
         assert res.restored == bool(ci_margin(res.x, cset).min() < 0)
@@ -842,13 +838,13 @@ class TestPhaseSearchParity:
             assert np.asarray(before).tobytes() == np.asarray(after).tobytes()
 
     def test_mm_solve_matches_phase_search_listing_end_to_end(self):
-        # the full desk seed 1 solve with both repairs, restoration (57 times)
+        # the full desk seed 1 solve with both repairs, restoration (58 times)
         # and the polish fallback (21 steps), run on the phase-search listing:
         # every iteration, multiplier and waveform bit is the same
         state = desk_solve(seed=1)
         with mock.patch("dfrcwave.solver._best_phase", oracle._best_phase):
             ref = desk_solve(seed=1)
-        assert (state.outer_iterations, state.restorations, state.polish_steps) == (717, 57, 21)
+        assert (state.outer_iterations, state.restorations, state.polish_steps) == (718, 58, 21)
         assert state.x.tobytes() == ref.x.tobytes()
         assert state.nu.tobytes() == ref.nu.tobytes()
         assert state.objective_trace.tobytes() == ref.objective_trace.tobytes()
@@ -1126,11 +1122,15 @@ class TestTermination:
         assert state.restore_failures == 3
         assert not any("feasibility restoration failed" in w for w in state.warnings)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="convergence is declared only on dual-accepted steps, so a run "
+        "that continues on polish steps alone ends at max_iters (ROADMAP item 4a)",
+    )
     def test_polish_only_tail_converges(self):
-        # this run once spent its last 50 of 400 iterations on polish steps and
-        # ended at max_iters (ROADMAP item 4a); no desk seed 0-5, sweep config
-        # or N = 64 seed 0 run shows that tail now
-        state = desk_solve(seed=0, gamma_db=(15.0,), max_outer_iters=400)
+        # the last dual step is iteration 352; left to 5,000 the run ends there
+        state = desk_solve(seed=2, gamma_db=(10.0,), m_psk=8, max_outer_iters=500)
+        # the defect: a max_iters exit whose last 50 steps are all polish steps
         polish_tail = all(r.polish_step for r in state.iterations[-50:])
         assert state.termination == Termination.CONVERGED or not polish_tail
 
