@@ -20,9 +20,13 @@ and a block whose multipliers all kept their values skips the next sweep.
 
 Every CI row touches one symbol block, and ``CIConstraintSet`` stores the
 rows as an (L, 2K, n_tx) stack, so products with the rows and feasibility
-repairs work block by block. ``mm_solve`` owns both repairs of x(nu): one
-on an infeasible kink is restored one violated block at a time, trying
-starts lazily in a fixed order (``_restore_feasibility``), and
+repairs work block by block. The sweep stops on a global rule, so a block
+can end violated by a tolerance; the block finish then repeats that
+block's row updates, a bounded number of passes, until every row holds.
+What the finish leaves violated, usually a block on an infeasible kink,
+is repaired by ``mm_solve``, which owns both repairs of x(nu): it is
+restored one violated block at a time, trying starts lazily in a fixed
+order (``_restore_feasibility``), and
 ``polish_feasible`` is the monotone fallback of the MM loop: coordinate
 rounds over the n_tx entries, each one phase search batched over all L
 blocks, that never increase Re{x^H d} and never leave the feasible set.
@@ -57,6 +61,8 @@ DEFAULT_MAX_SWEEPS = 200
 _BRACKET_STEP = 0.1
 #: Regula falsi steps that must halve the bracket, else a bisection step follows.
 _STALL_STEPS = 3
+#: Cap on the block finish's passes over one violated block's rows.
+_FINISH_PASSES = 10
 _EPS = np.finfo(float).eps
 
 
@@ -467,10 +473,21 @@ def dual_ascent_sweep(
     nu (no rounding drift) and reads from it x(nu), the margins that clear
     inactive rows in the next sweep, and g^. A block whose multipliers all
     kept their values skips the next sweep, which would repeat it exactly.
+
+    The stopping rule is global, so x(nu) may still violate a block whose
+    rows each stopped in [0, eps2) before a later row of the block moved
+    its shared entries. The block finish then repeats each such block's
+    row updates, no row skipped, until every row's residual r(0) is <= 0,
+    a pass changes no multiplier, or ``_FINISH_PASSES`` passes ran; one
+    more tail rebuilds x(nu) and the margins. Finish steps are coordinate
+    ascent steps like the sweep's, and their residual evaluations,
+    the stop checks' included, count in ``bisection_evals``.
+
     Rejects a ``nu`` or ``d`` of the wrong shape or not finite, a negative
     ``nu``, and a ``p_total`` not finite and > 0, as ``solve_inner`` does.
     Returns x(nu) unrepaired, bitwise ``solve_inner(res.nu, ...)``;
-    ``restored`` flags that it violates a CI row.
+    ``restored`` flags that it violates a CI row, which happens only in a
+    block the finish left violated.
     """
     nu_arr, d = _dual_inputs(nu, d, constraints)
     rows, thresholds = constraints.rows, constraints.thresholds
@@ -486,15 +503,37 @@ def dual_ascent_sweep(
     nu = nu_arr.tolist()
     bracket_bad: set[int] = set()
     evals = 0
+
+    def tail():
+        """(coefficient list, x(nu), margins), all rebuilt from ``nu_arr``."""
+        coef_arr = _weighted_rows(constraints, nu_arr) - d
+        x = _closed_form(coef_arr, amp)
+        margins = block_margins(x.reshape(n_blocks, n_tx), rows, thresholds).reshape(-1)
+        return coef_arr.tolist(), x, margins
+
+    def update(m):
+        """Row m's root step, folded into ``coef``; True when nu_m moved."""
+        nonlocal evals
+        value, bracketed, made = _update_multiplier(
+            coef, terms[m], nu[m], gamma[m], amp, eps2, max_iters
+        )
+        evals += made
+        if not bracketed:
+            bracket_bad.add(m)
+        delta = value - nu[m]
+        if delta == 0.0:
+            return False
+        for i, col, _ in terms[m]:
+            coef[i] += delta * col
+        nu[m] = value
+        return True
+
     moving = range(n_blocks)  # the blocks whose rows the next sweep visits
     prev = math.inf
     converged = False
     sweeps = 0
     while True:
-        coef_arr = _weighted_rows(constraints, nu_arr) - d
-        coef = coef_arr.tolist()
-        x = _closed_form(coef_arr, amp)
-        margins = block_margins(x.reshape(n_blocks, n_tx), rows, thresholds).reshape(-1)
+        coef, x, margins = tail()
         clear = (margins > clear_by).tolist()
         if sweeps:
             g_hat = float((x.conj() @ d).real - nu_arr @ margins)
@@ -509,23 +548,33 @@ def dual_ascent_sweep(
             for m in range(ell * per_block, (ell + 1) * per_block):
                 if clear[m] and nu[m] == 0.0 and ell != moved:
                     continue  # r(0) <= 0 for certain: the update returns 0.0
-                value, bracketed, made = _update_multiplier(
-                    coef, terms[m], nu[m], gamma[m], amp, eps2, max_iters
-                )
-                evals += made
-                if not bracketed:
-                    bracket_bad.add(m)
-                delta = value - nu[m]
-                if delta != 0.0:
-                    for i, col, _ in terms[m]:
-                        coef[i] += delta * col
-                    nu[m] = value
-                    if ell != moved:
-                        moved = ell
-                        changed.append(ell)
+                if update(m) and ell != moved:
+                    moved = ell
+                    changed.append(ell)
         sweeps += 1
         # a settled block's rows would repeat their results in the next sweep
         nu_arr, moving = np.array(nu, dtype=float), changed
+
+    def block_holds(block):
+        """True when every row of ``block`` has r(0) <= 0 at ``coef``."""
+        nonlocal evals
+        for m in block:
+            evals += 1
+            if _row_residual(coef, terms[m], 0.0, gamma[m], amp) > 0:
+                return False
+        return True
+
+    violated = np.flatnonzero(margins.reshape(n_blocks, per_block).min(axis=1) < 0).tolist()
+    for ell in violated:
+        block = range(ell * per_block, (ell + 1) * per_block)
+        for _ in range(_FINISH_PASSES):
+            moves = [update(m) for m in block]
+            # a pass that moved no multiplier would repeat exactly
+            if not any(moves) or block_holds(block):
+                break
+    if violated:
+        nu_arr = np.array(nu, dtype=float)
+        _, x, margins = tail()
     return DualAscentResult(
         nu=nu_arr,
         x=x,
@@ -543,11 +592,11 @@ class IterationRecord(NamedTuple):
     ``objective`` is the true cost of the candidate (the trace value when
     the step was accepted); ``dual_sweeps`` and ``bisection_evals`` are the
     dual ascent's work (0 in radar-only mode) and ``sweep_cap_hit`` marks a
-    dual ascent stopped by the sweep cap; ``restored`` and
-    ``feasible_exit`` say whether its x(nu) needed restoration and
-    whether that left every block feasible; ``polish_step`` marks a step
-    taken by the polish fallback, ``rejected`` the candidate rejected for
-    ascent, which ends the run.
+    dual ascent stopped by the sweep cap; ``restored`` says that its
+    x(nu) still violated a block after the block finish and so needed
+    restoration, ``feasible_exit`` whether that left every block feasible;
+    ``polish_step`` marks a step taken by the polish fallback, ``rejected``
+    the candidate rejected for ascent, which ends the run.
     """
 
     objective: float

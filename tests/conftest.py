@@ -6,9 +6,11 @@ from dfrcwave.model import AngleGrid, ArrayGeometry, TargetSet, Weights
 from dfrcwave.radar import build_scene, rectangular_pattern
 
 # a larger example budget for the parity properties, which hold the multiplier
-# update and the dual sweep to the plain bisection listing's contract and the
-# repairs' buffered phase search bitwise to its listing:
-#   pytest tests/test_solver.py -k "TestDualAscentParity or TestPhaseSearchParity" \
+# update and the dual sweep to the plain bisection listing's contract, the
+# block finish to the sweep without it, and the repairs' buffered phase search
+# bitwise to its listing:
+#   pytest tests/test_solver.py \
+#       -k "TestDualAscentParity or TestBlockFinish or TestPhaseSearchParity" \
 #       --hypothesis-profile=parity
 settings.register_profile("parity", max_examples=2000)
 
