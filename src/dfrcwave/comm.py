@@ -22,6 +22,7 @@ from dfrcwave.model import _frozen_array, check_rules
 
 #: Tolerance for the unit-modulus / constellation-lattice symbol checks.
 SYMBOL_TOL = 1e-9
+_EPS = np.finfo(float).eps
 
 
 def draw_channels(k_users: int, n_tx: int, seed) -> np.ndarray:
@@ -109,8 +110,8 @@ class CIConstraintSet:
     ``rows[l, r]`` (shape (L, 2K, n_tx)) holds the block-l entries of h~_m^H
     and ``thresholds[l, r]`` (shape (L, 2K)) Gamma_m, for r = half*K + k and
     m = (2l + half) K + k: flattening (l, r) gives the canonical row order
-    of margins and multipliers. ``row_scalars`` and ``row_abs_sums`` are
-    built once per set.
+    of margins and multipliers. ``row_scalars``, ``row_abs_sums`` and each
+    amplitude's ``clear_by`` are built once per set.
     """
 
     rows: np.ndarray
@@ -142,18 +143,36 @@ class CIConstraintSet:
         return _frozen_array(np.abs(self.rows).sum(axis=2), dtype=float)
 
     @functools.cached_property
+    def _clear_by(self) -> dict:
+        return {}
+
+    def clear_by(self, amp: float) -> np.ndarray:
+        """Margin above which an inactive row is slack beyond rounding, at amplitude ``amp``.
+
+        Twice 16 n_tx eps times the row's scale |Gamma_m| + amp sum_n |h~_{m,n}|:
+        a row's numpy margin at x(nu) and its scalar residual r(0) each round
+        within half of it. Shape (n_rows,), read-only, built once per amplitude.
+        """
+        cache = self._clear_by
+        if amp not in cache:
+            scale = (np.abs(self.thresholds) + amp * self.row_abs_sums).ravel()
+            cache[amp] = _frozen_array(2.0 * 16 * self.n_tx * _EPS * scale, dtype=float)
+        return cache[amp]
+
+    @functools.cached_property
     def row_scalars(self) -> tuple[list, list]:
         """Per-row Python scalars for the solver's scalar probe loop, built once per set.
 
-        Returns (terms, gamma): terms[m] lists (i, conj(h), h) for each of
-        row m's n_tx block entries, i being the entry's index in x, and
-        gamma[m] is row m's threshold. Treat as read-only.
+        Returns (terms, gamma): terms[m] is a tuple of (i, conj(h), h) for
+        each of row m's n_tx block entries, i being the entry's index in x
+        (tuples, so the set holds them at their exact size), and gamma[m] is
+        row m's threshold. Treat as read-only.
         """
         per_block, n_tx = self.rows.shape[1:]
         terms = []
         for m, r in enumerate(self.rows.reshape(-1, n_tx)):
             start = m // per_block * n_tx
-            terms.append(list(zip(range(start, start + n_tx), r.conj().tolist(), r.tolist())))
+            terms.append(tuple(zip(range(start, start + n_tx), r.conj().tolist(), r.tolist())))
         return terms, self.thresholds.ravel().tolist()
 
 

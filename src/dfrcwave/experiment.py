@@ -14,6 +14,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -189,15 +190,22 @@ def run_experiment(config: ExperimentConfig, base_dir=None) -> ExperimentResult:
     )
 
 
-def iterations_to_within(trace: np.ndarray, frac: float = 0.05) -> int:
-    """First 1-based iteration whose objective is within frac of the final value."""
+def iterations_to_within(
+    trace: np.ndarray, frac: float = 0.05, reference: Optional[float] = None
+) -> Optional[int]:
+    """First 1-based iteration whose objective is within frac of a reference value.
+
+    The reference defaults to the trace's own final value, which the trace
+    always reaches. A given reference, such as the better final objective
+    of two runs, may never be reached: then the result is None. An empty
+    trace gives 0.
+    """
     trace = np.asarray(trace)
     if trace.size == 0:
         return 0
-    final = trace[-1]
-    band = final + frac * abs(final)
-    hits = np.flatnonzero(trace <= band)
-    return int(hits[0]) + 1
+    ref = trace[-1] if reference is None else reference
+    hits = np.flatnonzero(trace <= ref + frac * abs(ref))
+    return int(hits[0]) + 1 if hits.size else None
 
 
 def compare_majorizers(config: ExperimentConfig, base_dir=None) -> ExperimentResult:
@@ -205,9 +213,12 @@ def compare_majorizers(config: ExperimentConfig, base_dir=None) -> ExperimentRes
 
     The problem is built once; the runs differ only in the solver's
     majorizer kind. Writes convergence_diagonal.csv /
-    convergence_max_eigen.csv plus a side-by-side summary; the returned
-    state is the diagonal run's, and the returned warnings are both runs',
-    each tagged with its kind.
+    convergence_max_eigen.csv plus a side-by-side summary. Per kind, the
+    summary gives the iterations to within 5% of the run's own final
+    objective and of the better final of the two runs (null when the run
+    never gets there), and the termination, which marks a capped run. The
+    returned state is the diagonal run's, and the returned warnings are
+    both runs', each tagged with its kind.
     """
     problem = build_problem(config)
     outdir = _resolve_outdir(config, base_dir)
@@ -229,6 +240,13 @@ def compare_majorizers(config: ExperimentConfig, base_dir=None) -> ExperimentRes
             "termination": state.termination.value,
             "warnings": list(state.warnings),
         }
+    # against a common reference, so a capped run far from the better final
+    # does not read as close to its own
+    best = min(c["final_objective"] for c in comparison.values())
+    for kind, state in states.items():
+        comparison[kind]["iterations_to_within_5pct_of_best"] = iterations_to_within(
+            state.objective_trace, 0.05, best
+        )
     summary = {
         "comparison": comparison,
         "seed": config.seed,

@@ -195,7 +195,7 @@ def build_phi(
         c_flat = scene.c_factors.reshape(beta.size, -1)
         blocks[0] += w.w_bp * (beta @ c_flat).reshape(n_tx, n_tx)
     blocks[0] *= 0.5  # lag 0 is its own mirror image
-    sub = np.outer(x_t, 0.5 * x_t.conj())
+    sub = x_t[:, None] * (0.5 * x_t.conj())  # the outer product x_t (x_t/2)^H
     sub *= ctx.e_mat if ctx.kind == MajorizerKind.DIAGONAL else ctx.lambda_quartic
     half = _lower_band(blocks, scene.block_len)
     half -= sub

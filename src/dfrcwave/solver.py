@@ -14,9 +14,13 @@ Residuals are re-evaluated from the closed form (only the touched block's
 n_tx entries change), never from a stale x, by ``_row_residual``: Python
 complex arithmetic over Python lists (the running coefficient vector and
 the row's (index, conj h, h) triples that ``CIConstraintSet.row_scalars``
-caches). A row at 0 whose margin, from the numpy tail of the sweep before,
-clears a rounding bound stays at 0 unprobed while its block is unchanged,
-and a block whose multipliers all kept their values skips the next sweep.
+caches). A numpy tail rebuilds the coefficients, x(nu) and the margins
+from nu up front and after every sweep that moved a multiplier; a sweep
+that moved none ends the call on the tail before it, which a rebuild would
+repeat bit for bit. A row at 0 whose margin, from that tail, clears a
+rounding bound (``CIConstraintSet.clear_by``) stays at 0 unprobed while
+its block is unchanged, and a block whose multipliers all kept their
+values skips the next sweep.
 
 Every CI row touches one symbol block, and ``CIConstraintSet`` stores the
 rows as an (L, 2K, n_tx) stack, so products with the rows and feasibility
@@ -63,7 +67,6 @@ _BRACKET_STEP = 0.1
 _STALL_STEPS = 3
 #: Cap on the block finish's passes over one violated block's rows.
 _FINISH_PASSES = 10
-_EPS = np.finfo(float).eps
 
 
 class Termination(str, enum.Enum):
@@ -121,11 +124,13 @@ def _row_residual(coef: list, terms: list, delta: float, gamma: float, amp: floa
     ``terms`` row m's (index, conj h, h) triples. Only the n_tx entries of
     row m's block are recomputed, on Python complex scalars: x(nu) there is
     amp * c / |c| entry by entry, with phase 0 for a vanishing coefficient,
-    as in the closed form.
+    as in the closed form. At ``delta`` 0 the coefficients are read as they
+    stand (adding 0 * conj h could change only the sign of a zero part,
+    which leaves the residual as it is).
     """
     acc = 0.0
     for i, col, row in terms:
-        c = coef[i] + delta * col
+        c = coef[i] + delta * col if delta else coef[i]
         mag = abs(c)
         unit = c / mag if mag != 0.0 else 1.0 + 0.0j
         acc += (row * unit).real
@@ -158,40 +163,39 @@ def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, max_iters):
     its steps fail to halve the bracket. ``max_iters`` caps the doublings
     and, separately, the root steps, so an update makes at most
     2 max_iters + 2 residual evaluations, the listing's own worst case.
+    Each evaluation is a direct call of the module's ``_row_residual`` at
+    t - nu_m, counted where it is made; the stop rule, with the exact root
+    it excludes, is written out at each probe as
+    ``r == 0.0 or abs(r + eps2/2) < eps2/2``.
     Returns (value, bracketed, evaluations made).
     """
     half_eps = eps2 / 2.0
     cap = 2.0**max_iters
     floor = 1.0 / cap
     evals = 0
-
-    def residual(t):
-        nonlocal evals
-        evals += 1
-        return _row_residual(coef, terms, t - nu_m, gamma, amp)
-
-    def stops(r):  # the listing's stop rule plus the exact root it excludes
-        return r == 0.0 or abs(r + half_eps) < half_eps
-
     # the bracket: r(lo) > 0 and r(hi) <= -eps2
     lo = hi = None
+    hi_stops = False
     if nu_m >= floor:
         v = min(nu_m, cap)  # the listing searches [0, 2**max_iters]
         down = v * (1.0 - _BRACKET_STEP)
         for t in (v, down) if down >= floor else (v,):
-            r = residual(t)
+            r = _row_residual(coef, terms, t - nu_m, gamma, amp)
+            evals += 1
             if r > 0:
                 lo, r_lo = t, r
                 break
             hi, r_hi = t, r
-            if stops(r):
+            hi_stops = r == 0.0 or abs(r + half_eps) < half_eps
+            if hi_stops:
                 break
     if lo is None:
         # r(0) >= r(hi): 0.0 where the listing returns it, else the lower end
-        r = residual(0.0)
+        r = _row_residual(coef, terms, -nu_m, gamma, amp)
+        evals += 1
         if r <= 0:
             return 0.0, True, evals
-        if hi is not None and stops(r_hi):
+        if hi_stops:
             return hi, True, evals
         lo, r_lo, t = 0.0, r, 1.0
     else:
@@ -201,8 +205,9 @@ def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, max_iters):
             return cap, False, evals
         for doublings in range(max_iters + 1):
             t = cap if doublings == max_iters else min(t, cap)
-            r = residual(t)
-            if stops(r):
+            r = _row_residual(coef, terms, t - nu_m, gamma, amp)
+            evals += 1
+            if r == 0.0 or abs(r + half_eps) < half_eps:
                 return t, True, evals
             if not r > 0:
                 hi, r_hi = t, r
@@ -234,8 +239,9 @@ def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, max_iters):
             t = floor
         if not lo < t < hi:
             return hi, True, evals  # lo and hi are adjacent floats: r jumps here
-        r = residual(t)
-        if stops(r):
+        r = _row_residual(coef, terms, t - nu_m, gamma, amp)
+        evals += 1
+        if r == 0.0 or abs(r + half_eps) < half_eps:
             return t, True, evals
         if r > 0:
             lo, f_lo = t, r + half_eps
@@ -469,10 +475,13 @@ def dual_ascent_sweep(
     g^ = gbar(x(nu)) + sum_m nu_m gbar_m(x(nu)) drops below eps1, a sweep
     leaves every multiplier unchanged, or ``DEFAULT_MAX_SWEEPS`` is hit.
     A row update folds its step into its block's coefficients. One tail,
-    run up front and after every sweep, rebuilds sum_m nu_m h~_m - d from
-    nu (no rounding drift) and reads from it x(nu), the margins that clear
-    inactive rows in the next sweep, and g^. A block whose multipliers all
-    kept their values skips the next sweep, which would repeat it exactly.
+    run up front and after every sweep that moved a multiplier, rebuilds
+    sum_m nu_m h~_m - d from nu (no rounding drift) and reads from it
+    x(nu), the margins that clear inactive rows in the next sweep, and g^.
+    A sweep that moved no multiplier left nu bit for bit as the tail before
+    it read it, so the call ends on that tail's x(nu) and margins. A block
+    whose multipliers all kept their values skips the next sweep, which
+    would repeat it exactly.
 
     The stopping rule is global, so x(nu) may still violate a block whose
     rows each stopped in [0, eps2) before a later row of the block moved
@@ -496,10 +505,8 @@ def dual_ascent_sweep(
     terms, gamma = constraints.row_scalars
     eps2, max_iters = cfg.eps2, cfg.max_bisect_iters
     # an inactive row whose numpy margin at x(nu) clears both roundings, the margin's
-    # and its residual r(0)'s (each within 16 n_tx eps of the row's scale), keeps
-    # nu_m = 0 unprobed while its block is unchanged
-    row_scale = np.abs(thresholds) + amp * constraints.row_abs_sums
-    clear_by = (2.0 * 16 * n_tx * _EPS * row_scale).ravel()
+    # and its residual r(0)'s, keeps nu_m = 0 unprobed while its block is unchanged
+    clear_by = constraints.clear_by(amp)
     nu = nu_arr.tolist()
     bracket_bad: set[int] = set()
     evals = 0
@@ -511,70 +518,76 @@ def dual_ascent_sweep(
         margins = block_margins(x.reshape(n_blocks, n_tx), rows, thresholds).reshape(-1)
         return coef_arr.tolist(), x, margins
 
-    def update(m):
-        """Row m's root step, folded into ``coef``; True when nu_m moved."""
+    def visit(blocks, clear):
+        """Root step of every row of ``blocks`` in index order, each folded into
+        ``coef``; returns the blocks where a multiplier moved. A row at 0 that
+        ``clear`` marks keeps 0 unprobed while no earlier row of its block moved."""
         nonlocal evals
-        value, bracketed, made = _update_multiplier(
-            coef, terms[m], nu[m], gamma[m], amp, eps2, max_iters
-        )
-        evals += made
-        if not bracketed:
-            bracket_bad.add(m)
-        delta = value - nu[m]
-        if delta == 0.0:
-            return False
-        for i, col, _ in terms[m]:
-            coef[i] += delta * col
-        nu[m] = value
-        return True
+        moved = -1  # the last block whose coefficients a row update changed
+        changed = []
+        for ell in blocks:
+            for m in range(ell * per_block, (ell + 1) * per_block):
+                nu_m = nu[m]
+                if clear[m] and nu_m == 0.0 and ell != moved:
+                    continue  # r(0) <= 0 for certain: the update returns 0.0
+                value, bracketed, made = _update_multiplier(
+                    coef, terms[m], nu_m, gamma[m], amp, eps2, max_iters
+                )
+                evals += made
+                if not bracketed:
+                    bracket_bad.add(m)
+                if value != nu_m:
+                    delta = value - nu_m
+                    for i, col, _ in terms[m]:
+                        coef[i] += delta * col
+                    nu[m] = value
+                    if ell != moved:
+                        moved = ell
+                        changed.append(ell)
+        return changed
 
     moving = range(n_blocks)  # the blocks whose rows the next sweep visits
     prev = math.inf
     converged = False
     sweeps = 0
-    while True:
-        coef, x, margins = tail()
-        clear = (margins > clear_by).tolist()
-        if sweeps:
-            g_hat = float((x.conj() @ d).real - nu_arr @ margins)
-            change = abs(g_hat - prev) / (abs(prev) or 1.0)  # NaN after the first sweep
-            converged = not moving or change < cfg.eps1
-            prev = g_hat
-        if converged or sweeps == DEFAULT_MAX_SWEEPS:
-            break
-        moved = -1  # the last block whose coefficients a row update changed
-        changed = []
-        for ell in moving:
-            for m in range(ell * per_block, (ell + 1) * per_block):
-                if clear[m] and nu[m] == 0.0 and ell != moved:
-                    continue  # r(0) <= 0 for certain: the update returns 0.0
-                if update(m) and ell != moved:
-                    moved = ell
-                    changed.append(ell)
-        sweeps += 1
+    coef, x, margins = tail()
+    while sweeps < DEFAULT_MAX_SWEEPS:
         # a settled block's rows would repeat their results in the next sweep
-        nu_arr, moving = np.array(nu, dtype=float), changed
+        moving = visit(moving, (margins > clear_by).tolist())
+        sweeps += 1
+        if not moving:
+            # nu is bitwise what the last tail read, so its x(nu), margins and
+            # coefficients stand, and the next sweep would repeat this one
+            converged = True
+            break
+        nu_arr = np.array(nu, dtype=float)
+        coef, x, margins = tail()
+        g_hat = float((x.conj() @ d).real - nu_arr @ margins)
+        change = abs(g_hat - prev) / (abs(prev) or 1.0)  # NaN after the first sweep
+        prev = g_hat
+        if change < cfg.eps1:
+            converged = True
+            break
 
-    def block_holds(block):
-        """True when every row of ``block`` has r(0) <= 0 at ``coef``."""
-        nonlocal evals
-        for m in block:
-            evals += 1
-            if _row_residual(coef, terms[m], 0.0, gamma[m], amp) > 0:
-                return False
-        return True
-
-    violated = np.flatnonzero(margins.reshape(n_blocks, per_block).min(axis=1) < 0).tolist()
-    for ell in violated:
-        block = range(ell * per_block, (ell + 1) * per_block)
-        for _ in range(_FINISH_PASSES):
-            moves = [update(m) for m in block]
-            # a pass that moved no multiplier would repeat exactly
-            if not any(moves) or block_holds(block):
-                break
-    if violated:
+    restored = bool(margins.min() < 0)
+    if restored:
+        probe_all = [False] * len(nu)  # the finish skips no row
+        blocks = margins.reshape(n_blocks, per_block).min(axis=1)
+        for ell in np.flatnonzero(blocks < 0).tolist():
+            block = range(ell * per_block, (ell + 1) * per_block)
+            for _ in range(_FINISH_PASSES):
+                if not visit((ell,), probe_all):
+                    break  # a pass that moved no multiplier would repeat exactly
+                # the finish stops once every row of the block has r(0) <= 0 at coef
+                for m in block:
+                    evals += 1
+                    if _row_residual(coef, terms[m], 0.0, gamma[m], amp) > 0:
+                        break
+                else:
+                    break
         nu_arr = np.array(nu, dtype=float)
         _, x, margins = tail()
+        restored = bool(margins.min() < 0)
     return DualAscentResult(
         nu=nu_arr,
         x=x,
@@ -582,7 +595,7 @@ def dual_ascent_sweep(
         bisection_evals=evals,
         converged=converged,
         bracket_failures=tuple(sorted(bracket_bad)),
-        restored=bool(margins.min() < 0),
+        restored=restored,
     )
 
 

@@ -7,11 +7,12 @@ from dfrcwave.radar import build_scene, rectangular_pattern
 
 # a larger example budget for the parity properties, which hold the multiplier
 # update and the dual sweep to the plain bisection listing's contract, the
-# block finish to the sweep without it, and the repairs' buffered phase search
-# bitwise to its listing:
+# block finish to the sweep without it, the dual call's x(nu) rebuilds to the
+# sweeps that moved, and the repairs' buffered phase search bitwise to its
+# listing:
 #   pytest tests/test_solver.py \
-#       -k "TestDualAscentParity or TestBlockFinish or TestPhaseSearchParity" \
-#       --hypothesis-profile=parity
+#       -k "TestDualAscentParity or TestBlockFinish or TestNoMoveExit
+#           or TestPhaseSearchParity" --hypothesis-profile=parity
 settings.register_profile("parity", max_examples=2000)
 
 

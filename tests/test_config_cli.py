@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dfrcwave.config import (
     ConfigError,
     ExperimentConfig,
     build_problem,
+    config_from_file,
     parse_config_text,
     validate_config,
 )
@@ -265,10 +267,38 @@ class TestRunExperiment:
         ).read_bytes()
 
 
+    def test_compare_counts_iterations_to_the_better_final(self, tmp_path):
+        # the shipped comparison config: each kind's first iteration within 5%
+        # of the better final objective of the two runs, read from its trace
+        cfg = config_from_file(Path(__file__).parents[1] / "configs" / "convergence_compare.cfg")
+        out = compare_majorizers(cfg, base_dir=tmp_path).artifact_dir
+        runs = json.loads((out / "summary_compare.json").read_text())["comparison"]
+        best = min(run["final_objective"] for run in runs.values())
+        for kind, run in runs.items():
+            rows = (out / f"convergence_{kind}.csv").read_text().splitlines()[1:]
+            trace = [float(row.split(",")[1]) for row in rows]
+            within = [i + 1 for i, g in enumerate(trace) if g <= best + 0.05 * abs(best)]
+            assert run["iterations_to_within_5pct_of_best"] == (within[0] if within else None)
+            if run["final_objective"] == best:
+                assert run["iterations_to_within_5pct_of_best"] == run["iterations_to_within_5pct"]
+        # the diagonal run is the better one here, and the max-eigen run's own
+        # final lies above it, so its count to the common band is the larger
+        assert runs["diagonal"]["final_objective"] == best
+        max_eigen = runs["max_eigen"]
+        assert (
+            max_eigen["iterations_to_within_5pct_of_best"] > max_eigen["iterations_to_within_5pct"]
+        )
+
+
 class TestIterationsToWithin:
     def test_monotone_trace(self):
         trace = np.array([10.0, 5.0, 2.0, 1.05, 1.0])
         assert iterations_to_within(trace) == 4
+
+    def test_reference_value(self):
+        trace = np.array([10.0, 5.0, 2.0, 1.05, 1.0])
+        assert iterations_to_within(trace, 0.05, 2.0) == 3
+        assert iterations_to_within(trace, 0.05, 0.5) is None
 
     def test_flat_trace(self):
         assert iterations_to_within(np.array([3.0, 3.0])) == 1

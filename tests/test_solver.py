@@ -838,6 +838,34 @@ class TestBlockFinish:
         assert dual_value(res.nu) >= g_sweep - 1e-8 * abs(g_sweep) - 1e-12
 
 
+class TestNoMoveExit:
+    """A sweep that moved no multiplier ends the dual call on the last tail's x(nu)."""
+
+    # the example budget comes from the hypothesis profile (conftest.py)
+    @settings(deadline=None, derandomize=True)
+    @given(inst=dual_instances())
+    def test_tail_follows_only_sweeps_that_moved(self, inst):
+        _, cset, d, nu0, cfg = inst
+        args = (nu0, d, cset, cfg, 1.0)
+        with mock.patch("dfrcwave.solver._closed_form", wraps=_closed_form) as closed_form:
+            res = dual_ascent_sweep(*args)
+        # every sweep before the last moved a multiplier, or the call would have
+        # ended there; the last moved one when it changed nu from the sweep
+        # before it, which the sweep cap one lower returns. With no finishing
+        # pass, the sweeps alone: the finish runs when they leave a block violated.
+        swept = unfinished_sweep(*args)
+        with mock.patch("dfrcwave.solver.DEFAULT_MAX_SWEEPS", res.sweeps - 1):
+            before_last = unfinished_sweep(*args)
+        assert swept.sweeps == res.sweeps
+        last_moved = before_last.nu.tobytes() != swept.nu.tobytes()
+        assert res.converged or last_moved  # the cap stops only a moving call
+        moved_sweeps = res.sweeps - 1 + last_moved
+        # one tail up front, one after every sweep that moved, one after the finish
+        assert closed_form.call_count == 1 + moved_sweeps + swept.restored
+        assert res.x.tobytes() == solve_inner(res.nu, d, cset, 1.0).tobytes()
+        assert res.restored == bool(ci_margin(res.x, cset).min() < 0)
+
+
 @st.composite
 def phase_searches(draw):
     """Inputs (base, col, d_n, amp, phi_now) of one batched phase search.
