@@ -17,8 +17,11 @@ at that lag and the N_T^2 x N_T^2 Gram G_delta = sum_k c_k vec(F_k) vec^H(F_k).
 So E = mat(|Psi| 1) is block-Toeplitz with block (L - |delta|) mat(|G_delta| 1),
 zero for |delta| >= P, and lambda_max(Psi) is the largest
 (L - |delta|) lambda_max(G_delta). Set-up costs O((U + P Q^2) N_T^4),
-independent of L. Phi is block-banded the same way and is assembled from P
-small blocks per iteration, with no cap on N.
+independent of L. Phi is block-banded the same way and is assembled from
+one small block per lag of its band, with no cap on N. The band ends at the
+last lag with a nonzero correlation weight; with none beyond lag 0 (beam
+pattern only, or P = 1) Phi is I_L (x) S minus a rank-one term, and
+lambda_max(Phi) is lambda_max(S) for L >= 2.
 """
 
 from __future__ import annotations
@@ -84,13 +87,21 @@ def _lower_band(blocks: np.ndarray, block_len: int) -> np.ndarray:
     return out.reshape(n, n)
 
 
-def _lag_grams(scene: RadarScene, w_bp: float, lag_w: np.ndarray) -> np.ndarray:
-    """(L - tau) G_{-tau} for the lags -tau, tau = 0 .. min(P, L) - 1.
+def _band_width(lag_w: np.ndarray, block_len: int) -> int:
+    """Number of block lags in Phi's band: lag 0, then up to the last lag
+    tau < min(P, L) whose correlation weights in ``lag_w`` are not all zero."""
+    active = np.flatnonzero(lag_w[:block_len].any(axis=(1, 2)))
+    return int(active[-1]) + 1 if active.size else 1
 
-    ``lag_w`` holds the correlation-term weights of ``lag_weights``.
-    Returns shape (T, N_T^2, N_T^2), with factors vectorized row-major. Lag
-    -tau holds the D_{tau,q,q'} (and, at lag 0, the B_u); lag +tau mirrors
-    it with the same spectrum and transposed row sums.
+
+def _lag_grams(scene: RadarScene, w_bp: float, lag_w: np.ndarray, band: int) -> np.ndarray:
+    """(L - tau) G_{-tau} for the lags -tau, tau = 0 .. band - 1.
+
+    ``lag_w`` holds the correlation-term weights of ``lag_weights``, and
+    ``band`` is at most min(P, L). Returns shape (band, N_T^2, N_T^2), with
+    factors vectorized row-major. Lag -tau holds the D_{tau,q,q'} (and, at
+    lag 0, the B_u); lag +tau mirrors it with the same spectrum and
+    transposed row sums.
     """
     n_tx = scene.geometry.n_tx
     length = scene.block_len
@@ -101,7 +112,7 @@ def _lag_grams(scene: RadarScene, w_bp: float, lag_w: np.ndarray) -> np.ndarray:
     bp = scene.c_factors.reshape(-1, n_tx * n_tx)
     bp_w = np.full(bp.shape[0], float(w_bp))
     grams = []
-    for tau in range(min(scene.targets.max_lag, length)):
+    for tau in range(band):
         vecs, coeffs = pair, lag_w[tau]
         if tau == 0:
             vecs, coeffs = np.concatenate([bp, pair]), np.concatenate([bp_w, coeffs])
@@ -118,13 +129,16 @@ class MajorizerContext:
     (the scene compared by identity). Phi is rebuilt every iteration from
     the scene's Kronecker factors and the correlation-term weights
     ``lag_weights`` (shape (P, Q, Q), from the function of that name), so
-    those are the only other things kept.
+    those are the only other things kept, with ``band``, the number of
+    block lags Phi spans (1 <= band <= min(P, L)): lag 0 and every lag up
+    to the last one with a nonzero correlation weight.
     """
 
     kind: MajorizerKind
     weights: Weights
     scene: RadarScene
     lag_weights: np.ndarray
+    band: int
     e_mat: Optional[np.ndarray] = None
     lambda_quartic: Optional[float] = None
 
@@ -143,7 +157,8 @@ def build_majorizer_context(
     kind = MajorizerKind(kind)
     lag_w = lag_weights(scene, weights)
     lag_w.setflags(write=False)
-    grams = _lag_grams(scene, weights.w_bp, lag_w)
+    band = _band_width(lag_w, scene.block_len)
+    grams = _lag_grams(scene, weights.w_bp, lag_w, band)
     e_mat = lam = None
     if kind == MajorizerKind.DIAGONAL:
         n_tx = scene.geometry.n_tx
@@ -156,7 +171,7 @@ def build_majorizer_context(
         top = max(float(np.linalg.eigvalsh(g)[-1]) for g in grams)
         lam = max(top, 0.0)
     return MajorizerContext(
-        kind=kind, weights=weights, scene=scene, lag_weights=lag_w,
+        kind=kind, weights=weights, scene=scene, lag_weights=lag_w, band=band,
         e_mat=e_mat, lambda_quartic=lam,
     )
 
@@ -171,9 +186,9 @@ def build_phi(
     lambda_Psi x_t x_t^H. The cost part sum_k c_k conj(x_t^H M_k x_t) M_k
     is block-banded: its blocks below the diagonal come from the
     correlations and the C_u, and the blocks above are their Hermitian
-    transposes. The P lag blocks cost O(P Q^2 N_T^2 + U N_T^2), and the
-    dense assembly O(N^2). Phi is returned as 2 (H + H^H) for one half H,
-    which makes it exactly Hermitian.
+    transposes. The ``ctx.band`` lag blocks cost O(band Q^2 N_T^2 +
+    U N_T^2), and the dense assembly O(N^2). Phi is returned as
+    2 (H + H^H) for one half H, which makes it exactly Hermitian.
 
     The coefficients x_t^H M_k x_t are read from ``kernels``, the
     :class:`~dfrcwave.radar.RadarKernels` of x_t; the MM loop passes the
@@ -185,8 +200,8 @@ def build_phi(
     w = ctx.weights
     if kernels is None:
         kernels = radar_kernels(x_t, scene)
-    p = scene.targets.max_lag
-    coef = ctx.lag_weights * kernels.corr[p - 1 :].conj()
+    p, band = scene.targets.max_lag, ctx.band
+    coef = ctx.lag_weights[:band] * kernels.corr[p - 1 : p - 1 + band].conj()
     a = scene.steer_targets
     blocks = a.T @ coef.transpose(0, 2, 1) @ a.conj()  # sum coef[q,q'] a_q' a_q^H
     if w.w_bp > 0:
@@ -211,13 +226,24 @@ def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> np.ndarr
     d = 2 (Phi - lambda_max(Phi) I) x_t. Over constant-modulus x, Re{x^H d}
     plus a constant majorizes x^H Phi x, tangent at x_t; MM descent never
     needs the constant, since it compares only Re{x^H d}.
-    Requires a constant-modulus x_t and a Phi from ``build_phi``, which is
-    exactly Hermitian by construction, so the row sums need no Hermitian
-    check.
+    Requires a constant-modulus x_t and a Phi from ``build_phi`` for ``ctx``,
+    which is exactly Hermitian by construction, so the row sums need no
+    Hermitian check.
+
+    When the band is one lag wide and L >= 2, Phi = I_L (x) S - 2 lambda_Psi
+    x_t x_t^H. Every eigenvalue of I_L (x) S repeats L times and the rank-one
+    PSD downdate lowers at most one copy (interlacing), so lambda_max(Phi)
+    is lambda_max(S), taken from the N_T x N_T block S = Phi_00 +
+    2 lambda_Psi x_0 x_0^H. Otherwise it is ``eigvalsh`` of all of Phi.
     """
     x_t = np.asarray(x_t)
     if ctx.kind == MajorizerKind.DIAGONAL:
         bound = np.abs(phi).sum(axis=1)
+    elif ctx.band == 1 and ctx.scene.block_len > 1:
+        n_tx = ctx.scene.geometry.n_tx
+        x_0 = x_t[:n_tx]
+        s = phi[:n_tx, :n_tx] + (2.0 * ctx.lambda_quartic) * np.outer(x_0, x_0.conj())
+        bound = float(np.linalg.eigvalsh(s)[-1])
     else:
         bound = float(np.linalg.eigvalsh(phi)[-1])
     return 2.0 * (phi @ x_t - bound * x_t)

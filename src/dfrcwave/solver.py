@@ -76,7 +76,10 @@ class Termination(str, enum.Enum):
 
 def _closed_form(coef: np.ndarray, amp: float) -> np.ndarray:
     """amp * exp(j angle(coef)) entrywise, with phase 0 where coef vanishes (-0.0 too)."""
-    return amp * np.exp(1j * np.where(coef == 0, 0.0, np.arctan2(coef.imag, coef.real)))
+    phase = np.arctan2(coef.imag, coef.real)
+    if not coef.all():
+        phase[coef == 0] = 0.0
+    return amp * np.exp(1j * phase)
 
 
 def _weighted_rows(constraints: CIConstraintSet, nu: np.ndarray) -> np.ndarray:
