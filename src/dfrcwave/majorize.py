@@ -19,9 +19,16 @@ zero for |delta| >= P, and lambda_max(Psi) is the largest
 (L - |delta|) lambda_max(G_delta). Set-up costs O((U + P Q^2) N_T^4),
 independent of L. Phi is block-banded the same way and is assembled from
 one small block per lag of its band, with no cap on N. The band ends at the
-last lag with a nonzero correlation weight; with none beyond lag 0 (beam
-pattern only, or P = 1) Phi is I_L (x) S minus a rank-one term, and
-lambda_max(Phi) is lambda_max(S) for L >= 2.
+last lag with a nonzero correlation weight.
+
+With none beyond lag 0 (beam pattern only, or P = 1) the band is one lag
+wide and no N x N matrix is formed. Phi = I_L (x) S - 2 E (.) x_t x_t^H
+(diagonal kind) or I_L (x) S - 2 lambda_Psi x_t x_t^H (eigen kind), and
+E = I_L (x) E_0 is block-diagonal, so ``build_phi`` returns only the
+N_T x N_T block S and the context keeps only E_0. The diagonal ``build_d``
+works on the L diagonal blocks S - 2 E_0 (.) x_l x_l^H of Phi, and the
+eigen one takes Phi x_t from S and the rank-one term and lambda_max(Phi)
+from S alone (interlacing, for L >= 2), in O(L N_T^2) per iteration.
 """
 
 from __future__ import annotations
@@ -131,7 +138,10 @@ class MajorizerContext:
     ``lag_weights`` (shape (P, Q, Q), from the function of that name), so
     those are the only other things kept, with ``band``, the number of
     block lags Phi spans (1 <= band <= min(P, L)): lag 0 and every lag up
-    to the last one with a nonzero correlation weight.
+    to the last one with a nonzero correlation weight. ``correlations`` is
+    false when every correlation weight is zero; the MM step then
+    evaluates no correlations. ``e_mat`` is the N x N E, or its N_T x N_T
+    lag-0 block E_0 when the band is one lag wide (E = I_L (x) E_0).
     """
 
     kind: MajorizerKind
@@ -139,6 +149,7 @@ class MajorizerContext:
     scene: RadarScene
     lag_weights: np.ndarray
     band: int
+    correlations: bool
     e_mat: Optional[np.ndarray] = None
     lambda_quartic: Optional[float] = None
 
@@ -150,8 +161,9 @@ def build_majorizer_context(
 
     Diagonal kind: E = mat(|Psi| 1) is block-Toeplitz, with the block
     (L - |delta|) mat(|G_delta| 1) at lag delta, assembled as E_low + E_low^T
-    from its lower band. Eigen kind: lambda_Psi is the largest
-    (L - |delta|) lambda_max(G_delta), clipped at zero. ``kind`` is a
+    from its lower band (only the lag-0 block for a one-lag band). Eigen
+    kind: lambda_Psi is the largest (L - |delta|) lambda_max(G_delta),
+    clipped at zero. ``kind`` is a
     ``MajorizerKind`` or its value; any other raises ValueError.
     """
     kind = MajorizerKind(kind)
@@ -164,7 +176,7 @@ def build_majorizer_context(
         n_tx = scene.geometry.n_tx
         blocks = np.abs(grams).sum(axis=2).reshape(-1, n_tx, n_tx)
         blocks[0] *= 0.5  # lag 0 is its own mirror image
-        lower = _lower_band(blocks, scene.block_len)
+        lower = blocks[0] if band == 1 else _lower_band(blocks, scene.block_len)
         e_mat = lower + lower.T
         e_mat.setflags(write=False)
     else:
@@ -172,7 +184,7 @@ def build_majorizer_context(
         lam = max(top, 0.0)
     return MajorizerContext(
         kind=kind, weights=weights, scene=scene, lag_weights=lag_w, band=band,
-        e_mat=e_mat, lambda_quartic=lam,
+        correlations=bool(lag_w.any()), e_mat=e_mat, lambda_quartic=lam,
     )
 
 
@@ -190,26 +202,38 @@ def build_phi(
     U N_T^2), and the dense assembly O(N^2). Phi is returned as
     2 (H + H^H) for one half H, which makes it exactly Hermitian.
 
+    With a one-lag band only the N_T x N_T block S of Phi = I_L (x) S -
+    2 E (.) x_t x_t^H (or - 2 lambda_Psi x_t x_t^H) is returned, also
+    exactly Hermitian; ``build_d`` adds the subtracted term itself.
+
     The coefficients x_t^H M_k x_t are read from ``kernels``, the
     :class:`~dfrcwave.radar.RadarKernels` of x_t; the MM loop passes the
     ones its ``objective_terms`` call already computed at the accepted
-    iterate. Without them they are evaluated here, by the same path.
+    iterate. Without them they are evaluated here, by the same path. The
+    correlations are read only when ``ctx.correlations`` is set.
     """
     x_t = np.asarray(x_t)
     scene = ctx.scene
     w = ctx.weights
     if kernels is None:
-        kernels = radar_kernels(x_t, scene)
-    p, band = scene.targets.max_lag, ctx.band
-    coef = ctx.lag_weights[:band] * kernels.corr[p - 1 : p - 1 + band].conj()
-    a = scene.steer_targets
-    blocks = a.T @ coef.transpose(0, 2, 1) @ a.conj()  # sum coef[q,q'] a_q' a_q^H
+        kernels = radar_kernels(x_t, scene, ctx.correlations)
+    n_tx, band = scene.geometry.n_tx, ctx.band
+    if ctx.correlations:
+        p = scene.targets.max_lag
+        coef = ctx.lag_weights[:band] * kernels.corr[p - 1 : p - 1 + band].conj()
+        a = scene.steer_targets
+        blocks = a.T @ coef.transpose(0, 2, 1) @ a.conj()  # sum coef[q,q'] a_q' a_q^H
+    else:
+        blocks = np.zeros((1, n_tx, n_tx), dtype=complex)
     if w.w_bp > 0:
-        n_tx = scene.geometry.n_tx
         beta = kernels.beta
         c_flat = scene.c_factors.reshape(beta.size, -1)
         blocks[0] += w.w_bp * (beta @ c_flat).reshape(n_tx, n_tx)
     blocks[0] *= 0.5  # lag 0 is its own mirror image
+    if band == 1:
+        s = blocks[0] + blocks[0].conj().T
+        s *= 2.0
+        return s
     sub = x_t[:, None] * (0.5 * x_t.conj())  # the outer product x_t (x_t/2)^H
     sub *= ctx.e_mat if ctx.kind == MajorizerKind.DIAGONAL else ctx.lambda_quartic
     half = _lower_band(blocks, scene.block_len)
@@ -226,24 +250,32 @@ def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> np.ndarr
     d = 2 (Phi - lambda_max(Phi) I) x_t. Over constant-modulus x, Re{x^H d}
     plus a constant majorizes x^H Phi x, tangent at x_t; MM descent never
     needs the constant, since it compares only Re{x^H d}.
-    Requires a constant-modulus x_t and a Phi from ``build_phi`` for ``ctx``,
-    which is exactly Hermitian by construction, so the row sums need no
-    Hermitian check.
+    Requires a constant-modulus x_t and a ``phi`` from ``build_phi`` for
+    ``ctx``, which is exactly Hermitian by construction, so the row sums
+    need no Hermitian check.
 
-    When the band is one lag wide and L >= 2, Phi = I_L (x) S - 2 lambda_Psi
-    x_t x_t^H. Every eigenvalue of I_L (x) S repeats L times and the rank-one
-    PSD downdate lowers at most one copy (interlacing), so lambda_max(Phi)
-    is lambda_max(S), taken from the N_T x N_T block S = Phi_00 +
-    2 lambda_Psi x_0 x_0^H. Otherwise it is ``eigvalsh`` of all of Phi.
+    With a one-lag band ``phi`` is the block S. Diagonal kind: Phi is
+    block-diagonal, with the L blocks S - 2 E_0 (.) x_l x_l^H for the
+    N_T-entry blocks x_l of x_t, which give Phi x_t and the row sums in
+    one batched pass. Eigen kind: Phi x_t = (I_L (x) S) x_t -
+    2 lambda_Psi ||x_t||^2 x_t. For L >= 2 every eigenvalue of I_L (x) S
+    repeats L times and the rank-one PSD downdate lowers at most one copy
+    (interlacing), so lambda_max(Phi) is lambda_max(S); for L = 1, Phi is
+    S - 2 lambda_Psi x_t x_t^H itself.
     """
     x_t = np.asarray(x_t)
-    if ctx.kind == MajorizerKind.DIAGONAL:
-        bound = np.abs(phi).sum(axis=1)
-    elif ctx.band == 1 and ctx.scene.block_len > 1:
-        n_tx = ctx.scene.geometry.n_tx
-        x_0 = x_t[:n_tx]
-        s = phi[:n_tx, :n_tx] + (2.0 * ctx.lambda_quartic) * np.outer(x_0, x_0.conj())
-        bound = float(np.linalg.eigvalsh(s)[-1])
+    diagonal = ctx.kind == MajorizerKind.DIAGONAL
+    if ctx.band > 1:
+        bound = np.abs(phi).sum(axis=1) if diagonal else float(np.linalg.eigvalsh(phi)[-1])
+        return 2.0 * (phi @ x_t - bound * x_t)
+    xs = x_t.reshape(-1, phi.shape[0])  # row l is x_l
+    if diagonal:
+        blocks = phi - 2.0 * ctx.e_mat * (xs[:, :, None] * xs[:, None, :].conj())
+        phi_x = (blocks @ xs[:, :, None])[:, :, 0]
+        bound = np.abs(blocks).sum(axis=2)
     else:
-        bound = float(np.linalg.eigvalsh(phi)[-1])
-    return 2.0 * (phi @ x_t - bound * x_t)
+        lam2 = 2.0 * ctx.lambda_quartic
+        phi_x = xs @ phi.T - (lam2 * np.vdot(x_t, x_t).real) * xs
+        s = phi if xs.shape[0] > 1 else phi - lam2 * np.outer(x_t, x_t.conj())
+        bound = float(np.linalg.eigvalsh(s)[-1])
+    return (2.0 * (phi_x - bound * xs)).reshape(-1)

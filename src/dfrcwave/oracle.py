@@ -7,10 +7,11 @@ CI constraint matrix is built dense (``dense_h_tilde``), and the quartic
 kernel Psi is materialized densely (capped at N <= PSI_CAP, else
 ``CapacityError``). Above that cap, ``psi_row_sums``,
 ``psi_top_eigenvalue`` and ``dense_phi`` reach Psi through its rank-one
-terms instead, which stays practical up to about N = 100. The reference
-checks live here too: ``diagonal_upper_bound`` (the row-sum bound on a
-checked Hermitian matrix), ``geometric_ci_check`` (the decision-region
-form of the CI condition) and ``monte_carlo_ser`` (symbol error rates
+terms instead, which stays practical up to about N = 100; ``one_lag_phi``
+expands the block S that stands for Phi when its band is one lag wide.
+The reference checks live here too: ``diagonal_upper_bound`` (the row-sum
+bound on a checked Hermitian matrix), ``geometric_ci_check`` (the
+decision-region form of the CI condition) and ``monte_carlo_ser`` (symbol error rates
 simulated over the noisy downlink, a physical check of the CI rows that
 reads neither them nor their thresholds).
 
@@ -201,6 +202,20 @@ def dense_phi(x_t, scene: RadarScene, weights: Weights, kind: str) -> np.ndarray
     else:
         sub = psi_top_eigenvalue(scene, weights) * outer
     return 2.0 * (quad - sub)
+
+
+def one_lag_phi(s, x_t, ctx) -> np.ndarray:
+    """Dense Phi from the N_T x N_T block S that ``build_phi`` returns for a
+    one-lag band: I_L (x) S - 2 E (.) x_t x_t^H with E = I_L (x) E_0 (the
+    context holds E_0) for the diagonal kind, I_L (x) S - 2 lambda_Psi
+    x_t x_t^H for the eigen kind."""
+    x = np.asarray(x_t)
+    eye = np.eye(ctx.scene.block_len)
+    if ctx.kind == "diagonal":
+        sub = np.kron(eye, ctx.e_mat) * np.outer(x, x.conj())
+    else:
+        sub = ctx.lambda_quartic * np.outer(x, x.conj())
+    return np.kron(eye, s) - 2.0 * sub
 
 
 def beampattern_mse(x, scene: RadarScene, alpha: float) -> float:

@@ -212,17 +212,22 @@ class RadarKernels(NamedTuple):
     """The quadratic forms of x that every radar term and Phi are built from.
 
     ``beta`` holds x^H B_u x per grid angle (``bp_quadratic_forms``) and
-    ``corr`` the correlations x^H D_{tau,q,q'} x (``correlation_values``).
+    ``corr`` the correlations x^H D_{tau,q,q'} x (``correlation_values``),
+    or None when they were not evaluated.
     """
 
     beta: np.ndarray
-    corr: np.ndarray
+    corr: Optional[np.ndarray]
 
 
-def radar_kernels(x, scene: RadarScene) -> RadarKernels:
-    """Evaluate both kernel families at x: the one path to them for the MM loop."""
+def radar_kernels(x, scene: RadarScene, correlations: bool = True) -> RadarKernels:
+    """Evaluate the kernel families at x: the one path to them for the MM loop.
+
+    With ``correlations`` false only the beam-pattern forms are evaluated.
+    """
     X = _as_block(x, scene)
-    return RadarKernels(bp_quadratic_forms(X, scene), correlation_values(X, scene))
+    beta = bp_quadratic_forms(X, scene)
+    return RadarKernels(beta, correlation_values(X, scene) if correlations else None)
 
 
 class ObjectiveTerms(tuple):
@@ -236,7 +241,7 @@ class ObjectiveTerms(tuple):
         return self
 
 
-def objective_terms(x, scene: RadarScene) -> ObjectiveTerms:
+def objective_terms(x, scene: RadarScene, correlations: bool = True) -> ObjectiveTerms:
     """(beam-pattern cost, autocorrelation ISL, cross-correlation ISL) for x.
 
     g_bp = sum_u (x^H B_u x)^2. The ISLs sum |x^H D_{tau,q,q'} x|^2 over
@@ -245,9 +250,15 @@ def objective_terms(x, scene: RadarScene) -> ObjectiveTerms:
     target pairs q != q' and every lag for the cross-correlation. The
     kernels are computed once and ride along as ``.kernels``, so the MM
     loop builds the next Phi at an accepted x without re-evaluating them.
+
+    With ``correlations`` false no correlation is evaluated and both ISLs
+    read 0.0: for an MM loop whose correlation weights are all zero (or
+    whose masks are empty), the weighted cost is then the same to the bit.
     """
-    kernels = radar_kernels(x, scene)
+    kernels = radar_kernels(x, scene, correlations)
     g_bp = float(np.sum(kernels.beta**2))
+    if not correlations:
+        return ObjectiveTerms((g_bp, 0.0, 0.0), kernels)
     chi = np.abs(kernels.corr) ** 2
     ac, cc = scene.isl_masks
     return ObjectiveTerms((g_bp, float(chi[ac].sum()), float(chi[cc].sum())), kernels)

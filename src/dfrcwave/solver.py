@@ -683,7 +683,9 @@ def mm_solve(
     Each iteration majorizes the true cost at the current iterate, solves
     the linearized subproblem (dual coordinate ascent in dfrc mode, the
     unconstrained closed form in radar-only mode), and re-evaluates the
-    true objective for the trace and the stopping rule.
+    true objective for the trace and the stopping rule. With no weight on
+    any correlation term the loop evaluates no correlations; the final
+    terms are then evaluated in full once, at exit.
 
     A passed ``ctx`` must have been built from this scene object, equal
     weights and ``cfg.majorizer_kind``, else ValueError, as for a
@@ -773,7 +775,7 @@ def mm_solve(
                     if not (restore_ok and gbar_dual <= gbar_pol):
                         x_new = x_pol
                         dual_step = False
-        terms = objective_terms(x_new, scene)
+        terms = objective_terms(x_new, scene, ctx.correlations)
         g_new = weights.cost(terms)
         if not math.isfinite(g_new):
             raise RuntimeError(
@@ -810,6 +812,8 @@ def mm_solve(
                 break
         g_prev = g_new
 
+    if not ctx.correlations:
+        final_terms = objective_terms(x, scene)  # with the ISLs the loop skipped
     margins = kkt = None
     if cset is not None:
         margins = ci_margin(x, cset)

@@ -9,13 +9,14 @@ from dfrcwave.radar import build_scene, rectangular_pattern
 # update and the dual sweep to the plain bisection listing's contract, the
 # block finish to the sweep without it, the dual call's x(nu) rebuilds to the
 # sweeps that moved, the repairs' buffered phase search bitwise to its
-# listing, and the lag-structured majorizer (E, lambda_Psi, Phi and d) to the
-# dense oracle:
+# listing, and the lag-structured majorizer (E, lambda_Psi, Phi and d, the
+# one-lag step included) to the dense oracle:
 #   pytest tests/test_solver.py tests/test_majorize.py \
 #       -k "test_update_meets_the_listing_contract
 #           or test_sweep_is_no_worse_than_the_listing or TestBlockFinish
 #           or TestNoMoveExit or TestPhaseSearchParity
-#           or TestLagStructureProperties" --hypothesis-profile=parity
+#           or TestLagStructureProperties or test_one_lag_d_matches_dense_oracle" \
+#       --hypothesis-profile=parity
 settings.register_profile("parity", max_examples=2000)
 
 

@@ -22,8 +22,19 @@ def rel_gap(a, b):
 
 
 def diagonal_e(scene, weights):
-    """E = mat(|Psi| 1), as the diagonal-kind context holds it."""
-    return build_majorizer_context(scene, weights, "diagonal").e_mat
+    """E = mat(|Psi| 1), N x N: as the diagonal-kind context holds it, or
+    I_L (x) E_0 from the lag-0 block E_0 a one-lag context holds."""
+    ctx = build_majorizer_context(scene, weights, "diagonal")
+    if ctx.band == 1:
+        return np.kron(np.eye(scene.block_len), ctx.e_mat)
+    return ctx.e_mat
+
+
+def full_phi(xt, ctx):
+    """build_phi's Phi as an N x N matrix, expanded by the oracle from the
+    block S when the band is one lag wide."""
+    phi = build_phi(xt, ctx)
+    return oracle.one_lag_phi(phi, xt, ctx) if ctx.band == 1 else phi
 
 
 def quartic_lambda(scene, weights):
@@ -151,13 +162,16 @@ class TestLambdaPsi:
 class TestBuildPhi:
     def test_empty_cost_stack_leaves_only_subtraction(self, rng):
         # beam-pattern terms only: taking sum_u (x^H B_u x) B_u over the
-        # oracle's dense B_u out of Phi / 2 leaves exactly -E (.) x x^H
+        # oracle's dense B_u out of Phi / 2 leaves exactly -E (.) x x^H; the
+        # band is one lag wide, so build_phi returns only the 2 x 2 block S
         scene = make_scene(n_tx=2, block_len=2, max_lag=1, target_angles=(0.0,))
-        ctx = build_majorizer_context(scene, Weights(1.0, 0.0, 0.0), "diagonal")
+        w = Weights(1.0, 0.0, 0.0)
+        ctx = build_majorizer_context(scene, w, "diagonal")
         xt = random_cm(rng, scene.n, 0.7)
+        assert build_phi(xt, ctx).shape == (2, 2)
         stack = sum((xt.conj() @ b @ xt).real * b for b in oracle._b_mats(scene))
-        rest = build_phi(xt, ctx) / 2.0 - stack
-        expect = -ctx.e_mat * np.outer(xt, xt.conj())
+        rest = full_phi(xt, ctx) / 2.0 - stack
+        expect = -diagonal_e(scene, w) * np.outer(xt, xt.conj())
         assert rel_gap(rest, expect) < 1e-13
 
     @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
@@ -251,8 +265,8 @@ class TestBuildD:
         ctx = build_majorizer_context(scene, weights, kind)
         amp = 1 / np.sqrt(2)
         xt = random_cm(rng, scene.n, amp)
-        phi = build_phi(xt, ctx)
-        d = build_d(xt, phi, ctx)
+        phi = full_phi(xt, ctx)
+        d = build_d(xt, build_phi(xt, ctx), ctx)
         if kind == "diagonal":
             bound = oracle.diagonal_upper_bound(phi)
         else:
@@ -343,6 +357,19 @@ def small_scenes(draw):
     )
 
 
+@st.composite
+def one_lag_cases(draw):
+    """A small scene with weights whose band is one lag wide: the beam
+    pattern only, or any weights at P = 1 (where the autocorrelation mask is
+    empty)."""
+    scene = draw(small_scenes())
+    w_bp = draw(st.sampled_from([0.5, 2.0]))
+    w_ac = w_cc = 0.0
+    if scene.targets.max_lag == 1:
+        w_ac, w_cc = draw(st.tuples(*[st.sampled_from([0.0, 0.5, 2.0])] * 2))
+    return scene, Weights(w_bp, w_ac, w_cc)
+
+
 class TestLagStructureProperties:
     @settings(deadline=None, derandomize=True)
     @given(scene=small_scenes(), w=_weights())
@@ -363,17 +390,17 @@ class TestLagStructureProperties:
         lags = np.subtract.outer(np.arange(length), np.arange(length))
         far = np.abs(lags) >= scene.targets.max_lag
         assert not blocks.transpose(0, 2, 1, 3)[far].any()
-        # Phi from the lag blocks equals the dense construction, both kinds,
-        # and is exactly Hermitian (build_d relies on it and skips the check);
-        # d equals the one from the dense Phi's row sums or eigvalsh, which
-        # covers the one-lag bound (beam pattern only or P = 1), its L = 1
-        # exclusion and the trimmed lags
+        # Phi from the lag blocks (or, one lag wide, the block S) equals the
+        # dense construction, both kinds, and is exactly Hermitian (build_d
+        # relies on it and skips the check); d equals the one from the dense
+        # Phi's row sums or eigvalsh, which covers the one-lag step (beam
+        # pattern only or P = 1), its L = 1 case and the trimmed lags
         xt = random_cm(np.random.default_rng(n), n, 1.0)
         for kind in ("diagonal", "max_eigen"):
             ctx = build_majorizer_context(scene, weights, kind)
             ref = oracle.dense_phi(xt, scene, weights, kind)
             phi = build_phi(xt, ctx)
-            assert np.abs(phi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+            assert np.abs(full_phi(xt, ctx) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
             assert np.array_equal(phi, phi.conj().T)
             if kind == "diagonal":
                 ref_bound = np.abs(ref).sum(axis=1)
@@ -382,6 +409,37 @@ class TestLagStructureProperties:
             ref_d = 2.0 * (ref @ xt - ref_bound * xt)
             d = build_d(xt, phi, ctx)
             assert np.abs(d - ref_d).max() <= 1e-12 * max(1.0, np.abs(ref_d).max())
+
+    @settings(deadline=None, derandomize=True)
+    @given(case=one_lag_cases())
+    def test_one_lag_d_matches_dense_oracle(self, case):
+        # a one-lag band: E = I_L (x) E_0 in the oracle's own Psi, and the
+        # block S that build_phi returns expands to the oracle's dense Phi;
+        # d matches the dense Phi's d to 1e-12 relative to the largest row
+        # sum of |S| or |Phi| (|x_t| = 1, so that bounds the terms of Phi x_t,
+        # which cancel to rounding at n_tx = L = 1), L = 1 included, both kinds
+        scene, weights = case
+        n, n_tx, length = scene.n, scene.geometry.n_tx, scene.block_len
+        e_ref = oracle.psi_row_sums(scene, weights).reshape((n, n), order="F")
+        blocks = e_ref.reshape(length, n_tx, length, n_tx).transpose(0, 2, 1, 3)
+        assert not blocks[~np.eye(length, dtype=bool)].any()
+        xt = random_cm(np.random.default_rng(n), n, 1.0)
+        for kind in ("diagonal", "max_eigen"):
+            ctx = build_majorizer_context(scene, weights, kind)
+            assert ctx.band == 1
+            s = build_phi(xt, ctx)
+            assert s.shape == (n_tx, n_tx)
+            ref = oracle.dense_phi(xt, scene, weights, kind)
+            dense = oracle.one_lag_phi(s, xt, ctx)
+            assert np.abs(dense - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+            if kind == "diagonal":
+                ref_bound = np.abs(ref).sum(axis=1)
+            else:
+                ref_bound = np.linalg.eigvalsh(ref)[-1]
+            ref_d = 2.0 * (ref @ xt - ref_bound * xt)
+            d = build_d(xt, s, ctx)
+            scale = max(np.abs(s).sum(axis=1).max(), np.abs(ref).sum(axis=1).max())
+            assert np.abs(d - ref_d).max() <= 1e-12 * scale
 
 
 def test_paper_scale_smoke():

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import Phase, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import make_scene, random_cm
-from dfrcwave import oracle
+from dfrcwave import oracle, radar
 from dfrcwave.comm import (
     CIConstraintSet,
     CommSetup,
@@ -22,7 +23,7 @@ from dfrcwave.comm import (
     draw_channels,
     draw_symbols,
 )
-from dfrcwave.config import ExperimentConfig, build_problem
+from dfrcwave.config import ExperimentConfig, build_problem, config_from_file
 from dfrcwave.majorize import build_majorizer_context
 from dfrcwave.model import (
     MODULUS_TOL,
@@ -1218,6 +1219,43 @@ def desk_solve(**overrides):
         problem.scene, problem.comm, problem.weights, problem.solver,
         x0=problem.x0, p_total=problem.p_total,
     )
+
+
+def compare_solve(seed, kind):
+    """Solve a compare-radar instance: configs/convergence_compare.cfg, which
+    weights only the beam pattern, from problem.x0."""
+    base = config_from_file(Path(__file__).parents[1] / "configs" / "convergence_compare.cfg")
+    problem = build_problem(dataclasses.replace(base, seed=seed, majorizer_kind=kind))
+    state = mm_solve(
+        problem.scene, None, problem.weights, problem.solver,
+        x0=problem.x0, p_total=problem.p_total,
+    )
+    return problem, state
+
+
+class TestUnweightedCorrelations:
+    @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_skipping_them_changes_no_bit(self, seed, kind):
+        # with w_ac = w_cc = 0 the loop evaluates no correlations; the exit
+        # evaluates the final terms once in full, and the trajectory is that
+        # of a run whose objective_terms always evaluates them
+        with mock.patch("dfrcwave.radar.correlation_values",
+                        wraps=radar.correlation_values) as corr:
+            problem, state = compare_solve(seed, kind)
+        assert corr.call_count == 1
+        assert state.final_terms == radar.objective_terms(state.x, problem.scene)
+        assert min(state.final_terms) > 0.0
+
+        def always_full(x, scene, correlations=True):
+            return radar.objective_terms(x, scene)
+
+        with mock.patch("dfrcwave.solver.objective_terms", always_full):
+            _, ref = compare_solve(seed, kind)
+        assert state.x.tobytes() == ref.x.tobytes()
+        assert state.objective_trace.tobytes() == ref.objective_trace.tobytes()
+        assert state.iterations == ref.iterations
+        assert state.final_terms == ref.final_terms
 
 
 class TestTermination:
