@@ -78,13 +78,9 @@ class ExperimentConfig:
 def _parse_scalar(token: str, kind: type, key: str):
     token = token.strip()
     try:
-        if kind is int:
-            return int(token)
-        if kind is float:
-            return float(token)
+        return kind(token)  # int or float
     except ValueError:
         raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {token!r}") from None
-    return token
 
 
 def _parse_value(raw: str, kind: type, key: str):

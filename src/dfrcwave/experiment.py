@@ -10,6 +10,7 @@ curves to 0 dB at tau = 0.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from dfrcwave.config import ExperimentConfig, Problem, build_problem
-from dfrcwave.model import WaveformMatrix, mat, save_waveform
+from dfrcwave.model import WaveformMatrix, fmt_float, mat, save_waveform
 from dfrcwave.radar import achieved_pattern, correlation_values, optimal_alpha
 from dfrcwave.solver import IterationRecord, SolverState, mm_solve
 
@@ -27,14 +28,19 @@ from dfrcwave.solver import IterationRecord, SolverState, mm_solve
 OUTPUT_ROOT_ENV = "DFRCWAVE_OUTPUT_ROOT"
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
     lines.extend(",".join(cells) for cells in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_trace(path: Path, trace: np.ndarray) -> None:
+    rows = ((str(i + 1), fmt_float(g)) for i, g in enumerate(trace))
+    _write_csv(path, "iteration,objective", rows)
+
+
+def _write_json(path: Path, summary: dict) -> None:
+    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _resolve_outdir(config: ExperimentConfig, base_dir) -> Path:
@@ -123,7 +129,7 @@ def _write_artifacts(
         outdir / "beampattern.csv",
         "theta_deg,achieved,desired_scaled",
         (
-            (_fmt(theta), _fmt(p), _fmt(alpha * g))
+            (fmt_float(theta), fmt_float(p), fmt_float(alpha * g))
             for theta, p, g in zip(scene.grid.angles_deg, pattern, scene.desired.values)
         ),
     )
@@ -131,47 +137,30 @@ def _write_artifacts(
     chi = np.abs(correlation_values(state.x, scene)) ** 2
     p = scene.targets.max_lag
     taus = range(-p + 1, p)
-    for q in range(scene.targets.n_targets):
-        ref = chi[p - 1, q, q]
+    for q, qp in itertools.product(range(scene.targets.n_targets), repeat=2):
+        name = f"autocorr_q{q + 1}" if q == qp else f"crosscorr_q{q + 1}_q{qp + 1}"
         _write_csv(
-            outdir / f"autocorr_q{q + 1}.csv",
+            outdir / f"{name}.csv",
             "tau,level_db",
             (
-                (str(tau), _fmt(level))
-                for tau, level in zip(taus, _level_db(chi[:, q, q], ref))
+                (str(tau), fmt_float(level))
+                for tau, level in zip(taus, _level_db(chi[:, q, qp], chi[p - 1, q, q]))
             ),
         )
-        for qp in range(scene.targets.n_targets):
-            if qp == q:
-                continue
-            _write_csv(
-                outdir / f"crosscorr_q{q + 1}_q{qp + 1}.csv",
-                "tau,level_db",
-                (
-                    (str(tau), _fmt(level))
-                    for tau, level in zip(taus, _level_db(chi[:, q, qp], ref))
-                ),
-            )
 
-    _write_csv(
-        outdir / "convergence.csv",
-        "iteration,objective",
-        ((str(i + 1), _fmt(g)) for i, g in enumerate(state.objective_trace)),
-    )
+    _write_trace(outdir / "convergence.csv", state.objective_trace)
     # one row per outer iteration: the objective, then counts and 0/1 flags
     _write_csv(
         outdir / "iterations.csv",
         ",".join(("iteration",) + IterationRecord._fields),
         (
-            [str(i + 1), _fmt(r.objective)] + [str(int(v)) for v in r[1:]]
+            [str(i + 1), fmt_float(r.objective)] + [str(int(v)) for v in r[1:]]
             for i, r in enumerate(state.iterations)
         ),
     )
 
     summary = _summarize(config, state)
-    (outdir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(outdir / "summary.json", summary)
     return summary
 
 
@@ -228,11 +217,7 @@ def compare_majorizers(config: ExperimentConfig, base_dir=None) -> ExperimentRes
         solver = dataclasses.replace(problem.solver, majorizer_kind=kind)
         state = _run_solver(dataclasses.replace(problem, solver=solver))
         states[kind] = state
-        _write_csv(
-            outdir / f"convergence_{kind}.csv",
-            "iteration,objective",
-            ((str(i + 1), _fmt(g)) for i, g in enumerate(state.objective_trace)),
-        )
+        _write_trace(outdir / f"convergence_{kind}.csv", state.objective_trace)
         comparison[kind] = {
             "final_objective": float(state.objective_trace[-1]),
             "outer_iterations": state.outer_iterations,
@@ -252,9 +237,7 @@ def compare_majorizers(config: ExperimentConfig, base_dir=None) -> ExperimentRes
         "seed": config.seed,
         "config": dataclasses.asdict(config),
     }
-    (outdir / "summary_compare.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(outdir / "summary_compare.json", summary)
     warnings = tuple(
         f"{kind}: {line}" for kind, state in states.items() for line in state.warnings
     )

@@ -283,17 +283,18 @@ class SolverConfig:
 _CM_FLAG = "constant_modulus"
 
 
-def _fmt_float(v: float) -> str:
+def fmt_float(v: float) -> str:
+    """Shortest round-trip decimal of ``v``, the float format of every artifact."""
     return repr(float(v))
 
 
 def save_waveform(waveform: WaveformMatrix, path) -> None:
     """Write a waveform block to ``path`` in the documented text format."""
-    header = f"{waveform.n_tx},{waveform.block_len},{_fmt_float(waveform.p_total)}"
+    header = f"{waveform.n_tx},{waveform.block_len},{fmt_float(waveform.p_total)}"
     if waveform.constant_modulus:
         header += "," + _CM_FLAG
     rows = [
-        ",".join(f"{_fmt_float(z.real)}:{_fmt_float(z.imag)}" for z in row)
+        ",".join(f"{fmt_float(z.real)}:{fmt_float(z.imag)}" for z in row)
         for row in waveform.entries
     ]
     with open(path, "w", encoding="utf-8") as fh:

@@ -770,11 +770,8 @@ def mm_solve(
                 gbar_prev = float((x.conj() @ d).real)
                 gbar_dual = float((x_new.conj() @ d).real)
                 if not (restore_ok and gbar_dual <= gbar_prev):
-                    x_pol = polish_feasible(x, d, cset, amp)
-                    gbar_pol = float((x_pol.conj() @ d).real)
-                    if not (restore_ok and gbar_dual <= gbar_pol):
-                        x_new = x_pol
-                        dual_step = False
+                    x_new = polish_feasible(x, d, cset, amp)
+                    dual_step = False
         terms = objective_terms(x_new, scene, ctx.correlations)
         g_new = weights.cost(terms)
         if not math.isfinite(g_new):

@@ -5,18 +5,9 @@ from hypothesis import settings
 from dfrcwave.model import AngleGrid, ArrayGeometry, TargetSet, Weights
 from dfrcwave.radar import build_scene, rectangular_pattern
 
-# a larger example budget for the parity properties, which hold the multiplier
-# update and the dual sweep to the plain bisection listing's contract, the
-# block finish to the sweep without it, the dual call's x(nu) rebuilds to the
-# sweeps that moved, the repairs' buffered phase search bitwise to its
-# listing, and the lag-structured majorizer (E, lambda_Psi, Phi and d, the
-# one-lag step included) to the dense oracle:
-#   pytest tests/test_solver.py tests/test_majorize.py \
-#       -k "test_update_meets_the_listing_contract
-#           or test_sweep_is_no_worse_than_the_listing or TestBlockFinish
-#           or TestNoMoveExit or TestPhaseSearchParity
-#           or TestLagStructureProperties or test_one_lag_d_matches_dense_oracle" \
-#       --hypothesis-profile=parity
+# a larger example budget for the parity properties, which hold a fast path to
+# its plain listing or dense oracle; the "Parity properties" step of
+# .github/workflows/tests.yml selects them and runs them with this profile
 settings.register_profile("parity", max_examples=2000)
 
 

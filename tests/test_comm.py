@@ -114,6 +114,26 @@ class TestCommSetup:
             m_points=4,
         )
 
+    @pytest.mark.parametrize(
+        ("channels", "symbols", "gamma", "message"),
+        [
+            ((2,), (1, 3), (1,), r"channels must be a K x n_tx matrix"),
+            ((1, 2), (3,), (1,), r"symbols must be K x L with K=1, got \(3,\)"),
+            ((1, 2), (2, 3), (1,), r"symbols must be K x L with K=1, got \(2, 3\)"),
+            ((1, 2), (1, 3), (2,), r"gamma must have one entry per user, got shape \(2,\)"),
+        ],
+    )
+    def test_shapes_must_agree(self, channels, symbols, gamma, message):
+        # K users: channels K x n_tx, codewords K x L and one QoS level each
+        with pytest.raises(ValueError, match=message):
+            CommSetup(
+                channels=np.ones(channels, dtype=complex),
+                symbols=np.ones(symbols, dtype=complex),
+                gamma=np.ones(gamma),
+                sigma2=0.01,
+                m_points=4,
+            )
+
 
 class TestBuildConstraints:
     def test_hand_worked_scalar_case(self):

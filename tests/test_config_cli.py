@@ -73,6 +73,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"line 3: key 'seed' is already set on line 1"):
             parse_config_text("seed = 0\nn_tx = 4\nseed = 3\n")
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("gamma_db = 6\n", r"key 'gamma_db': expected a bracketed list, got '6'"),
+            ("gamma_db = [6, x]\n", r"key 'gamma_db': expected float, got 'x'"),
+            ("target_angles_deg = [0,]\n", r"key 'target_angles_deg': expected float, got ''"),
+            ("p_total = one\n", r"key 'p_total': expected float, got 'one'"),
+        ],
+    )
+    def test_bad_value_names_key_and_token(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+
 
 #: Configs whose fields are each valid but that no design can serve, with the
 #: reason build_problem gives: no grid angle inside a beam, no cost term left,

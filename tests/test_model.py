@@ -178,3 +178,56 @@ class TestWaveformIO:
         path.write_text(header + "\n1:0,2:0\n")
         with pytest.raises(WaveformFormatError, match=f"line 1: field '{field}'"):
             load_waveform(path)
+
+
+def _loading(text):
+    """A builder that writes ``text`` to a waveform file and loads it."""
+
+    def load(tmp_path):
+        path = tmp_path / "wave.txt"
+        path.write_text(text)
+        return load_waveform(path)
+
+    return load
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        ("build", "error", "message"),
+        [
+            (lambda _: WaveformMatrix(np.zeros((0, 3))), ValueError,
+             r"entries must be a non-empty 2-D array, got shape \(0, 3\)"),
+            (lambda _: WaveformMatrix(np.ones(3)), ValueError,
+             r"entries must be a non-empty 2-D array, got shape \(3,\)"),
+            (lambda _: AngleGrid(np.array([])), ValueError,
+             "angle grid must be a non-empty 1-D array"),
+            (lambda _: DesiredBeamPattern(np.array([])), ValueError,
+             "desired pattern must be a non-empty 1-D array"),
+            (_loading("1,2,abc\n1:0,2:0\n"), WaveformFormatError,
+             "line 1: field 'p_total': expected float, got 'abc'"),
+            (_loading("1,2,1.0\n1:0,2:y\n"), WaveformFormatError,
+             r"line 2: field '2 \(im\)': expected float, got 'y'"),
+            (_loading(""), WaveformFormatError, "line 1: empty file"),
+            (_loading("1,2\n1:0,2:0\n"), WaveformFormatError,
+             "line 1: header must have 3 or 4 comma-separated fields, got 2"),
+            (_loading("1,2,1.0,constant_modulus,x\n1:0,2:0\n"), WaveformFormatError,
+             "line 1: header must have 3 or 4 comma-separated fields, got 5"),
+            (_loading("1,2,1.0,cm\n1:0,2:0\n"), WaveformFormatError,
+             "line 1: field 4: expected 'constant_modulus', got 'cm'"),
+            (_loading("2,2,1.0\n1:0,2:0\n"), WaveformFormatError,
+             "line 2: expected 2 antenna rows, found 1"),
+            # trailing blank lines are dropped before the rows are counted
+            (_loading("2,2,1.0\n1:0,2:0\n\n  \n"), WaveformFormatError,
+             "line 4: expected 2 antenna rows, found 1"),
+            (_loading("1,2,1.0\n1:0,2:0\n3:0,4:0\n"), WaveformFormatError,
+             "line 3: expected 1 antenna rows, found 2"),
+        ],
+        ids=[
+            "empty entries", "1-D entries", "empty grid", "empty pattern",
+            "bad p_total", "bad entry", "empty file", "short header", "long header",
+            "bad flag", "missing row", "missing row before blank lines", "extra row",
+        ],
+    )
+    def test_rejects_with_message(self, tmp_path, build, error, message):
+        with pytest.raises(error, match=message):
+            build(tmp_path)

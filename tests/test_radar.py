@@ -213,6 +213,21 @@ class TestISL:
         assert rel_err(cc, g_cc) < 1e-9
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        ("shape", "message"),
+        [
+            ((7,), r"expected vector of length 8, got 7"),
+            ((4, 2), r"expected block of shape \(2, 4\), got \(4, 2\)"),
+        ],
+    )
+    def test_waveform_must_fit_the_scene(self, shape, message):
+        # a vec'd vector of length N or an N_T x L block, nothing else
+        scene = make_scene(n_tx=2, block_len=4, max_lag=3)
+        with pytest.raises(ValueError, match=message):
+            achieved_pattern(np.ones(shape, dtype=complex), scene)
+
+
 class TestSceneInvariants:
     def test_b_mats_hermitian(self):
         scene = make_scene(n_tx=3, block_len=3, max_lag=2)

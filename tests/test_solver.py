@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import functools
+import itertools
 import math
 from pathlib import Path
 from unittest import mock
@@ -1096,6 +1097,11 @@ class TestMMSolve:
         bad[1] = np.nan
         with pytest.raises(ValueError, match="constant-modulus"):
             mm_solve(scene, None, Weights(1.0, 0.0, 0.0), cfg, x0=bad)
+        # an x0 on the circle but of the wrong length fails on its length
+        short = np.full(scene.n - 1, math.sqrt(0.5), dtype=complex)
+        message = rf"x0 must have length {scene.n}, got shape \({scene.n - 1},\)"
+        with pytest.raises(ValueError, match=message):
+            mm_solve(scene, None, Weights(1.0, 0.0, 0.0), cfg, x0=short)
 
     def test_radar_only_descends_and_stays_unimodular(self, rng):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
@@ -1289,6 +1295,62 @@ class TestTermination:
         state = desk_solve(seed=2, gamma_db=(15.0,), m_psk=8)
         assert state.termination == Termination.CONVERGED
         assert state.kkt_residual <= 1e-4
+
+
+def scaled_terms_at(call, factor):
+    """objective_terms whose terms are multiplied by ``factor`` at its
+    ``call``-th call (1-based) and returned unchanged otherwise."""
+    calls = itertools.count(1)
+
+    def wrapped(x, scene, correlations=True):
+        terms = radar.objective_terms(x, scene, correlations)
+        if next(calls) != call:
+            return terms
+        return radar.ObjectiveTerms([factor * v for v in terms], terms.kernels)
+
+    return wrapped
+
+
+def full_weights_radar_solve(max_outer_iters):
+    """Radar-only solve with every weight nonzero: one objective_terms call
+    per outer iteration and none at exit."""
+    scene = make_scene(n_tx=2, block_len=4, max_lag=3)
+    cfg = SolverConfig(mode="radar_only", seed=7, max_outer_iters=max_outer_iters)
+    return mm_solve(scene, None, Weights(1.0, 2.0, 2.0), cfg)
+
+
+class TestRareExits:
+    """The mm_solve exits that ordinary solves never reach, forced by a
+    wrapped objective or a lowered sweep cap."""
+
+    def test_ascent_from_a_feasible_iterate_is_rejected(self):
+        # a cost raised at iteration 6 reads as ascent: the run ends converged
+        # on iteration 5's iterate, and the rejected step is recorded
+        with mock.patch("dfrcwave.solver.objective_terms", scaled_terms_at(6, 2.0)):
+            state = full_weights_radar_solve(100)
+        capped = full_weights_radar_solve(5)
+        assert capped.termination == Termination.MAX_ITERS
+        assert state.termination == Termination.CONVERGED
+        assert state.rejected_steps == 1
+        assert len(state.iterations) == 6 and state.iterations[-1].rejected
+        assert state.iterations[:-1] == capped.iterations
+        assert state.objective_trace.tobytes() == capped.objective_trace.tobytes()
+        assert state.x.tobytes() == capped.x.tobytes()
+        assert state.final_terms == capped.final_terms
+
+    def test_non_finite_objective_raises(self):
+        with mock.patch("dfrcwave.solver.objective_terms", scaled_terms_at(1, math.nan)):
+            with pytest.raises(RuntimeError, match="non-finite objective nan at outer iteration 1"):
+                full_weights_radar_solve(100)
+
+    def test_sweep_cap_hits_are_counted_and_warned(self):
+        # one sweep per dual call: every call that moves a multiplier hits the cap
+        with mock.patch("dfrcwave.solver.DEFAULT_MAX_SWEEPS", 1):
+            state = desk_solve(max_outer_iters=10)
+        hits = sum(r.sweep_cap_hit for r in state.iterations)
+        assert hits > 0
+        assert state.sweep_cap_hits == hits
+        assert f"dual ascent hit the sweep cap in {hits} iteration(s)" in state.warnings
 
 
 @st.composite
