@@ -111,7 +111,8 @@ class CIConstraintSet:
     and ``thresholds[l, r]`` (shape (L, 2K)) Gamma_m, for r = half*K + k and
     m = (2l + half) K + k: flattening (l, r) gives the canonical row order
     of margins and multipliers. ``row_scalars``, ``row_abs_sums`` and each
-    amplitude's ``clear_by`` are built once per set.
+    amplitude's ``clear_by`` are built once per set. No conjugated copy of
+    ``rows`` is kept, since it would raise the solve's peak memory.
     """
 
     rows: np.ndarray

@@ -116,7 +116,7 @@ def _lag_grams(scene: RadarScene, w_bp: float, lag_w: np.ndarray, band: int) -> 
     # row (q, q') is the factor a_q' a_q^H of D_{tau,q,q'}
     pair = np.einsum("pi,qj->qpij", a, a.conj()).reshape(-1, n_tx * n_tx)
     lag_w = lag_w.reshape(scene.targets.max_lag, -1)
-    bp = scene.c_factors.reshape(-1, n_tx * n_tx)
+    bp = scene.c_flat
     bp_w = np.full(bp.shape[0], float(w_bp))
     grams = []
     for tau in range(band):
@@ -141,7 +141,9 @@ class MajorizerContext:
     to the last one with a nonzero correlation weight. ``correlations`` is
     false when every correlation weight is zero; the MM step then
     evaluates no correlations. ``e_mat`` is the N x N E, or its N_T x N_T
-    lag-0 block E_0 when the band is one lag wide (E = I_L (x) E_0).
+    lag-0 block E_0 when the band is one lag wide (E = I_L (x) E_0); it
+    stays float64. Every array held is read-only, and so is ``e0_twice``,
+    built from ``e_mat`` on first read.
     """
 
     kind: MajorizerKind
@@ -152,6 +154,13 @@ class MajorizerContext:
     correlations: bool
     e_mat: Optional[np.ndarray] = None
     lambda_quartic: Optional[float] = None
+
+    @functools.cached_property
+    def e0_twice(self) -> np.ndarray:
+        """2 ``e_mat`` (diagonal kind): 2 E_0, the operand the one-lag diagonal ``build_d`` reads."""
+        twice = 2.0 * self.e_mat
+        twice.setflags(write=False)
+        return twice
 
 
 def build_majorizer_context(
@@ -218,20 +227,21 @@ def build_phi(
     if kernels is None:
         kernels = radar_kernels(x_t, scene, ctx.correlations)
     n_tx, band = scene.geometry.n_tx, ctx.band
+    if w.w_bp > 0:
+        bp = w.w_bp * (kernels.beta @ scene.c_flat).reshape(n_tx, n_tx)
     if ctx.correlations:
         p = scene.targets.max_lag
         coef = ctx.lag_weights[:band] * kernels.corr[p - 1 : p - 1 + band].conj()
-        a = scene.steer_targets
-        blocks = a.T @ coef.transpose(0, 2, 1) @ a.conj()  # sum coef[q,q'] a_q' a_q^H
+        # sum coef[q,q'] a_q' a_q^H
+        blocks = scene.steer_targets.T @ coef.transpose(0, 2, 1) @ scene.steer_targets_conj
+        if w.w_bp > 0:
+            blocks[0] += bp
+        h0 = blocks[0]
     else:
-        blocks = np.zeros((1, n_tx, n_tx), dtype=complex)
-    if w.w_bp > 0:
-        beta = kernels.beta
-        c_flat = scene.c_factors.reshape(beta.size, -1)
-        blocks[0] += w.w_bp * (beta @ c_flat).reshape(n_tx, n_tx)
-    blocks[0] *= 0.5  # lag 0 is its own mirror image
+        h0 = bp  # w_bp > 0: lag_weights rejects weights with no active term
+    h0 *= 0.5  # lag 0 is its own mirror image
     if band == 1:
-        s = blocks[0] + blocks[0].conj().T
+        s = h0 + h0.conj().T
         s *= 2.0
         return s
     sub = x_t[:, None] * (0.5 * x_t.conj())  # the outer product x_t (x_t/2)^H
@@ -265,12 +275,14 @@ def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> np.ndarr
     """
     x_t = np.asarray(x_t)
     diagonal = ctx.kind == MajorizerKind.DIAGONAL
+    xs = x_t if ctx.band > 1 else x_t.reshape(-1, phi.shape[0])  # one lag: row l is x_l
     if ctx.band > 1:
         bound = np.abs(phi).sum(axis=1) if diagonal else float(np.linalg.eigvalsh(phi)[-1])
-        return 2.0 * (phi @ x_t - bound * x_t)
-    xs = x_t.reshape(-1, phi.shape[0])  # row l is x_l
-    if diagonal:
-        blocks = phi - 2.0 * ctx.e_mat * (xs[:, :, None] * xs[:, None, :].conj())
+        phi_x = phi @ x_t
+    elif diagonal:
+        blocks = xs[:, :, None] * xs[:, None, :].conj()
+        blocks *= ctx.e0_twice
+        np.subtract(phi, blocks, out=blocks)  # S - 2 E_0 (.) x_l x_l^H
         phi_x = (blocks @ xs[:, :, None])[:, :, 0]
         bound = np.abs(blocks).sum(axis=2)
     else:
@@ -278,4 +290,6 @@ def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> np.ndarr
         phi_x = xs @ phi.T - (lam2 * np.vdot(x_t, x_t).real) * xs
         s = phi if xs.shape[0] > 1 else phi - lam2 * np.outer(x_t, x_t.conj())
         bound = float(np.linalg.eigvalsh(s)[-1])
-    return (2.0 * (phi_x - bound * xs)).reshape(-1)
+    phi_x -= bound * xs
+    phi_x *= 2.0
+    return phi_x.reshape(-1)

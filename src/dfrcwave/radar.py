@@ -58,6 +58,11 @@ class RadarScene:
     row q of ``steer_targets`` is a(theta_q), giving the factor
     a(theta_q') a^H(theta_q) of D_{tau,q,q'} = J_{-tau} (x) a(theta_q') a^H(theta_q).
     Its size is O(U N_T^2), independent of the block length L.
+
+    The operands the MM step reads in place of these fields are built once
+    per scene, on first use, and are read-only: ``c_flat`` (the C_u
+    flattened to shape (U, N_T^2)) and ``steer_targets_conj`` (the
+    conjugated target steering vectors).
     """
 
     geometry: ArrayGeometry
@@ -72,6 +77,20 @@ class RadarScene:
     @property
     def n(self) -> int:
         return self.block_len * self.geometry.n_tx
+
+    @functools.cached_property
+    def c_flat(self) -> np.ndarray:
+        """``c_factors`` as a (U, N_T^2) matrix, row u the row-major C_u."""
+        flat = self.c_factors.reshape(self.c_factors.shape[0], -1)
+        flat.setflags(write=False)
+        return flat
+
+    @functools.cached_property
+    def steer_targets_conj(self) -> np.ndarray:
+        """conj(``steer_targets``): row q is a^H(theta_q) as a row."""
+        conj = self.steer_targets.conj()
+        conj.setflags(write=False)
+        return conj
 
     @functools.cached_property
     def _lag_index(self) -> np.ndarray:
@@ -183,8 +202,7 @@ def bp_quadratic_forms(x, scene: RadarScene) -> np.ndarray:
     """
     X = _as_block(x, scene)
     gram_t = X.conj() @ X.T  # (X X^H)^T, so that tr(C R) = sum_ij C_ij R^T_ij
-    c_flat = scene.c_factors.reshape(scene.c_factors.shape[0], -1)
-    return (c_flat @ gram_t.reshape(-1)).real
+    return (scene.c_flat @ gram_t.reshape(-1)).real
 
 
 def correlation_values(x, scene: RadarScene) -> np.ndarray:
@@ -199,7 +217,7 @@ def correlation_values(x, scene: RadarScene) -> np.ndarray:
     and lags |tau| >= L come out as exact zeros.
     """
     X = _as_block(x, scene)
-    v = scene.steer_targets.conj() @ X
+    v = scene.steer_targets_conj @ X
     padded = np.zeros((scene.block_len + 1, v.shape[0]), dtype=complex)
     padded[:-1] = v.T.conj()
     # windows[tau, l, q'] = conj(v[q', l + tau]), zero past the block
@@ -256,7 +274,7 @@ def objective_terms(x, scene: RadarScene, correlations: bool = True) -> Objectiv
     whose masks are empty), the weighted cost is then the same to the bit.
     """
     kernels = radar_kernels(x, scene, correlations)
-    g_bp = float(np.sum(kernels.beta**2))
+    g_bp = float((kernels.beta**2).sum())
     if not correlations:
         return ObjectiveTerms((g_bp, 0.0, 0.0), kernels)
     chi = np.abs(kernels.corr) ** 2

@@ -77,7 +77,7 @@ class Termination(str, enum.Enum):
 def _closed_form(coef: np.ndarray, amp: float) -> np.ndarray:
     """amp * exp(j angle(coef)) entrywise, with phase 0 where coef vanishes (-0.0 too)."""
     phase = np.arctan2(coef.imag, coef.real)
-    if not coef.all():
+    if np.count_nonzero(coef) < coef.size:
         phase[coef == 0] = 0.0
     return amp * np.exp(1j * phase)
 

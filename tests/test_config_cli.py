@@ -424,6 +424,19 @@ class TestCLI:
         assert summary["comparison"]["max_eigen"]["warnings"] == ["planted warning"]
         assert summary["comparison"]["diagonal"]["warnings"] == []
 
+    def test_runtime_error_exit(self, tmp_path, monkeypatch, capsys):
+        # a solver failure after a valid build exits 2, reported on stderr
+        from dfrcwave import experiment
+
+        def solve(*args, **kwargs):
+            raise RuntimeError("planted solver failure")
+
+        monkeypatch.setattr(experiment, "mm_solve", solve)
+        desk = Path(__file__).parents[1] / "configs" / "desk.cfg"
+        code = cli.main(["run", str(desk), "--output-root", str(tmp_path)])
+        assert code == cli.EXIT_RUNTIME == 2
+        assert "runtime error: planted solver failure" in capsys.readouterr().err
+
     def test_compare_subcommand(self, tmp_path):
         path = tmp_path / "cmp.cfg"
         path.write_text(TINY_CONFIG + "mode = radar_only\n", encoding="utf-8")

@@ -344,9 +344,10 @@ def _weights():
 
 
 @st.composite
-def small_scenes(draw):
+def small_scenes(draw, max_n=16):
+    """n_tx 1-4, L 1-8 with N = n_tx L <= ``max_n``, Q 1-3 targets, P 1..L+1."""
     n_tx = draw(st.integers(1, 4))
-    block_len = draw(st.integers(1, min(8, 16 // n_tx)))
+    block_len = draw(st.integers(1, min(8, max_n // n_tx)))
     max_lag = draw(st.integers(1, block_len + 1))
     q_n = draw(st.integers(1, 3))
     angles = draw(st.lists(st.integers(-80, 80), min_size=q_n, max_size=q_n, unique=True))
@@ -440,6 +441,36 @@ class TestLagStructureProperties:
             d = build_d(xt, s, ctx)
             scale = max(np.abs(s).sum(axis=1).max(), np.abs(ref).sum(axis=1).max())
             assert np.abs(d - ref_d).max() <= 1e-12 * scale
+
+
+def _assert_frozen_copy(operand, expect):
+    """``operand`` is read-only and equals ``expect`` bit for bit."""
+    assert operand.dtype == expect.dtype and operand.shape == expect.shape
+    assert operand.tobytes() == expect.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        operand.flat[0] = 1.0
+
+
+class TestCachedOperands:
+    @settings(deadline=None, derandomize=True)
+    @given(scene=small_scenes(max_n=32), w=_weights())
+    def test_operands_match_their_recomputation(self, scene, w):
+        # each operand the MM step reads in place of a public field is built
+        # once per scene or context: read-only, and bit for bit the
+        # expression it replaces, so the step's results cannot move
+        a = scene.steer_targets
+        _assert_frozen_copy(scene.steer_targets_conj, a.conj())
+        _assert_frozen_copy(scene.c_flat, scene.c_factors.reshape(len(scene.grid), -1))
+        weights = Weights(*w)
+        try:
+            diag = build_majorizer_context(scene, weights, "diagonal")
+        except ValueError:
+            return  # no active cost term
+        assert diag.e_mat.dtype == np.float64
+        _assert_frozen_copy(diag.e0_twice, 2.0 * diag.e_mat)
+        # derived from e_mat, so a replaced context cannot keep a stale copy
+        tripled = dataclasses.replace(diag, e_mat=3.0 * diag.e_mat)
+        _assert_frozen_copy(tripled.e0_twice, 2.0 * tripled.e_mat)
 
 
 def test_paper_scale_smoke():

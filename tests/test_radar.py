@@ -1,5 +1,8 @@
 """Radar metrics: the factor paths against their definitions and the oracle's dense forms."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +98,17 @@ class TestOptimalAlpha:
         assert rel_err(
             optimal_alpha(x, flat), achieved_pattern(x, flat).mean()
         ) < 1e-12
+
+    def test_zero_desired_pattern_raises(self, rng):
+        # DesiredBeamPattern rejects an all-zero pattern, so only a scene
+        # assembled around that type reaches optimal_alpha's own check
+        scene = make_scene(n_tx=2, block_len=3, grid_step=30.0)
+        zero = dataclasses.replace(
+            scene, desired=SimpleNamespace(values=np.zeros(len(scene.grid)))
+        )
+        x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        with pytest.raises(ValueError, match="desired pattern is identically zero"):
+            optimal_alpha(x, zero)
 
     def test_beats_dense_grid(self, rng):
         scene = make_scene(n_tx=2, block_len=4, grid_step=20.0)
