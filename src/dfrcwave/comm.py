@@ -71,6 +71,8 @@ class CommSetup:
         k_users, n_tx = ch.shape
         if sym.ndim != 2 or sym.shape[0] != k_users:
             raise ValueError(f"symbols must be K x L with K={k_users}, got {sym.shape}")
+        if k_users < 1 or sym.shape[1] < 1:
+            raise ValueError(f"need K >= 1 users and L >= 1 symbols, got K x L = {sym.shape}")
         if gam.shape != (k_users,):
             raise ValueError(f"gamma must have one entry per user, got shape {gam.shape}")
         # phases must sit on the M-PSK lattice (base or pi/M-rotated)

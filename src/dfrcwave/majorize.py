@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from dfrcwave.model import MajorizerKind, Weights
-from dfrcwave.radar import RadarKernels, RadarScene, radar_kernels
+from dfrcwave.radar import ObjectiveTerms, RadarScene, objective_terms
 
 
 def lag_weights(scene: RadarScene, weights: Weights) -> np.ndarray:
@@ -198,7 +198,7 @@ def build_majorizer_context(
 
 
 def build_phi(
-    x_t: np.ndarray, ctx: MajorizerContext, kernels: Optional[RadarKernels] = None
+    x_t: np.ndarray, ctx: MajorizerContext, terms: Optional[ObjectiveTerms] = None
 ) -> np.ndarray:
     """Quadratic-stage majorizer matrix Phi at the expansion point x_t.
 
@@ -215,23 +215,24 @@ def build_phi(
     2 E (.) x_t x_t^H (or - 2 lambda_Psi x_t x_t^H) is returned, also
     exactly Hermitian; ``build_d`` adds the subtracted term itself.
 
-    The coefficients x_t^H M_k x_t are read from ``kernels``, the
-    :class:`~dfrcwave.radar.RadarKernels` of x_t; the MM loop passes the
-    ones its ``objective_terms`` call already computed at the accepted
-    iterate. Without them they are evaluated here, by the same path. The
-    correlations are read only when ``ctx.correlations`` is set.
+    The coefficients x_t^H M_k x_t are read from ``terms.beta`` and
+    ``terms.corr``, for the :class:`~dfrcwave.radar.ObjectiveTerms` of x_t;
+    the MM loop passes the ones it already evaluated at the accepted
+    iterate. Without them they are evaluated here, by
+    ``objective_terms(x_t, ctx.scene, ctx.correlations)``. The correlations
+    are read only when ``ctx.correlations`` is set.
     """
     x_t = np.asarray(x_t)
     scene = ctx.scene
     w = ctx.weights
-    if kernels is None:
-        kernels = radar_kernels(x_t, scene, ctx.correlations)
+    if terms is None:
+        terms = objective_terms(x_t, scene, ctx.correlations)
     n_tx, band = scene.geometry.n_tx, ctx.band
     if w.w_bp > 0:
-        bp = w.w_bp * (kernels.beta @ scene.c_flat).reshape(n_tx, n_tx)
+        bp = w.w_bp * (terms.beta @ scene.c_flat).reshape(n_tx, n_tx)
     if ctx.correlations:
         p = scene.targets.max_lag
-        coef = ctx.lag_weights[:band] * kernels.corr[p - 1 : p - 1 + band].conj()
+        coef = ctx.lag_weights[:band] * terms.corr[p - 1 : p - 1 + band].conj()
         # sum coef[q,q'] a_q' a_q^H
         blocks = scene.steer_targets.T @ coef.transpose(0, 2, 1) @ scene.steer_targets_conj
         if w.w_bp > 0:

@@ -110,7 +110,9 @@ class WaveformMatrix:
     """Complex transmit block: one row per antenna, one column per subpulse.
 
     When ``constant_modulus`` is set, every entry must have magnitude
-    sqrt(p_total / n_tx) to within :data:`MODULUS_TOL` (relative).
+    sqrt(p_total / n_tx) to within :data:`MODULUS_TOL` (relative), so a
+    non-finite entry fails. This is the one constant-modulus rule, which
+    ``mm_solve`` also applies to its x0.
     """
 
     entries: np.ndarray
@@ -125,7 +127,7 @@ class WaveformMatrix:
         object.__setattr__(self, "entries", arr)
         if self.constant_modulus:
             err = np.abs(np.abs(arr) - amp).max()
-            if err > MODULUS_TOL * max(1.0, amp):
+            if not err <= MODULUS_TOL * max(1.0, amp):  # NaN fails
                 raise ValueError(
                     f"constant-modulus violation: max |entry| deviation {err:.3e} "
                     f"from amplitude {amp!r}"
@@ -147,7 +149,7 @@ class WaveformMatrix:
 
 @dataclass(frozen=True)
 class AngleGrid:
-    """Strictly increasing angle grid, in degrees."""
+    """Finite, strictly increasing angle grid, in degrees."""
 
     angles_deg: np.ndarray
 
@@ -155,6 +157,8 @@ class AngleGrid:
         arr = _frozen_array(self.angles_deg, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("angle grid must be a non-empty 1-D array")
+        if not np.isfinite(arr).all():
+            raise ValueError("angle grid angles must be finite")
         if arr.size > 1 and not np.all(np.diff(arr) > 0):
             raise ValueError("angle grid must be strictly increasing")
         object.__setattr__(self, "angles_deg", arr)
@@ -175,7 +179,7 @@ class AngleGrid:
 
 @dataclass(frozen=True)
 class DesiredBeamPattern:
-    """Target beam-pattern levels on an angle grid; at least one must be > 0."""
+    """Finite, nonnegative beam-pattern levels on an angle grid; at least one must be > 0."""
 
     values: np.ndarray
 
@@ -183,8 +187,8 @@ class DesiredBeamPattern:
         arr = _frozen_array(self.values, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("desired pattern must be a non-empty 1-D array")
-        if np.any(arr < 0):
-            raise ValueError("desired pattern values must be nonnegative")
+        if not (np.isfinite(arr).all() and (arr >= 0).all()):
+            raise ValueError("desired pattern values must be finite and nonnegative")
         if not np.any(arr > 0):
             raise ValueError("desired pattern must have at least one positive value")
         object.__setattr__(self, "values", arr)
@@ -192,7 +196,7 @@ class DesiredBeamPattern:
 
 @dataclass(frozen=True)
 class TargetSet:
-    """Radar target angles plus the largest range bin of interest."""
+    """Finite radar target angles plus the largest range bin of interest."""
 
     angles_deg: np.ndarray
     max_lag: int
@@ -201,6 +205,7 @@ class TargetSet:
         arr = _frozen_array(self.angles_deg, dtype=float)
         check_rules(
             (arr.ndim == 1 and arr.size >= 1, "target_angles_deg must list at least one angle"),
+            (np.isfinite(arr).all(), "target_angles_deg must be finite, got {}", arr),
             (self.max_lag >= 1, "max_lag must be >= 1, got {}", self.max_lag),
         )
         object.__setattr__(self, "angles_deg", arr)

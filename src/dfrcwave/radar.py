@@ -4,9 +4,9 @@ Every cost is a quadratic form of x = vec(X), the N_T x L block X stacked
 column by column, through the per-angle matrices B_u = I_L (x) C_u and the
 lag/angle family D_{tau,q,q'} = J_{-tau} (x) a(theta_q') a^H(theta_q).
 Each quantity has one path. The N x N matrices are never formed:
-``radar_kernels`` evaluates every quadratic form from the N_T x N_T
+``objective_terms`` evaluates every quadratic form from the N_T x N_T
 Kronecker factors (the C_u and the target steering vectors), with no size
-cap, and ``objective_terms`` reduces the forms to the three costs. The
+cap, and returns the three costs with the forms they were reduced from. The
 beam-pattern forms cost O(N_T^2 L + U N_T^2) through the Gram X X^H, and
 the correlations O(Q N_T L + P Q^2 L) through one batched product over the
 lags tau >= 0. (``dfrcwave.oracle`` builds the dense forms to certify
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -185,11 +185,12 @@ def achieved_pattern(x, scene: RadarScene) -> np.ndarray:
 
 
 def optimal_alpha(x, scene: RadarScene) -> float:
-    """Closed-form scale minimizing the pattern-matching MSE for fixed x."""
+    """Closed-form scale minimizing the pattern-matching MSE for fixed x.
+
+    ``DesiredBeamPattern`` holds a positive value, so the divisor is positive.
+    """
     gd = scene.desired.values
     denom = float(np.sum(gd**2))
-    if denom == 0:
-        raise ValueError("desired pattern is identically zero")
     return float(np.dot(achieved_pattern(x, scene), gd) / denom)
 
 
@@ -226,8 +227,8 @@ def correlation_values(x, scene: RadarScene) -> np.ndarray:
     return np.concatenate([mirrored, nonneg])
 
 
-class RadarKernels(NamedTuple):
-    """The quadratic forms of x that every radar term and Phi are built from.
+class ObjectiveTerms(tuple):
+    """(g_bp, g_ac, g_cc), carrying the quadratic forms of x they came from.
 
     ``beta`` holds x^H B_u x per grid angle (``bp_quadratic_forms``) and
     ``corr`` the correlations x^H D_{tau,q,q'} x (``correlation_values``),
@@ -237,25 +238,9 @@ class RadarKernels(NamedTuple):
     beta: np.ndarray
     corr: Optional[np.ndarray]
 
-
-def radar_kernels(x, scene: RadarScene, correlations: bool = True) -> RadarKernels:
-    """Evaluate the kernel families at x: the one path to them for the MM loop.
-
-    With ``correlations`` false only the beam-pattern forms are evaluated.
-    """
-    X = _as_block(x, scene)
-    beta = bp_quadratic_forms(X, scene)
-    return RadarKernels(beta, correlation_values(X, scene) if correlations else None)
-
-
-class ObjectiveTerms(tuple):
-    """(g_bp, g_ac, g_cc), carrying the :class:`RadarKernels` they came from."""
-
-    kernels: Optional[RadarKernels]
-
-    def __new__(cls, terms, kernels: Optional[RadarKernels] = None):
+    def __new__(cls, terms, beta: np.ndarray, corr: Optional[np.ndarray] = None):
         self = super().__new__(cls, terms)
-        self.kernels = kernels
+        self.beta, self.corr = beta, corr
         return self
 
 
@@ -266,17 +251,20 @@ def objective_terms(x, scene: RadarScene, correlations: bool = True) -> Objectiv
     only the index sets that belong to each term (no subtraction of the
     lag-0 peak): targets and nonzero lags for the autocorrelation, ordered
     target pairs q != q' and every lag for the cross-correlation. The
-    kernels are computed once and ride along as ``.kernels``, so the MM
-    loop builds the next Phi at an accepted x without re-evaluating them.
+    quadratic forms are computed once and ride along as ``.beta`` and
+    ``.corr``, so the MM loop builds the next Phi at an accepted x without
+    re-evaluating them.
 
     With ``correlations`` false no correlation is evaluated and both ISLs
     read 0.0: for an MM loop whose correlation weights are all zero (or
     whose masks are empty), the weighted cost is then the same to the bit.
     """
-    kernels = radar_kernels(x, scene, correlations)
-    g_bp = float((kernels.beta**2).sum())
+    X = _as_block(x, scene)
+    beta = bp_quadratic_forms(X, scene)
+    g_bp = float((beta**2).sum())
     if not correlations:
-        return ObjectiveTerms((g_bp, 0.0, 0.0), kernels)
-    chi = np.abs(kernels.corr) ** 2
+        return ObjectiveTerms((g_bp, 0.0, 0.0), beta)
+    corr = correlation_values(X, scene)
+    chi = np.abs(corr) ** 2
     ac, cc = scene.isl_masks
-    return ObjectiveTerms((g_bp, float(chi[ac].sum()), float(chi[cc].sum())), kernels)
+    return ObjectiveTerms((g_bp, float(chi[ac].sum()), float(chi[cc].sum())), beta, corr)

@@ -56,7 +56,9 @@ from dfrcwave.comm import (
     ci_margin,
 )
 from dfrcwave.majorize import MajorizerContext, build_d, build_majorizer_context, build_phi
-from dfrcwave.model import MODULUS_TOL, SolveMode, SolverConfig, Weights, amplitude, random_start
+from dfrcwave.model import (
+    SolveMode, SolverConfig, WaveformMatrix, Weights, amplitude, mat, random_start,
+)
 from dfrcwave.radar import RadarScene, objective_terms
 
 #: Cap on coordinate-ascent sweeps within one MM iteration.
@@ -689,7 +691,8 @@ def mm_solve(
 
     A passed ``ctx`` must have been built from this scene object, equal
     weights and ``cfg.majorizer_kind``, else ValueError, as for a
-    non-finite or non-positive ``p_total``.
+    non-finite or non-positive ``p_total`` and for an x0 that breaks
+    ``WaveformMatrix``'s constant-modulus rule.
 
     In dfrc mode the dual step's x(nu) is restored here when it violates a
     CI row, and the accepted step is safeguarded (the inner solve is
@@ -738,18 +741,17 @@ def mm_solve(
         x = np.asarray(x0, dtype=complex).copy()
         if x.shape != (n,):
             raise ValueError(f"x0 must have length {n}, got shape {x.shape}")
-        if not np.abs(np.abs(x) - amp).max() <= MODULUS_TOL * max(1.0, amp):  # NaN fails
-            raise ValueError("x0 is not constant-modulus at the required amplitude")
+        WaveformMatrix(mat(x, n_tx), p_total=p_total, constant_modulus=True)
 
     records: list[IterationRecord] = []
     bracket_bad: set[int] = set()
     g_prev = math.inf
     prev_feasible = cfg.mode == SolveMode.RADAR_ONLY
     termination = Termination.MAX_ITERS
-    kernels = None  # radar kernels of the accepted x, from its objective_terms call
+    final_terms = None  # the radar terms of the accepted x, with their quadratic forms
 
     for t in range(1, cfg.max_outer_iters + 1):
-        d = build_d(x, build_phi(x, ctx, kernels), ctx)
+        d = build_d(x, build_phi(x, ctx, final_terms), ctx)
         restore_ok = True
         dual_step = True
         res = None
@@ -796,7 +798,7 @@ def mm_solve(
             # iterate is legitimate feasibility acquisition and is accepted)
             termination = Termination.CONVERGED
             break
-        x, final_terms, kernels = x_new, terms, terms.kernels
+        x, final_terms = x_new, terms
         prev_feasible = restore_ok or not dual_step  # a polish step stays feasible
         if res is not None:
             nu = res.nu

@@ -184,16 +184,21 @@ class TestBuildPhi:
             assert np.abs(phi - phi.conj().T).max() <= 1e-12 * np.abs(phi).max()
 
     @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
-    @pytest.mark.parametrize("weights", [Weights(1.0, 2.0, 2.0), Weights(0.0, 1.0, 3.0)])
+    @pytest.mark.parametrize(
+        "weights", [Weights(1.0, 2.0, 2.0), Weights(0.0, 1.0, 3.0), Weights(1.0, 0.0, 0.0)]
+    )
     def test_reused_kernels_give_the_same_phi(self, rng, weights, kind):
-        # the MM loop hands build_phi the kernels of its objective_terms call
-        scene = make_scene(n_tx=2, block_len=4, max_lag=3)
-        ctx = build_majorizer_context(scene, weights, kind)
-        for _ in range(5):
-            xt = random_cm(rng, scene.n, 1 / np.sqrt(2))
-            terms = objective_terms(xt, scene)
-            assert len(terms) == 3
-            assert np.array_equal(build_phi(xt, ctx, terms.kernels), build_phi(xt, ctx))
+        # the MM loop hands build_phi the terms of its objective_terms call;
+        # with P = 1, or with the beam pattern alone, the band is one lag wide
+        for max_lag in (3, 1):
+            scene = make_scene(n_tx=2, block_len=4, max_lag=max_lag)
+            ctx = build_majorizer_context(scene, weights, kind)
+            assert ctx.band == (3 if max_lag == 3 and ctx.correlations else 1)
+            for _ in range(5):
+                xt = random_cm(rng, scene.n, 1 / np.sqrt(2))
+                terms = objective_terms(xt, scene, ctx.correlations)
+                assert len(terms) == 3
+                assert np.array_equal(build_phi(xt, ctx, terms), build_phi(xt, ctx))
 
     @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
     def test_quadratic_dominance(self, rng, weights_full, kind):

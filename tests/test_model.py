@@ -70,9 +70,11 @@ class TestTypes:
         assert len(g2) == 361 and g2.angles_deg[-1] == 90.0
 
     def test_desired_pattern_needs_positive_value(self):
-        with pytest.raises(ValueError):
+        # the one owner of this rule: radar.optimal_alpha divides by the
+        # pattern's sum of squares unchecked
+        with pytest.raises(ValueError, match="at least one positive value"):
             DesiredBeamPattern(np.zeros(5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
             DesiredBeamPattern(np.array([1.0, -0.5]))
 
     def test_targets(self):
@@ -203,6 +205,19 @@ class TestInputChecks:
              "angle grid must be a non-empty 1-D array"),
             (lambda _: DesiredBeamPattern(np.array([])), ValueError,
              "desired pattern must be a non-empty 1-D array"),
+            # library callers reach these; a config's own finite rule comes first
+            (lambda _: DesiredBeamPattern([1.0, np.nan]), ValueError,
+             "desired pattern values must be finite and nonnegative"),
+            (lambda _: DesiredBeamPattern([1.0, np.inf]), ValueError,
+             "desired pattern values must be finite and nonnegative"),
+            (lambda _: TargetSet([np.nan], 2), ValueError,
+             r"target_angles_deg must be finite, got \[nan\]"),
+            (lambda _: AngleGrid([np.nan]), ValueError, "angle grid angles must be finite"),
+            (lambda _: AngleGrid([0.0, np.inf]), ValueError, "angle grid angles must be finite"),
+            (lambda _: WaveformMatrix([[np.nan, 1.0]], p_total=1.0, constant_modulus=True),
+             ValueError, r"constant-modulus violation: max \|entry\| deviation nan"),
+            (_loading("1,2,1.0,constant_modulus\nnan:nan,1.0:0.0\n"), WaveformFormatError,
+             r"line 1: constant-modulus violation: max \|entry\| deviation nan"),
             (_loading("1,2,abc\n1:0,2:0\n"), WaveformFormatError,
              "line 1: field 'p_total': expected float, got 'abc'"),
             (_loading("1,2,1.0\n1:0,2:y\n"), WaveformFormatError,
@@ -224,6 +239,8 @@ class TestInputChecks:
         ],
         ids=[
             "empty entries", "1-D entries", "empty grid", "empty pattern",
+            "NaN pattern", "infinite pattern", "NaN target", "NaN grid", "infinite grid",
+            "NaN constant-modulus entry", "NaN constant-modulus file",
             "bad p_total", "bad entry", "empty file", "short header", "long header",
             "bad flag", "missing row", "missing row before blank lines", "extra row",
         ],

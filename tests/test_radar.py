@@ -1,8 +1,5 @@
 """Radar metrics: the factor paths against their definitions and the oracle's dense forms."""
 
-import dataclasses
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,17 +95,6 @@ class TestOptimalAlpha:
         assert rel_err(
             optimal_alpha(x, flat), achieved_pattern(x, flat).mean()
         ) < 1e-12
-
-    def test_zero_desired_pattern_raises(self, rng):
-        # DesiredBeamPattern rejects an all-zero pattern, so only a scene
-        # assembled around that type reaches optimal_alpha's own check
-        scene = make_scene(n_tx=2, block_len=3, grid_step=30.0)
-        zero = dataclasses.replace(
-            scene, desired=SimpleNamespace(values=np.zeros(len(scene.grid)))
-        )
-        x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        with pytest.raises(ValueError, match="desired pattern is identically zero"):
-            optimal_alpha(x, zero)
 
     def test_beats_dense_grid(self, rng):
         scene = make_scene(n_tx=2, block_len=4, grid_step=20.0)
@@ -342,7 +328,7 @@ def _dense_correlations(x, scene):
 class TestKernelProperties:
     """The structured kernels equal the oracle's dense forms to 1e-12 relative."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(deadline=None, derandomize=True)
     @given(case=scenes_and_waveforms())
     def test_bp_quadratic_forms_match_dense(self, case):
         scene, x = case
@@ -350,7 +336,7 @@ class TestKernelProperties:
         fast = bp_quadratic_forms(x, scene)
         assert np.abs(fast - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(deadline=None, derandomize=True)
     @given(case=scenes_and_waveforms())
     def test_correlation_values_match_dense(self, case):
         scene, x = case
@@ -363,11 +349,19 @@ class TestKernelProperties:
         taus = np.arange(-p + 1, p)
         assert not fast[np.abs(taus) >= scene.block_len].any()
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(deadline=None, derandomize=True)
     @given(case=scenes_and_waveforms())
     def test_objective_terms_match_oracle(self, case):
         scene, x = case
         g_bp = sum((x.conj() @ b @ x).real ** 2 for b in oracle._b_mats(scene))
         g_ac, g_cc = oracle.direct_isls(x, scene)
-        for fast, dense in zip(objective_terms(x, scene), (g_bp, g_ac, g_cc)):
+        terms = objective_terms(x, scene)
+        for fast, dense in zip(terms, (g_bp, g_ac, g_cc)):
             assert rel_err(fast, dense) <= 1e-12
+        # the forms the sums came from ride along, bit for bit
+        beta = bp_quadratic_forms(x, scene)
+        assert terms.beta.tobytes() == beta.tobytes()
+        assert terms.corr.tobytes() == correlation_values(x, scene).tobytes()
+        beam_only = objective_terms(x, scene, correlations=False)
+        assert beam_only.corr is None and beam_only.beta.tobytes() == beta.tobytes()
+        assert tuple(beam_only) == (terms[0], 0.0, 0.0)

@@ -1306,7 +1306,7 @@ def scaled_terms_at(call, factor):
         terms = radar.objective_terms(x, scene, correlations)
         if next(calls) != call:
             return terms
-        return radar.ObjectiveTerms([factor * v for v in terms], terms.kernels)
+        return radar.ObjectiveTerms([factor * v for v in terms], terms.beta, terms.corr)
 
     return wrapped
 
