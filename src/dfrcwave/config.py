@@ -24,6 +24,7 @@ from dfrcwave.model import (
     Weights,
     amplitude,
     random_start,
+    read_utf8,
 )
 from dfrcwave.radar import RadarScene, build_scene, rectangular_pattern
 
@@ -127,8 +128,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def config_from_file(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """Parse the config file at ``path``; text that is not UTF-8 raises ConfigError."""
+    return parse_config_text(read_utf8(path, ConfigError))
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:

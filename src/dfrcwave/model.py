@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -293,6 +294,19 @@ def fmt_float(v: float) -> str:
     return repr(float(v))
 
 
+def read_utf8(path, error: type[ValueError]) -> str:
+    """The text of the UTF-8 file at ``path``.
+
+    A byte that is not UTF-8 raises ``error``, naming its line and value.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"line {line}: not UTF-8 text (byte {raw[exc.start]:#04x})") from None
+
+
 def save_waveform(waveform: WaveformMatrix, path) -> None:
     """Write a waveform block to ``path`` in the documented text format."""
     header = f"{waveform.n_tx},{waveform.block_len},{fmt_float(waveform.p_total)}"
@@ -332,8 +346,7 @@ def load_waveform(path) -> WaveformMatrix:
     on malformed input. A constant-modulus flag in the header re-enables the
     modulus check on load.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_utf8(path, WaveformFormatError).splitlines()
     if not lines:
         raise WaveformFormatError("line 1: empty file")
     head = [tok.strip() for tok in lines[0].split(",")]
@@ -361,7 +374,7 @@ def load_waveform(path) -> WaveformMatrix:
         raise WaveformFormatError(
             f"line {len(lines)}: expected {n_tx} antenna rows, found {len(body)}"
         )
-    entries = np.empty((n_tx, block_len), dtype=complex)
+    entries = []  # built from the checked rows: the header alone allocates nothing
     for i, row in enumerate(body):
         lineno = i + 2
         cells = row.split(",")
@@ -369,6 +382,7 @@ def load_waveform(path) -> WaveformMatrix:
             raise WaveformFormatError(
                 f"line {lineno}: expected {block_len} columns, found {len(cells)}"
             )
+        values = []
         for j, cell in enumerate(cells):
             parts = cell.split(":")
             if len(parts) != 2:
@@ -377,8 +391,11 @@ def load_waveform(path) -> WaveformMatrix:
                 )
             re = _parse_float(parts[0], lineno, f"{j + 1} (re)")
             im = _parse_float(parts[1], lineno, f"{j + 1} (im)")
-            entries[i, j] = complex(re, im)
+            values.append(complex(re, im))
+        entries.append(values)
     try:
-        return WaveformMatrix(entries, p_total=p_total, constant_modulus=constant_modulus)
+        return WaveformMatrix(
+            np.array(entries, dtype=complex), p_total=p_total, constant_modulus=constant_modulus
+        )
     except ValueError as exc:
         raise WaveformFormatError(f"line 1: {exc}") from None

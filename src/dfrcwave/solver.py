@@ -28,9 +28,9 @@ repairs work block by block. The sweep stops on a global rule, so a block
 can end violated by a tolerance; the block finish then repeats that
 block's row updates, a bounded number of passes, until every row holds.
 What the finish leaves violated, usually a block on an infeasible kink,
-is repaired by ``mm_solve``, which owns both repairs of x(nu): it is
-restored one violated block at a time, trying starts lazily in a fixed
-order (``_restore_feasibility``), and
+is repaired by ``_dfrc_step``, the MM loop's linear step, which owns both
+repairs of x(nu): it is restored one violated block at a time, trying
+starts lazily in a fixed order (``_restore_feasibility``), and
 ``polish_feasible`` is the monotone fallback of the MM loop: coordinate
 rounds over the n_tx entries, each one phase search batched over all L
 blocks, that never increase Re{x^H d} and never leave the feasible set.
@@ -627,6 +627,36 @@ class IterationRecord(NamedTuple):
     rejected: bool
 
 
+#: The work fields of a radar-only step: no dual ascent, no repair, nothing infeasible.
+_RADAR_WORK = (0, 0, False, False, True, False)
+
+
+def _dfrc_step(x, d, nu, cset, cfg, p_total, x_feasible):
+    """The CI-constrained linear step of one MM iteration, from the iterate x.
+
+    Runs ``dual_ascent_sweep`` from the multipliers ``nu``, restores its
+    x(nu) when that violates a CI row (``_restore_feasibility``, with x as
+    the reference start when ``x_feasible``), and, once x is feasible,
+    applies the monotone safeguard: a candidate that is infeasible or raises
+    Re{x^H d} above x's, as the dual recovery can on kink iterations, is
+    replaced by ``polish_feasible(x)``, which descends by construction and
+    stays feasible. Returns (candidate, dual result, the ``IterationRecord``
+    fields ``dual_sweeps`` .. ``polish_step``).
+    """
+    amp = amplitude(p_total, cset.n_tx)
+    res = dual_ascent_sweep(nu, d, cset, cfg, p_total)
+    x_new, feasible, polish = res.x, True, False
+    if res.restored:
+        x_new, feasible = _restore_feasibility(x_new, d, cset, amp, x if x_feasible else None)
+    if x_feasible:
+        gbar_prev = float((x.conj() @ d).real)
+        gbar_new = float((x_new.conj() @ d).real)
+        if not (feasible and gbar_new <= gbar_prev):
+            x_new, polish = polish_feasible(x, d, cset, amp), True
+    work = (res.sweeps, res.bisection_evals, not res.converged, res.restored, feasible, polish)
+    return x_new, res, work
+
+
 def _column_total(column: str) -> property:
     """A read-only SolverState counter: one IterationRecord column summed."""
     return property(lambda self: sum(getattr(r, column) for r in self.iterations))
@@ -694,13 +724,12 @@ def mm_solve(
     non-finite or non-positive ``p_total`` and for an x0 that breaks
     ``WaveformMatrix``'s constant-modulus rule.
 
-    In dfrc mode the dual step's x(nu) is restored here when it violates a
-    CI row, and the accepted step is safeguarded (the inner solve is
-    tolerance-limited): once the iterate is feasible, a candidate that is
-    infeasible or fails to descend the linear surrogate is replaced by a
-    feasibility-preserving polish of the previous iterate, which descends
-    by construction and keeps the trace monotone. ``nu`` is the last
-    accepted step's dual result; convergence is declared only on
+    The loop is a driver over one linear step, picked by mode, and records
+    each iteration from the step's work fields. The dfrc step is
+    ``_dfrc_step``: the dual ascent, restoration of an x(nu) that violates
+    a CI row, and a safeguard that keeps the trace monotone once the
+    iterate is feasible (the inner solve is tolerance-limited). ``nu`` is
+    the last accepted step's dual result; convergence is declared only on
     dual-accepted steps so it belongs to the final iterate.
     ``termination`` says how the loop ended; what went wrong is in ``warnings``.
     """
@@ -709,9 +738,9 @@ def mm_solve(
     amp = amplitude(p_total, n_tx)
     warnings: list[str] = []
 
-    cset = None
-    nu = None
-    if cfg.mode == SolveMode.DFRC:
+    dfrc = cfg.mode == SolveMode.DFRC
+    cset = nu = None
+    if dfrc:
         if comm is None:
             raise ValueError("dfrc mode requires a CommSetup")
         comm_shape = (comm.n_tx, comm.block_len)
@@ -746,65 +775,36 @@ def mm_solve(
     records: list[IterationRecord] = []
     bracket_bad: set[int] = set()
     g_prev = math.inf
-    prev_feasible = cfg.mode == SolveMode.RADAR_ONLY
+    prev_feasible = not dfrc
     termination = Termination.MAX_ITERS
     final_terms = None  # the radar terms of the accepted x, with their quadratic forms
 
     for t in range(1, cfg.max_outer_iters + 1):
         d = build_d(x, build_phi(x, ctx, final_terms), ctx)
-        restore_ok = True
-        dual_step = True
-        res = None
-        if cfg.mode == SolveMode.RADAR_ONLY:
-            x_new = _closed_form(-d, amp)
-        else:
-            res = dual_ascent_sweep(nu, d, cset, cfg, p_total)
+        if dfrc:
+            x_new, res, work = _dfrc_step(x, d, nu, cset, cfg, p_total, prev_feasible)
             bracket_bad.update(res.bracket_failures)
-            x_new = res.x
-            if res.restored:
-                x_new, restore_ok = _restore_feasibility(
-                    x_new, d, cset, amp, x_ref=x if prev_feasible else None
-                )
-            if prev_feasible:
-                # monotone safeguard: the accepted candidate must not increase
-                # the linear surrogate relative to the previous feasible
-                # iterate, which the dual recovery can do on kink iterations
-                gbar_prev = float((x.conj() @ d).real)
-                gbar_dual = float((x_new.conj() @ d).real)
-                if not (restore_ok and gbar_dual <= gbar_prev):
-                    x_new = polish_feasible(x, d, cset, amp)
-                    dual_step = False
+            nu_new = res.nu
+        else:
+            x_new, nu_new, work = _closed_form(-d, amp), None, _RADAR_WORK
         terms = objective_terms(x_new, scene, ctx.correlations)
         g_new = weights.cost(terms)
         if not math.isfinite(g_new):
-            raise RuntimeError(
-                f"non-finite objective {g_new!r} at outer iteration {t}"
-            )
-        rejected_step = g_new > g_prev and prev_feasible
-        records.append(IterationRecord(
-            objective=g_new,
-            dual_sweeps=0 if res is None else res.sweeps,
-            bisection_evals=0 if res is None else res.bisection_evals,
-            sweep_cap_hit=res is not None and not res.converged,
-            restored=res is not None and res.restored,
-            feasible_exit=restore_ok,
-            polish_step=not dual_step,
-            rejected=rejected_step,
-        ))
-        if rejected_step:
+            raise RuntimeError(f"non-finite objective {g_new!r} at outer iteration {t}")
+        record = IterationRecord(g_new, *work, rejected=g_new > g_prev and prev_feasible)
+        records.append(record)
+        if record.rejected:
             # descent from a feasible iterate is guaranteed up to inner-solve
             # tolerance; treat the slop-level ascent as converged and keep
             # the better previous iterate (ascent from a still-infeasible
             # iterate is legitimate feasibility acquisition and is accepted)
             termination = Termination.CONVERGED
             break
-        x, final_terms = x_new, terms
-        prev_feasible = restore_ok or not dual_step  # a polish step stays feasible
-        if res is not None:
-            nu = res.nu
+        x, nu, final_terms = x_new, nu_new, terms
+        prev_feasible = record.feasible_exit or record.polish_step  # polish keeps feasibility
         # declare convergence only on dual-accepted steps so the reported
         # multipliers describe the final iterate (polish steps are rescues)
-        if math.isfinite(g_prev) and g_new <= g_prev and dual_step:
+        if math.isfinite(g_prev) and g_new <= g_prev and not record.polish_step:
             denom = abs(g_prev) if g_prev != 0 else 1.0
             if abs(g_new - g_prev) / denom <= cfg.eps3:
                 termination = Termination.CONVERGED
@@ -813,28 +813,27 @@ def mm_solve(
 
     if not ctx.correlations:
         final_terms = objective_terms(x, scene)  # with the ISLs the loop skipped
-    margins = kkt = None
-    if cset is not None:
-        margins = ci_margin(x, cset)
-        kkt = float(np.max(np.minimum(nu, margins)))
     state = SolverState(
         x=x,
         nu=nu,
         termination=termination,
         warnings=(),
         final_terms=tuple(float(v) for v in final_terms),
-        final_margins=margins,
-        kkt_residual=kkt,
+        final_margins=None,
+        kkt_residual=None,
         iterations=tuple(records),
     )
-    for m in sorted(bracket_bad):
-        warnings.append(f"constraint {m}: bisection bracket not found in some sweep")
-    if state.sweep_cap_hits:
-        warnings.append(f"dual ascent hit the sweep cap in {state.sweep_cap_hits} iteration(s)")
-    if margins is not None and margins.min() < 0:
-        warnings.append(
-            f"feasibility restoration failed in {state.restore_failures} iteration(s); "
-            f"the returned design violates {int((margins < 0).sum())} CI constraint(s)"
-        )
+    if dfrc:
+        state.final_margins = margins = ci_margin(x, cset)
+        state.kkt_residual = float(np.max(np.minimum(nu, margins)))
+        for m in sorted(bracket_bad):
+            warnings.append(f"constraint {m}: bisection bracket not found in some sweep")
+        if state.sweep_cap_hits:
+            warnings.append(f"dual ascent hit the sweep cap in {state.sweep_cap_hits} iteration(s)")
+        if margins.min() < 0:
+            warnings.append(
+                f"feasibility restoration failed in {state.restore_failures} iteration(s); "
+                f"the returned design violates {int((margins < 0).sum())} CI constraint(s)"
+            )
     state.warnings = tuple(warnings)
     return state

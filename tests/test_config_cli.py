@@ -1,5 +1,6 @@
 """Config parsing/validation, experiment artifacts, and the CLI contract."""
 
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -251,6 +252,17 @@ class TestRunExperiment:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["min_ci_margin"] is None
         assert summary["kkt_residual"] is None
+        # a radar-only step runs no dual ascent and no repair, and is always feasible
+        for counter in ("dual_sweeps", "bisection_steps", "polish_steps", "restorations",
+                        "restore_failures", "sweep_cap_hits"):
+            assert summary["iterations"][counter] == 0, counter
+        with open(out / "iterations.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == summary["iterations"]["outer"] > 1
+        work = {"dual_sweeps": "0", "bisection_evals": "0", "sweep_cap_hit": "0",
+                "restored": "0", "feasible_exit": "1", "polish_step": "0"}
+        for row in rows:
+            assert {key: row[key] for key in work} == work, row["iteration"]
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = parse_config_text(TINY_CONFIG)
@@ -375,6 +387,13 @@ class TestCLI:
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        assert cli.main([command, str(path)]) == 1  # rejected before any artifact dir
+        assert "config error: line 1: not UTF-8 text (byte 0xff)" in capsys.readouterr().err
 
     def test_parse_error_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -182,12 +182,12 @@ class TestWaveformIO:
             load_waveform(path)
 
 
-def _loading(text):
-    """A builder that writes ``text`` to a waveform file and loads it."""
+def _loading(content):
+    """A builder that writes ``content``, text or raw bytes, to a waveform file and loads it."""
 
     def load(tmp_path):
         path = tmp_path / "wave.txt"
-        path.write_text(text)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
         return load_waveform(path)
 
     return load
@@ -236,6 +236,13 @@ class TestInputChecks:
              "line 4: expected 2 antenna rows, found 1"),
             (_loading("1,2,1.0\n1:0,2:0\n3:0,4:0\n"), WaveformFormatError,
              "line 3: expected 1 antenna rows, found 2"),
+            (_loading(b"\xff\xfe\x00bad"), WaveformFormatError,
+             r"line 1: not UTF-8 text \(byte 0xff\)"),
+            (_loading(b"1,1,1.0\n\xff:0\n"), WaveformFormatError,
+             r"line 2: not UTF-8 text \(byte 0xff\)"),
+            # the header's block would be 146 TiB: the rows are checked before any allocation
+            (_loading("1,10000000000000,1.0\n1:0\n"), WaveformFormatError,
+             "line 2: expected 10000000000000 columns, found 1"),
         ],
         ids=[
             "empty entries", "1-D entries", "empty grid", "empty pattern",
@@ -243,6 +250,7 @@ class TestInputChecks:
             "NaN constant-modulus entry", "NaN constant-modulus file",
             "bad p_total", "bad entry", "empty file", "short header", "long header",
             "bad flag", "missing row", "missing row before blank lines", "extra row",
+            "non-UTF-8 header", "non-UTF-8 row", "huge header",
         ],
     )
     def test_rejects_with_message(self, tmp_path, build, error, message):

@@ -1,6 +1,7 @@
 """The brute-force reference paths themselves, and the boundary that keeps them out of a solve."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,30 @@ class TestPowerIteration:
 
     def test_zero_matrix(self):
         assert oracle.power_iteration(np.zeros((3, 3), dtype=complex)) == 0.0
+
+    def test_returns_last_estimate_at_max_iters(self):
+        # k steps from the seeded start: the Rayleigh quotient of mat^k v0, short of 5
+        mat = np.diag([1.0, 5.0, 4.0]).astype(complex)
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        for k in (1, 2, 3):
+            v = mat @ v
+            expected = float((v.conj() @ mat @ v).real / (v.conj() @ v).real)
+            assert expected < 5.0 - 1e-3
+            assert oracle.power_iteration(mat, max_iters=k) == pytest.approx(expected, rel=1e-12)
+
+
+class TestInputChecks:
+    def test_dense_quartic_rejects_non_hermitian_psi(self):
+        with pytest.raises(ValueError, match="Psi must be Hermitian"):
+            oracle.DenseQuartic(np.array([[1.0, 1j], [0.0, 1.0]]))
+        oracle.DenseQuartic(np.array([[1.0, 1e-12], [0.0, 1.0]]))  # within the tolerance
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)])
+    def test_diagonal_upper_bound_rejects_non_square(self, shape):
+        message = re.escape(f"expected a square matrix, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            oracle.diagonal_upper_bound(np.ones(shape))
 
 
 def test_solve_runs_without_the_oracle():
