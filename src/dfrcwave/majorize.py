@@ -29,11 +29,19 @@ N_T x N_T block S and the context keeps only E_0. The diagonal ``build_d``
 works on the L diagonal blocks S - 2 E_0 (.) x_l x_l^H of Phi, and the
 eigen one takes Phi x_t from S and the rank-one term and lambda_max(Phi)
 from S alone (interlacing, for L >= 2), in O(L N_T^2) per iteration.
+
+Every top eigenvalue (each lambda_max(G_delta) of the context, and
+lambda_max(Phi) or lambda_max(S) in the eigen ``build_d``) is read from
+``numpy.linalg._umath_linalg.eigvalsh_lo``, the LAPACK gufunc (``zheevd``
+on the lower triangle) that ``np.linalg.eigvalsh`` calls with its default
+UPLO 'L': the same bits, without the public wrapper's per-call checks,
+which at N_T = 4 cost more than the LAPACK call itself.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +49,27 @@ import numpy as np
 
 from dfrcwave.model import MajorizerKind, Weights
 from dfrcwave.radar import ObjectiveTerms, RadarScene, objective_terms
+
+
+#: The LAPACK gufunc np.linalg.eigvalsh dispatches to for UPLO 'L'.
+_EIGVALSH_LO = np.linalg._umath_linalg.eigvalsh_lo
+
+
+def _top_eigenvalue(s: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian ``s`` (its lower triangle read).
+
+    Bit for bit ``float(np.linalg.eigvalsh(s)[-1])`` for a complex128 ``s``:
+    the same kernel, ``eigvalsh_lo``, which type resolution sends to the
+    'D->d' loop ``eigvalsh`` names, at less cost than parsing a signature.
+    Where LAPACK fails (most matrices with a non-finite entry) the kernel
+    returns NaN; this raises ``np.linalg.LinAlgError`` there, as ``eigvalsh``
+    does, and on any other NaN top (a 1 x 1 NaN), with no floating-point warning.
+    """
+    with np.errstate(all="ignore"):
+        top = float(_EIGVALSH_LO(s)[-1])
+    if math.isnan(top):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return top
 
 
 def lag_weights(scene: RadarScene, weights: Weights) -> np.ndarray:
@@ -189,7 +218,7 @@ def build_majorizer_context(
         e_mat = lower + lower.T
         e_mat.setflags(write=False)
     else:
-        top = max(float(np.linalg.eigvalsh(g)[-1]) for g in grams)
+        top = max(_top_eigenvalue(g) for g in grams)
         lam = max(top, 0.0)
     return MajorizerContext(
         kind=kind, weights=weights, scene=scene, lag_weights=lag_w, band=band,
@@ -212,8 +241,9 @@ def build_phi(
     2 (H + H^H) for one half H, which makes it exactly Hermitian.
 
     With a one-lag band only the N_T x N_T block S of Phi = I_L (x) S -
-    2 E (.) x_t x_t^H (or - 2 lambda_Psi x_t x_t^H) is returned, also
-    exactly Hermitian; ``build_d`` adds the subtracted term itself.
+    2 E (.) x_t x_t^H (or - 2 lambda_Psi x_t x_t^H) is returned, as
+    h0 + h0^H for the lag-0 block h0, also exactly Hermitian; ``build_d``
+    adds the subtracted term itself.
 
     The coefficients x_t^H M_k x_t are read from ``terms.beta`` and
     ``terms.corr``, for the :class:`~dfrcwave.radar.ObjectiveTerms` of x_t;
@@ -240,11 +270,10 @@ def build_phi(
         h0 = blocks[0]
     else:
         h0 = bp  # w_bp > 0: lag_weights rejects weights with no active term
-    h0 *= 0.5  # lag 0 is its own mirror image
     if band == 1:
-        s = h0 + h0.conj().T
-        s *= 2.0
-        return s
+        # 2 (h0/2 + (h0/2)^H) of the banded form (halving and doubling are exact)
+        return h0 + h0.conj().T
+    h0 *= 0.5  # lag 0 is its own mirror image
     sub = x_t[:, None] * (0.5 * x_t.conj())  # the outer product x_t (x_t/2)^H
     sub *= ctx.e_mat if ctx.kind == MajorizerKind.DIAGONAL else ctx.lambda_quartic
     half = _lower_band(blocks, scene.block_len)
@@ -258,7 +287,9 @@ def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> np.ndarr
     """Linear-stage majorizer direction d at x_t.
 
     Diagonal kind: d = 2 (Phi - diag(|Phi| 1)) x_t. Eigen kind:
-    d = 2 (Phi - lambda_max(Phi) I) x_t. Over constant-modulus x, Re{x^H d}
+    d = 2 (Phi - lambda_max(Phi) I) x_t, with lambda_max read by
+    ``_top_eigenvalue`` from ``eigvalsh_lo``, the LAPACK kernel of
+    ``np.linalg.eigvalsh``, to the same bits. Over constant-modulus x, Re{x^H d}
     plus a constant majorizes x^H Phi x, tangent at x_t; MM descent never
     needs the constant, since it compares only Re{x^H d}.
     Requires a constant-modulus x_t and a ``phi`` from ``build_phi`` for
@@ -278,19 +309,19 @@ def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> np.ndarr
     diagonal = ctx.kind == MajorizerKind.DIAGONAL
     xs = x_t if ctx.band > 1 else x_t.reshape(-1, phi.shape[0])  # one lag: row l is x_l
     if ctx.band > 1:
-        bound = np.abs(phi).sum(axis=1) if diagonal else float(np.linalg.eigvalsh(phi)[-1])
+        bound = np.abs(phi).sum(axis=1) if diagonal else _top_eigenvalue(phi)
         phi_x = phi @ x_t
     elif diagonal:
         blocks = xs[:, :, None] * xs[:, None, :].conj()
         blocks *= ctx.e0_twice
         np.subtract(phi, blocks, out=blocks)  # S - 2 E_0 (.) x_l x_l^H
         phi_x = (blocks @ xs[:, :, None])[:, :, 0]
-        bound = np.abs(blocks).sum(axis=2)
+        bound = np.add.reduce(np.abs(blocks), 2)  # .sum(axis=2) without its wrapper
     else:
         lam2 = 2.0 * ctx.lambda_quartic
         phi_x = xs @ phi.T - (lam2 * np.vdot(x_t, x_t).real) * xs
         s = phi if xs.shape[0] > 1 else phi - lam2 * np.outer(x_t, x_t.conj())
-        bound = float(np.linalg.eigvalsh(s)[-1])
+        bound = _top_eigenvalue(s)
     phi_x -= bound * xs
     phi_x *= 2.0
     return phi_x.reshape(-1)

@@ -295,13 +295,13 @@ def fmt_float(v: float) -> str:
 
 
 def read_utf8(path, error: type[ValueError]) -> str:
-    """The text of the UTF-8 file at ``path``.
+    """The text of the UTF-8 file at ``path``, less a leading byte-order mark.
 
     A byte that is not UTF-8 raises ``error``, naming its line and value.
     """
     raw = Path(path).read_bytes()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise error(f"line {line}: not UTF-8 text (byte {raw[exc.start]:#04x})") from None

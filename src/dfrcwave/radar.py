@@ -201,7 +201,11 @@ def bp_quadratic_forms(x, scene: RadarScene) -> np.ndarray:
     form is an inner product with C_u: one (U, N_T^2) @ (N_T^2,) product.
     Real, since each C_u and the Gram are Hermitian.
     """
-    X = _as_block(x, scene)
+    return _gram_forms(_as_block(x, scene), scene)
+
+
+def _gram_forms(X: np.ndarray, scene: RadarScene) -> np.ndarray:
+    """``bp_quadratic_forms`` of the N_T x L block X, which it does not check."""
     gram_t = X.conj() @ X.T  # (X X^H)^T, so that tr(C R) = sum_ij C_ij R^T_ij
     return (scene.c_flat @ gram_t.reshape(-1)).real
 
@@ -250,18 +254,19 @@ def objective_terms(x, scene: RadarScene, correlations: bool = True) -> Objectiv
     g_bp = sum_u (x^H B_u x)^2. The ISLs sum |x^H D_{tau,q,q'} x|^2 over
     only the index sets that belong to each term (no subtraction of the
     lag-0 peak): targets and nonzero lags for the autocorrelation, ordered
-    target pairs q != q' and every lag for the cross-correlation. The
-    quadratic forms are computed once and ride along as ``.beta`` and
-    ``.corr``, so the MM loop builds the next Phi at an accepted x without
-    re-evaluating them.
+    target pairs q != q' and every lag for the cross-correlation. x is
+    checked and viewed as its N_T x L block once, which the beam-pattern
+    forms read directly. The quadratic forms are computed once and ride
+    along as ``.beta`` and ``.corr``, so the MM loop builds the next Phi at
+    an accepted x without re-evaluating them.
 
     With ``correlations`` false no correlation is evaluated and both ISLs
     read 0.0: for an MM loop whose correlation weights are all zero (or
     whose masks are empty), the weighted cost is then the same to the bit.
     """
     X = _as_block(x, scene)
-    beta = bp_quadratic_forms(X, scene)
-    g_bp = float((beta**2).sum())
+    beta = _gram_forms(X, scene)
+    g_bp = float(np.add.reduce(beta**2))  # ndarray.sum's wrapper, skipped
     if not correlations:
         return ObjectiveTerms((g_bp, 0.0, 0.0), beta)
     corr = correlation_values(X, scene)

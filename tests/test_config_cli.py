@@ -395,6 +395,28 @@ class TestCLI:
         assert cli.main([command, str(path)]) == 1  # rejected before any artifact dir
         assert "config error: line 1: not UTF-8 text (byte 0xff)" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # some editors start UTF-8 files with the mark EF BB BF
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(TINY_CONFIG.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + TINY_CONFIG.encode())
+        assert config_from_file(marked) == config_from_file(plain)
+        assert cli.main(["validate", str(marked)]) == 0
+        assert not capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [(b"\xef\xbb\xbfn_tx = 2\n\xff = 1\n", "line 2: not UTF-8 text (byte 0xff)"),
+         (b"\xef\xbb\xbf\xfe", "line 1: not UTF-8 text (byte 0xfe)")],
+        ids=["second line", "first byte"],
+    )
+    def test_non_utf8_after_byte_order_mark_names_its_byte(self, tmp_path, content, message):
+        path = tmp_path / "marked.cfg"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError) as info:
+            config_from_file(path)
+        assert str(info.value) == message
+
     def test_parse_error_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("n_tx = banana\n", encoding="utf-8")

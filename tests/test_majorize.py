@@ -1,6 +1,7 @@
 """Majorization chain: diagonal bound, lag-structured E matrix, and dominance."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_scene, random_cm
 from dfrcwave import oracle
 from dfrcwave.config import ExperimentConfig, build_problem
-from dfrcwave.majorize import build_d, build_majorizer_context, build_phi
+from dfrcwave.majorize import _top_eigenvalue, build_d, build_majorizer_context, build_phi
 from dfrcwave.model import MODULUS_TOL, SolveMode, Weights, vec
 from dfrcwave.radar import objective_terms
 from dfrcwave.solver import mm_solve
@@ -476,6 +477,109 @@ class TestCachedOperands:
         # derived from e_mat, so a replaced context cannot keep a stale copy
         tripled = dataclasses.replace(diag, e_mat=3.0 * diag.e_mat)
         _assert_frozen_copy(tripled.e0_twice, 2.0 * tripled.e_mat)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """A complex Hermitian n x n matrix, n 1-8, entries drawn over 12 decades."""
+    n = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return a + a.conj().T
+
+
+class TestTopEigenvalue:
+    # every top eigenvalue the majorizer reads comes from eigvalsh's own
+    # LAPACK kernel; it must be eigvalsh's value to the bit, and fail where
+    # eigvalsh fails, as LinAlgError and with no floating-point warning
+    @settings(deadline=None, derandomize=True)
+    @given(s=hermitian_matrices())
+    def test_matches_eigvalsh_on_hermitian(self, s):
+        top = _top_eigenvalue(s)
+        assert type(top) is float
+        assert top == float(np.linalg.eigvalsh(s)[-1])
+        # only the lower triangle is read, as by eigvalsh's default UPLO 'L'
+        upper = s.copy()
+        upper[np.triu_indices(s.shape[0], 1)] = np.nan
+        assert _top_eigenvalue(upper) == top
+
+    @settings(deadline=None, derandomize=True)
+    @given(scene=small_scenes(), w=_weights(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_eigvalsh_on_dense_phi(self, scene, w, seed):
+        weights = Weights(*w)
+        try:
+            ctx = build_majorizer_context(scene, weights, "max_eigen")
+        except ValueError:
+            return  # no active cost term
+        assume(ctx.band > 1)
+        xt = random_cm(np.random.default_rng(seed), scene.n, 1.0)
+        phi = build_phi(xt, ctx)
+        assert _top_eigenvalue(phi) == float(np.linalg.eigvalsh(phi)[-1])
+
+    @settings(deadline=None, derandomize=True)
+    @given(s=hermitian_matrices(), data=st.data())
+    def test_fails_where_eigvalsh_fails(self, s, data):
+        # one non-finite part of an entry the kernel reads: below the
+        # diagonal, or the real part of a diagonal entry. Where eigvalsh
+        # raises LinAlgError or returns a NaN top (n = 1, say), the helper
+        # raises LinAlgError; elsewhere it returns eigvalsh's value, which a
+        # NaN on the diagonal can leave finite. A NaN below the diagonal
+        # always fails. No floating-point warning escapes.
+        n = s.shape[0]
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, i))
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        z = s[i, j]
+        real_part = i == j or data.draw(st.booleans())
+        s[i, j] = complex(bad, z.imag) if real_part else complex(z.real, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ref = float(np.linalg.eigvalsh(s)[-1])
+            except np.linalg.LinAlgError:
+                ref = np.nan
+            if np.isnan(ref):
+                with pytest.raises(np.linalg.LinAlgError):
+                    _top_eigenvalue(s)
+            else:
+                assert _top_eigenvalue(s) == ref
+        assert np.isnan(ref) or not (np.isnan(bad) and i > j)
+
+
+def _replaced_one_lag_s(ctx, terms):
+    """The one-lag S as ``build_phi`` formed it before it returned h0 + h0^H:
+    the lag-0 block h0 halved, summed with its conjugate transpose, and
+    doubled. For weights with w_bp > 0, as ``one_lag_cases`` draws them."""
+    scene = ctx.scene
+    n_tx = scene.geometry.n_tx
+    h0 = ctx.weights.w_bp * (terms.beta @ scene.c_flat).reshape(n_tx, n_tx)
+    if ctx.correlations:
+        p = scene.targets.max_lag
+        coef = ctx.lag_weights[:1] * terms.corr[p - 1 : p].conj()
+        blocks = scene.steer_targets.T @ coef.transpose(0, 2, 1) @ scene.steer_targets_conj
+        h0 = blocks[0] + h0
+    half = 0.5 * h0
+    s = half + half.conj().T
+    s *= 2.0
+    return s
+
+
+class TestOneLagPins:
+    @settings(deadline=None, derandomize=True)
+    @given(case=one_lag_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_s_is_the_doubled_half_sum(self, case, seed):
+        # returning h0 + h0^H drops an exact halving and doubling: S is the
+        # replaced expression to the bit, from the same ObjectiveTerms
+        scene, weights = case
+        xt = random_cm(np.random.default_rng(seed), scene.n, 1.0)
+        for kind in ("diagonal", "max_eigen"):
+            ctx = build_majorizer_context(scene, weights, kind)
+            terms = objective_terms(xt, scene, ctx.correlations)
+            s = build_phi(xt, ctx, terms)
+            expect = _replaced_one_lag_s(ctx, terms)
+            assert s.dtype == expect.dtype and s.shape == expect.shape
+            assert s.tobytes() == expect.tobytes()
 
 
 def test_paper_scale_smoke():

@@ -172,6 +172,15 @@ class TestWaveformIO:
         with pytest.raises(WaveformFormatError, match="n_tx"):
             load_waveform(path)
 
+    def test_byte_order_mark_is_skipped(self, rng, tmp_path):
+        entries = np.exp(2j * np.pi * rng.random((2, 3)))
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        save_waveform(WaveformMatrix(entries, p_total=2.0, constant_modulus=True), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_waveform(plain), load_waveform(marked)
+        assert b.entries.tobytes() == a.entries.tobytes() == entries.tobytes()
+        assert (b.p_total, b.constant_modulus) == (a.p_total, a.constant_modulus) == (2.0, True)
+
     @pytest.mark.parametrize(
         ("header", "field"), [("1,-2,1.0", "block_len"), ("0,2,1.0", "n_tx")]
     )
@@ -240,6 +249,11 @@ class TestInputChecks:
              r"line 1: not UTF-8 text \(byte 0xff\)"),
             (_loading(b"1,1,1.0\n\xff:0\n"), WaveformFormatError,
              r"line 2: not UTF-8 text \(byte 0xff\)"),
+            # a byte-order mark is skipped, and the position after it is still true
+            (_loading(b"\xef\xbb\xbf1,1,1.0\n\xff:0\n"), WaveformFormatError,
+             r"line 2: not UTF-8 text \(byte 0xff\)"),
+            (_loading(b"\xef\xbb\xbf\xfe"), WaveformFormatError,
+             r"line 1: not UTF-8 text \(byte 0xfe\)"),
             # the header's block would be 146 TiB: the rows are checked before any allocation
             (_loading("1,10000000000000,1.0\n1:0\n"), WaveformFormatError,
              "line 2: expected 10000000000000 columns, found 1"),
@@ -250,7 +264,8 @@ class TestInputChecks:
             "NaN constant-modulus entry", "NaN constant-modulus file",
             "bad p_total", "bad entry", "empty file", "short header", "long header",
             "bad flag", "missing row", "missing row before blank lines", "extra row",
-            "non-UTF-8 header", "non-UTF-8 row", "huge header",
+            "non-UTF-8 header", "non-UTF-8 row", "non-UTF-8 row after BOM",
+            "non-UTF-8 byte after BOM", "huge header",
         ],
     )
     def test_rejects_with_message(self, tmp_path, build, error, message):

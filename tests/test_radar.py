@@ -365,3 +365,19 @@ class TestKernelProperties:
         beam_only = objective_terms(x, scene, correlations=False)
         assert beam_only.corr is None and beam_only.beta.tobytes() == beta.tobytes()
         assert tuple(beam_only) == (terms[0], 0.0, 0.0)
+
+    @settings(deadline=None, derandomize=True)
+    @given(case=scenes_and_waveforms())
+    def test_beta_is_bp_quadratic_forms_of_vector_and_block(self, case):
+        # objective_terms reads the block once and hands it to the one owner
+        # of the beta formula: its .beta is bp_quadratic_forms to the bit,
+        # whether x arrives as the vector or as its N_T x L block
+        scene, x = case
+        beta = bp_quadratic_forms(x, scene)
+        block = x.reshape((scene.geometry.n_tx, scene.block_len), order="F")
+        assert bp_quadratic_forms(block, scene).tobytes() == beta.tobytes()
+        for arg in (x, block):
+            for correlations in (True, False):
+                terms = objective_terms(arg, scene, correlations)
+                assert terms.beta.tobytes() == beta.tobytes()
+                assert terms[0] == float(np.sum(beta**2))
