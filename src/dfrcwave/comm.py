@@ -112,9 +112,10 @@ class CIConstraintSet:
     ``rows[l, r]`` (shape (L, 2K, n_tx)) holds the block-l entries of h~_m^H
     and ``thresholds[l, r]`` (shape (L, 2K)) Gamma_m, for r = half*K + k and
     m = (2l + half) K + k: flattening (l, r) gives the canonical row order
-    of margins and multipliers. ``row_scalars``, ``row_abs_sums`` and each
-    amplitude's ``clear_by`` are built once per set. No conjugated copy of
-    ``rows`` is kept, since it would raise the solve's peak memory.
+    of margins and multipliers. ``row_scalars``, ``row_abs_sums``, each
+    amplitude's ``clear_by`` and each (amplitude, eps2)'s ``stop_band`` are
+    built once per set. No conjugated copy of ``rows`` is kept, since it
+    would raise the solve's peak memory.
     """
 
     rows: np.ndarray
@@ -146,21 +147,42 @@ class CIConstraintSet:
         return _frozen_array(np.abs(self.rows).sum(axis=2), dtype=float)
 
     @functools.cached_property
-    def _clear_by(self) -> dict:
+    def _bounds(self) -> dict:
+        """clear_by arrays keyed by amp and stop bands keyed by (amp, eps2)."""
         return {}
 
     def clear_by(self, amp: float) -> np.ndarray:
-        """Margin above which an inactive row is slack beyond rounding, at amplitude ``amp``.
+        """Bound on |margin + r| for a row at x(nu), at amplitude ``amp``.
 
         Twice 16 n_tx eps times the row's scale |Gamma_m| + amp sum_n |h~_{m,n}|:
-        a row's numpy margin at x(nu) and its scalar residual r(0) each round
-        within half of it. Shape (n_rows,), read-only, built once per amplitude.
+        a row's numpy margin at x(nu) and its scalar residual r at the same nu
+        each round within half of it. It serves two rules of the dual sweep: an
+        inactive row whose margin exceeds it has r(0) < 0, and it sets the ends
+        of ``stop_band``. Shape (n_rows,), read-only, built once per amplitude.
         """
-        cache = self._clear_by
+        cache = self._bounds
         if amp not in cache:
             scale = (np.abs(self.thresholds) + amp * self.row_abs_sums).ravel()
             cache[amp] = _frozen_array(2.0 * 16 * self.n_tx * _EPS * scale, dtype=float)
         return cache[amp]
+
+    def stop_band(self, amp: float, eps2: float) -> tuple[float, float]:
+        """Margins (low, high) between which a row's r lies in the stop band (-eps2, 0).
+
+        With c the largest clear_by(amp), low = 2 c + 4 eps2 eps and high =
+        eps2 - 4 eps2 eps - 2 c. A margin strictly between them, within
+        clear_by of -r, puts r more than clear_by inside (-eps2, 0), with room
+        for the rounding of these bounds and of r + eps2/2, which therefore
+        lands strictly inside (-eps2/2, eps2/2): the stop rule
+        ``abs(r + eps2/2) < eps2/2`` holds. Built once per (amp, eps2), beside
+        ``clear_by``: two floats, where per-row arrays would raise the solve's
+        peak memory.
+        """
+        cache, key = self._bounds, (amp, eps2)
+        if key not in cache:
+            twice, edge = 2.0 * float(self.clear_by(amp).max()), 4.0 * eps2 * float(_EPS)
+            cache[key] = (twice + edge, (eps2 - edge) - twice)
+        return cache[key]
 
     @functools.cached_property
     def row_scalars(self) -> tuple[list, list]:

@@ -17,10 +17,15 @@ the row's (index, conj h, h) triples that ``CIConstraintSet.row_scalars``
 caches). A numpy tail rebuilds the coefficients, x(nu) and the margins
 from nu up front and after every sweep that moved a multiplier; a sweep
 that moved none ends the call on the tail before it, which a rebuild would
-repeat bit for bit. A row at 0 whose margin, from that tail, clears a
-rounding bound (``CIConstraintSet.clear_by``) stays at 0 unprobed while
-its block is unchanged, and a block whose multipliers all kept their
-values skips the next sweep.
+repeat bit for bit. While a row's block is unchanged since that tail, the
+tail's margin is -r(nu_m) to within a rounding bound
+(``CIConstraintSet.clear_by``), and it settles the row with at most one
+evaluation: a row at 0 whose margin clears the bound stays at 0 unprobed,
+and a warm row whose margin lies inside the stop band by more than twice
+the bound (``CIConstraintSet.stop_band``) keeps nu_m or drops to 0 on its r(0)
+alone, the value ``_update_multiplier`` would return after probing
+r(nu_m) too. A block whose multipliers all kept their values skips the
+next sweep.
 
 Every CI row touches one symbol block, and ``CIConstraintSet`` stores the
 rows as an (L, 2K, n_tx) stack, so products with the rows and feasibility
@@ -142,7 +147,7 @@ def _row_residual(coef: list, terms: list, delta: float, gamma: float, amp: floa
     return gamma - amp * acc
 
 
-def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, max_iters):
+def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, max_iters, r0=None):
     """One multiplier update: a safeguarded regula falsi root step on r(t) = gbar_m.
 
     r is non-increasing in t (a partial supergradient of the concave dual).
@@ -171,7 +176,9 @@ def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, max_iters):
     Each evaluation is a direct call of the module's ``_row_residual`` at
     t - nu_m, counted where it is made; the stop rule, with the exact root
     it excludes, is written out at each probe as
-    ``r == 0.0 or abs(r + eps2/2) < eps2/2``.
+    ``r == 0.0 or abs(r + eps2/2) < eps2/2``. A caller that has already
+    evaluated r(0), as ``_row_residual(coef, terms, -nu_m, gamma, amp)``,
+    passes it as ``r0``; the step then neither repeats nor counts it.
     Returns (value, bracketed, evaluations made).
     """
     half_eps = eps2 / 2.0
@@ -196,8 +203,10 @@ def _update_multiplier(coef, terms, nu_m, gamma, amp, eps2, max_iters):
                 break
     if lo is None:
         # r(0) >= r(hi): 0.0 where the listing returns it, else the lower end
-        r = _row_residual(coef, terms, -nu_m, gamma, amp)
-        evals += 1
+        r = r0
+        if r is None:
+            r = _row_residual(coef, terms, -nu_m, gamma, amp)
+            evals += 1
         if r <= 0:
             return 0.0, True, evals
         if hi_stops:
@@ -482,7 +491,17 @@ def dual_ascent_sweep(
     A row update folds its step into its block's coefficients. One tail,
     run up front and after every sweep that moved a multiplier, rebuilds
     sum_m nu_m h~_m - d from nu (no rounding drift) and reads from it
-    x(nu), the margins that clear inactive rows in the next sweep, and g^.
+    x(nu), the margins that settle rows in the next sweep, and g^. While
+    no earlier row of its block has moved in the sweep, a row's margin is
+    -r(nu_m) to within ``CIConstraintSet.clear_by``: a row at 0 whose
+    margin exceeds that bound keeps 0 unprobed, and a row at nu_m in
+    [2**-max_bisect_iters, 2**max_bisect_iters] whose margin lies in
+    ``CIConstraintSet.stop_band`` has r(nu_m) in the stop band, so it
+    takes 0.0 if r(0) <= 0 and keeps nu_m otherwise, from that one
+    evaluation. A row at 0 that its margin does not clear probes r(0)
+    before ``_update_multiplier`` runs, and the update runs only if
+    r(0) > 0. Each of these settles a row on the value the update would
+    return, with no more evaluations.
     A sweep that moved no multiplier left nu bit for bit as the tail before
     it read it, so the call ends on that tail's x(nu) and margins. A block
     whose multipliers all kept their values skips the next sweep, which
@@ -491,11 +510,12 @@ def dual_ascent_sweep(
     The stopping rule is global, so x(nu) may still violate a block whose
     rows each stopped in [0, eps2) before a later row of the block moved
     its shared entries. The block finish then repeats each such block's
-    row updates, no row skipped, until every row's residual r(0) is <= 0,
-    a pass changes no multiplier, or ``_FINISH_PASSES`` passes ran; one
-    more tail rebuilds x(nu) and the margins. Finish steps are coordinate
-    ascent steps like the sweep's, and their residual evaluations,
-    the stop checks' included, count in ``bisection_evals``.
+    row updates, settling no row from a margin (its passes move the
+    coefficients the margins were read at), until every row's residual
+    r(0) is <= 0, a pass changes no multiplier, or ``_FINISH_PASSES``
+    passes ran; one more tail rebuilds x(nu) and the margins. Finish steps
+    are coordinate ascent steps like the sweep's, and their residual
+    evaluations, the stop checks' included, count in ``bisection_evals``.
 
     Rejects a ``nu`` or ``d`` of the wrong shape or not finite, a negative
     ``nu``, and a ``p_total`` not finite and > 0, as ``solve_inner`` does.
@@ -509,9 +529,13 @@ def dual_ascent_sweep(
     amp = amplitude(p_total, n_tx)
     terms, gamma = constraints.row_scalars
     eps2, max_iters = cfg.eps2, cfg.max_bisect_iters
-    # an inactive row whose numpy margin at x(nu) clears both roundings, the margin's
-    # and its residual r(0)'s, keeps nu_m = 0 unprobed while its block is unchanged
+    cap = 2.0**max_iters
+    floor = 1.0 / cap
+    # a row's numpy margin at x(nu) is -r(nu_m) to within clear_by while its block is
+    # as the tail read it: above clear_by it settles a row at 0 unprobed, and inside
+    # (low, high) it puts r(nu_m) in the stop band
     clear_by = constraints.clear_by(amp)
+    low, high = constraints.stop_band(amp, eps2)
     nu = nu_arr.tolist()
     bracket_bad: set[int] = set()
     evals = 0
@@ -523,21 +547,40 @@ def dual_ascent_sweep(
         margins = block_margins(x.reshape(n_blocks, n_tx), rows, thresholds).reshape(-1)
         return coef_arr.tolist(), x, margins
 
-    def visit(blocks, clear):
+    def visit(blocks, clear, margins):
         """Root step of every row of ``blocks`` in index order, each folded into
-        ``coef``; returns the blocks where a multiplier moved. A row at 0 that
-        ``clear`` marks keeps 0 unprobed while no earlier row of its block moved."""
+        ``coef``; returns the blocks where a multiplier moved. ``clear`` (the
+        rows whose margin exceeds clear_by) and ``margins`` come from the last
+        tail and settle rows as stated above, while no earlier row of their
+        block has moved; ``margins`` None settles no warm row."""
         nonlocal evals
         moved = -1  # the last block whose coefficients a row update changed
         changed = []
         for ell in blocks:
             for m in range(ell * per_block, (ell + 1) * per_block):
                 nu_m = nu[m]
-                if clear[m] and nu_m == 0.0 and ell != moved:
-                    continue  # r(0) <= 0 for certain: the update returns 0.0
-                value, bracketed, made = _update_multiplier(
-                    coef, terms[m], nu_m, gamma[m], amp, eps2, max_iters
-                )
+                if nu_m == 0.0:
+                    if clear[m] and ell != moved:
+                        continue  # r(0) <= 0 for certain: the update returns 0.0
+                    r0 = _row_residual(coef, terms[m], 0.0, gamma[m], amp)
+                    evals += 1
+                    if r0 <= 0:
+                        continue  # the update returns 0.0
+                    value, bracketed, made = _update_multiplier(
+                        coef, terms[m], nu_m, gamma[m], amp, eps2, max_iters, r0
+                    )
+                elif (
+                    margins is not None and ell != moved and floor <= nu_m <= cap
+                    and low < margins.item(m) < high
+                ):
+                    evals += 1
+                    if _row_residual(coef, terms[m], -nu_m, gamma[m], amp) > 0:
+                        continue  # the update keeps nu_m
+                    value, bracketed, made = 0.0, True, 0
+                else:
+                    value, bracketed, made = _update_multiplier(
+                        coef, terms[m], nu_m, gamma[m], amp, eps2, max_iters
+                    )
                 evals += made
                 if not bracketed:
                     bracket_bad.add(m)
@@ -558,7 +601,7 @@ def dual_ascent_sweep(
     coef, x, margins = tail()
     while sweeps < DEFAULT_MAX_SWEEPS:
         # a settled block's rows would repeat their results in the next sweep
-        moving = visit(moving, (margins > clear_by).tolist())
+        moving = visit(moving, (margins > clear_by).tolist(), margins)
         sweeps += 1
         if not moving:
             # nu is bitwise what the last tail read, so its x(nu), margins and
@@ -576,12 +619,12 @@ def dual_ascent_sweep(
 
     restored = bool(margins.min() < 0)
     if restored:
-        probe_all = [False] * len(nu)  # the finish skips no row
+        probe_all = [False] * len(nu)  # the finish settles no row from a margin
         blocks = margins.reshape(n_blocks, per_block).min(axis=1)
         for ell in np.flatnonzero(blocks < 0).tolist():
             block = range(ell * per_block, (ell + 1) * per_block)
             for _ in range(_FINISH_PASSES):
-                if not visit((ell,), probe_all):
+                if not visit((ell,), probe_all, None):
                     break  # a pass that moved no multiplier would repeat exactly
                 # the finish stops once every row of the block has r(0) <= 0 at coef
                 for m in block:

@@ -746,8 +746,9 @@ class TestDualAscentParity:
     @given(inst=dual_instances())
     def test_inactive_row_bound_covers_margin_rounding(self, inst):
         # dual_ascent_sweep skips a row with nu_m = 0 whose numpy margin at x(nu)
-        # exceeds twice the rounding bound; the margin must match -r(0), the
-        # update's first probe, to within that bound
+        # exceeds the rounding bound clear_by, and settles a warm row whose margin
+        # lies inside CIConstraintSet.stop_band with r(0) alone; both need the
+        # margin to match -r(nu_m), the update's first probe, to within clear_by
         _, cset, d, nu0, _ = inst
         amp = math.sqrt(1.0 / cset.n_tx)
         margins = ci_margin(solve_inner(nu0, d, cset, 1.0), cset)
@@ -866,6 +867,121 @@ class TestNoMoveExit:
         assert closed_form.call_count == 1 + moved_sweeps + swept.restored
         assert res.x.tobytes() == solve_inner(res.nu, d, cset, 1.0).tobytes()
         assert res.restored == bool(ci_margin(res.x, cset).min() < 0)
+
+
+def certificate_off():
+    """An empty stop band: ``dual_ascent_sweep`` settles no warm row from its margin."""
+    return mock.patch.object(
+        CIConstraintSet, "stop_band", lambda self, amp, eps2: (math.inf, -math.inf)
+    )
+
+
+class TestStopBandCertificate:
+    """A warm row whose tail margin puts r(nu_m) in the stop band is settled with r(0)."""
+
+    # the example budget comes from the hypothesis profile (conftest.py)
+    @settings(deadline=None, derandomize=True)
+    @given(inst=dual_instances())
+    def test_certificate_changes_only_the_count(self, inst):
+        _, cset, d, nu0, cfg = inst
+        args = (nu0, d, cset, cfg, 1.0)
+        in_update = []  # non-empty while _update_multiplier runs
+        certified = []  # (the update's result, the certificate's) per certified row
+
+        def updating(*update_args):
+            in_update.append(True)
+            try:
+                return _update_multiplier(*update_args)
+            finally:
+                in_update.pop()
+
+        def checking(coef, terms, delta, gamma, amp):
+            r = _row_residual(coef, terms, delta, gamma, amp)
+            if delta and not in_update:
+                # the certificate's probe r(0) of a row at nu_m = -delta: the update
+                # would probe r(nu_m), in the band, then r(0), and return the same
+                nu_m = -delta
+                update = updating(coef, terms, nu_m, gamma, amp, cfg.eps2, cfg.max_bisect_iters)
+                certified.append((update, (0.0 if r <= 0 else nu_m, True, 2)))
+            return r
+
+        with mock.patch("dfrcwave.solver._update_multiplier", updating), \
+                mock.patch("dfrcwave.solver._row_residual", checking):
+            res = dual_ascent_sweep(*args)
+        with certificate_off():
+            ref = dual_ascent_sweep(*args)
+        for update, shortcut in certified:
+            assert update == shortcut
+        assert res.nu.tobytes() == ref.nu.tobytes()
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert (res.sweeps, res.converged, res.restored, res.bracket_failures) == (
+            ref.sweeps, ref.converged, ref.restored, ref.bracket_failures
+        )
+        # one evaluation saved per certified row, the update's probe of r(nu_m)
+        assert res.bisection_evals == ref.bisection_evals - len(certified) <= ref.bisection_evals
+
+    @staticmethod
+    def _first_sweep_updates(margin, nu_first):
+        """Row 0 of one block (K = 1, n_tx = 2) warm at ``nu_first``, its threshold
+        set so that its margin at x(nu0) is ``margin`` in units (clear_by, eps2).
+        Returns (the margin reached, (the row's clear_by, the stop band's low
+        and high), the first sweep's ``_update_multiplier`` calls on row 0)."""
+        rng = np.random.default_rng(7)
+        _, cset = make_cset(rng, k_users=1, n_tx=2, block_len=1)
+        cfg = SolverConfig(max_bisect_iters=32)
+        d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
+        nu0 = np.array([nu_first, 0.0])
+        amp = math.sqrt(1.0 / cset.n_tx)
+        clear_by = cset.clear_by(amp)[0]
+        x0 = solve_inner(nu0, d, cset, 1.0)
+        aligned = ci_margin(x0, CIConstraintSet(cset.rows, 0.0 * cset.thresholds))[0]
+        thresholds = cset.thresholds.copy()
+        thresholds[0, 0] = aligned - (margin[0] * clear_by + margin[1] * cfg.eps2)
+        cset = CIConstraintSet(cset.rows, thresholds)
+        row0 = cset.row_scalars[0][0]
+        with mock.patch("dfrcwave.solver._update_multiplier", wraps=_update_multiplier) as update, \
+                mock.patch("dfrcwave.solver.DEFAULT_MAX_SWEEPS", 1), \
+                mock.patch("dfrcwave.solver._FINISH_PASSES", 0):
+            dual_ascent_sweep(nu0, d, cset, cfg, 1.0)
+        calls = [c for c in update.call_args_list if c.args[1] is row0]
+        return ci_margin(x0, cset)[0], (clear_by, *cset.stop_band(amp, cfg.eps2)), calls
+
+    @pytest.mark.parametrize(
+        "margin, nu_first",
+        [
+            ((1.5, 0.0), 1.0),  # within 2 clear_by of 0
+            ((-1.5, 1.0), 1.0),  # within 2 clear_by of eps2
+            ((0.0, 0.5), 2.0**-33),  # below 2**-max_iters
+            ((0.0, 0.5), 2.0**33),  # above 2**max_iters
+        ],
+    )
+    def test_edge_rows_go_through_the_update(self, margin, nu_first):
+        reached, (clear_by, low, high), calls = self._first_sweep_updates(margin, nu_first)
+        if margin[1] == 0.5:
+            assert low < reached < high
+        else:
+            assert clear_by < reached and not low < reached < high
+        assert len(calls) == 1 and calls[0].args[2] == nu_first
+
+    def test_row_inside_the_band_is_certified(self):
+        reached, (_, low, high), calls = self._first_sweep_updates((0.0, 0.5), 1.0)
+        assert low < reached < high and not calls
+
+    def test_desk_seed_0_takes_a_quarter_fewer_evaluations(self):
+        # bit for bit the run without the certificate, which makes the 28,789
+        # evaluations the solve made before the certificate existed
+        state = desk_solve(seed=0)
+        with certificate_off():
+            ref = desk_solve(seed=0)
+        assert state.outer_iterations == ref.outer_iterations == 557
+        assert state.objective_trace.tobytes() == ref.objective_trace.tobytes()
+        assert state.x.tobytes() == ref.x.tobytes() and state.nu.tobytes() == ref.nu.tobytes()
+        assert [r._replace(bisection_evals=0) for r in state.iterations] == [
+            r._replace(bisection_evals=0) for r in ref.iterations
+        ]
+        assert all(a.bisection_evals <= b.bisection_evals
+                   for a, b in zip(state.iterations, ref.iterations))
+        assert (state.bisection_steps, ref.bisection_steps) == (21_755, 28_789)
 
 
 @st.composite
