@@ -21,14 +21,21 @@ independent of L. Phi is block-banded the same way and is assembled from
 one small block per lag of its band, with no cap on N. The band ends at the
 last lag with a nonzero correlation weight.
 
-With none beyond lag 0 (beam pattern only, or P = 1) the band is one lag
-wide and no N x N matrix is formed. Phi = I_L (x) S - 2 E (.) x_t x_t^H
-(diagonal kind) or I_L (x) S - 2 lambda_Psi x_t x_t^H (eigen kind), and
-E = I_L (x) E_0 is block-diagonal, so ``build_phi`` returns only the
-N_T x N_T block S and the context keeps only E_0. The diagonal ``build_d``
-works on the L diagonal blocks S - 2 E_0 (.) x_l x_l^H of Phi, and the
-eigen one takes Phi x_t from S and the rank-one term and lambda_max(Phi)
-from S alone (interlacing, for L >= 2), in O(L N_T^2) per iteration.
+Each MM step is two calls. ``build_phi`` returns the lag blocks K_tau,
+tau = 0 .. band - 1, of the lower half K = sum_tau J_{-tau} (x) K_tau of
+Phi's cost part 2 mat(Psi vec(x_t x_t^H)) = K + K^H: one (band, N_T, N_T)
+stack for every band and kind. ``build_d`` alone turns it into d. It
+subtracts 2 E (.) x_t x_t^H (diagonal kind) or 2 lambda_Psi x_t x_t^H
+(eigen kind) and takes the bound on Phi's diagonal blocks. With a wider
+band that is the one N x N Phi = K + K^H - 2 E (.) x_t x_t^H. With none
+beyond lag 0 (beam pattern only, or P = 1) the band is one lag wide, and
+no N x N matrix is formed: Phi = I_L (x) S - 2 E (.) x_t x_t^H (or
+- 2 lambda_Psi x_t x_t^H) for S = K_0 + K_0^H, and E = I_L (x) E_0 is
+block-diagonal, so the context keeps only E_0. The diagonal kind's blocks
+are then the L blocks S - 2 E_0 (.) x_l x_l^H, and one batched expression
+gives Phi x_t and the row sums of |Phi| for either band. The eigen kind
+takes Phi x_t from S and the rank-one term, and lambda_max(Phi) from S
+alone (interlacing, for L >= 2), in O(L N_T^2) per iteration.
 
 Every top eigenvalue (each lambda_max(G_delta) of the context, and
 lambda_max(Phi) or lambda_max(S) in the eigen ``build_d``) is read from
@@ -163,22 +170,27 @@ class MajorizerContext:
     ``kind``, ``weights`` and ``scene`` are what the context was built
     from; ``mm_solve`` rejects a context whose three differ from its own
     (the scene compared by identity). Phi is rebuilt every iteration from
-    the scene's Kronecker factors and the correlation-term weights
-    ``lag_weights`` (shape (P, Q, Q), from the function of that name), so
-    those are the only other things kept, with ``band``, the number of
-    block lags Phi spans (1 <= band <= min(P, L)): lag 0 and every lag up
-    to the last one with a nonzero correlation weight. ``correlations`` is
+    the scene's Kronecker factors and ``band_weights``, so those are the
+    only other things kept, with ``band``, the number of block lags Phi
+    spans (1 <= band <= min(P, L)): lag 0 and every lag up to the last one
+    with a nonzero correlation weight. ``band_weights`` (shape
+    (band, Q, Q)) holds the correlation-term weights of ``lag_weights``
+    over those lags, doubled at the lags tau >= 1: the weights of
+    ``build_phi``'s blocks K_tau (Phi's cost part is 2 C for
+    C = mat(Psi vec(x_t x_t^H)); K_0 + K_0^H doubles C's lag-0 block, and
+    the weights double its blocks below the diagonal). ``correlations`` is
     false when every correlation weight is zero; the MM step then
     evaluates no correlations. ``e_mat`` is the N x N E, or its N_T x N_T
     lag-0 block E_0 when the band is one lag wide (E = I_L (x) E_0); it
-    stays float64. Every array held is read-only, and so is ``e0_twice``,
-    built from ``e_mat`` on first read.
+    stays float64. ``build_phi`` reads no kind, E or lambda_Psi: only
+    ``build_d`` does. Every array held is read-only, and so is
+    ``e0_twice``, built from ``e_mat`` on first read.
     """
 
     kind: MajorizerKind
     weights: Weights
     scene: RadarScene
-    lag_weights: np.ndarray
+    band_weights: np.ndarray
     band: int
     correlations: bool
     e_mat: Optional[np.ndarray] = None
@@ -206,9 +218,10 @@ def build_majorizer_context(
     """
     kind = MajorizerKind(kind)
     lag_w = lag_weights(scene, weights)
-    lag_w.setflags(write=False)
     band = _band_width(lag_w, scene.block_len)
     grams = _lag_grams(scene, weights.w_bp, lag_w, band)
+    band_w = np.concatenate([lag_w[:1], 2.0 * lag_w[1:band]])
+    band_w.setflags(write=False)
     e_mat = lam = None
     if kind == MajorizerKind.DIAGONAL:
         n_tx = scene.geometry.n_tx
@@ -221,7 +234,7 @@ def build_majorizer_context(
         top = max(_top_eigenvalue(g) for g in grams)
         lam = max(top, 0.0)
     return MajorizerContext(
-        kind=kind, weights=weights, scene=scene, lag_weights=lag_w, band=band,
+        kind=kind, weights=weights, scene=scene, band_weights=band_w, band=band,
         correlations=bool(lag_w.any()), e_mat=e_mat, lambda_quartic=lam,
     )
 
@@ -229,21 +242,19 @@ def build_majorizer_context(
 def build_phi(
     x_t: np.ndarray, ctx: MajorizerContext, terms: Optional[ObjectiveTerms] = None
 ) -> np.ndarray:
-    """Quadratic-stage majorizer matrix Phi at the expansion point x_t.
+    """Lag blocks of the quadratic-stage majorizer Phi's cost part at x_t.
 
     Phi = 2 (w_bp Phi1 + w_ac Phi2 + w_cc Phi3 - E (.) x_t x_t^H) for the
     diagonal kind; the eigen kind replaces the subtracted term with
-    lambda_Psi x_t x_t^H. The cost part sum_k c_k conj(x_t^H M_k x_t) M_k
-    is block-banded: its blocks below the diagonal come from the
-    correlations and the C_u, and the blocks above are their Hermitian
-    transposes. The ``ctx.band`` lag blocks cost O(band Q^2 N_T^2 +
-    U N_T^2), and the dense assembly O(N^2). Phi is returned as
-    2 (H + H^H) for one half H, which makes it exactly Hermitian.
-
-    With a one-lag band only the N_T x N_T block S of Phi = I_L (x) S -
-    2 E (.) x_t x_t^H (or - 2 lambda_Psi x_t x_t^H) is returned, as
-    h0 + h0^H for the lag-0 block h0, also exactly Hermitian; ``build_d``
-    adds the subtracted term itself.
+    lambda_Psi x_t x_t^H. The cost part 2 sum_k c_k conj(x_t^H M_k x_t) M_k
+    is block-banded, K + K^H for K = sum_tau J_{-tau} (x) K_tau, and this
+    returns the stack of the K_tau, shape (ctx.band, N_T, N_T), for every
+    band and kind. K_tau for tau >= 1 is the cost part's block tau block
+    rows below the diagonal, from the correlations at lag -tau. The lag-0
+    block K_0, from the C_u and the lag-0 correlations, is kept whole: the
+    cost part has K_0 + K_0^H there. The blocks cost O(band Q^2 N_T^2 + U N_T^2).
+    No kind, E or lambda_Psi is read; ``build_d`` subtracts the term that
+    needs them.
 
     The coefficients x_t^H M_k x_t are read from ``terms.beta`` and
     ``terms.corr``, for the :class:`~dfrcwave.radar.ObjectiveTerms` of x_t;
@@ -252,39 +263,36 @@ def build_phi(
     ``objective_terms(x_t, ctx.scene, ctx.correlations)``. The correlations
     are read only when ``ctx.correlations`` is set.
     """
-    x_t = np.asarray(x_t)
-    scene = ctx.scene
-    w = ctx.weights
+    scene, w_bp = ctx.scene, ctx.weights.w_bp
     if terms is None:
         terms = objective_terms(x_t, scene, ctx.correlations)
-    n_tx, band = scene.geometry.n_tx, ctx.band
-    if w.w_bp > 0:
-        bp = w.w_bp * (terms.beta @ scene.c_flat).reshape(n_tx, n_tx)
-    if ctx.correlations:
-        p = scene.targets.max_lag
-        coef = ctx.lag_weights[:band] * terms.corr[p - 1 : p - 1 + band].conj()
-        # sum coef[q,q'] a_q' a_q^H
-        blocks = scene.steer_targets.T @ coef.transpose(0, 2, 1) @ scene.steer_targets_conj
-        if w.w_bp > 0:
-            blocks[0] += bp
-        h0 = blocks[0]
-    else:
-        h0 = bp  # w_bp > 0: lag_weights rejects weights with no active term
-    if band == 1:
-        # 2 (h0/2 + (h0/2)^H) of the banded form (halving and doubling are exact)
-        return h0 + h0.conj().T
-    h0 *= 0.5  # lag 0 is its own mirror image
-    sub = x_t[:, None] * (0.5 * x_t.conj())  # the outer product x_t (x_t/2)^H
+    if w_bp > 0:
+        bp = w_bp * (terms.beta @ scene.c_flat).reshape(1, scene.geometry.n_tx, -1)
+    if not ctx.correlations:
+        return bp  # w_bp > 0: lag_weights rejects weights with no active term
+    p = scene.targets.max_lag
+    coef = ctx.band_weights * terms.corr[p - 1 : p - 1 + ctx.band].conj()
+    # sum coef[q,q'] a_q' a_q^H
+    blocks = scene.steer_targets.T @ coef.transpose(0, 2, 1) @ scene.steer_targets_conj
+    if w_bp > 0:
+        blocks[:1] += bp
+    return blocks
+
+
+def _dense_phi(x_t: np.ndarray, blocks: np.ndarray, ctx: MajorizerContext) -> np.ndarray:
+    """The N x N Phi = K + K^H - 2 E (.) x_t x_t^H (diagonal kind) or
+    K + K^H - 2 lambda_Psi x_t x_t^H (eigen kind) for a band wider than one
+    lag, from ``build_phi``'s blocks K_tau. Formed as H + H^H for
+    H = K - E (.) x_t x_t^H, so it is exactly Hermitian."""
+    sub = x_t[:, None] * x_t.conj()  # the outer product x_t x_t^H
     sub *= ctx.e_mat if ctx.kind == MajorizerKind.DIAGONAL else ctx.lambda_quartic
-    half = _lower_band(blocks, scene.block_len)
+    half = _lower_band(blocks, ctx.scene.block_len)
     half -= sub
-    phi = half + half.conj().T
-    phi *= 2.0
-    return phi
+    return half + half.conj().T
 
 
-def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> np.ndarray:
-    """Linear-stage majorizer direction d at x_t.
+def build_d(x_t: np.ndarray, blocks: np.ndarray, ctx: MajorizerContext) -> np.ndarray:
+    """Linear-stage majorizer direction d at x_t, from ``build_phi``'s blocks.
 
     Diagonal kind: d = 2 (Phi - diag(|Phi| 1)) x_t. Eigen kind:
     d = 2 (Phi - lambda_max(Phi) I) x_t, with lambda_max read by
@@ -292,36 +300,49 @@ def build_d(x_t: np.ndarray, phi: np.ndarray, ctx: MajorizerContext) -> np.ndarr
     ``np.linalg.eigvalsh``, to the same bits. Over constant-modulus x, Re{x^H d}
     plus a constant majorizes x^H Phi x, tangent at x_t; MM descent never
     needs the constant, since it compares only Re{x^H d}.
-    Requires a constant-modulus x_t and a ``phi`` from ``build_phi`` for
-    ``ctx``, which is exactly Hermitian by construction, so the row sums
-    need no Hermitian check.
+    Requires a constant-modulus x_t and the (ctx.band, N_T, N_T) stack
+    ``build_phi`` returns for ``ctx``; any other shape raises ValueError.
+    ``blocks`` is never written to. Phi is exactly Hermitian by
+    construction, so the row sums need no Hermitian check.
 
-    With a one-lag band ``phi`` is the block S. Diagonal kind: Phi is
-    block-diagonal, with the L blocks S - 2 E_0 (.) x_l x_l^H for the
-    N_T-entry blocks x_l of x_t, which give Phi x_t and the row sums in
-    one batched pass. Eigen kind: Phi x_t = (I_L (x) S) x_t -
+    This is the one place the subtracted term and the bound are read. The
+    diagonal kind takes Phi x_t and the row sums of |Phi| in one batched
+    pass over Phi's diagonal blocks: the one N x N Phi of a wider band, or,
+    with a one-lag band, the L blocks S - 2 E_0 (.) x_l x_l^H for
+    S = K_0 + K_0^H and the N_T-entry blocks x_l of x_t. The eigen kind of
+    a wider band reads Phi x_t from the same pass and lambda_max from the
+    N x N Phi. With a one-lag band it takes Phi x_t = (I_L (x) S) x_t -
     2 lambda_Psi ||x_t||^2 x_t. For L >= 2 every eigenvalue of I_L (x) S
     repeats L times and the rank-one PSD downdate lowers at most one copy
     (interlacing), so lambda_max(Phi) is lambda_max(S); for L = 1, Phi is
     S - 2 lambda_Psi x_t x_t^H itself.
     """
     x_t = np.asarray(x_t)
+    n_tx = ctx.scene.geometry.n_tx
+    want = (ctx.band, n_tx, n_tx)
+    if blocks.shape != want:
+        raise ValueError(f"build_d needs build_phi's {want} lag blocks, got shape {blocks.shape}")
     diagonal = ctx.kind == MajorizerKind.DIAGONAL
-    xs = x_t if ctx.band > 1 else x_t.reshape(-1, phi.shape[0])  # one lag: row l is x_l
-    if ctx.band > 1:
-        bound = np.abs(phi).sum(axis=1) if diagonal else _top_eigenvalue(phi)
-        phi_x = phi @ x_t
-    elif diagonal:
-        blocks = xs[:, :, None] * xs[:, None, :].conj()
-        blocks *= ctx.e0_twice
-        np.subtract(phi, blocks, out=blocks)  # S - 2 E_0 (.) x_l x_l^H
-        phi_x = (blocks @ xs[:, :, None])[:, :, 0]
-        bound = np.add.reduce(np.abs(blocks), 2)  # .sum(axis=2) without its wrapper
+    if ctx.band == 1:
+        xs = x_t.reshape(-1, n_tx)  # row l is x_l
+        h0 = blocks[0]
+        s = h0 + h0.conj().T
+        if not diagonal:
+            lam2 = 2.0 * ctx.lambda_quartic
+            phi_x = xs @ s.T - (lam2 * np.vdot(x_t, x_t).real) * xs
+            top = _top_eigenvalue(s if xs.shape[0] > 1 else s - lam2 * np.outer(x_t, x_t.conj()))
+            phi_x -= top * xs
+            phi_x *= 2.0
+            return phi_x.reshape(-1)
+        phis = xs[:, :, None] * xs[:, None, :].conj()
+        phis *= ctx.e0_twice
+        np.subtract(s, phis, out=phis)  # S - 2 E_0 (.) x_l x_l^H
     else:
-        lam2 = 2.0 * ctx.lambda_quartic
-        phi_x = xs @ phi.T - (lam2 * np.vdot(x_t, x_t).real) * xs
-        s = phi if xs.shape[0] > 1 else phi - lam2 * np.outer(x_t, x_t.conj())
-        bound = _top_eigenvalue(s)
+        xs = x_t[None]
+        phis = _dense_phi(x_t, blocks, ctx)[None]  # one diagonal block: the N x N Phi
+    phi_x = (phis @ xs[:, :, None])[:, :, 0]
+    # .sum(axis=2) without its wrapper
+    bound = np.add.reduce(np.abs(phis), 2) if diagonal else _top_eigenvalue(phis[0])
     phi_x -= bound * xs
     phi_x *= 2.0
     return phi_x.reshape(-1)

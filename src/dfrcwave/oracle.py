@@ -7,8 +7,8 @@ CI constraint matrix is built dense (``dense_h_tilde``), and the quartic
 kernel Psi is materialized densely (capped at N <= PSI_CAP, else
 ``CapacityError``). Above that cap, ``psi_row_sums``,
 ``psi_top_eigenvalue`` and ``dense_phi`` reach Psi through its rank-one
-terms instead, which stays practical up to about N = 100; ``one_lag_phi``
-expands the block S that stands for Phi when its band is one lag wide.
+terms instead, which stays practical up to about N = 100; ``phi_from_blocks``
+expands the lag blocks that stand for Phi in the library, for any band.
 The reference checks live here too: ``diagonal_upper_bound`` (the row-sum
 bound on a checked Hermitian matrix), ``geometric_ci_check`` (the
 decision-region form of the CI condition) and ``monte_carlo_ser`` (symbol error rates
@@ -204,18 +204,19 @@ def dense_phi(x_t, scene: RadarScene, weights: Weights, kind: str) -> np.ndarray
     return 2.0 * (quad - sub)
 
 
-def one_lag_phi(s, x_t, ctx) -> np.ndarray:
-    """Dense Phi from the N_T x N_T block S that ``build_phi`` returns for a
-    one-lag band: I_L (x) S - 2 E (.) x_t x_t^H with E = I_L (x) E_0 (the
-    context holds E_0) for the diagonal kind, I_L (x) S - 2 lambda_Psi
-    x_t x_t^H for the eigen kind."""
+def phi_from_blocks(blocks, x_t, ctx) -> np.ndarray:
+    """Dense Phi from the lag blocks K_tau that ``build_phi`` returns, for
+    any band: K + K^H - 2 E (.) x_t x_t^H with K = sum_tau J_{-tau} (x) K_tau
+    for the diagonal kind (a one-lag context holds E_0, and E = I_L (x) E_0),
+    K + K^H - 2 lambda_Psi x_t x_t^H for the eigen kind."""
     x = np.asarray(x_t)
-    eye = np.eye(ctx.scene.block_len)
+    length = ctx.scene.block_len
+    k = sum(np.kron(np.eye(length, k=-tau), block) for tau, block in enumerate(blocks))
     if ctx.kind == "diagonal":
-        sub = np.kron(eye, ctx.e_mat) * np.outer(x, x.conj())
+        weight = np.kron(np.eye(length), ctx.e_mat) if ctx.band == 1 else ctx.e_mat
     else:
-        sub = ctx.lambda_quartic * np.outer(x, x.conj())
-    return np.kron(eye, s) - 2.0 * sub
+        weight = ctx.lambda_quartic
+    return k + k.conj().T - 2.0 * weight * np.outer(x, x.conj())
 
 
 def beampattern_mse(x, scene: RadarScene, alpha: float) -> float:

@@ -194,18 +194,14 @@ def optimal_alpha(x, scene: RadarScene) -> float:
     return float(np.dot(achieved_pattern(x, scene), gd) / denom)
 
 
-def bp_quadratic_forms(x, scene: RadarScene) -> np.ndarray:
-    """x^H B_u x = tr(C_u X X^H) for every grid angle, shape (U,).
+def _gram_forms(X: np.ndarray, scene: RadarScene) -> np.ndarray:
+    """x^H B_u x = tr(C_u X X^H) for every grid angle, shape (U,), from the
+    N_T x L block X, which it does not check.
 
     The N_T x N_T Gram X X^H is formed once, in O(N_T^2 L), and then each
     form is an inner product with C_u: one (U, N_T^2) @ (N_T^2,) product.
     Real, since each C_u and the Gram are Hermitian.
     """
-    return _gram_forms(_as_block(x, scene), scene)
-
-
-def _gram_forms(X: np.ndarray, scene: RadarScene) -> np.ndarray:
-    """``bp_quadratic_forms`` of the N_T x L block X, which it does not check."""
     gram_t = X.conj() @ X.T  # (X X^H)^T, so that tr(C R) = sum_ij C_ij R^T_ij
     return (scene.c_flat @ gram_t.reshape(-1)).real
 
@@ -234,7 +230,7 @@ def correlation_values(x, scene: RadarScene) -> np.ndarray:
 class ObjectiveTerms(tuple):
     """(g_bp, g_ac, g_cc), carrying the quadratic forms of x they came from.
 
-    ``beta`` holds x^H B_u x per grid angle (``bp_quadratic_forms``) and
+    ``beta`` holds the beam-pattern forms x^H B_u x per grid angle and
     ``corr`` the correlations x^H D_{tau,q,q'} x (``correlation_values``),
     or None when they were not evaluated.
     """

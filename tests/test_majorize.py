@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from conftest import make_scene, random_cm
 from dfrcwave import oracle
 from dfrcwave.config import ExperimentConfig, build_problem
-from dfrcwave.majorize import _top_eigenvalue, build_d, build_majorizer_context, build_phi
+from dfrcwave.majorize import (
+    _dense_phi,
+    _lower_band,
+    _top_eigenvalue,
+    build_d,
+    build_majorizer_context,
+    build_phi,
+    lag_weights,
+)
 from dfrcwave.model import MODULUS_TOL, SolveMode, Weights, vec
 from dfrcwave.radar import objective_terms
 from dfrcwave.solver import mm_solve
@@ -32,10 +40,8 @@ def diagonal_e(scene, weights):
 
 
 def full_phi(xt, ctx):
-    """build_phi's Phi as an N x N matrix, expanded by the oracle from the
-    block S when the band is one lag wide."""
-    phi = build_phi(xt, ctx)
-    return oracle.one_lag_phi(phi, xt, ctx) if ctx.band == 1 else phi
+    """Phi as an N x N matrix, expanded by the oracle from build_phi's lag blocks."""
+    return oracle.phi_from_blocks(build_phi(xt, ctx), xt, ctx)
 
 
 def quartic_lambda(scene, weights):
@@ -160,16 +166,52 @@ class TestLambdaPsi:
         assert abs(lam - lam_pi) < 1e-6 * max(1.0, lam)
 
 
+ONE_LAG_FORMS = ("one-lag-bp", "one-lag-corr", "L=1")
+
+
+@st.composite
+def majorizer_forms(draw, forms=("wide",) + ONE_LAG_FORMS):
+    """(form, scene, weights) for one form of the MM step, drawn by name from
+    ``forms``: a band wider than one lag, one lag with the beam pattern only
+    or with lag-0 cross-correlations (P = 1, w_bp possibly 0), and L = 1
+    with any weights. N = n_tx L <= 16."""
+    form = draw(st.sampled_from(forms))
+    n_tx = draw(st.integers(1, 4))
+    block_len = 1 if form == "L=1" else draw(st.integers(2, 16 // n_tx))
+    if form == "one-lag-corr":
+        max_lag = 1
+    else:
+        max_lag = draw(st.integers(2 if form == "wide" else 1, block_len + 1))
+    q_n = draw(st.integers(2 if form == "one-lag-corr" else 1, 3))
+    angles = draw(st.lists(st.integers(-80, 80), min_size=q_n, max_size=q_n, unique=True))
+    scene = make_scene(
+        n_tx=n_tx, block_len=block_len, grid_step=30.0, width=30.0,
+        target_angles=tuple(angles), max_lag=max_lag,
+    )
+    some, positive = st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([0.5, 2.0])
+    cross = q_n >= 2  # cross-correlations at every lag, lag 0 included
+    if form == "wide":
+        # a correlation past lag 0: w_ac, or w_cc alone with Q >= 2
+        w = draw(st.tuples(some, some, some).filter(lambda w: w[1] > 0 or (w[2] > 0 and cross)))
+    elif form == "one-lag-bp":
+        w = (draw(positive), 0.0, 0.0)
+    elif form == "one-lag-corr":
+        w = (draw(some), draw(some), draw(positive))
+    else:
+        w = draw(st.tuples(some, some, some).filter(lambda w: w[0] > 0 or (w[2] > 0 and cross)))
+    return form, scene, Weights(*w)
+
+
 class TestBuildPhi:
     def test_empty_cost_stack_leaves_only_subtraction(self, rng):
         # beam-pattern terms only: taking sum_u (x^H B_u x) B_u over the
         # oracle's dense B_u out of Phi / 2 leaves exactly -E (.) x x^H; the
-        # band is one lag wide, so build_phi returns only the 2 x 2 block S
+        # band is one lag wide, so build_phi returns one 2 x 2 lag block
         scene = make_scene(n_tx=2, block_len=2, max_lag=1, target_angles=(0.0,))
         w = Weights(1.0, 0.0, 0.0)
         ctx = build_majorizer_context(scene, w, "diagonal")
         xt = random_cm(rng, scene.n, 0.7)
-        assert build_phi(xt, ctx).shape == (2, 2)
+        assert build_phi(xt, ctx).shape == (1, 2, 2)
         stack = sum((xt.conj() @ b @ xt).real * b for b in oracle._b_mats(scene))
         rest = full_phi(xt, ctx) / 2.0 - stack
         expect = -diagonal_e(scene, w) * np.outer(xt, xt.conj())
@@ -177,12 +219,15 @@ class TestBuildPhi:
 
     @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
     def test_phi_hermitian(self, rng, weights_full, kind):
+        # the N x N Phi build_d forms from a wider band's lag blocks is
+        # exactly Hermitian, so its row sums need no Hermitian check
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
         ctx = build_majorizer_context(scene, weights_full, kind)
+        assert ctx.band == 3
         for _ in range(5):
             xt = random_cm(rng, scene.n, 1 / np.sqrt(2))
-            phi = build_phi(xt, ctx)
-            assert np.abs(phi - phi.conj().T).max() <= 1e-12 * np.abs(phi).max()
+            phi = _dense_phi(xt, build_phi(xt, ctx), ctx)
+            assert np.array_equal(phi, phi.conj().T)
 
     @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
     @pytest.mark.parametrize(
@@ -208,7 +253,7 @@ class TestBuildPhi:
         amp = 1 / np.sqrt(2)
         for _ in range(3):
             xt = random_cm(rng, scene.n, amp)
-            phi = build_phi(xt, ctx)
+            phi = full_phi(xt, ctx)
             g_t = weights_full.cost(objective_terms(xt, scene))
             base = float((xt.conj() @ phi @ xt).real)
             scale = max(1.0, abs(g_t))
@@ -221,14 +266,22 @@ class TestBuildPhi:
 
 class TestBuildD:
     def test_isotropic_phi_gives_zero_direction(self, rng, weights_full):
-        scene = make_scene(n_tx=2, block_len=2, max_lag=2)
-        ctx = build_majorizer_context(scene, weights_full, "diagonal")
-        xt = random_cm(rng, scene.n, 0.7)
-        phi = 3.0 * np.eye(scene.n, dtype=complex)
-        for kind in ("diagonal", "max_eigen"):
-            ctx_k = build_majorizer_context(scene, weights_full, kind)
-            d = build_d(xt, phi, ctx_k)
-            assert np.abs(d).max() < 1e-12
+        # lag blocks 1.5 I, 0, ... and a zero subtracted term make Phi = 3 I,
+        # for a band of two lags (the N x N Phi) and of one (the block S)
+        for max_lag in (2, 1):
+            scene = make_scene(n_tx=2, block_len=2, max_lag=max_lag)
+            xt = random_cm(rng, scene.n, 0.7)
+            for kind in ("diagonal", "max_eigen"):
+                ctx = build_majorizer_context(scene, weights_full, kind)
+                ctx = dataclasses.replace(
+                    ctx, e_mat=None if ctx.e_mat is None else 0.0 * ctx.e_mat,
+                    lambda_quartic=None if ctx.lambda_quartic is None else 0.0,
+                )
+                assert ctx.band == max_lag
+                blocks = np.zeros((ctx.band, 2, 2), dtype=complex)
+                blocks[0] = 1.5 * np.eye(2)
+                d = build_d(xt, blocks, ctx)
+                assert np.abs(d).max() < 1e-12
 
     def test_tangency_at_expansion_point(self, rng, weights_full):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
@@ -252,6 +305,36 @@ class TestBuildD:
                 lhs = weights_full.cost(objective_terms(x, scene)) - g_t
                 rhs = float(np.real((x - xt).conj() @ d))
                 assert lhs <= rhs + 1e-9 * scale
+
+    @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
+    def test_rejects_the_old_shapes(self, rng, weights_full, kind):
+        # the N x N Phi of a wider band and the N_T x N_T S of a one-lag band,
+        # which build_phi once returned, raise rather than give a wrong d
+        for max_lag in (3, 1):
+            scene = make_scene(n_tx=2, block_len=4, max_lag=max_lag)
+            ctx = build_majorizer_context(scene, weights_full, kind)
+            assert ctx.band == max_lag
+            xt = random_cm(rng, scene.n, 1 / np.sqrt(2))
+            blocks = build_phi(xt, ctx)
+            old = _dense_phi(xt, blocks, ctx) if ctx.band > 1 else blocks[0] + blocks[0].conj().T
+            with pytest.raises(ValueError, match="lag blocks"):
+                build_d(xt, old, ctx)
+
+    @settings(deadline=None, derandomize=True)
+    @given(case=majorizer_forms(), seed=st.integers(0, 2**32 - 1))
+    def test_leaves_its_blocks_unchanged(self, case, seed):
+        # build_d never writes to build_phi's stack: the stack keeps its
+        # bits, and a second call, on the stack made read-only, repeats d
+        _, scene, weights = case
+        xt = random_cm(np.random.default_rng(seed), scene.n, 1.0)
+        for kind in ("diagonal", "max_eigen"):
+            ctx = build_majorizer_context(scene, weights, kind)
+            blocks = build_phi(xt, ctx)
+            before = blocks.tobytes()
+            d = build_d(xt, blocks, ctx)
+            assert blocks.tobytes() == before
+            blocks.setflags(write=False)
+            assert build_d(xt, blocks, ctx).tobytes() == d.tobytes()
 
     @pytest.mark.parametrize(
         "kind, weights",
@@ -341,8 +424,9 @@ class TestStreamedOracle:
         xt = random_cm(rng, n, 1 / np.sqrt(scene.geometry.n_tx))
         for kind in ("diagonal", "max_eigen"):
             ctx = build_majorizer_context(scene, w, kind)
+            assert ctx.band > 1
             ref = oracle.dense_phi(xt, scene, w, kind)
-            assert rel_gap(build_phi(xt, ctx), ref) < 1e-12
+            assert rel_gap(_dense_phi(xt, build_phi(xt, ctx), ctx), ref) < 1e-12
 
 
 def _weights():
@@ -362,19 +446,6 @@ def small_scenes(draw, max_n=16):
         target_angles=tuple(angles),
         max_lag=max_lag,
     )
-
-
-@st.composite
-def one_lag_cases(draw):
-    """A small scene with weights whose band is one lag wide: the beam
-    pattern only, or any weights at P = 1 (where the autocorrelation mask is
-    empty)."""
-    scene = draw(small_scenes())
-    w_bp = draw(st.sampled_from([0.5, 2.0]))
-    w_ac = w_cc = 0.0
-    if scene.targets.max_lag == 1:
-        w_ac, w_cc = draw(st.tuples(*[st.sampled_from([0.0, 0.5, 2.0])] * 2))
-    return scene, Weights(w_bp, w_ac, w_cc)
 
 
 class TestLagStructureProperties:
@@ -397,35 +468,16 @@ class TestLagStructureProperties:
         lags = np.subtract.outer(np.arange(length), np.arange(length))
         far = np.abs(lags) >= scene.targets.max_lag
         assert not blocks.transpose(0, 2, 1, 3)[far].any()
-        # Phi from the lag blocks (or, one lag wide, the block S) equals the
-        # dense construction, both kinds, and is exactly Hermitian (build_d
-        # relies on it and skips the check); d equals the one from the dense
-        # Phi's row sums or eigvalsh, which covers the one-lag step (beam
-        # pattern only or P = 1), its L = 1 case and the trimmed lags
-        xt = random_cm(np.random.default_rng(n), n, 1.0)
-        for kind in ("diagonal", "max_eigen"):
-            ctx = build_majorizer_context(scene, weights, kind)
-            ref = oracle.dense_phi(xt, scene, weights, kind)
-            phi = build_phi(xt, ctx)
-            assert np.abs(full_phi(xt, ctx) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
-            assert np.array_equal(phi, phi.conj().T)
-            if kind == "diagonal":
-                ref_bound = np.abs(ref).sum(axis=1)
-            else:
-                ref_bound = np.linalg.eigvalsh(ref)[-1]
-            ref_d = 2.0 * (ref @ xt - ref_bound * xt)
-            d = build_d(xt, phi, ctx)
-            assert np.abs(d - ref_d).max() <= 1e-12 * max(1.0, np.abs(ref_d).max())
 
     @settings(deadline=None, derandomize=True)
-    @given(case=one_lag_cases())
+    @given(case=majorizer_forms(forms=ONE_LAG_FORMS))
     def test_one_lag_d_matches_dense_oracle(self, case):
-        # a one-lag band: E = I_L (x) E_0 in the oracle's own Psi, and the
-        # block S that build_phi returns expands to the oracle's dense Phi;
-        # d matches the dense Phi's d to 1e-12 relative to the largest row
-        # sum of |S| or |Phi| (|x_t| = 1, so that bounds the terms of Phi x_t,
+        # a one-lag band: E = I_L (x) E_0 in the oracle's own Psi, and d
+        # from the one lag block K_0 that build_phi returns (S = K_0 + K_0^H)
+        # matches the dense Phi's d to 1e-12 relative to the largest row sum
+        # of |S| or |Phi| (|x_t| = 1, so that bounds the terms of Phi x_t,
         # which cancel to rounding at n_tx = L = 1), L = 1 included, both kinds
-        scene, weights = case
+        _, scene, weights = case
         n, n_tx, length = scene.n, scene.geometry.n_tx, scene.block_len
         e_ref = oracle.psi_row_sums(scene, weights).reshape((n, n), order="F")
         blocks = e_ref.reshape(length, n_tx, length, n_tx).transpose(0, 2, 1, 3)
@@ -434,19 +486,58 @@ class TestLagStructureProperties:
         for kind in ("diagonal", "max_eigen"):
             ctx = build_majorizer_context(scene, weights, kind)
             assert ctx.band == 1
-            s = build_phi(xt, ctx)
-            assert s.shape == (n_tx, n_tx)
+            blocks = build_phi(xt, ctx)
+            assert blocks.shape == (1, n_tx, n_tx)
+            s = blocks[0] + blocks[0].conj().T
             ref = oracle.dense_phi(xt, scene, weights, kind)
-            dense = oracle.one_lag_phi(s, xt, ctx)
-            assert np.abs(dense - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
             if kind == "diagonal":
                 ref_bound = np.abs(ref).sum(axis=1)
             else:
                 ref_bound = np.linalg.eigvalsh(ref)[-1]
             ref_d = 2.0 * (ref @ xt - ref_bound * xt)
-            d = build_d(xt, s, ctx)
+            d = build_d(xt, blocks, ctx)
             scale = max(np.abs(s).sum(axis=1).max(), np.abs(ref).sum(axis=1).max())
             assert np.abs(d - ref_d).max() <= 1e-12 * scale
+
+
+class TestMajorizerForms:
+    @settings(deadline=None, derandomize=True)
+    @given(case=majorizer_forms(), seed=st.integers(0, 2**32 - 1))
+    def test_every_form_matches_the_dense_oracle(self, case, seed):
+        # build_phi returns one (band, N_T, N_T) stack for every form, the
+        # same bits for both kinds; expanded by the oracle it is the dense
+        # Phi, the N x N Phi build_d forms for a wider band is exactly
+        # Hermitian, and Phi and d are the dense ones to 1e-12: for a wider
+        # band relative to the largest entry of each, as before the forms
+        # were split out; for one lag relative to the largest row sum of
+        # |Phi| (|x_t| = 1, so that bounds the terms of Phi x_t, which cancel
+        # to rounding at n_tx = L = 1)
+        form, scene, weights = case
+        xt = random_cm(np.random.default_rng(seed), scene.n, 1.0)
+        n_tx = scene.geometry.n_tx
+        stacks = []
+        for kind in ("diagonal", "max_eigen"):
+            ctx = build_majorizer_context(scene, weights, kind)
+            assert (ctx.band > 1) == (form == "wide")
+            assert ctx.correlations == (form != "one-lag-bp") or form == "L=1"
+            blocks = build_phi(xt, ctx)
+            assert blocks.shape == (ctx.band, n_tx, n_tx)
+            stacks.append(blocks.tobytes())
+            ref = oracle.dense_phi(xt, scene, weights, kind)
+            if kind == "diagonal":
+                ref_bound = np.abs(ref).sum(axis=1)
+            else:
+                ref_bound = np.linalg.eigvalsh(ref)[-1]
+            ref_d = 2.0 * (ref @ xt - ref_bound * xt)
+            scale = phi_scale = max(1.0, np.abs(ref).sum(axis=1).max())
+            if ctx.band > 1:
+                phi = _dense_phi(xt, blocks, ctx)
+                assert np.array_equal(phi, phi.conj().T)
+                phi_scale = max(1.0, np.abs(ref).max())
+                scale = max(1.0, np.abs(ref_d).max())
+            assert np.abs(oracle.phi_from_blocks(blocks, xt, ctx) - ref).max() <= 1e-12 * phi_scale
+            assert np.abs(build_d(xt, blocks, ctx) - ref_d).max() <= 1e-12 * scale
+        assert stacks[0] == stacks[1]
 
 
 def _assert_frozen_copy(operand, expect):
@@ -474,6 +565,8 @@ class TestCachedOperands:
             return  # no active cost term
         assert diag.e_mat.dtype == np.float64
         _assert_frozen_copy(diag.e0_twice, 2.0 * diag.e_mat)
+        band = lag_weights(scene, weights)[: diag.band]
+        _assert_frozen_copy(diag.band_weights, np.concatenate([band[:1], 2.0 * band[1:]]))
         # derived from e_mat, so a replaced context cannot keep a stale copy
         tripled = dataclasses.replace(diag, e_mat=3.0 * diag.e_mat)
         _assert_frozen_copy(tripled.e0_twice, 2.0 * tripled.e_mat)
@@ -514,7 +607,7 @@ class TestTopEigenvalue:
             return  # no active cost term
         assume(ctx.band > 1)
         xt = random_cm(np.random.default_rng(seed), scene.n, 1.0)
-        phi = build_phi(xt, ctx)
+        phi = _dense_phi(xt, build_phi(xt, ctx), ctx)
         assert _top_eigenvalue(phi) == float(np.linalg.eigvalsh(phi)[-1])
 
     @settings(deadline=None, derandomize=True)
@@ -547,39 +640,113 @@ class TestTopEigenvalue:
         assert np.isnan(ref) or not (np.isnan(bad) and i > j)
 
 
+def _replaced_lag_blocks(ctx, terms):
+    """The lag blocks as ``build_phi`` formed them before it returned them
+    for every band: lag 0 whole and lags tau >= 1 from the undoubled
+    ``lag_weights``."""
+    scene, w_bp = ctx.scene, ctx.weights.w_bp
+    n_tx = scene.geometry.n_tx
+    if w_bp > 0:
+        bp = w_bp * (terms.beta @ scene.c_flat).reshape(n_tx, n_tx)
+    if not ctx.correlations:
+        return bp[None]
+    p = scene.targets.max_lag
+    lag_w = lag_weights(scene, ctx.weights)[: ctx.band]
+    coef = lag_w * terms.corr[p - 1 : p - 1 + ctx.band].conj()
+    blocks = scene.steer_targets.T @ coef.transpose(0, 2, 1) @ scene.steer_targets_conj
+    if w_bp > 0:
+        blocks[0] += bp
+    return blocks
+
+
 def _replaced_one_lag_s(ctx, terms):
     """The one-lag S as ``build_phi`` formed it before it returned h0 + h0^H:
     the lag-0 block h0 halved, summed with its conjugate transpose, and
-    doubled. For weights with w_bp > 0, as ``one_lag_cases`` draws them."""
-    scene = ctx.scene
-    n_tx = scene.geometry.n_tx
-    h0 = ctx.weights.w_bp * (terms.beta @ scene.c_flat).reshape(n_tx, n_tx)
-    if ctx.correlations:
-        p = scene.targets.max_lag
-        coef = ctx.lag_weights[:1] * terms.corr[p - 1 : p].conj()
-        blocks = scene.steer_targets.T @ coef.transpose(0, 2, 1) @ scene.steer_targets_conj
-        h0 = blocks[0] + h0
-    half = 0.5 * h0
+    doubled."""
+    half = 0.5 * _replaced_lag_blocks(ctx, terms)[0]
     s = half + half.conj().T
     s *= 2.0
     return s
 
 
+def _replaced_one_lag_d(xt, s, ctx):
+    """d as ``build_d`` formed it from the one-lag block S it was handed."""
+    xs = xt.reshape(-1, s.shape[0])
+    if ctx.kind == "diagonal":
+        blocks = xs[:, :, None] * xs[:, None, :].conj()
+        blocks *= 2.0 * ctx.e_mat
+        np.subtract(s, blocks, out=blocks)
+        phi_x = (blocks @ xs[:, :, None])[:, :, 0]
+        bound = np.abs(blocks).sum(axis=2)
+    else:
+        lam2 = 2.0 * ctx.lambda_quartic
+        phi_x = xs @ s.T - (lam2 * np.vdot(xt, xt).real) * xs
+        s = s if xs.shape[0] > 1 else s - lam2 * np.outer(xt, xt.conj())
+        bound = float(np.linalg.eigvalsh(s)[-1])
+    phi_x -= bound * xs
+    phi_x *= 2.0
+    return phi_x.reshape(-1)
+
+
+def _replaced_dense_phi(xt, ctx, terms):
+    """The N x N Phi as ``build_phi`` formed it before it returned lag
+    blocks for every band: lag 0 halved, x_t (x_t/2)^H weighted and
+    subtracted, the half summed with its conjugate transpose and doubled."""
+    blocks = _replaced_lag_blocks(ctx, terms)
+    blocks[0] *= 0.5
+    sub = xt[:, None] * (0.5 * xt.conj())
+    sub *= ctx.e_mat if ctx.kind == "diagonal" else ctx.lambda_quartic
+    half = _lower_band(blocks, ctx.scene.block_len)
+    half -= sub
+    phi = half + half.conj().T
+    phi *= 2.0
+    return phi
+
+
 class TestOneLagPins:
     @settings(deadline=None, derandomize=True)
-    @given(case=one_lag_cases(), seed=st.integers(0, 2**32 - 1))
+    @given(case=majorizer_forms(forms=ONE_LAG_FORMS), seed=st.integers(0, 2**32 - 1))
     def test_s_is_the_doubled_half_sum(self, case, seed):
-        # returning h0 + h0^H drops an exact halving and doubling: S is the
-        # replaced expression to the bit, from the same ObjectiveTerms
-        scene, weights = case
+        # S = K_0 + K_0^H drops an exact halving and doubling: the S build_d
+        # forms is the replaced expression to the bit, from the same
+        # ObjectiveTerms, and so is the d it gives
+        _, scene, weights = case
         xt = random_cm(np.random.default_rng(seed), scene.n, 1.0)
         for kind in ("diagonal", "max_eigen"):
             ctx = build_majorizer_context(scene, weights, kind)
             terms = objective_terms(xt, scene, ctx.correlations)
-            s = build_phi(xt, ctx, terms)
+            blocks = build_phi(xt, ctx, terms)
             expect = _replaced_one_lag_s(ctx, terms)
+            s = blocks[0] + blocks[0].conj().T
             assert s.dtype == expect.dtype and s.shape == expect.shape
             assert s.tobytes() == expect.tobytes()
+            d = build_d(xt, blocks, ctx)
+            assert d.tobytes() == _replaced_one_lag_d(xt, expect, ctx).tobytes()
+
+
+class TestDenseFoldPins:
+    @settings(deadline=None, derandomize=True)
+    @given(case=majorizer_forms(forms=("wide",)), seed=st.integers(0, 2**32 - 1))
+    def test_dense_phi_is_the_doubled_half_sum(self, case, seed):
+        # a wider band's Phi with its exact halving and doubling folded away
+        # (lags tau >= 1 doubled in the weights, lag 0 whole, x_t x_t^H
+        # subtracted, no final doubling) is the replaced expression to the
+        # bit, and so are Phi x_t and the bound build_d takes from it
+        _, scene, weights = case
+        xt = random_cm(np.random.default_rng(seed), scene.n, 1.0)
+        for kind in ("diagonal", "max_eigen"):
+            ctx = build_majorizer_context(scene, weights, kind)
+            terms = objective_terms(xt, scene, ctx.correlations)
+            blocks = build_phi(xt, ctx, terms)
+            expect = _replaced_dense_phi(xt, ctx, terms)
+            assert _dense_phi(xt, blocks, ctx).tobytes() == expect.tobytes()
+            if kind == "diagonal":
+                bound = np.abs(expect).sum(axis=1)
+            else:
+                bound = float(np.linalg.eigvalsh(expect)[-1])
+            d = expect @ xt - bound * xt
+            d *= 2.0
+            assert build_d(xt, blocks, ctx).tobytes() == d.tobytes()
 
 
 def test_paper_scale_smoke():

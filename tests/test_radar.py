@@ -10,7 +10,6 @@ from dfrcwave import oracle
 from dfrcwave.model import ArrayGeometry, Weights, vec
 from dfrcwave.radar import (
     achieved_pattern,
-    bp_quadratic_forms,
     correlation_values,
     objective_terms,
     optimal_alpha,
@@ -331,10 +330,14 @@ class TestKernelProperties:
     @settings(deadline=None, derandomize=True)
     @given(case=scenes_and_waveforms())
     def test_bp_quadratic_forms_match_dense(self, case):
+        # the forms x^H B_u x that objective_terms carries as .beta, with x
+        # as the vector or as its N_T x L block
         scene, x = case
         dense = np.array([(x.conj() @ b @ x).real for b in oracle._b_mats(scene)])
-        fast = bp_quadratic_forms(x, scene)
-        assert np.abs(fast - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+        block = x.reshape((scene.geometry.n_tx, scene.block_len), order="F")
+        for arg in (x, block):
+            fast = objective_terms(arg, scene, False).beta
+            assert np.abs(fast - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
 
     @settings(deadline=None, derandomize=True)
     @given(case=scenes_and_waveforms())
@@ -359,23 +362,21 @@ class TestKernelProperties:
         for fast, dense in zip(terms, (g_bp, g_ac, g_cc)):
             assert rel_err(fast, dense) <= 1e-12
         # the forms the sums came from ride along, bit for bit
-        beta = bp_quadratic_forms(x, scene)
-        assert terms.beta.tobytes() == beta.tobytes()
         assert terms.corr.tobytes() == correlation_values(x, scene).tobytes()
         beam_only = objective_terms(x, scene, correlations=False)
-        assert beam_only.corr is None and beam_only.beta.tobytes() == beta.tobytes()
+        assert beam_only.corr is None and beam_only.beta.tobytes() == terms.beta.tobytes()
         assert tuple(beam_only) == (terms[0], 0.0, 0.0)
 
     @settings(deadline=None, derandomize=True)
     @given(case=scenes_and_waveforms())
     def test_beta_is_bp_quadratic_forms_of_vector_and_block(self, case):
         # objective_terms reads the block once and hands it to the one owner
-        # of the beta formula: its .beta is bp_quadratic_forms to the bit,
-        # whether x arrives as the vector or as its N_T x L block
+        # of the beta formula: its .beta is the same to the bit whether x
+        # arrives as the vector or as its N_T x L block, with or without the
+        # correlations, and g_bp is its sum of squares
         scene, x = case
-        beta = bp_quadratic_forms(x, scene)
+        beta = objective_terms(x, scene, False).beta
         block = x.reshape((scene.geometry.n_tx, scene.block_len), order="F")
-        assert bp_quadratic_forms(block, scene).tobytes() == beta.tobytes()
         for arg in (x, block):
             for correlations in (True, False):
                 terms = objective_terms(arg, scene, correlations)
