@@ -261,7 +261,10 @@ def build_phi(
     the MM loop passes the ones it already evaluated at the accepted
     iterate. Without them they are evaluated here, by
     ``objective_terms(x_t, ctx.scene, ctx.correlations)``. The correlations
-    are read only when ``ctx.correlations`` is set.
+    are read only when ``ctx.correlations`` is set, and only at the lags
+    tau = 0 .. band - 1 of ``terms.corr``, which must then hold the scene's
+    lags tau >= 0, shape (P, Q, Q); terms evaluated without correlations,
+    terms of another scene and a (2P-1, Q, Q) stack raise ValueError.
     """
     scene, w_bp = ctx.scene, ctx.weights.w_bp
     if terms is None:
@@ -270,8 +273,14 @@ def build_phi(
         bp = w_bp * (terms.beta @ scene.c_flat).reshape(1, scene.geometry.n_tx, -1)
     if not ctx.correlations:
         return bp  # w_bp > 0: lag_weights rejects weights with no active term
-    p = scene.targets.max_lag
-    coef = ctx.band_weights * terms.corr[p - 1 : p - 1 + ctx.band].conj()
+    corr, q_n = terms.corr, scene.targets.n_targets
+    want = (scene.targets.max_lag, q_n, q_n)
+    if corr is None or corr.shape != want:
+        got = "none" if corr is None else f"shape {corr.shape}"
+        raise ValueError(
+            f"build_phi needs the correlations at lags tau >= 0, shape {want}; got {got}"
+        )
+    coef = ctx.band_weights * corr[: ctx.band].conj()
     # sum coef[q,q'] a_q' a_q^H
     blocks = scene.steer_targets.T @ coef.transpose(0, 2, 1) @ scene.steer_targets_conj
     if w_bp > 0:

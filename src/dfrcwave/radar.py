@@ -9,8 +9,11 @@ Kronecker factors (the C_u and the target steering vectors), with no size
 cap, and returns the three costs with the forms they were reduced from. The
 beam-pattern forms cost O(N_T^2 L + U N_T^2) through the Gram X X^H, and
 the correlations O(Q N_T L + P Q^2 L) through one batched product over the
-lags tau >= 0. (``dfrcwave.oracle`` builds the dense forms to certify
-these paths.)
+lags tau >= 0. Those lags are all that ``objective_terms`` evaluates and
+keeps: a negative lag is the conjugate transpose of its mirror, so the
+ISLs read it off the positive one, and only ``correlation_values``
+returns the full (2P-1, Q, Q) stack. (``dfrcwave.oracle`` builds the
+dense forms to certify these paths.)
 """
 
 from __future__ import annotations
@@ -206,23 +209,32 @@ def _gram_forms(X: np.ndarray, scene: RadarScene) -> np.ndarray:
     return (scene.c_flat @ gram_t.reshape(-1)).real
 
 
+def _lag_correlations(X: np.ndarray, scene: RadarScene) -> np.ndarray:
+    """Correlations at the lags tau >= 0 from the N_T x L block X, which it
+    does not check: shape (P, Q, Q), indexed [tau, q, q'].
+
+    With v = A^H X (row q is a_q^H X), lag tau is v W_tau^H for the window
+    W_tau of v shifted left by tau columns and zero-padded; all P windows
+    are gathered at once and multiplied in one batched product,
+    O(P Q^2 L). Lags tau >= L come out as exact zeros.
+    """
+    v = scene.steer_targets_conj @ X
+    padded = np.zeros((scene.block_len + 1, v.shape[0]), dtype=complex)
+    padded[:-1] = v.T.conj()
+    # windows[tau, l, q'] = conj(v[q', l + tau]), zero past the block
+    return v @ padded[scene._lag_index]
+
+
 def correlation_values(x, scene: RadarScene) -> np.ndarray:
     """Complex correlations a_q^H X J_tau X^H a_q' for all (tau, q, q').
 
     Returns shape (2P-1, Q, Q) indexed [tau + P - 1, q, q']; entry
     [tau + P - 1, q, q'] equals the quadratic form x^H D_{tau,q,q'} x.
-    With v = A^H X (row q is a_q^H X), lag tau >= 0 is v W_tau^H for the
-    window W_tau of v shifted left by tau columns and zero-padded; all P
-    windows are gathered at once and multiplied in one batched product,
-    O(P Q^2 L). A negative lag is the conjugate transpose of its mirror,
-    and lags |tau| >= L come out as exact zeros.
+    The lags tau >= 0 come from ``_lag_correlations``, in O(P Q^2 L); a
+    negative lag is the conjugate transpose of its mirror, and lags
+    |tau| >= L come out as exact zeros.
     """
-    X = _as_block(x, scene)
-    v = scene.steer_targets_conj @ X
-    padded = np.zeros((scene.block_len + 1, v.shape[0]), dtype=complex)
-    padded[:-1] = v.T.conj()
-    # windows[tau, l, q'] = conj(v[q', l + tau]), zero past the block
-    nonneg = v @ padded[scene._lag_index]
+    nonneg = _lag_correlations(_as_block(x, scene), scene)
     mirrored = nonneg[:0:-1].conj().transpose(0, 2, 1)
     return np.concatenate([mirrored, nonneg])
 
@@ -231,8 +243,10 @@ class ObjectiveTerms(tuple):
     """(g_bp, g_ac, g_cc), carrying the quadratic forms of x they came from.
 
     ``beta`` holds the beam-pattern forms x^H B_u x per grid angle and
-    ``corr`` the correlations x^H D_{tau,q,q'} x (``correlation_values``),
-    or None when they were not evaluated.
+    ``corr`` the correlations x^H D_{tau,q,q'} x at the lags tau >= 0,
+    shape (P, Q, Q) indexed [tau, q, q'] (the lags tau >= 0 of
+    ``correlation_values``; each negative lag is the conjugate transpose
+    of its mirror), or None when they were not evaluated.
     """
 
     beta: np.ndarray
@@ -252,9 +266,13 @@ def objective_terms(x, scene: RadarScene, correlations: bool = True) -> Objectiv
     lag-0 peak): targets and nonzero lags for the autocorrelation, ordered
     target pairs q != q' and every lag for the cross-correlation. x is
     checked and viewed as its N_T x L block once, which the beam-pattern
-    forms read directly. The quadratic forms are computed once and ride
-    along as ``.beta`` and ``.corr``, so the MM loop builds the next Phi at
-    an accepted x without re-evaluating them.
+    forms read directly. The correlations are evaluated at the lags
+    tau >= 0 only: |x^H D_{-tau,q',q} x|^2 = |x^H D_{tau,q,q'} x|^2, so
+    their squared moduli are mirrored to the negative lags by one real
+    concatenate and summed through ``RadarScene.isl_masks``, in the order
+    of the full (2P-1, Q, Q) stack. The quadratic forms are computed once
+    and ride along as ``.beta`` and ``.corr``, so the MM loop builds the
+    next Phi at an accepted x without re-evaluating them.
 
     With ``correlations`` false no correlation is evaluated and both ISLs
     read 0.0: for an MM loop whose correlation weights are all zero (or
@@ -265,7 +283,8 @@ def objective_terms(x, scene: RadarScene, correlations: bool = True) -> Objectiv
     g_bp = float(np.add.reduce(beta**2))  # ndarray.sum's wrapper, skipped
     if not correlations:
         return ObjectiveTerms((g_bp, 0.0, 0.0), beta)
-    corr = correlation_values(X, scene)
+    corr = _lag_correlations(X, scene)
     chi = np.abs(corr) ** 2
+    chi = np.concatenate([chi[:0:-1].transpose(0, 2, 1), chi])
     ac, cc = scene.isl_masks
     return ObjectiveTerms((g_bp, float(chi[ac].sum()), float(chi[cc].sum())), beta, corr)

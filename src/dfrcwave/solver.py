@@ -39,7 +39,8 @@ starts lazily in a fixed order (``_restore_feasibility``), and
 ``polish_feasible`` is the monotone fallback of the MM loop: coordinate
 rounds over the n_tx entries, each one phase search batched over all L
 blocks, that never increase Re{x^H d} and never leave the feasible set.
-The phase search (``_best_phase``) writes each grid level's candidates
+Both repairs stop their rounds at a fixed point: a round that leaves every
+entry bit-identical would repeat itself. The phase search (``_best_phase``) writes each grid level's candidates
 into one (B, C+1) buffer per quantity, the current phase in the last column.
 """
 
@@ -107,7 +108,9 @@ def _dual_inputs(nu, d, constraints: CIConstraintSet) -> tuple[np.ndarray, np.nd
             f"expected nu of shape ({constraints.n_rows},) and d of shape ({constraints.n},), "
             f"got {nu.shape} and {d.shape}"
         )
-    if not (np.isfinite(d).all() and 0.0 <= nu.min() and nu.max() < math.inf):  # NaN fails
+    # nu.min() and nu.max() without their wrappers; a NaN fails
+    low, high = np.minimum.reduce(nu), np.maximum.reduce(nu)
+    if not (np.isfinite(d).all() and 0.0 <= low and high < math.inf):
         raise ValueError("multipliers must be finite and nonnegative, d finite")
     return nu, d
 
@@ -357,20 +360,30 @@ def _block_rounds(
     rounds: int,
     until_feasible: bool = False,
 ) -> np.ndarray:
-    """Coordinate rounds over the n_tx entries of a batch of blocks, in place.
+    """At most ``rounds`` coordinate rounds over the n_tx entries of a batch
+    of blocks, in place.
 
     ``xb``/``db`` are (B, n_tx), ``rows`` (B, R, n_tx), ``gam`` (B, R).
     With ``until_feasible`` the rounds stop once every block in the batch
-    is feasible.
+    is feasible. A round is a function of the batch alone, so once one
+    leaves every entry bit-identical (each new column compared with the
+    one it replaces), every later round would repeat it, and the rounds
+    stop there.
     """
     for _ in range(rounds):
         if until_feasible and block_margins(xb, rows, gam).min() >= 0:
             break
+        fixed = True
         for n in range(xb.shape[1]):
             col, x_n = rows[:, :, n], xb[:, n]
             base = block_margins(xb, rows, gam) - (col * x_n[:, None]).real
-            phi = _best_phase(base, col, db[:, n], amp, np.arctan2(x_n.imag, x_n.real))
-            xb[:, n] = amp * np.exp(1j * phi)
+            new = amp * np.exp(
+                1j * _best_phase(base, col, db[:, n], amp, np.arctan2(x_n.imag, x_n.real))
+            )
+            fixed = fixed and new.tobytes() == x_n.tobytes()  # x_n still holds the old column
+            xb[:, n] = new
+        if fixed:
+            break
     return xb
 
 
@@ -417,10 +430,14 @@ def _restore_feasibility(
     blocks get their phases re-picked entry by entry, trying starts in
     order of objective friendliness: the recovery itself, a reference
     iterate (the previous feasible one, when available), a matched-filter
-    start, and the best of a fixed random bank. A start is built only if
-    every earlier one failed (no max-min-margin rounds: the rounds already
-    take the max-min phase while no candidate is feasible). A block that no
-    start fixes is returned unchanged. Returns (x, feasible).
+    start, and the best of a fixed random bank. Each start gets at most
+    ``_RESTORE_ROUNDS`` coordinate rounds, which end early once the block
+    is feasible or a round leaves it bit-identical, and a rescued block at
+    most ``_POLISH_ROUNDS`` finishing rounds (``_block_rounds``). A start
+    is built only if every earlier one failed (no max-min-margin rounds:
+    the rounds already take the max-min phase while no candidate is
+    feasible). A block that no start fixes is returned unchanged. Returns
+    (x, feasible).
     """
     x = x.copy()
     rows_all, gam_all = constraints.rows, constraints.thresholds
@@ -450,8 +467,10 @@ def polish_feasible(
 ) -> np.ndarray:
     """Feasibility-preserving coordinate descent on Re{x^H d} from a feasible x.
 
-    Runs ``_POLISH_ROUNDS`` coordinate rounds, the finishing rounds that
-    restoration also gives a rescued block. Every accepted phase competes
+    Runs at most ``_POLISH_ROUNDS`` coordinate rounds, the finishing rounds
+    that restoration also gives a rescued block; they end early once a
+    round leaves every entry bit-identical, since the next would repeat
+    it (``_block_rounds``). Every accepted phase competes
     against the current one, so the result never increases Re{x^H d} and
     never leaves the feasible set.
     Used as the monotone fallback when the dual recovery fails to descend.
@@ -610,14 +629,14 @@ def dual_ascent_sweep(
             break
         nu_arr = np.array(nu, dtype=float)
         coef, x, margins = tail()
-        g_hat = float((x.conj() @ d).real - nu_arr @ margins)
+        g_hat = float(np.vdot(x, d).real - nu_arr @ margins)
         change = abs(g_hat - prev) / (abs(prev) or 1.0)  # NaN after the first sweep
         prev = g_hat
         if change < cfg.eps1:
             converged = True
             break
 
-    restored = bool(margins.min() < 0)
+    restored = bool(np.minimum.reduce(margins) < 0)
     if restored:
         probe_all = [False] * len(nu)  # the finish settles no row from a margin
         blocks = margins.reshape(n_blocks, per_block).min(axis=1)
@@ -635,7 +654,7 @@ def dual_ascent_sweep(
                     break
         nu_arr = np.array(nu, dtype=float)
         _, x, margins = tail()
-        restored = bool(margins.min() < 0)
+        restored = bool(np.minimum.reduce(margins) < 0)
     return DualAscentResult(
         nu=nu_arr,
         x=x,
@@ -674,8 +693,9 @@ class IterationRecord(NamedTuple):
 _RADAR_WORK = (0, 0, False, False, True, False)
 
 
-def _dfrc_step(x, d, nu, cset, cfg, p_total, x_feasible):
-    """The CI-constrained linear step of one MM iteration, from the iterate x.
+def _dfrc_step(x, d, nu, cset, cfg, p_total, amp, x_feasible):
+    """The CI-constrained linear step of one MM iteration, from the iterate x,
+    at the amplitude ``amp`` of ``p_total``.
 
     Runs ``dual_ascent_sweep`` from the multipliers ``nu``, restores its
     x(nu) when that violates a CI row (``_restore_feasibility``, with x as
@@ -686,14 +706,13 @@ def _dfrc_step(x, d, nu, cset, cfg, p_total, x_feasible):
     stays feasible. Returns (candidate, dual result, the ``IterationRecord``
     fields ``dual_sweeps`` .. ``polish_step``).
     """
-    amp = amplitude(p_total, cset.n_tx)
     res = dual_ascent_sweep(nu, d, cset, cfg, p_total)
     x_new, feasible, polish = res.x, True, False
     if res.restored:
         x_new, feasible = _restore_feasibility(x_new, d, cset, amp, x if x_feasible else None)
     if x_feasible:
-        gbar_prev = float((x.conj() @ d).real)
-        gbar_new = float((x_new.conj() @ d).real)
+        gbar_prev = float(np.vdot(x, d).real)
+        gbar_new = float(np.vdot(x_new, d).real)
         if not (feasible and gbar_new <= gbar_prev):
             x_new, polish = polish_feasible(x, d, cset, amp), True
     work = (res.sweeps, res.bisection_evals, not res.converged, res.restored, feasible, polish)
@@ -825,7 +844,7 @@ def mm_solve(
     for t in range(1, cfg.max_outer_iters + 1):
         d = build_d(x, build_phi(x, ctx, final_terms), ctx)
         if dfrc:
-            x_new, res, work = _dfrc_step(x, d, nu, cset, cfg, p_total, prev_feasible)
+            x_new, res, work = _dfrc_step(x, d, nu, cset, cfg, p_total, amp, prev_feasible)
             bracket_bad.update(res.bracket_failures)
             nu_new = res.nu
         else:
@@ -834,7 +853,7 @@ def mm_solve(
         g_new = weights.cost(terms)
         if not math.isfinite(g_new):
             raise RuntimeError(f"non-finite objective {g_new!r} at outer iteration {t}")
-        record = IterationRecord(g_new, *work, rejected=g_new > g_prev and prev_feasible)
+        record = IterationRecord(g_new, *work, g_new > g_prev and prev_feasible)
         records.append(record)
         if record.rejected:
             # descent from a feasible iterate is guaranteed up to inner-solve

@@ -21,7 +21,7 @@ from dfrcwave.majorize import (
     lag_weights,
 )
 from dfrcwave.model import MODULUS_TOL, SolveMode, Weights, vec
-from dfrcwave.radar import objective_terms
+from dfrcwave.radar import ObjectiveTerms, correlation_values, objective_terms
 from dfrcwave.solver import mm_solve
 
 
@@ -245,6 +245,25 @@ class TestBuildPhi:
                 terms = objective_terms(xt, scene, ctx.correlations)
                 assert len(terms) == 3
                 assert np.array_equal(build_phi(xt, ctx, terms), build_phi(xt, ctx))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
+    def test_rejects_terms_without_its_lag_correlations(self, rng, kind):
+        # with ctx.correlations set, build_phi reads the scene's lags tau >= 0,
+        # shape (P, Q, Q) = (4, 2, 2) at the desk; terms evaluated without
+        # correlations, terms of another scene (max_lag 3) and the
+        # (2P-1, Q, Q) stack of correlation_values raise, naming that shape,
+        # rather than give a wrong Phi or a bare numpy error
+        scene, weights = desk_scene()
+        other, _ = desk_scene(max_lag=3)
+        ctx = build_majorizer_context(scene, weights, kind)
+        assert ctx.correlations
+        xt = random_cm(rng, scene.n, 0.5)
+        terms = objective_terms(xt, scene)
+        assert build_phi(xt, ctx, terms).shape == (ctx.band, 4, 4)
+        full_stack = ObjectiveTerms(terms, terms.beta, correlation_values(xt, scene))
+        for bad in (objective_terms(xt, scene, False), objective_terms(xt, other), full_stack):
+            with pytest.raises(ValueError, match=r"lags tau >= 0, shape \(4, 2, 2\)"):
+                build_phi(xt, ctx, bad)
 
     @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
     def test_quadratic_dominance(self, rng, weights_full, kind):
@@ -640,10 +659,12 @@ class TestTopEigenvalue:
         assert np.isnan(ref) or not (np.isnan(bad) and i > j)
 
 
-def _replaced_lag_blocks(ctx, terms):
+def _replaced_lag_blocks(xt, ctx, terms):
     """The lag blocks as ``build_phi`` formed them before it returned them
     for every band: lag 0 whole and lags tau >= 1 from the undoubled
-    ``lag_weights``."""
+    ``lag_weights``, with the correlations read from the (2P-1, Q, Q)
+    stack of ``correlation_values``, as before ``ObjectiveTerms.corr``
+    kept only the lags tau >= 0."""
     scene, w_bp = ctx.scene, ctx.weights.w_bp
     n_tx = scene.geometry.n_tx
     if w_bp > 0:
@@ -652,18 +673,18 @@ def _replaced_lag_blocks(ctx, terms):
         return bp[None]
     p = scene.targets.max_lag
     lag_w = lag_weights(scene, ctx.weights)[: ctx.band]
-    coef = lag_w * terms.corr[p - 1 : p - 1 + ctx.band].conj()
+    coef = lag_w * correlation_values(xt, scene)[p - 1 : p - 1 + ctx.band].conj()
     blocks = scene.steer_targets.T @ coef.transpose(0, 2, 1) @ scene.steer_targets_conj
     if w_bp > 0:
         blocks[0] += bp
     return blocks
 
 
-def _replaced_one_lag_s(ctx, terms):
+def _replaced_one_lag_s(xt, ctx, terms):
     """The one-lag S as ``build_phi`` formed it before it returned h0 + h0^H:
     the lag-0 block h0 halved, summed with its conjugate transpose, and
     doubled."""
-    half = 0.5 * _replaced_lag_blocks(ctx, terms)[0]
+    half = 0.5 * _replaced_lag_blocks(xt, ctx, terms)[0]
     s = half + half.conj().T
     s *= 2.0
     return s
@@ -692,7 +713,7 @@ def _replaced_dense_phi(xt, ctx, terms):
     """The N x N Phi as ``build_phi`` formed it before it returned lag
     blocks for every band: lag 0 halved, x_t (x_t/2)^H weighted and
     subtracted, the half summed with its conjugate transpose and doubled."""
-    blocks = _replaced_lag_blocks(ctx, terms)
+    blocks = _replaced_lag_blocks(xt, ctx, terms)
     blocks[0] *= 0.5
     sub = xt[:, None] * (0.5 * xt.conj())
     sub *= ctx.e_mat if ctx.kind == "diagonal" else ctx.lambda_quartic
@@ -716,7 +737,7 @@ class TestOneLagPins:
             ctx = build_majorizer_context(scene, weights, kind)
             terms = objective_terms(xt, scene, ctx.correlations)
             blocks = build_phi(xt, ctx, terms)
-            expect = _replaced_one_lag_s(ctx, terms)
+            expect = _replaced_one_lag_s(xt, ctx, terms)
             s = blocks[0] + blocks[0].conj().T
             assert s.dtype == expect.dtype and s.shape == expect.shape
             assert s.tobytes() == expect.tobytes()

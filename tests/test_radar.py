@@ -361,8 +361,11 @@ class TestKernelProperties:
         terms = objective_terms(x, scene)
         for fast, dense in zip(terms, (g_bp, g_ac, g_cc)):
             assert rel_err(fast, dense) <= 1e-12
-        # the forms the sums came from ride along, bit for bit
-        assert terms.corr.tobytes() == correlation_values(x, scene).tobytes()
+        # the forms the sums came from ride along, bit for bit: the
+        # correlations at the lags tau >= 0 of the full stack
+        p, q_n = scene.targets.max_lag, scene.targets.n_targets
+        assert terms.corr.shape == (p, q_n, q_n)
+        assert terms.corr.tobytes() == correlation_values(x, scene)[p - 1 :].tobytes()
         beam_only = objective_terms(x, scene, correlations=False)
         assert beam_only.corr is None and beam_only.beta.tobytes() == terms.beta.tobytes()
         assert tuple(beam_only) == (terms[0], 0.0, 0.0)
@@ -382,3 +385,24 @@ class TestKernelProperties:
                 terms = objective_terms(arg, scene, correlations)
                 assert terms.beta.tobytes() == beta.tobytes()
                 assert terms[0] == float(np.sum(beta**2))
+
+
+class TestCorrelationLayout:
+    @settings(deadline=None, derandomize=True)
+    @given(case=scenes_and_waveforms())
+    def test_isls_from_nonnegative_lags_match_the_full_stack(self, case):
+        # objective_terms evaluates only the lags tau >= 0 and mirrors their
+        # squared moduli to the negative lags; its ISLs are the masked sums
+        # over the full (2P-1, Q, Q) stack of correlation_values, byte for
+        # byte, and each negative lag of that stack is the conjugate
+        # transpose of its mirror
+        scene, x = case
+        full = correlation_values(x, scene)
+        chi = np.abs(full) ** 2
+        ac, cc = scene.isl_masks
+        terms = objective_terms(x, scene)
+        assert np.float64(terms[1]).tobytes() == np.float64(chi[ac].sum()).tobytes()
+        assert np.float64(terms[2]).tobytes() == np.float64(chi[cc].sum()).tobytes()
+        p = scene.targets.max_lag
+        mirrored = full[p - 1 :][:0:-1].conj().transpose(0, 2, 1)
+        assert full[: p - 1].tobytes() == mirrored.tobytes()

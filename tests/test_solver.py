@@ -14,7 +14,7 @@ from hypothesis import Phase, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import make_scene, random_cm
-from dfrcwave import oracle, radar
+from dfrcwave import oracle, radar, solver
 from dfrcwave.comm import (
     CIConstraintSet,
     CommSetup,
@@ -1121,6 +1121,90 @@ class TestRestorationMiss:
         assert ci_margin(x, cset).min() >= -MARGIN_ROUNDING
 
 
+def every_round(xb, rows, gam, db, amp, rounds, until_feasible=False):
+    """``_block_rounds`` with no fixed-point exit: every one of the
+    ``rounds`` rounds runs (with ``until_feasible``, until the batch is
+    feasible). The phase search is looked up on the solver module."""
+    for _ in range(rounds):
+        if until_feasible and block_margins(xb, rows, gam).min() >= 0:
+            break
+        for n in range(xb.shape[1]):
+            col, x_n = rows[:, :, n], xb[:, n]
+            base = block_margins(xb, rows, gam) - (col * x_n[:, None]).real
+            phi = solver._best_phase(base, col, db[:, n], amp, np.arctan2(x_n.imag, x_n.real))
+            xb[:, n] = amp * np.exp(1j * phi)
+    return xb
+
+
+class TestFixedPointRounds:
+    # a round is a function of the batch alone, so _block_rounds may stop at
+    # the first round that leaves every entry bit-identical; it must return
+    # the bytes of running every round
+    @settings(deadline=None, derandomize=True)
+    @given(inst=ci_instances(), rounds=st.integers(1, 8), data=st.data())
+    def test_one_block_until_feasible_matches_every_round(self, inst, rounds, data):
+        # restoration's use: one violated block from a start, then its
+        # finishing rounds
+        setup, cset, d, amp, rng = inst
+        ell = data.draw(st.integers(0, setup.block_len - 1))
+        one = slice(ell, ell + 1)
+        rows, gam = cset.rows[one], cset.thresholds[one]
+        db = d.reshape(-1, cset.n_tx)[one]
+        start = random_cm(rng, cset.n_tx, amp)[None]
+        got = solver._block_rounds(start.copy(), rows, gam, db, amp, rounds, until_feasible=True)
+        ref = every_round(start.copy(), rows, gam, db, amp, rounds, until_feasible=True)
+        assert got.tobytes() == ref.tobytes()
+        finish = solver._block_rounds(got, rows, gam, db, amp, rounds)
+        assert finish.tobytes() == every_round(ref, rows, gam, db, amp, rounds).tobytes()
+
+    @settings(deadline=None, derandomize=True)
+    @given(inst=ci_instances(), rounds=st.integers(1, 8))
+    def test_all_blocks_match_every_round(self, inst, rounds):
+        # the polish's use: every block of the design in one batch
+        _, cset, d, amp, rng = inst
+        shape = (cset.rows.shape[0], cset.n_tx)
+        xb = random_cm(rng, cset.n, amp).reshape(shape)
+        rows, gam, db = cset.rows, cset.thresholds, d.reshape(shape)
+        got = solver._block_rounds(xb.copy(), rows, gam, db, amp, rounds)
+        assert got.tobytes() == every_round(xb.copy(), rows, gam, db, amp, rounds).tobytes()
+
+    def test_desk_seed_1_searches_less_and_ends_the_same(self):
+        # desk seed 1 restores and polishes; stopping at the fixed point
+        # saves 44 of its 184 phase searches and changes no bit of the run
+        runs = {}
+        for name, rounds in (("exit", solver._block_rounds), ("every", every_round)):
+            with mock.patch("dfrcwave.solver._block_rounds", rounds), mock.patch(
+                "dfrcwave.solver._best_phase", wraps=solver._best_phase
+            ) as search:
+                state = desk_solve(seed=1)
+            runs[name] = (search.call_count, state)
+        (exit_calls, state), (every_calls, ref) = runs["exit"], runs["every"]
+        assert (exit_calls, every_calls) == (140, 184)
+        assert state.x.tobytes() == ref.x.tobytes()
+        assert state.nu.tobytes() == ref.nu.tobytes()
+        assert state.iterations == ref.iterations
+
+
+class TestVdot:
+    # Re{x^H d} is read as np.vdot(x, d).real in the dfrc step and the dual's
+    # g^; it must be x.conj() @ d to the bit, or a parity break would show
+    # with no cause
+    @settings(deadline=None, derandomize=True)
+    @given(n=st.integers(1, 640), seed=st.integers(0, 2**32 - 1), unit=st.booleans())
+    def test_matches_conjugated_matmul(self, n, seed, unit):
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = random_cm(rng, n, 0.5) if unit else rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.vdot(x, d).tobytes() == (x.conj() @ d).tobytes()
+
+    def test_every_size_to_640(self):
+        rng = np.random.default_rng(640)
+        for n in range(1, 641):
+            x = random_cm(rng, n, 0.5)
+            d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert np.vdot(x, d).tobytes() == (x.conj() @ d).tobytes(), n
+
+
 def scalar_scene():
     geometry = ArrayGeometry(1)
     grid = AngleGrid.uniform(-90.0, 90.0, 30.0)
@@ -1361,9 +1445,11 @@ class TestUnweightedCorrelations:
     def test_skipping_them_changes_no_bit(self, seed, kind):
         # with w_ac = w_cc = 0 the loop evaluates no correlations; the exit
         # evaluates the final terms once in full, and the trajectory is that
-        # of a run whose objective_terms always evaluates them
-        with mock.patch("dfrcwave.radar.correlation_values",
-                        wraps=radar.correlation_values) as corr:
+        # of a run whose objective_terms always evaluates them.
+        # _lag_correlations is the one evaluation of the correlations, which
+        # objective_terms and correlation_values both call
+        with mock.patch("dfrcwave.radar._lag_correlations",
+                        wraps=radar._lag_correlations) as corr:
             problem, state = compare_solve(seed, kind)
         assert corr.call_count == 1
         assert state.final_terms == radar.objective_terms(state.x, problem.scene)
