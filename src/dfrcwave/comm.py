@@ -9,16 +9,19 @@ where the two rows differ only in the sign of the j*cos(Lambda) term and
 Lambda = pi / M is the half-angle of the PSK decision cone.
 Row m couples only the n_tx entries of symbol block l, so the constraint set
 keeps just those entries; the dense 2KL x N matrix is a reference in the oracle.
+The set also carries the design's modulus sqrt(P_T/N_T), so it is the whole
+feasible set of the solver's linearized subproblem.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from dfrcwave.model import _frozen_array, check_rules
+from dfrcwave.model import _frozen_array, amplitude, check_rules
 
 #: Tolerance for the unit-modulus / constellation-lattice symbol checks.
 SYMBOL_TOL = 1e-9
@@ -107,21 +110,25 @@ class CommSetup:
 
 @dataclass(frozen=True)
 class CIConstraintSet:
-    """Half-space rows Re{h~_m^H x} >= Gamma_m, stored per symbol block.
+    """Feasible set of the inner problem: half-space rows Re{h~_m^H x} >= Gamma_m,
+    stored per symbol block, on the constant modulus |x_n| = ``amp``.
 
     ``rows[l, r]`` (shape (L, 2K, n_tx)) holds the block-l entries of h~_m^H
     and ``thresholds[l, r]`` (shape (L, 2K)) Gamma_m, for r = half*K + k and
     m = (2l + half) K + k: flattening (l, r) gives the canonical row order
-    of margins and multipliers. ``row_scalars``, ``row_abs_sums``, each
-    amplitude's ``clear_by`` and each (amplitude, eps2)'s ``stop_band`` are
-    built once per set. No conjugated copy of ``rows`` is kept, since it
-    would raise the solve's peak memory.
+    of margins and multipliers. ``amp`` is sqrt(P_T/N_T), finite and > 0.
+    ``row_scalars``, ``row_abs_sums`` and ``clear_by`` are built once per
+    set. No conjugated copy of ``rows`` is kept, since it would raise the
+    solve's peak memory.
     """
 
     rows: np.ndarray
     thresholds: np.ndarray
+    amp: float
 
     def __post_init__(self):
+        check_rules((math.isfinite(self.amp) and self.amp > 0,
+                     "amp must be finite and > 0, got {!r}", self.amp))
         object.__setattr__(self, "rows", _frozen_array(self.rows, dtype=complex))
         object.__setattr__(self, "thresholds", _frozen_array(self.thresholds, dtype=float))
 
@@ -147,42 +154,35 @@ class CIConstraintSet:
         return _frozen_array(np.abs(self.rows).sum(axis=2), dtype=float)
 
     @functools.cached_property
-    def _bounds(self) -> dict:
-        """clear_by arrays keyed by amp and stop bands keyed by (amp, eps2)."""
-        return {}
-
-    def clear_by(self, amp: float) -> np.ndarray:
-        """Bound on |margin + r| for a row at x(nu), at amplitude ``amp``.
+    def clear_by(self) -> np.ndarray:
+        """Bound on |margin + r| for a row at x(nu).
 
         Twice 16 n_tx eps times the row's scale |Gamma_m| + amp sum_n |h~_{m,n}|:
         a row's numpy margin at x(nu) and its scalar residual r at the same nu
         each round within half of it. It serves two rules of the dual sweep: an
         inactive row whose margin exceeds it has r(0) < 0, and it sets the ends
-        of ``stop_band``. Shape (n_rows,), read-only, built once per amplitude.
+        of ``stop_band``. Shape (n_rows,), read-only.
         """
-        cache = self._bounds
-        if amp not in cache:
-            scale = (np.abs(self.thresholds) + amp * self.row_abs_sums).ravel()
-            cache[amp] = _frozen_array(2.0 * 16 * self.n_tx * _EPS * scale, dtype=float)
-        return cache[amp]
+        scale = (np.abs(self.thresholds) + self.amp * self.row_abs_sums).ravel()
+        return _frozen_array(2.0 * 16 * self.n_tx * _EPS * scale, dtype=float)
 
-    def stop_band(self, amp: float, eps2: float) -> tuple[float, float]:
+    @functools.cached_property
+    def _clear_by_max(self) -> float:
+        return float(self.clear_by.max())
+
+    def stop_band(self, eps2: float) -> tuple[float, float]:
         """Margins (low, high) between which a row's r lies in the stop band (-eps2, 0).
 
-        With c the largest clear_by(amp), low = 2 c + 4 eps2 eps and high =
+        With c the largest ``clear_by``, low = 2 c + 4 eps2 eps and high =
         eps2 - 4 eps2 eps - 2 c. A margin strictly between them, within
         clear_by of -r, puts r more than clear_by inside (-eps2, 0), with room
         for the rounding of these bounds and of r + eps2/2, which therefore
         lands strictly inside (-eps2/2, eps2/2): the stop rule
-        ``abs(r + eps2/2) < eps2/2`` holds. Built once per (amp, eps2), beside
-        ``clear_by``: two floats, where per-row arrays would raise the solve's
-        peak memory.
+        ``abs(r + eps2/2) < eps2/2`` holds. Two floats, where per-row arrays
+        would raise the solve's peak memory.
         """
-        cache, key = self._bounds, (amp, eps2)
-        if key not in cache:
-            twice, edge = 2.0 * float(self.clear_by(amp).max()), 4.0 * eps2 * float(_EPS)
-            cache[key] = (twice + edge, (eps2 - edge) - twice)
-        return cache[key]
+        twice, edge = 2.0 * self._clear_by_max, 4.0 * eps2 * float(_EPS)
+        return twice + edge, (eps2 - edge) - twice
 
     @functools.cached_property
     def row_scalars(self) -> tuple[list, list]:
@@ -201,8 +201,10 @@ class CIConstraintSet:
         return terms, self.thresholds.ravel().tolist()
 
 
-def build_ci_constraints(setup: CommSetup) -> CIConstraintSet:
-    """Build the 2KL constraint rows from channels, codewords, and QoS levels."""
+def build_ci_constraints(setup: CommSetup, p_total: float) -> CIConstraintSet:
+    """Build the 2KL constraint rows from channels, codewords, and QoS levels,
+    on the modulus sqrt(p_total / n_tx) (``amplitude``, which rejects a
+    ``p_total`` not finite and > 0)."""
     k_users, n_tx = setup.channels.shape
     length = setup.block_len
     lam = np.pi / setup.m_points
@@ -217,7 +219,9 @@ def build_ci_constraints(setup: CommSetup) -> CIConstraintSet:
         * np.conj(setup.symbols).T[:, None, :, None]
         * factors[:, None, None]
     ).reshape(length, 2 * k_users, n_tx)
-    return CIConstraintSet(rows=rows, thresholds=np.tile(thresholds, (length, 2)))
+    return CIConstraintSet(
+        rows=rows, thresholds=np.tile(thresholds, (length, 2)), amp=amplitude(p_total, n_tx)
+    )
 
 
 def block_margins(xb: np.ndarray, rows: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

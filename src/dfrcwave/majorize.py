@@ -265,12 +265,22 @@ def build_phi(
     tau = 0 .. band - 1 of ``terms.corr``, which must then hold the scene's
     lags tau >= 0, shape (P, Q, Q); terms evaluated without correlations,
     terms of another scene and a (2P-1, Q, Q) stack raise ValueError.
+    With w_bp > 0, ``terms.beta`` must hold one form per grid angle of the
+    scene, shape (G,): a beta that the product with the scene's C_u does not
+    turn into one N_T x N_T block raises ValueError.
     """
     scene, w_bp = ctx.scene, ctx.weights.w_bp
     if terms is None:
         terms = objective_terms(x_t, scene, ctx.correlations)
     if w_bp > 0:
-        bp = w_bp * (terms.beta @ scene.c_flat).reshape(1, scene.geometry.n_tx, -1)
+        n_tx = scene.geometry.n_tx
+        try:  # numpy's own shape checks, free on the valid path, name no expected shape
+            bp = w_bp * (terms.beta @ scene.c_flat).reshape(1, n_tx, n_tx)
+        except ValueError:
+            raise ValueError(
+                f"build_phi needs the beam-pattern forms x^H B_u x of the scene's grid, "
+                f"shape {scene.grid.angles_deg.shape}; got shape {np.shape(terms.beta)}"
+            ) from None
     if not ctx.correlations:
         return bp  # w_bp > 0: lag_weights rejects weights with no active term
     corr, q_n = terms.corr, scene.targets.n_targets

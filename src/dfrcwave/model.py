@@ -17,6 +17,8 @@ import numpy as np
 
 #: Relative tolerance for the constant-modulus check on stored waveforms.
 MODULUS_TOL = 1e-12
+#: The types a count or seed field accepts: Python's and numpy's integers.
+_INTEGER = (int, np.integer)
 
 
 class WaveformFormatError(ValueError):
@@ -101,6 +103,7 @@ class ArrayGeometry:
 
     def __post_init__(self):
         check_rules(
+            (isinstance(self.n_tx, _INTEGER), "n_tx must be an integer, got {!r}", self.n_tx),
             (self.n_tx >= 1, "n_tx must be >= 1, got {}", self.n_tx),
             (self.spacing > 0, "spacing must be > 0, got {}", self.spacing),
         )
@@ -207,6 +210,8 @@ class TargetSet:
         check_rules(
             (arr.ndim == 1 and arr.size >= 1, "target_angles_deg must list at least one angle"),
             (np.isfinite(arr).all(), "target_angles_deg must be finite, got {}", arr),
+            (isinstance(self.max_lag, _INTEGER), "max_lag must be an integer, got {!r}",
+             self.max_lag),
             (self.max_lag >= 1, "max_lag must be >= 1, got {}", self.max_lag),
         )
         object.__setattr__(self, "angles_deg", arr)
@@ -266,6 +271,11 @@ class SolverConfig:
             (self.eps1 > 0, "eps1 must be > 0, got {}", self.eps1),
             (self.eps2 > 0, "eps2 must be > 0, got {}", self.eps2),
             (self.eps3 > 0, "eps3 must be > 0, got {}", self.eps3),
+            (isinstance(self.max_outer_iters, _INTEGER),
+             "max_outer_iters must be an integer, got {!r}", self.max_outer_iters),
+            (isinstance(self.max_bisect_iters, _INTEGER),
+             "max_bisect_iters must be an integer, got {!r}", self.max_bisect_iters),
+            (isinstance(self.seed, _INTEGER), "seed must be an integer, got {!r}", self.seed),
             (self.max_outer_iters >= 1, "max_outer_iters must be >= 1, got {}",
              self.max_outer_iters),
             (32 <= self.max_bisect_iters <= 1000,

@@ -23,7 +23,8 @@ paper's algorithm, which ``solver.dual_ascent_sweep`` must be no worse
 than. The solver's root step is not the listing, so the tests hold each
 update to the listing's contract and each sweep's dual value to the
 listing's, not bit for bit. It shares only the closed form x(nu) with the
-solver. ``_best_phase`` is the plain listing of the repairs' phase search,
+solver, and reads the modulus from the constraint set's ``amp`` as the
+solver does. ``_best_phase`` is the plain listing of the repairs' phase search,
 which ``solver._best_phase`` must match bit for bit; it shares only the
 solver's phase grid.
 """
@@ -484,7 +485,6 @@ def reference_dual_ascent(
     d: np.ndarray,
     constraints: CIConstraintSet,
     cfg: SolverConfig,
-    p_total: float,
 ) -> solver.DualAscentResult:
     """``solver.dual_ascent_sweep`` with the probe loop it had over a numpy ``nu``.
 
@@ -493,8 +493,7 @@ def reference_dual_ascent(
     block start; sweeps and stopping rules are as in the solver, and x is
     x(nu), unrepaired.
     """
-    n_tx = constraints.n_tx
-    amp = math.sqrt(p_total / n_tx)
+    n_tx, amp = constraints.n_tx, constraints.amp
     d = np.asarray(d)
     nu = np.array(nu, dtype=float, copy=True)
     per_block = constraints.rows.shape[1]
@@ -536,7 +535,7 @@ def reference_dual_ascent(
                 bracket_bad.add(m)
         sweeps += 1
         coef = (solver._weighted_rows(constraints, nu) - d).tolist()
-        x = solver.solve_inner(nu, d, constraints, p_total)
+        x = solver.solve_inner(nu, d, constraints)
         resid = -ci_margin(x, constraints)
         g_hat = float((x.conj() @ d).real + nu @ resid)
         if not np.any(nu != nu_before):

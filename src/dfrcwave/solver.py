@@ -5,11 +5,13 @@ Each MM iteration linearizes the radar cost to Re{x^H d} and solves
     min_x Re{x^H d}  s.t.  Re{h~_m^H x} >= Gamma_m,  |x_n| = sqrt(P_T/N_T)
 
 through its dual: for fixed multipliers the minimizer is the closed form
-x(nu) = sqrt(P_T/N_T) exp(j angle(sum_m nu_m h~_m - d)), and the
-multipliers are driven by coordinate ascent in ``dual_ascent_sweep``, one
-root step per constraint, each run inline by ``_update_multiplier``, a
-safeguarded regula falsi step held to the contract of the bisection listing
-(``oracle._bisect_root``); its docstring has the step's rules.
+x(nu) = sqrt(P_T/N_T) exp(j angle(sum_m nu_m h~_m - d)). The modulus
+sqrt(P_T/N_T) is the constraint set's ``amp``, which the closed form, the
+dual and the repairs all read. The multipliers are driven by coordinate
+ascent in ``dual_ascent_sweep``, one root step per constraint, each run
+inline by ``_update_multiplier``, a safeguarded regula falsi step held to
+the contract of the bisection listing (``oracle._bisect_root``); its
+docstring has the step's rules.
 Residuals are re-evaluated from the closed form (only the touched block's
 n_tx entries change), never from a stale x, by ``_row_residual``: Python
 complex arithmetic over Python lists (the running coefficient vector and
@@ -115,19 +117,15 @@ def _dual_inputs(nu, d, constraints: CIConstraintSet) -> tuple[np.ndarray, np.nd
     return nu, d
 
 
-def solve_inner(
-    nu: np.ndarray, d: np.ndarray, constraints: CIConstraintSet, p_total: float
-) -> np.ndarray:
+def solve_inner(nu: np.ndarray, d: np.ndarray, constraints: CIConstraintSet) -> np.ndarray:
     """Closed-form minimizer of the inner Lagrangian over constant-modulus x.
 
-    Returns sqrt(p_total/n_tx) * exp(j angle(sum_m nu_m h~_m - d)), n_tx
-    being the constraint set's; entries where the coefficient vector
-    vanishes get phase 0. ``nu`` must have shape (n_rows,) and ``d`` (n,),
-    and ``p_total`` must be finite and > 0.
+    Returns amp * exp(j angle(sum_m nu_m h~_m - d)), amp = sqrt(P_T/N_T)
+    being the constraint set's ``amp``; entries where the coefficient vector
+    vanishes get phase 0. ``nu`` must have shape (n_rows,) and ``d`` (n,).
     """
     nu, d = _dual_inputs(nu, d, constraints)
-    amp = amplitude(p_total, constraints.n_tx)
-    return _closed_form(_weighted_rows(constraints, nu) - d, amp)
+    return _closed_form(_weighted_rows(constraints, nu) - d, constraints.amp)
 
 
 def _row_residual(coef: list, terms: list, delta: float, gamma: float, amp: float) -> float:
@@ -419,7 +417,6 @@ def _restore_feasibility(
     x: np.ndarray,
     d: np.ndarray,
     constraints: CIConstraintSet,
-    amp: float,
     x_ref: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, bool]:
     """Feasible selection among near-minimizers of the inner Lagrangian.
@@ -437,10 +434,10 @@ def _restore_feasibility(
     is built only if every earlier one failed (no max-min-margin rounds:
     the rounds already take the max-min phase while no candidate is
     feasible). A block that no start fixes is returned unchanged. Returns
-    (x, feasible).
+    (x, feasible). Every entry is set at the set's ``amp``.
     """
     x = x.copy()
-    rows_all, gam_all = constraints.rows, constraints.thresholds
+    rows_all, gam_all, amp = constraints.rows, constraints.thresholds, constraints.amp
     xb_all = x.reshape(-1, constraints.n_tx)  # a view: writing a block writes x
     db_all = np.asarray(d).reshape(xb_all.shape)
     ref_all = None if x_ref is None else np.asarray(x_ref).reshape(xb_all.shape)
@@ -462,9 +459,7 @@ def _restore_feasibility(
     return x, all_good
 
 
-def polish_feasible(
-    x: np.ndarray, d: np.ndarray, constraints: CIConstraintSet, amp: float
-) -> np.ndarray:
+def polish_feasible(x: np.ndarray, d: np.ndarray, constraints: CIConstraintSet) -> np.ndarray:
     """Feasibility-preserving coordinate descent on Re{x^H d} from a feasible x.
 
     Runs at most ``_POLISH_ROUNDS`` coordinate rounds, the finishing rounds
@@ -475,13 +470,13 @@ def polish_feasible(
     never leaves the feasible set.
     Used as the monotone fallback when the dual recovery fails to descend.
     The blocks are independent and are polished together, one batched
-    phase search per entry.
+    phase search per entry, at the set's ``amp``.
     """
     rows, gam = constraints.rows, constraints.thresholds
     shape = (rows.shape[0], rows.shape[2])
     xb = np.array(x, dtype=complex).reshape(shape)
     db = np.asarray(d).reshape(shape)
-    return _block_rounds(xb, rows, gam, db, amp, _POLISH_ROUNDS).reshape(-1)
+    return _block_rounds(xb, rows, gam, db, constraints.amp, _POLISH_ROUNDS).reshape(-1)
 
 
 @dataclass
@@ -500,7 +495,6 @@ def dual_ascent_sweep(
     d: np.ndarray,
     constraints: CIConstraintSet,
     cfg: SolverConfig,
-    p_total: float,
 ) -> DualAscentResult:
     """Coordinate ascent over all 2KL multipliers for one fixed d.
 
@@ -536,16 +530,16 @@ def dual_ascent_sweep(
     are coordinate ascent steps like the sweep's, and their residual
     evaluations, the stop checks' included, count in ``bisection_evals``.
 
-    Rejects a ``nu`` or ``d`` of the wrong shape or not finite, a negative
-    ``nu``, and a ``p_total`` not finite and > 0, as ``solve_inner`` does.
-    Returns x(nu) unrepaired, bitwise ``solve_inner(res.nu, ...)``;
-    ``restored`` flags that it violates a CI row, which happens only in a
-    block the finish left violated.
+    Rejects a ``nu`` or ``d`` of the wrong shape or not finite and a
+    negative ``nu``, as ``solve_inner`` does. Returns x(nu) unrepaired,
+    bitwise ``solve_inner(res.nu, ...)``; ``restored`` flags that it
+    violates a CI row, which happens only in a block the finish left
+    violated.
     """
     nu_arr, d = _dual_inputs(nu, d, constraints)
     rows, thresholds = constraints.rows, constraints.thresholds
     n_blocks, per_block, n_tx = rows.shape
-    amp = amplitude(p_total, n_tx)
+    amp = constraints.amp
     terms, gamma = constraints.row_scalars
     eps2, max_iters = cfg.eps2, cfg.max_bisect_iters
     cap = 2.0**max_iters
@@ -553,8 +547,8 @@ def dual_ascent_sweep(
     # a row's numpy margin at x(nu) is -r(nu_m) to within clear_by while its block is
     # as the tail read it: above clear_by it settles a row at 0 unprobed, and inside
     # (low, high) it puts r(nu_m) in the stop band
-    clear_by = constraints.clear_by(amp)
-    low, high = constraints.stop_band(amp, eps2)
+    clear_by = constraints.clear_by
+    low, high = constraints.stop_band(eps2)
     nu = nu_arr.tolist()
     bracket_bad: set[int] = set()
     evals = 0
@@ -693,9 +687,9 @@ class IterationRecord(NamedTuple):
 _RADAR_WORK = (0, 0, False, False, True, False)
 
 
-def _dfrc_step(x, d, nu, cset, cfg, p_total, amp, x_feasible):
+def _dfrc_step(x, d, nu, cset, cfg, x_feasible):
     """The CI-constrained linear step of one MM iteration, from the iterate x,
-    at the amplitude ``amp`` of ``p_total``.
+    at the amplitude ``cset.amp``.
 
     Runs ``dual_ascent_sweep`` from the multipliers ``nu``, restores its
     x(nu) when that violates a CI row (``_restore_feasibility``, with x as
@@ -706,15 +700,15 @@ def _dfrc_step(x, d, nu, cset, cfg, p_total, amp, x_feasible):
     stays feasible. Returns (candidate, dual result, the ``IterationRecord``
     fields ``dual_sweeps`` .. ``polish_step``).
     """
-    res = dual_ascent_sweep(nu, d, cset, cfg, p_total)
+    res = dual_ascent_sweep(nu, d, cset, cfg)
     x_new, feasible, polish = res.x, True, False
     if res.restored:
-        x_new, feasible = _restore_feasibility(x_new, d, cset, amp, x if x_feasible else None)
+        x_new, feasible = _restore_feasibility(x_new, d, cset, x if x_feasible else None)
     if x_feasible:
         gbar_prev = float(np.vdot(x, d).real)
         gbar_new = float(np.vdot(x_new, d).real)
         if not (feasible and gbar_new <= gbar_prev):
-            x_new, polish = polish_feasible(x, d, cset, amp), True
+            x_new, polish = polish_feasible(x, d, cset), True
     work = (res.sweeps, res.bisection_evals, not res.converged, res.restored, feasible, polish)
     return x_new, res, work
 
@@ -812,7 +806,7 @@ def mm_solve(
                 f"CommSetup (n_tx, block_len) = {comm_shape} does not match "
                 f"the scene's {scene_shape}"
             )
-        cset = build_ci_constraints(comm)
+        cset = build_ci_constraints(comm, p_total)
         # strict-feasibility pre-check: the nu_m -> inf limit of gbar_m must be < 0
         limit_margin = amp * cset.row_abs_sums - cset.thresholds
         for m in np.flatnonzero(limit_margin.ravel() <= 0):
@@ -844,7 +838,7 @@ def mm_solve(
     for t in range(1, cfg.max_outer_iters + 1):
         d = build_d(x, build_phi(x, ctx, final_terms), ctx)
         if dfrc:
-            x_new, res, work = _dfrc_step(x, d, nu, cset, cfg, p_total, amp, prev_feasible)
+            x_new, res, work = _dfrc_step(x, d, nu, cset, cfg, prev_feasible)
             bracket_bad.update(res.bracket_failures)
             nu_new = res.nu
         else:

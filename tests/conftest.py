@@ -7,7 +7,8 @@ from dfrcwave.radar import build_scene, rectangular_pattern
 
 # a larger example budget for the parity properties, which hold a fast path to
 # its plain listing or dense oracle; the "Parity properties" step of
-# .github/workflows/tests.yml selects them and runs them with this profile
+# .github/workflows/tests.yml selects them by their parity marker and runs them
+# with this profile
 settings.register_profile("parity", max_examples=2000)
 
 

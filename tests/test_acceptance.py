@@ -261,12 +261,12 @@ def test_criterion_9_inner_solution_certificate():
         sigma2=0.01,
         m_points=4,
     )
-    cset = build_ci_constraints(setup)
+    cset = build_ci_constraints(setup, 1.0)
     h_tilde = oracle.dense_h_tilde(setup)
     for _ in range(100):
         nu = rng.uniform(0.0, 5.0, cset.n_rows)
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
-        x = solve_inner(nu, d, cset, p_total=1.0)
+        x = solve_inner(nu, d, cset)
         weighted = h_tilde.conj().T @ nu
         coef = d - weighted
         phases = oracle.phase_bruteforce(d, weighted)

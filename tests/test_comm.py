@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dfrcwave import oracle
 from dfrcwave.comm import (
+    CIConstraintSet,
     CommSetup,
     build_ci_constraints,
     ci_margin,
@@ -149,7 +150,7 @@ class TestBuildConstraints:
             sigma2=sigma2,
             m_points=4,
         )
-        cset = build_ci_constraints(setup)
+        cset = build_ci_constraints(setup, 1.0)
         lam = np.pi / 4
         rot = np.exp(-1j * np.pi / 4)
         expect0 = rot * (np.sin(lam) - 1j * np.cos(lam))
@@ -172,7 +173,7 @@ class TestBuildConstraints:
             sigma2=sigma2,
             m_points=4,
         )
-        cset = build_ci_constraints(setup)
+        cset = build_ci_constraints(setup, 1.0)
         margins = ci_margin(np.array([c * s]), cset)
         lam = np.pi / 4
         expect = (c - np.sqrt(sigma2) * np.sqrt(gamma)) * np.sin(lam)
@@ -194,7 +195,7 @@ class TestBuildConstraints:
 
     def test_row_count_and_sparsity(self, rng):
         setup = make_setup(rng, k_users=2, n_tx=4, block_len=3)
-        cset = build_ci_constraints(setup)
+        cset = build_ci_constraints(setup, 1.0)
         h_tilde = oracle.dense_h_tilde(setup)
         assert cset.n_rows == 2 * 2 * 3
         for m in range(cset.n_rows):
@@ -230,27 +231,52 @@ class TestBuildConstraints:
             + 1j * np.random.default_rng(6).standard_normal(6)
         )
         x_rot = x * np.exp(1j * phi)
-        m_a = ci_margin(x, build_ci_constraints(base))
-        m_b = ci_margin(x_rot, build_ci_constraints(rotated))
+        m_a = ci_margin(x, build_ci_constraints(base, 1.0))
+        m_b = ci_margin(x_rot, build_ci_constraints(rotated, 1.0))
         assert np.allclose(m_a, m_b, atol=1e-10)
+
+    def test_set_carries_the_amplitude(self, rng):
+        # amp is sqrt(p_total / n_tx) bit for bit; clear_by and the stop band are
+        # read off it, each bit for bit its formula, and clear_by is built once
+        cset = build_ci_constraints(make_setup(rng, n_tx=4), 2.0)
+        assert cset.amp == math.sqrt(2.0 / 4)
+        eps = np.finfo(float).eps
+        scale = np.abs(cset.thresholds) + cset.amp * cset.row_abs_sums
+        clear_by = 2.0 * 16 * cset.n_tx * eps * scale.ravel()
+        assert cset.clear_by.tobytes() == clear_by.tobytes()
+        assert cset.clear_by is cset.clear_by and not cset.clear_by.flags.writeable
+        c, eps2 = float(clear_by.max()), 1e-4
+        low, high = cset.stop_band(eps2)
+        assert (low, high) == (2.0 * c + 4.0 * eps2 * eps, (eps2 - 4.0 * eps2 * eps) - 2.0 * c)
+
+    @pytest.mark.parametrize("p_total", [0.0, -1.0, math.nan, math.inf])
+    def test_p_total_must_be_finite_and_positive(self, rng, p_total):
+        with pytest.raises(ValueError, match="p_total must be finite and > 0"):
+            build_ci_constraints(make_setup(rng), p_total)
+
+    @pytest.mark.parametrize("amp", [0.0, -1.0, math.nan, math.inf])
+    def test_amp_must_be_finite_and_positive(self, rng, amp):
+        cset = build_ci_constraints(make_setup(rng), 1.0)
+        with pytest.raises(ValueError, match="amp must be finite and > 0"):
+            CIConstraintSet(cset.rows, cset.thresholds, amp)
 
 
 class TestMargins:
     def test_zero_input(self, rng):
         setup = make_setup(rng)
-        cset = build_ci_constraints(setup)
+        cset = build_ci_constraints(setup, 1.0)
         margins = ci_margin(np.zeros(cset.n, dtype=complex), cset)
         assert np.allclose(margins, -cset.thresholds.ravel(), atol=1e-15)
 
     def test_zero_qos_zero_margin_at_origin(self, rng):
         setup = make_setup(rng, gamma=0.0)
-        cset = build_ci_constraints(setup)
+        cset = build_ci_constraints(setup, 1.0)
         margins = ci_margin(np.zeros(cset.n, dtype=complex), cset)
         assert np.allclose(margins, 0.0, atol=1e-15)
 
     def test_dimension_mismatch(self, rng):
         setup = make_setup(rng)
-        cset = build_ci_constraints(setup)
+        cset = build_ci_constraints(setup, 1.0)
         with pytest.raises(ValueError):
             ci_margin(np.zeros(cset.n + 1, dtype=complex), cset)
 
@@ -275,12 +301,13 @@ def ci_setups(draw):
     return setup, rng
 
 
+@pytest.mark.parity
 class TestBlockLayoutProperties:
     @settings(deadline=None, derandomize=True)
     @given(inst=ci_setups())
     def test_block_rows_match_dense_oracle(self, inst):
         setup, rng = inst
-        cset = build_ci_constraints(setup)
+        cset = build_ci_constraints(setup, 1.0)
         length, k_users, n_tx = setup.block_len, setup.k_users, setup.n_tx
         assert cset.rows.shape == (length, 2 * k_users, n_tx)
         assert cset.thresholds.shape == (length, 2 * k_users)
@@ -302,7 +329,7 @@ class TestBlockLayoutProperties:
     @given(inst=ci_setups())
     def test_block_products_match_dense_forms(self, inst):
         setup, rng = inst
-        cset = build_ci_constraints(setup)
+        cset = build_ci_constraints(setup, 1.0)
         dense = oracle.dense_h_tilde(setup)
         n, amp = cset.n, math.sqrt(1.0 / setup.n_tx)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -314,7 +341,7 @@ class TestBlockLayoutProperties:
         scale = max(1.0, np.abs(coef).max())
         assert np.abs(_weighted_rows(cset, nu) - d - coef).max() <= 1e-12 * scale
         x_dense = amp * np.exp(1j * np.where(coef == 0, 0.0, np.angle(coef)))
-        x_inner = solve_inner(nu, d, cset, 1.0)
+        x_inner = solve_inner(nu, d, cset)
         assert np.abs(x_inner - x_dense).max() <= 1e-12
 
 
@@ -333,7 +360,7 @@ class TestGeometricEquivalence:
         hits = 0
         for _ in range(trials):
             setup = make_setup(rng, k_users=2, n_tx=3, block_len=2)
-            cset = build_ci_constraints(setup)
+            cset = build_ci_constraints(setup, 1.0)
             x = (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)) * 0.4
             margins = ci_margin(x, cset)
             if np.abs(margins).min() < 1e-10:

@@ -266,6 +266,23 @@ class TestBuildPhi:
                 build_phi(xt, ctx, bad)
 
     @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
+    def test_rejects_terms_of_another_grid(self, rng, kind):
+        # a beam-pattern-only context reads terms.beta alone, one form per grid
+        # angle (91 on a 2-degree desk grid): the terms of the 1-degree desk
+        # scene (181) and a stack of two betas raise, naming that shape,
+        # rather than a bare numpy error or a wrongly shaped block
+        scene, _ = desk_scene(grid_step_deg=2.0)
+        other, _ = desk_scene()
+        ctx = build_majorizer_context(scene, Weights(1.0, 0.0, 0.0), kind)
+        assert not ctx.correlations
+        xt = random_cm(rng, scene.n, 0.5)
+        terms = objective_terms(xt, scene)
+        stacked = ObjectiveTerms(terms, np.stack([terms.beta, terms.beta]))
+        for bad, got in ((objective_terms(xt, other), r"\(181,\)"), (stacked, r"\(2, 91\)")):
+            with pytest.raises(ValueError, match=r"grid, shape \(91,\); got shape " + got):
+                build_phi(xt, ctx, bad)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "max_eigen"])
     def test_quadratic_dominance(self, rng, weights_full, kind):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
         ctx = build_majorizer_context(scene, weights_full, kind)
@@ -467,6 +484,7 @@ def small_scenes(draw, max_n=16):
     )
 
 
+@pytest.mark.parity
 class TestLagStructureProperties:
     @settings(deadline=None, derandomize=True)
     @given(scene=small_scenes(), w=_weights())
@@ -519,6 +537,7 @@ class TestLagStructureProperties:
             assert np.abs(d - ref_d).max() <= 1e-12 * scale
 
 
+@pytest.mark.parity
 class TestMajorizerForms:
     @settings(deadline=None, derandomize=True)
     @given(case=majorizer_forms(), seed=st.integers(0, 2**32 - 1))
@@ -601,6 +620,7 @@ def hermitian_matrices(draw):
     return a + a.conj().T
 
 
+@pytest.mark.parity
 class TestTopEigenvalue:
     # every top eigenvalue the majorizer reads comes from eigvalsh's own
     # LAPACK kernel; it must be eigvalsh's value to the bit, and fail where

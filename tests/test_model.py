@@ -52,6 +52,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             ArrayGeometry(4, spacing=0.0)
 
+    #: Integer fields take Python and numpy integers; a float is rejected even
+    #: when its value is whole (2.5 once gave 3-entry steering vectors).
+    INTEGERS = [(2.5, False), (np.float64(3.0), False), (3, True), (np.int64(3), True)]
+
+    @pytest.mark.parametrize("n_tx, ok", INTEGERS)
+    def test_geometry_n_tx_is_an_integer(self, n_tx, ok):
+        if ok:
+            assert ArrayGeometry(n_tx).n_tx == n_tx
+        else:
+            with pytest.raises(ValueError, match="n_tx must be an integer"):
+                ArrayGeometry(n_tx)
+
     def test_grid_strictly_increasing(self):
         with pytest.raises(ValueError):
             AngleGrid(np.array([0.0, 0.0, 1.0]))
@@ -83,6 +95,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             TargetSet(np.array([10.0]), 0)
 
+    @pytest.mark.parametrize("max_lag, ok", INTEGERS)
+    def test_targets_max_lag_is_an_integer(self, max_lag, ok):
+        # 2.5 once passed here and raised IndexError in objective_terms
+        if ok:
+            assert TargetSet([0.0], max_lag).max_lag == max_lag
+        else:
+            with pytest.raises(ValueError, match="max_lag must be an integer"):
+                TargetSet([0.0], max_lag)
+
     def test_weights_not_all_zero(self):
         with pytest.raises(ValueError):
             Weights(0.0, 0.0, 0.0)
@@ -102,6 +123,17 @@ class TestTypes:
             SolverConfig(eps1=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_outer_iters=0)
+
+    @pytest.mark.parametrize("field", ["max_outer_iters", "max_bisect_iters", "seed"])
+    @pytest.mark.parametrize("value, ok", [(40.5, False), (np.float64(40.0), False),
+                                           (40, True), (np.int64(40), True)])
+    def test_solver_config_counts_are_integers(self, field, value, ok):
+        # 2.5 once passed here and raised TypeError in mm_solve
+        if ok:
+            assert getattr(SolverConfig(**{field: value}), field) == value
+        else:
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SolverConfig(**{field: value})
 
     @pytest.mark.parametrize("budget", [1, 31, 1001, 1100])
     def test_bisection_budget_range(self, budget):

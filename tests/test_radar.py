@@ -324,6 +324,7 @@ def _dense_correlations(x, scene):
     return out
 
 
+@pytest.mark.parity
 class TestKernelProperties:
     """The structured kernels equal the oracle's dense forms to 1e-12 relative."""
 
@@ -387,6 +388,7 @@ class TestKernelProperties:
                 assert terms[0] == float(np.sum(beta**2))
 
 
+@pytest.mark.parity
 class TestCorrelationLayout:
     @settings(deadline=None, derandomize=True)
     @given(case=scenes_and_waveforms())

@@ -54,7 +54,7 @@ from dfrcwave.solver import (
 )
 
 
-def make_cset(rng, k_users=2, n_tx=3, block_len=2, gamma=2.0, sigma2=0.01):
+def make_cset(rng, k_users=2, n_tx=3, block_len=2, gamma=2.0, sigma2=0.01, p_total=1.0):
     setup = CommSetup(
         channels=draw_channels(k_users, n_tx, rng.integers(2**31)),
         symbols=draw_symbols(k_users, block_len, 4, rng.integers(2**31)),
@@ -62,7 +62,7 @@ def make_cset(rng, k_users=2, n_tx=3, block_len=2, gamma=2.0, sigma2=0.01):
         sigma2=sigma2,
         m_points=4,
     )
-    return setup, build_ci_constraints(setup)
+    return setup, build_ci_constraints(setup, p_total)
 
 
 @contextlib.contextmanager
@@ -79,19 +79,19 @@ def counted_evaluations():
 
 
 def repaired_dual_exit(cset, d):
-    """x(nu) of a dual ascent from nu = 0 at p_total = 1, repaired as mm_solve
+    """x(nu) of a dual ascent from nu = 0 at the set's amp, repaired as mm_solve
     repairs it before a feasible iterate exists. Returns (x, feasible)."""
-    res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0)
+    res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig())
     if not res.restored:
         return res.x, True
-    return _restore_feasibility(res.x, d, cset, math.sqrt(1.0 / cset.n_tx))
+    return _restore_feasibility(res.x, d, cset)
 
 
 class TestSolveInner:
     def test_zero_multipliers_align_against_d(self, rng):
         _, cset = make_cset(rng)
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
-        x = solve_inner(np.zeros(cset.n_rows), d, cset, p_total=1.0)
+        x = solve_inner(np.zeros(cset.n_rows), d, cset)
         amp = math.sqrt(1.0 / 3.0)
         assert np.allclose(x, amp * np.exp(1j * np.angle(-d)), atol=1e-14)
 
@@ -100,7 +100,7 @@ class TestSolveInner:
         h_tilde = oracle.dense_h_tilde(setup)
         nu = np.zeros(cset.n_rows)
         nu[0] = 2.0
-        x = solve_inner(nu, np.zeros(cset.n), cset, p_total=1.0)
+        x = solve_inner(nu, np.zeros(cset.n), cset)
         # maximizes Re{h~_0^H x}: inner product equals amp * ||h~_0||_1
         amp = math.sqrt(1.0 / 3.0)
         attained = float((h_tilde[0] @ x).real)
@@ -109,14 +109,14 @@ class TestSolveInner:
     def test_zero_coefficient_gets_zero_phase(self, rng):
         _, cset = make_cset(rng)
         d = np.zeros(cset.n, dtype=complex)
-        x = solve_inner(np.zeros(cset.n_rows), d, cset, p_total=1.0)
+        x = solve_inner(np.zeros(cset.n_rows), d, cset)
         amp = math.sqrt(1.0 / 3.0)
         assert np.allclose(x, amp, atol=1e-15)
 
     def test_negative_multiplier_rejected(self, rng):
         _, cset = make_cset(rng)
         with pytest.raises(ValueError):
-            solve_inner(np.full(cset.n_rows, -1.0), np.zeros(cset.n), cset, 1.0)
+            solve_inner(np.full(cset.n_rows, -1.0), np.zeros(cset.n), cset)
 
     @pytest.mark.parametrize("solve", ["solve_inner", "dual_ascent_sweep"])
     @pytest.mark.parametrize("bad", ["nu nan", "nu inf", "d nan", "d inf"])
@@ -128,9 +128,9 @@ class TestSolveInner:
         (nu if name == "nu" else d)[1] = float(value)
         with pytest.raises(ValueError, match="finite"):
             if solve == "solve_inner":
-                solve_inner(nu, d, cset, 1.0)
+                solve_inner(nu, d, cset)
             else:
-                dual_ascent_sweep(nu, d, cset, SolverConfig(), 1.0)
+                dual_ascent_sweep(nu, d, cset, SolverConfig())
 
     @pytest.mark.parametrize("solve", ["solve_inner", "dual_ascent_sweep"])
     @pytest.mark.parametrize("bad", ["d length 1", "d column", "d short", "nu column"])
@@ -150,9 +150,9 @@ class TestSolveInner:
             nu = nu[:, None]
         with pytest.raises(ValueError, match=r"expected nu of shape .* and d of shape"):
             if solve == "solve_inner":
-                solve_inner(nu, d, cset, 1.0)
+                solve_inner(nu, d, cset)
             else:
-                dual_ascent_sweep(nu, d, cset, SolverConfig(), 1.0)
+                dual_ascent_sweep(nu, d, cset, SolverConfig())
 
     #: Real and imaginary parts at the edges of the closed form's phase: signed
     #: zeros (angle 0, pi or -pi on the real axis), the smallest subnormal, and
@@ -185,7 +185,7 @@ class TestSolveInner:
         setup, cset = make_cset(rng)
         nu = rng.uniform(0.0, 2.0, cset.n_rows)
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
-        x = solve_inner(nu, d, cset, 1.0)
+        x = solve_inner(nu, d, cset)
         coef = d - oracle.dense_h_tilde(setup).conj().T @ nu
         base = float(np.real(x.conj() @ coef))
         for n in range(cset.n):
@@ -202,7 +202,7 @@ class TestSolveInner:
         for _ in range(20):
             nu = rng.uniform(0.0, 3.0, cset.n_rows)
             d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
-            x = solve_inner(nu, d, cset, 1.0)
+            x = solve_inner(nu, d, cset)
             coef = d - h_tilde.conj().T @ nu
             best = oracle.phase_bruteforce(d, h_tilde.conj().T @ nu)
             lag_x = float(np.real(x.conj() @ coef))
@@ -256,9 +256,9 @@ class TestDualAscent:
             sigma2=0.01,
             m_points=4,
         )
-        cset = build_ci_constraints(setup)
+        cset = build_ci_constraints(setup, 1.0)
         d = -np.ones(cset.n, dtype=complex)
-        res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0)
+        res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig())
         assert res.sweeps == 1 and res.converged and not res.restored
         assert not res.nu.any()
         amp = math.sqrt(1.0 / 2.0)
@@ -273,9 +273,9 @@ class TestDualAscent:
             sigma2=0.04,
             m_points=4,
         )
-        cset = build_ci_constraints(setup)
+        cset = build_ci_constraints(setup, 1.0)
         d = np.array([0.8 + 0.5j])
-        res = dual_ascent_sweep(np.zeros(2), d, cset, SolverConfig(), 1.0)
+        res = dual_ascent_sweep(np.zeros(2), d, cset, SolverConfig())
         margins = ci_margin(res.x, cset)
         assert margins.min() >= -1e-9
         # exhaustive феasible optimum over 1e5 phases
@@ -297,7 +297,7 @@ class TestDualAscent:
         for _ in range(5):
             _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=3)
             d = 2.0 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
-            res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0)
+            res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig())
             margins = ci_margin(res.x, cset)
             if res.restored:
                 continue  # complementarity is checked on clean dual recoveries
@@ -337,12 +337,12 @@ class TestDualAscent:
             "dfrcwave.solver._restore_feasibility",
             side_effect=AssertionError("the dual step ran restoration"),
         ):
-            res = dual_ascent_sweep(nu0, d, cset, cfg, 1.0)
-            ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0)
+            res = dual_ascent_sweep(nu0, d, cset, cfg)
+            ref = oracle.reference_dual_ascent(nu0, d, cset, cfg)
         assert res.restored and ref.restored
         assert ci_margin(res.x, cset).min() < 0
-        assert res.x.tobytes() == solve_inner(res.nu, d, cset, 1.0).tobytes()
-        assert ref.x.tobytes() == solve_inner(ref.nu, d, cset, 1.0).tobytes()
+        assert res.x.tobytes() == solve_inner(res.nu, d, cset).tobytes()
+        assert ref.x.tobytes() == solve_inner(ref.nu, d, cset).tobytes()
 
     @staticmethod
     def _slack_and_moving_blocks():
@@ -356,19 +356,19 @@ class TestDualAscent:
             sigma2=0.01,
             m_points=4,
         )
-        return build_ci_constraints(setup), np.array([-1.0, -1.0, 1.0, 1.0], dtype=complex)
+        return build_ci_constraints(setup, 1.0), np.array([-1.0, -1.0, 1.0, 1.0], dtype=complex)
 
     def test_settled_block_is_not_probed_again(self):
         # block 0 moved onto its thresholds at x(0) (margin 0, so the margins
         # clear none of its rows): the second sweep must not evaluate it again
         cset, d = self._slack_and_moving_blocks()
-        x0 = solve_inner(np.zeros(cset.n_rows), d, cset, 1.0)
+        x0 = solve_inner(np.zeros(cset.n_rows), d, cset)
         thresholds = cset.thresholds.copy()
-        thresholds[0] = ci_margin(x0, CIConstraintSet(cset.rows, 0.0 * thresholds))[:2]
-        cset = CIConstraintSet(cset.rows, thresholds)
+        thresholds[0] = ci_margin(x0, CIConstraintSet(cset.rows, 0.0 * thresholds, cset.amp))[:2]
+        cset = CIConstraintSet(cset.rows, thresholds, cset.amp)
         assert not ci_margin(x0, cset)[:2].any()
         with counted_evaluations() as blocks:
-            res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig(), 1.0)
+            res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig())
         assert res.sweeps >= 2 and res.nu[2:].any() and not res.nu[:2].any()
         assert blocks.count(0) == 2  # one residual(0) per row, first sweep only
         assert res.bisection_evals == len(blocks)
@@ -379,10 +379,10 @@ class TestDualAscent:
         cset, d = self._slack_and_moving_blocks()
         nu0, cfg = np.zeros(cset.n_rows), SolverConfig()
         with counted_evaluations() as blocks:
-            res = dual_ascent_sweep(nu0, d, cset, cfg, 1.0)
+            res = dual_ascent_sweep(nu0, d, cset, cfg)
         assert blocks.count(0) == 0 and blocks.count(1) > 0
         assert res.sweeps >= 2 and not res.nu[:2].any() and res.nu[2:].any()
-        ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0)
+        ref = oracle.reference_dual_ascent(nu0, d, cset, cfg)
         assert not ref.nu[:2].any()
 
     def test_negative_multiplier_rejected(self, rng):
@@ -391,15 +391,15 @@ class TestDualAscent:
         nu0 = np.zeros(cset.n_rows)
         nu0[1] = -0.5
         with pytest.raises(ValueError, match="nonnegative"):
-            dual_ascent_sweep(nu0, np.ones(cset.n, dtype=complex), cset, SolverConfig(), 1.0)
+            dual_ascent_sweep(nu0, np.ones(cset.n, dtype=complex), cset, SolverConfig())
 
     def test_leaves_nu0_untouched_and_keeps_modulus(self, rng):
-        # the amplitude is sqrt(p_total / n_tx) of the constraint set's n_tx
-        _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=2)
+        # the amplitude is the set's amp, sqrt(p_total / n_tx) of its n_tx
+        _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=2, p_total=2.0)
         d = 0.1 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
         nu0 = rng.uniform(0.0, 1.0, cset.n_rows)
         before = nu0.copy()
-        res = dual_ascent_sweep(nu0, d, cset, SolverConfig(), 2.0)
+        res = dual_ascent_sweep(nu0, d, cset, SolverConfig())
         assert np.array_equal(nu0, before)
         assert np.all(res.nu >= 0.0)
         assert np.abs(np.abs(res.x) - math.sqrt(2.0 / cset.n_tx)).max() <= MODULUS_TOL
@@ -408,12 +408,11 @@ class TestDualAscent:
 class TestPolish:
     def test_preserves_feasibility_and_descends(self, rng):
         _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=3)
-        amp = 0.5
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
         # start from a feasible point found by the dual machinery
         x, _ = repaired_dual_exit(cset, d)
         assert ci_margin(x, cset).min() >= 0.0
-        polished = polish_feasible(x, d, cset, amp)
+        polished = polish_feasible(x, d, cset)
         assert ci_margin(polished, cset).min() >= 0.0
         assert (polished.conj() @ d).real <= (x.conj() @ d).real + 1e-12
 
@@ -440,7 +439,7 @@ def ci_instances(draw):
         sigma2=0.01,
         m_points=m_points,
     )
-    cset = build_ci_constraints(setup)
+    cset = build_ci_constraints(setup, 1.0)
     d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
     return setup, cset, d, math.sqrt(1.0 / n_tx), rng
 
@@ -457,7 +456,7 @@ class TestFeasibilityProperties:
     def test_polish_descends_and_stays_feasible(self, inst):
         _, cset, d, amp, _ = inst
         x = _feasible_start(cset, d)
-        polished = polish_feasible(x, d, cset, amp)
+        polished = polish_feasible(x, d, cset)
         before = float((x.conj() @ d).real)
         assert float((polished.conj() @ d).real) <= before + 1e-12 * max(1.0, abs(before))
         assert ci_margin(polished, cset).min() >= -MARGIN_ROUNDING
@@ -468,14 +467,14 @@ class TestFeasibilityProperties:
     def test_batched_polish_matches_per_block(self, inst):
         setup, cset, d, amp, rng = inst
         x = random_cm(rng, cset.n, amp)
-        together = polish_feasible(x, d, cset, amp)
+        together = polish_feasible(x, d, cset)
         n_tx = cset.n_tx
         for ell in range(setup.block_len):
             sl = slice(ell * n_tx, (ell + 1) * n_tx)
             one = build_ci_constraints(
-                dataclasses.replace(setup, symbols=setup.symbols[:, ell : ell + 1])
+                dataclasses.replace(setup, symbols=setup.symbols[:, ell : ell + 1]), 1.0
             )
-            assert np.array_equal(polish_feasible(x[sl], d[sl], one, amp), together[sl])
+            assert np.array_equal(polish_feasible(x[sl], d[sl], one), together[sl])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(inst=ci_instances())
@@ -483,8 +482,8 @@ class TestFeasibilityProperties:
         _, cset, d, amp, rng = inst
         x0 = random_cm(rng, cset.n, amp)
         _bank_units.cache_clear()
-        x, ok = _restore_feasibility(x0, d, cset, amp)
-        again, ok_again = _restore_feasibility(x0, d, cset, amp)
+        x, ok = _restore_feasibility(x0, d, cset)
+        again, ok_again = _restore_feasibility(x0, d, cset)
         assert ok == ok_again and np.array_equal(x, again)
         assert np.abs(np.abs(x) - amp).max() <= MODULUS_TOL * amp
         if ok:
@@ -534,7 +533,7 @@ def dual_instances(draw):
         sigma2=0.01,
         m_points=m_points,
     )
-    cset = build_ci_constraints(setup)
+    cset = build_ci_constraints(setup, 1.0)
     d = scale * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
     d[rng.random(cset.n) < 0.3] = 0.0
     d[rng.integers(cset.n)] = 0.0
@@ -550,7 +549,7 @@ def dual_instances(draw):
         firsts = np.arange(length) * cset.rows.shape[1]
         nu0[firsts] = 0.0
         aligned = ci_margin(
-            solve_inner(nu0, d, cset, 1.0), CIConstraintSet(cset.rows, 0.0 * cset.thresholds)
+            solve_inner(nu0, d, cset), CIConstraintSet(cset.rows, 0.0 * cset.thresholds, cset.amp)
         )[firsts]
         terms = cset.row_scalars[0]
         coef = (_weighted_rows(cset, nu0) - d).tolist()
@@ -560,7 +559,7 @@ def dual_instances(draw):
         pick = int(np.argmax(aligned - residual_side))
         thresholds = cset.thresholds.copy().ravel()
         thresholds[firsts[pick]] = 0.5 * (aligned[pick] + residual_side[pick])
-        cset = CIConstraintSet(cset.rows, thresholds.reshape(cset.thresholds.shape))
+        cset = CIConstraintSet(cset.rows, thresholds.reshape(cset.thresholds.shape), cset.amp)
     return setup, cset, d, nu0, cfg
 
 
@@ -658,6 +657,7 @@ class TestDualAscentParity:
     """
 
     # the example budget comes from the hypothesis profile (conftest.py)
+    @pytest.mark.parity
     @settings(deadline=None, derandomize=True)
     @given(row=probe_rows())
     def test_update_meets_the_listing_contract(self, row):
@@ -712,16 +712,17 @@ class TestDualAscentParity:
                 assert residual(math.nextafter(value, 0.0)) > 0.0
 
     # the example budget comes from the hypothesis profile (conftest.py)
+    @pytest.mark.parity
     @settings(deadline=None, derandomize=True)
     @given(inst=dual_instances())
     def test_sweep_is_no_worse_than_the_listing(self, inst):
         setup, cset, d, nu0, cfg = inst
         with counted_evaluations() as blocks:
-            res = dual_ascent_sweep(nu0, d, cset, cfg, 1.0)
-        ref = oracle.reference_dual_ascent(nu0, d, cset, cfg, 1.0)
+            res = dual_ascent_sweep(nu0, d, cset, cfg)
+        ref = oracle.reference_dual_ascent(nu0, d, cset, cfg)
 
         def dual_value(nu):
-            x = solve_inner(nu, d, cset, 1.0)
+            x = solve_inner(nu, d, cset)
             return float((x.conj() @ d).real - nu @ ci_margin(x, cset))
 
         # the dual value g^ wherever the listing stops on its own rule; where it
@@ -732,7 +733,7 @@ class TestDualAscentParity:
             g_hat, g_ref = dual_value(res.nu), dual_value(ref.nu)
             assert g_hat >= g_ref - 1e-3 * abs(g_ref) - 1e-12
         # the dual step returns the closed form x(nu), unrepaired
-        assert res.x.tobytes() == solve_inner(res.nu, d, cset, 1.0).tobytes()
+        assert res.x.tobytes() == solve_inner(res.nu, d, cset).tobytes()
         assert res.restored == bool(ci_margin(res.x, cset).min() < 0)
         assert res.bisection_evals == len(blocks)
         if setup.gamma[-1] > 0 and not setup.channels[-1].any():
@@ -751,9 +752,10 @@ class TestDualAscentParity:
         # margin to match -r(nu_m), the update's first probe, to within clear_by
         _, cset, d, nu0, _ = inst
         amp = math.sqrt(1.0 / cset.n_tx)
-        margins = ci_margin(solve_inner(nu0, d, cset, 1.0), cset)
+        margins = ci_margin(solve_inner(nu0, d, cset), cset)
         bound = np.abs(cset.thresholds) + amp * cset.row_abs_sums
         clear_by = 2.0 * 16 * cset.n_tx * np.finfo(float).eps * bound.ravel()
+        assert cset.amp == amp and cset.clear_by.tobytes() == clear_by.tobytes()
         terms, gamma = cset.row_scalars
         coef = (_weighted_rows(cset, nu0) - d).tolist()
         for m in range(cset.n_rows):
@@ -774,7 +776,7 @@ def violated_blocks(x, cset):
 
 
 def desk_dual_call(iteration, **overrides):
-    """Arguments (nu, d, cset, cfg, p_total) of a desk solve's dual ascent at
+    """Arguments (nu, d, cset, cfg) of a desk solve's dual ascent at
     outer ``iteration`` (counted from 1)."""
     calls = []
 
@@ -787,6 +789,7 @@ def desk_dual_call(iteration, **overrides):
     return calls[-1]
 
 
+@pytest.mark.parity
 class TestBlockFinish:
     """The block finish: the dual ascent's last passes over the blocks x(nu) violates."""
 
@@ -794,7 +797,7 @@ class TestBlockFinish:
         # desk seed 0, second iteration: the sweep alone stops with block 6
         # violated, which restoration would have repaired
         args = desk_dual_call(2, seed=0)
-        _, d, cset, _, p_total = args
+        _, d, cset, _ = args
         with counted_evaluations() as swept:
             unfinished = unfinished_sweep(*args)
         assert unfinished.restored and violated_blocks(unfinished.x, cset) == {6}
@@ -806,7 +809,7 @@ class TestBlockFinish:
         assert blocks[: len(swept)] == swept and set(blocks[len(swept) :]) == {6}
         per_block = cset.rows.shape[1]
         assert set(np.flatnonzero(res.nu != unfinished.nu) // per_block) == {6}
-        assert res.x.tobytes() == solve_inner(res.nu, d, cset, p_total).tobytes()
+        assert res.x.tobytes() == solve_inner(res.nu, d, cset).tobytes()
 
     def test_desk_solves_rarely_restore(self):
         # without the finish, desk seeds 0 and 1 restored x(nu) 40 and 58 times
@@ -819,9 +822,9 @@ class TestBlockFinish:
     def test_finish_moves_only_violated_blocks(self, inst):
         _, cset, d, nu0, cfg = inst
         with counted_evaluations() as swept:
-            unfinished = unfinished_sweep(nu0, d, cset, cfg, 1.0)
+            unfinished = unfinished_sweep(nu0, d, cset, cfg)
         with counted_evaluations() as blocks:
-            res = dual_ascent_sweep(nu0, d, cset, cfg, 1.0)
+            res = dual_ascent_sweep(nu0, d, cset, cfg)
         before = violated_blocks(unfinished.x, cset)
         # the sweep is unchanged; the finish evaluates and moves violated blocks
         # only, and leaves no block violated that the sweep left feasible
@@ -832,7 +835,7 @@ class TestBlockFinish:
         assert res.restored == bool(violated_blocks(res.x, cset))
 
         def dual_value(nu):
-            x = solve_inner(nu, d, cset, 1.0)
+            x = solve_inner(nu, d, cset)
             return float((x.conj() @ d).real - nu @ ci_margin(x, cset))
 
         # coordinate-ascent steps: g^ no lower, but for a root step that ends
@@ -841,6 +844,7 @@ class TestBlockFinish:
         assert dual_value(res.nu) >= g_sweep - 1e-8 * abs(g_sweep) - 1e-12
 
 
+@pytest.mark.parity
 class TestNoMoveExit:
     """A sweep that moved no multiplier ends the dual call on the last tail's x(nu)."""
 
@@ -849,7 +853,7 @@ class TestNoMoveExit:
     @given(inst=dual_instances())
     def test_tail_follows_only_sweeps_that_moved(self, inst):
         _, cset, d, nu0, cfg = inst
-        args = (nu0, d, cset, cfg, 1.0)
+        args = (nu0, d, cset, cfg)
         with mock.patch("dfrcwave.solver._closed_form", wraps=_closed_form) as closed_form:
             res = dual_ascent_sweep(*args)
         # every sweep before the last moved a multiplier, or the call would have
@@ -865,17 +869,18 @@ class TestNoMoveExit:
         moved_sweeps = res.sweeps - 1 + last_moved
         # one tail up front, one after every sweep that moved, one after the finish
         assert closed_form.call_count == 1 + moved_sweeps + swept.restored
-        assert res.x.tobytes() == solve_inner(res.nu, d, cset, 1.0).tobytes()
+        assert res.x.tobytes() == solve_inner(res.nu, d, cset).tobytes()
         assert res.restored == bool(ci_margin(res.x, cset).min() < 0)
 
 
 def certificate_off():
     """An empty stop band: ``dual_ascent_sweep`` settles no warm row from its margin."""
     return mock.patch.object(
-        CIConstraintSet, "stop_band", lambda self, amp, eps2: (math.inf, -math.inf)
+        CIConstraintSet, "stop_band", lambda self, eps2: (math.inf, -math.inf)
     )
 
 
+@pytest.mark.parity
 class TestStopBandCertificate:
     """A warm row whose tail margin puts r(nu_m) in the stop band is settled with r(0)."""
 
@@ -884,7 +889,7 @@ class TestStopBandCertificate:
     @given(inst=dual_instances())
     def test_certificate_changes_only_the_count(self, inst):
         _, cset, d, nu0, cfg = inst
-        args = (nu0, d, cset, cfg, 1.0)
+        args = (nu0, d, cset, cfg)
         in_update = []  # non-empty while _update_multiplier runs
         certified = []  # (the update's result, the certificate's) per certified row
 
@@ -931,20 +936,19 @@ class TestStopBandCertificate:
         cfg = SolverConfig(max_bisect_iters=32)
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
         nu0 = np.array([nu_first, 0.0])
-        amp = math.sqrt(1.0 / cset.n_tx)
-        clear_by = cset.clear_by(amp)[0]
-        x0 = solve_inner(nu0, d, cset, 1.0)
-        aligned = ci_margin(x0, CIConstraintSet(cset.rows, 0.0 * cset.thresholds))[0]
+        clear_by = cset.clear_by[0]
+        x0 = solve_inner(nu0, d, cset)
+        aligned = ci_margin(x0, CIConstraintSet(cset.rows, 0.0 * cset.thresholds, cset.amp))[0]
         thresholds = cset.thresholds.copy()
         thresholds[0, 0] = aligned - (margin[0] * clear_by + margin[1] * cfg.eps2)
-        cset = CIConstraintSet(cset.rows, thresholds)
+        cset = CIConstraintSet(cset.rows, thresholds, cset.amp)
         row0 = cset.row_scalars[0][0]
         with mock.patch("dfrcwave.solver._update_multiplier", wraps=_update_multiplier) as update, \
                 mock.patch("dfrcwave.solver.DEFAULT_MAX_SWEEPS", 1), \
                 mock.patch("dfrcwave.solver._FINISH_PASSES", 0):
-            dual_ascent_sweep(nu0, d, cset, cfg, 1.0)
+            dual_ascent_sweep(nu0, d, cset, cfg)
         calls = [c for c in update.call_args_list if c.args[1] is row0]
-        return ci_margin(x0, cset)[0], (clear_by, *cset.stop_band(amp, cfg.eps2)), calls
+        return ci_margin(x0, cset)[0], (clear_by, *cset.stop_band(cfg.eps2)), calls
 
     @pytest.mark.parametrize(
         "margin, nu_first",
@@ -1048,6 +1052,7 @@ def phase_searches(draw):
     return base, col, d_n, amp, phi_now
 
 
+@pytest.mark.parity
 class TestPhaseSearchParity:
     # the example budget comes from the hypothesis profile (conftest.py)
     @settings(deadline=None, derandomize=True)
@@ -1097,7 +1102,7 @@ def _restoration_miss():
     amp = math.sqrt(0.5)
     d = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     x0 = amp * np.exp(2j * np.pi * rng.random(2))
-    return build_ci_constraints(setup), d, x0, amp
+    return build_ci_constraints(setup, 1.0), d, x0, amp
 
 
 class TestRestorationMiss:
@@ -1116,7 +1121,7 @@ class TestRestorationMiss:
     )
     def test_restoration_finds_the_feasible_point(self):
         cset, d, x0, amp = _restoration_miss()
-        x, feasible = _restore_feasibility(x0, d, cset, amp)
+        x, feasible = _restore_feasibility(x0, d, cset)
         assert feasible
         assert ci_margin(x, cset).min() >= -MARGIN_ROUNDING
 
@@ -1136,6 +1141,7 @@ def every_round(xb, rows, gam, db, amp, rounds, until_feasible=False):
     return xb
 
 
+@pytest.mark.parity
 class TestFixedPointRounds:
     # a round is a function of the batch alone, so _block_rounds may stop at
     # the first round that leaves every entry bit-identical; it must return
@@ -1185,6 +1191,7 @@ class TestFixedPointRounds:
         assert state.iterations == ref.iterations
 
 
+@pytest.mark.parity
 class TestVdot:
     # Re{x^H d} is read as np.vdot(x, d).real in the dfrc step and the dual's
     # g^; it must be x.conj() @ d to the bit, or a parity break would show
@@ -1248,19 +1255,21 @@ class TestMMSolve:
          for p in (0.0, -1.0, math.nan, math.inf)],
     )
     def test_p_total_must_be_finite_and_positive(self, rng, entry, p_total):
-        # 0 once gave the dual entry points an all-zero x, -1 a "math domain error"
+        # 0 once gave the dual entry points an all-zero x, -1 a "math domain error".
+        # They read the amplitude from the constraint set, so p_total reaches them
+        # through build_ci_constraints, which rejects it before they can run
         with pytest.raises(ValueError, match="p_total"):
             if entry == "mm_solve":
                 scene = make_scene(n_tx=2, block_len=3, max_lag=2)
                 cfg = SolverConfig(mode="radar_only", max_outer_iters=3)
                 mm_solve(scene, None, Weights(1.0, 0.0, 0.0), cfg, p_total=p_total)
             else:
-                _, cset = make_cset(rng)
+                _, cset = make_cset(rng, p_total=p_total)
                 nu, d = np.zeros(cset.n_rows), np.ones(cset.n)
                 if entry == "solve_inner":
-                    solve_inner(nu, d, cset, p_total)
+                    solve_inner(nu, d, cset)
                 else:
-                    dual_ascent_sweep(nu, d, cset, SolverConfig(), p_total)
+                    dual_ascent_sweep(nu, d, cset, SolverConfig())
 
     @pytest.mark.parametrize(
         "kind, weights, same_scene",
