@@ -117,9 +117,8 @@ class CIConstraintSet:
     and ``thresholds[l, r]`` (shape (L, 2K)) Gamma_m, for r = half*K + k and
     m = (2l + half) K + k: flattening (l, r) gives the canonical row order
     of margins and multipliers. ``amp`` is sqrt(P_T/N_T), finite and > 0.
-    ``row_scalars``, ``row_abs_sums`` and ``clear_by`` are built once per
-    set. No conjugated copy of ``rows`` is kept, since it would raise the
-    solve's peak memory.
+    ``rows_conj``, ``row_scalars``, ``row_abs_sums`` and ``clear_by`` are
+    built once per set.
     """
 
     rows: np.ndarray
@@ -143,6 +142,15 @@ class CIConstraintSet:
     @property
     def n(self) -> int:
         return self.rows.shape[0] * self.n_tx
+
+    @functools.cached_property
+    def rows_conj(self) -> np.ndarray:
+        """conj(``rows``), shape (L, 2K, n_tx), read-only: the stack that
+        sum_m nu_m h~_m multiplies, kept so that the dual's tail does not
+        conjugate the rows on each call."""
+        conj = self.rows.conj()
+        conj.setflags(write=False)
+        return conj
 
     @functools.cached_property
     def row_abs_sums(self) -> np.ndarray:

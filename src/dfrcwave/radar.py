@@ -64,8 +64,9 @@ class RadarScene:
 
     The operands the MM step reads in place of these fields are built once
     per scene, on first use, and are read-only: ``c_flat`` (the C_u
-    flattened to shape (U, N_T^2)) and ``steer_targets_conj`` (the
-    conjugated target steering vectors).
+    flattened to shape (U, N_T^2)), ``steer_targets_conj`` (the
+    conjugated target steering vectors) and ``isl_index`` (where each ISL's
+    terms sit among the correlations at the lags tau >= 0).
     """
 
     geometry: ArrayGeometry
@@ -125,6 +126,25 @@ class RadarScene:
         for mask in (ac, cc):
             mask.setflags(write=False)
         return ac, cc
+
+    @functools.cached_property
+    def isl_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices into the (P, Q, Q) stack of the lags tau >= 0 of the
+        terms each of ``isl_masks`` selects, built once per scene, read-only.
+
+        Entry [tau + P - 1, q, q'] of the full stack is entry [tau, q, q']
+        at tau >= 0 and [-tau, q', q] below, where the moduli agree; the
+        indices list the selected entries in the full stack's element order,
+        so a sum over them adds the same values in the same order as the
+        masked sum over the full stack.
+        """
+        p, q_n = self.targets.max_lag, self.targets.n_targets
+        flat = np.arange(p * q_n * q_n).reshape(p, q_n, q_n)
+        full = np.concatenate([flat[:0:-1].transpose(0, 2, 1), flat])
+        index = tuple(full[mask] for mask in self.isl_masks)
+        for idx in index:
+            idx.setflags(write=False)
+        return index
 
 
 def build_scene(
@@ -268,11 +288,13 @@ def objective_terms(x, scene: RadarScene, correlations: bool = True) -> Objectiv
     checked and viewed as its N_T x L block once, which the beam-pattern
     forms read directly. The correlations are evaluated at the lags
     tau >= 0 only: |x^H D_{-tau,q',q} x|^2 = |x^H D_{tau,q,q'} x|^2, so
-    their squared moduli are mirrored to the negative lags by one real
-    concatenate and summed through ``RadarScene.isl_masks``, in the order
-    of the full (2P-1, Q, Q) stack. The quadratic forms are computed once
-    and ride along as ``.beta`` and ``.corr``, so the MM loop builds the
-    next Phi at an accepted x without re-evaluating them.
+    each ISL gathers its squared moduli from those lags through
+    ``RadarScene.isl_index``, in the order of the masked sum over the full
+    (2P-1, Q, Q) stack, and adds them with no concatenate and no boolean
+    mask per call: the same values in the same order, so the same bits.
+    The quadratic forms are computed once and ride along as ``.beta`` and
+    ``.corr``, so the MM loop builds the next Phi at an accepted x without
+    re-evaluating them.
 
     With ``correlations`` false no correlation is evaluated and both ISLs
     read 0.0: for an MM loop whose correlation weights are all zero (or
@@ -284,7 +306,7 @@ def objective_terms(x, scene: RadarScene, correlations: bool = True) -> Objectiv
     if not correlations:
         return ObjectiveTerms((g_bp, 0.0, 0.0), beta)
     corr = _lag_correlations(X, scene)
-    chi = np.abs(corr) ** 2
-    chi = np.concatenate([chi[:0:-1].transpose(0, 2, 1), chi])
-    ac, cc = scene.isl_masks
-    return ObjectiveTerms((g_bp, float(chi[ac].sum()), float(chi[cc].sum())), beta, corr)
+    chi = (np.abs(corr) ** 2).reshape(-1)
+    ac, cc = scene.isl_index
+    g_ac, g_cc = np.add.reduce(chi.take(ac)), np.add.reduce(chi.take(cc))
+    return ObjectiveTerms((g_bp, float(g_ac), float(g_cc)), beta, corr)

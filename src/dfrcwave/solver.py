@@ -42,8 +42,11 @@ starts lazily in a fixed order (``_restore_feasibility``), and
 rounds over the n_tx entries, each one phase search batched over all L
 blocks, that never increase Re{x^H d} and never leave the feasible set.
 Both repairs stop their rounds at a fixed point: a round that leaves every
-entry bit-identical would repeat itself. The phase search (``_best_phase``) writes each grid level's candidates
-into one (B, C+1) buffer per quantity, the current phase in the last column.
+entry bit-identical would repeat itself. The phase search (``_best_phase``)
+writes each grid level's candidates into one (B, C+1) buffer per quantity,
+the current phase in the last column, and at the coarse level forms the
+candidate products one CI row at a time, so that it holds one (B, C)
+complex slab and the float margins rather than a (B, R, C) complex product.
 """
 
 from __future__ import annotations
@@ -93,9 +96,10 @@ def _closed_form(coef: np.ndarray, amp: float) -> np.ndarray:
 
 
 def _weighted_rows(constraints: CIConstraintSet, nu: np.ndarray) -> np.ndarray:
-    """sum_m nu_m h~_m as a length-N vector: one (1, 2K) x (2K, n_tx) product per block."""
-    rows = constraints.rows
-    return (nu.reshape(rows.shape[0], 1, -1) @ rows.conj()).reshape(-1)
+    """sum_m nu_m h~_m as a length-N vector: one (1, 2K) x (2K, n_tx) product per
+    block, with the set's ``rows_conj``. The vector is a fresh array."""
+    rows_conj = constraints.rows_conj
+    return (nu.reshape(rows_conj.shape[0], 1, -1) @ rows_conj).reshape(-1)
 
 
 def _dual_inputs(nu, d, constraints: CIConstraintSet) -> tuple[np.ndarray, np.ndarray]:
@@ -110,9 +114,9 @@ def _dual_inputs(nu, d, constraints: CIConstraintSet) -> tuple[np.ndarray, np.nd
             f"expected nu of shape ({constraints.n_rows},) and d of shape ({constraints.n},), "
             f"got {nu.shape} and {d.shape}"
         )
-    # nu.min() and nu.max() without their wrappers; a NaN fails
+    # nu.min(), nu.max() and np.isfinite(d).all() without their wrappers; a NaN fails
     low, high = np.minimum.reduce(nu), np.maximum.reduce(nu)
-    if not (np.isfinite(d).all() and 0.0 <= low and high < math.inf):
+    if not (np.logical_and.reduce(np.isfinite(d)) and 0.0 <= low and high < math.inf):
         raise ValueError("multipliers must be finite and nonnegative, d finite")
     return nu, d
 
@@ -303,6 +307,35 @@ _COARSE_PHIS = np.pi + _GRID_OFFSETS[0]
 _COARSE_UNITS = np.exp(1j * _COARSE_PHIS)
 
 
+def _min_margins(base, col, units, amp, rows_first):
+    """Smallest margin over the rows of each candidate phase, shape (B, C).
+
+    ``base`` (B, R, 1) and ``col`` (B, R) are ``_best_phase``'s, ``units``
+    (B, C) the candidates' e^{j phi}. The margins, a (B, R, C) float array,
+    are freed on return. ``rows_first`` forms them a row at a time: row r's
+    products col[:, r] e^{j phi} fill one complex (B, C) slab through
+    ``np.multiply(col_r, units, slab)``, the kernel and operand order of the
+    broadcast product, and amp times the slab's real part goes straight
+    into row r of the margins. The broadcast product ``col * units``, the
+    listing's form, allocates the (B, R, C) complex product and the buffers
+    numpy's iterator takes for the broadcast, two more of that size at
+    B = 1; it costs fewer numpy calls, so stacks as small as a refinement
+    level's keep it.
+    """
+    if rows_first:
+        margins = np.empty((units.shape[0], col.shape[1], units.shape[1]))
+        slab = np.empty(units.shape, dtype=complex)
+        real = slab.real
+        for col_r, row in zip(col.T[:, :, None], margins.transpose(1, 0, 2)):
+            np.multiply(col_r, units, slab)
+            np.multiply(real, amp, row)
+    else:
+        margins = (col[:, :, None] * units[:, None, :]).real * amp
+    margins += base
+    # the minimum over rows runs along a contiguous candidate axis
+    return np.minimum.reduce(margins, axis=1)
+
+
 def _best_phase(
     base: np.ndarray,
     col: np.ndarray,
@@ -319,10 +352,17 @@ def _best_phase(
     and its objective contribution never increases; with none feasible,
     the phase of largest minimum margin wins. ``oracle._best_phase`` is
     the plain listing, which this matches bit for bit.
+
+    At the coarse level, whose candidate stack is 8 times a refinement
+    level's and sets the search's memory peak, the candidate products are
+    formed rows first, one (B, C) complex slab per CI row, in place of the
+    listing's broadcast product (``_min_margins``), and the margins are
+    freed once their minimum over rows is taken, before the scores
+    Re{x_n^* d_n} are formed.
     """
     n_batch = base.shape[0]
     batch = np.arange(n_batch)
-    base, col, d_conj = base[:, :, None], col[:, :, None], d_n.conj()[:, None]
+    base, d_conj = base[:, :, None], d_n.conj()[:, None]
     # one (B, C+1) candidate buffer per quantity, the current phase in the last
     # column; each refinement writes its C candidates just before that column
     phis = np.empty((n_batch, _COARSE_PHIS.size + 1))
@@ -334,10 +374,7 @@ def _best_phase(
             phis, units = phis[:, -offsets.size - 1 :], units[:, -offsets.size - 1 :]
             np.add(best[:, None], offsets, out=phis[:, :-1])
             np.exp(1j * phis, out=units)
-        # (B, R, C): the minimum over rows runs along a contiguous candidate axis
-        margins = (col * units[:, None, :]).real * amp
-        margins += base
-        min_margin = np.minimum.reduce(margins, axis=1)
+        min_margin = _min_margins(base, col, units, amp, rows_first=not level)
         feasible = min_margin >= 0
         pick = np.where(feasible, (units * d_conj).real * amp, np.inf).argmin(axis=1)
         # the argmin lands on an infeasible candidate only in a block with none feasible
@@ -553,12 +590,16 @@ def dual_ascent_sweep(
     bracket_bad: set[int] = set()
     evals = 0
 
+    flat_thresholds = thresholds.reshape(-1)
+
     def tail():
-        """(coefficient list, x(nu), margins), all rebuilt from ``nu_arr``."""
-        coef_arr = _weighted_rows(constraints, nu_arr) - d
+        """(coefficient list, x(nu), margins), all rebuilt from ``nu_arr``; the
+        margins are ``block_margins`` in the canonical row order."""
+        coef_arr = _weighted_rows(constraints, nu_arr)
+        coef_arr -= d
         x = _closed_form(coef_arr, amp)
-        margins = block_margins(x.reshape(n_blocks, n_tx), rows, thresholds).reshape(-1)
-        return coef_arr.tolist(), x, margins
+        products = np.matmul(rows, x.reshape(n_blocks, n_tx)[:, :, None])
+        return coef_arr.tolist(), x, products.real.reshape(-1) - flat_thresholds
 
     def visit(blocks, clear, margins):
         """Root step of every row of ``blocks`` in index order, each folded into
@@ -607,8 +648,12 @@ def dual_ascent_sweep(
                         changed.append(ell)
         return changed
 
+    def dual_value():
+        """g^ at the last tail: Re{x(nu)^H d} - nu . margins."""
+        return float(np.vdot(x, d).real - nu_arr @ margins)
+
     moving = range(n_blocks)  # the blocks whose rows the next sweep visits
-    prev = math.inf
+    prev = None  # g^ of the last tail after a sweep, taken when the next tail reads it
     converged = False
     sweeps = 0
     coef, x, margins = tail()
@@ -621,10 +666,14 @@ def dual_ascent_sweep(
             # coefficients stand, and the next sweep would repeat this one
             converged = True
             break
+        if sweeps == 2:
+            prev = dual_value()  # the first sweep's g^, from its tail's arrays
         nu_arr = np.array(nu, dtype=float)
         coef, x, margins = tail()
-        g_hat = float(np.vdot(x, d).real - nu_arr @ margins)
-        change = abs(g_hat - prev) / (abs(prev) or 1.0)  # NaN after the first sweep
+        if sweeps == 1:
+            continue  # g^'s change from no earlier value is NaN, which stops nothing
+        g_hat = dual_value()
+        change = abs(g_hat - prev) / (abs(prev) or 1.0)
         prev = g_hat
         if change < cfg.eps1:
             converged = True

@@ -249,6 +249,16 @@ class TestBuildConstraints:
         low, high = cset.stop_band(eps2)
         assert (low, high) == (2.0 * c + 4.0 * eps2 * eps, (eps2 - 4.0 * eps2 * eps) - 2.0 * c)
 
+    def test_rows_conj_is_the_conjugated_stack_built_once(self, rng):
+        # the dual's tail reads the conjugated rows from the set: byte for byte
+        # rows.conj(), one array per set, and read-only like the rows
+        cset = build_ci_constraints(make_setup(rng, n_tx=4), 1.0)
+        assert cset.rows_conj.tobytes() == cset.rows.conj().tobytes()
+        assert cset.rows_conj.shape == cset.rows.shape
+        assert cset.rows_conj is cset.rows_conj and not cset.rows_conj.flags.writeable
+        with pytest.raises(ValueError):
+            cset.rows_conj[0, 0, 0] = 0.0
+
     @pytest.mark.parametrize("p_total", [0.0, -1.0, math.nan, math.inf])
     def test_p_total_must_be_finite_and_positive(self, rng, p_total):
         with pytest.raises(ValueError, match="p_total must be finite and > 0"):
