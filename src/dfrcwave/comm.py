@@ -162,34 +162,29 @@ class CIConstraintSet:
         return _frozen_array(np.abs(self.rows).sum(axis=2), dtype=float)
 
     @functools.cached_property
-    def clear_by(self) -> np.ndarray:
-        """Bound on |margin + r| for a row at x(nu).
+    def clear_by(self) -> float:
+        """Bound on |margin + r| for any row at x(nu).
 
-        Twice 16 n_tx eps times the row's scale |Gamma_m| + amp sum_n |h~_{m,n}|:
-        a row's numpy margin at x(nu) and its scalar residual r at the same nu
-        each round within half of it. It serves two rules of the dual sweep: an
-        inactive row whose margin exceeds it has r(0) < 0, and it sets the ends
-        of ``stop_band``. Shape (n_rows,), read-only.
+        Twice 16 n_tx eps times the largest row scale |Gamma_m| + amp sum_n
+        |h~_{m,n}|: a row's numpy margin at x(nu) and its scalar residual r at
+        the same nu each round within half of it. It serves two rules of the
+        dual sweep: an inactive row whose margin exceeds it has r(0) < 0, and
+        it sets the ends of ``stop_band``.
         """
-        scale = (np.abs(self.thresholds) + self.amp * self.row_abs_sums).ravel()
-        return _frozen_array(2.0 * 16 * self.n_tx * _EPS * scale, dtype=float)
-
-    @functools.cached_property
-    def _clear_by_max(self) -> float:
-        return float(self.clear_by.max())
+        scale = np.abs(self.thresholds) + self.amp * self.row_abs_sums
+        return float(2.0 * 16 * self.n_tx * _EPS * scale.max())
 
     def stop_band(self, eps2: float) -> tuple[float, float]:
         """Margins (low, high) between which a row's r lies in the stop band (-eps2, 0).
 
-        With c the largest ``clear_by``, low = 2 c + 4 eps2 eps and high =
+        With c = ``clear_by``, low = 2 c + 4 eps2 eps and high =
         eps2 - 4 eps2 eps - 2 c. A margin strictly between them, within
         clear_by of -r, puts r more than clear_by inside (-eps2, 0), with room
         for the rounding of these bounds and of r + eps2/2, which therefore
         lands strictly inside (-eps2/2, eps2/2): the stop rule
-        ``abs(r + eps2/2) < eps2/2`` holds. Two floats, where per-row arrays
-        would raise the solve's peak memory.
+        ``abs(r + eps2/2) < eps2/2`` holds.
         """
-        twice, edge = 2.0 * self._clear_by_max, 4.0 * eps2 * float(_EPS)
+        twice, edge = 2.0 * self.clear_by, 4.0 * eps2 * float(_EPS)
         return twice + edge, (eps2 - edge) - twice
 
     @functools.cached_property

@@ -17,6 +17,7 @@ import numpy as np
 from dfrcwave.comm import CommSetup, draw_channels, draw_symbols
 from dfrcwave.majorize import lag_weights
 from dfrcwave.model import (
+    _INTEGER,
     AngleGrid,
     ArrayGeometry,
     SolverConfig,
@@ -56,7 +57,6 @@ class ExperimentConfig:
     eps2: float = SolverConfig.eps2
     eps3: float = SolverConfig.eps3
     max_outer_iters: int = SolverConfig.max_outer_iters
-    max_bisect_iters: int = SolverConfig.max_bisect_iters
     majorizer_kind: str = SolverConfig.majorizer_kind.value
     mode: str = SolverConfig.mode.value
     seed: int = SolverConfig.seed
@@ -147,13 +147,16 @@ def validate_config(config: ExperimentConfig) -> list[str]:
 def _own_violations(config: ExperimentConfig) -> list[tuple[str, str]]:
     """(key, message) for each of the config's own rules that a key breaks.
 
-    Every float and tuple value must be finite, and ``gamma_db`` must hold
-    1 or ``k_users`` entries. Every other rule belongs to the part it builds.
+    Every int value must be an integer, every float and tuple value finite,
+    and ``gamma_db`` must hold 1 or ``k_users`` entries. Every other rule
+    belongs to the part it builds.
     """
     bad = []
     for name, kind in _FIELD_KINDS.items():
         value = getattr(config, name)
-        if kind == "float" and not math.isfinite(value):
+        if kind == "int" and not isinstance(value, _INTEGER):
+            bad.append((name, f"{name} must be an integer, got {value!r}"))
+        elif kind == "float" and not math.isfinite(value):
             bad.append((name, f"{name} must be finite (got {value})"))
         elif kind == "tuple" and not all(map(math.isfinite, value)):
             bad.append((name, f"{name} entries must be finite (got {list(value)})"))
@@ -227,7 +230,7 @@ def build_problem(config: ExperimentConfig) -> Problem:
         (None,) * 3 if seeded is None else np.random.SeedSequence(seeded.seed).spawn(3)
     )
     with np.errstate(over="ignore"):  # an infinite target is CommSetup's to report
-        gamma = None if c.gamma_db is None else 10.0 ** (
+        gamma = None if c.gamma_db is None or c.k_users is None else 10.0 ** (
             np.asarray(config.gamma_db_per_user, dtype=float) / 10.0
         )
     comm = part(

@@ -249,19 +249,14 @@ class SolverConfig:
     ``eps1`` stops a dual ascent on the relative change of its dual value,
     ``eps2`` sets a multiplier update's stop band (-eps2, 0] on its row's
     residual, and ``eps3`` stops the MM loop on the relative change of the
-    objective. ``max_bisect_iters`` caps one multiplier update's bracket
-    doublings (a row still unbracketed at 2**max_bisect_iters is flagged)
-    and, separately, its root steps (``solver._update_multiplier``). It lies
-    in [32, 1000]: with fewer, the bisection listing's own dual value turns on
-    where its starved steps stop, and 2**max_bisect_iters and its reciprocal
-    must stay normal floats.
+    objective. The budget of one multiplier update is not a setting but the
+    solver's constant ``MAX_BISECT_ITERS``.
     """
 
     eps1: float = 1e-4
     eps2: float = 1e-4
     eps3: float = 3e-5
     max_outer_iters: int = 5000
-    max_bisect_iters: int = 200
     majorizer_kind: MajorizerKind = MajorizerKind.DIAGONAL
     mode: SolveMode = SolveMode.DFRC
     seed: int = 0
@@ -273,13 +268,9 @@ class SolverConfig:
             (self.eps3 > 0, "eps3 must be > 0, got {}", self.eps3),
             (isinstance(self.max_outer_iters, _INTEGER),
              "max_outer_iters must be an integer, got {!r}", self.max_outer_iters),
-            (isinstance(self.max_bisect_iters, _INTEGER),
-             "max_bisect_iters must be an integer, got {!r}", self.max_bisect_iters),
             (isinstance(self.seed, _INTEGER), "seed must be an integer, got {!r}", self.seed),
             (self.max_outer_iters >= 1, "max_outer_iters must be >= 1, got {}",
              self.max_outer_iters),
-            (32 <= self.max_bisect_iters <= 1000,
-             "max_bisect_iters must be in [32, 1000], got {}", self.max_bisect_iters),
             (self.majorizer_kind in tuple(MajorizerKind),
              "majorizer_kind must be diagonal or max_eigen, got {!r}", self.majorizer_kind),
             (self.mode in tuple(SolveMode), "mode must be dfrc or radar_only, got {!r}",

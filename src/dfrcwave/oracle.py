@@ -524,7 +524,7 @@ def reference_dual_ascent(
         nu_before = nu.copy()
         for m in range(constraints.n_rows):
             value, bracketed, _ = _bisect_root(
-                lambda v: residual(m, v), cfg.eps2, cfg.max_bisect_iters
+                lambda v: residual(m, v), cfg.eps2, solver.MAX_BISECT_ITERS
             )
             delta = float(value - nu[m])
             if delta != 0.0:

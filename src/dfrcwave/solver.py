@@ -74,6 +74,10 @@ from dfrcwave.radar import RadarScene, objective_terms
 
 #: Cap on coordinate-ascent sweeps within one MM iteration.
 DEFAULT_MAX_SWEEPS = 200
+#: Cap on one multiplier update's bracket doublings and, separately, its root
+#: steps. In [32, 1000]: with fewer, the listing's dual value turns on where its
+#: starved steps stop, and 2**MAX_BISECT_ITERS and its reciprocal must stay normal.
+MAX_BISECT_ITERS = 200
 #: Relative step of a warm multiplier's local bracket, v (1 -/+ step).
 _BRACKET_STEP = 0.1
 #: Regula falsi steps that must halve the bracket, else a bisection step follows.
@@ -545,7 +549,7 @@ def dual_ascent_sweep(
     no earlier row of its block has moved in the sweep, a row's margin is
     -r(nu_m) to within ``CIConstraintSet.clear_by``: a row at 0 whose
     margin exceeds that bound keeps 0 unprobed, and a row at nu_m in
-    [2**-max_bisect_iters, 2**max_bisect_iters] whose margin lies in
+    [2**-MAX_BISECT_ITERS, 2**MAX_BISECT_ITERS] whose margin lies in
     ``CIConstraintSet.stop_band`` has r(nu_m) in the stop band, so it
     takes 0.0 if r(0) <= 0 and keeps nu_m otherwise, from that one
     evaluation. A row at 0 that its margin does not clear probes r(0)
@@ -578,7 +582,7 @@ def dual_ascent_sweep(
     n_blocks, per_block, n_tx = rows.shape
     amp = constraints.amp
     terms, gamma = constraints.row_scalars
-    eps2, max_iters = cfg.eps2, cfg.max_bisect_iters
+    eps2, max_iters = cfg.eps2, MAX_BISECT_ITERS
     cap = 2.0**max_iters
     floor = 1.0 / cap
     # a row's numpy margin at x(nu) is -r(nu_m) to within clear_by while its block is
@@ -601,12 +605,11 @@ def dual_ascent_sweep(
         products = np.matmul(rows, x.reshape(n_blocks, n_tx)[:, :, None])
         return coef_arr.tolist(), x, products.real.reshape(-1) - flat_thresholds
 
-    def visit(blocks, clear, margins):
+    def visit(blocks, margins):
         """Root step of every row of ``blocks`` in index order, each folded into
-        ``coef``; returns the blocks where a multiplier moved. ``clear`` (the
-        rows whose margin exceeds clear_by) and ``margins`` come from the last
-        tail and settle rows as stated above, while no earlier row of their
-        block has moved; ``margins`` None settles no warm row."""
+        ``coef``; returns the blocks where a multiplier moved. ``margins`` come
+        from the last tail and settle rows as stated above, while no earlier
+        row of their block has moved; ``margins`` None settles no row."""
         nonlocal evals
         moved = -1  # the last block whose coefficients a row update changed
         changed = []
@@ -614,7 +617,7 @@ def dual_ascent_sweep(
             for m in range(ell * per_block, (ell + 1) * per_block):
                 nu_m = nu[m]
                 if nu_m == 0.0:
-                    if clear[m] and ell != moved:
+                    if margins is not None and ell != moved and margins.item(m) > clear_by:
                         continue  # r(0) <= 0 for certain: the update returns 0.0
                     r0 = _row_residual(coef, terms[m], 0.0, gamma[m], amp)
                     evals += 1
@@ -659,7 +662,7 @@ def dual_ascent_sweep(
     coef, x, margins = tail()
     while sweeps < DEFAULT_MAX_SWEEPS:
         # a settled block's rows would repeat their results in the next sweep
-        moving = visit(moving, (margins > clear_by).tolist(), margins)
+        moving = visit(moving, margins)
         sweeps += 1
         if not moving:
             # nu is bitwise what the last tail read, so its x(nu), margins and
@@ -681,12 +684,12 @@ def dual_ascent_sweep(
 
     restored = bool(np.minimum.reduce(margins) < 0)
     if restored:
-        probe_all = [False] * len(nu)  # the finish settles no row from a margin
         blocks = margins.reshape(n_blocks, per_block).min(axis=1)
         for ell in np.flatnonzero(blocks < 0).tolist():
             block = range(ell * per_block, (ell + 1) * per_block)
             for _ in range(_FINISH_PASSES):
-                if not visit((ell,), probe_all, None):
+                # the finish settles no row from a margin
+                if not visit((ell,), None):
                     break  # a pass that moved no multiplier would repeat exactly
                 # the finish stops once every row of the block has r(0) <= 0 at coef
                 for m in block:

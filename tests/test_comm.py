@@ -237,15 +237,15 @@ class TestBuildConstraints:
 
     def test_set_carries_the_amplitude(self, rng):
         # amp is sqrt(p_total / n_tx) bit for bit; clear_by and the stop band are
-        # read off it, each bit for bit its formula, and clear_by is built once
+        # read off it, each bit for bit its formula (clear_by the largest row's
+        # bound, one float), and clear_by is built once
         cset = build_ci_constraints(make_setup(rng, n_tx=4), 2.0)
         assert cset.amp == math.sqrt(2.0 / 4)
         eps = np.finfo(float).eps
         scale = np.abs(cset.thresholds) + cset.amp * cset.row_abs_sums
-        clear_by = 2.0 * 16 * cset.n_tx * eps * scale.ravel()
-        assert cset.clear_by.tobytes() == clear_by.tobytes()
-        assert cset.clear_by is cset.clear_by and not cset.clear_by.flags.writeable
-        c, eps2 = float(clear_by.max()), 1e-4
+        c, eps2 = float((2.0 * 16 * cset.n_tx * eps * scale).max()), 1e-4
+        assert type(cset.clear_by) is float and cset.clear_by == c
+        assert cset.clear_by is cset.clear_by
         low, high = cset.stop_band(eps2)
         assert (low, high) == (2.0 * c + 4.0 * eps2 * eps, (eps2 - 4.0 * eps2 * eps) - 2.0 * c)
 

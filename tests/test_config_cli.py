@@ -146,6 +146,16 @@ class TestValidation:
         report = validate_config(parse_config_text(line + "\n"))
         assert any(entry.startswith(f"{key} ") and "finite" in entry for entry in report)
 
+    @pytest.mark.parametrize("key", ["n_tx", "block_len", "k_users", "m_psk"])
+    def test_non_integer_counts_rejected(self, key):
+        # a float count once reached the draws and raised TypeError (m_psk = 4.0
+        # validated clean); it now fails the config's own rule and no part reads it
+        value = float(getattr(ExperimentConfig.desk_preset(), key))
+        config = ExperimentConfig.desk_preset(**{key: value})
+        assert validate_config(config) == [f"{key} must be an integer, got {value!r}"]
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
+            build_problem(config)
+
     @pytest.mark.parametrize("text, reason", UNSERVABLE.values(), ids=UNSERVABLE)
     def test_unservable_config_rejected(self, text, reason):
         config = parse_config_text(SMALL_HEADER + text)

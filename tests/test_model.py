@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from dfrcwave import solver
+from dfrcwave.config import ConfigError, parse_config_text
 from dfrcwave.model import (
     AngleGrid,
     ArrayGeometry,
@@ -124,7 +126,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             SolverConfig(max_outer_iters=0)
 
-    @pytest.mark.parametrize("field", ["max_outer_iters", "max_bisect_iters", "seed"])
+    @pytest.mark.parametrize("field", ["max_outer_iters", "seed"])
     @pytest.mark.parametrize("value, ok", [(40.5, False), (np.float64(40.0), False),
                                            (40, True), (np.int64(40), True)])
     def test_solver_config_counts_are_integers(self, field, value, ok):
@@ -137,12 +139,15 @@ class TestTypes:
 
     @pytest.mark.parametrize("budget", [1, 31, 1001, 1100])
     def test_bisection_budget_range(self, budget):
-        # below 32 the listing's dual value turns on where its starved steps
-        # stop; above 1000, 2**budget or its reciprocal leaves the normal floats
-        with pytest.raises(ValueError, match=r"max_bisect_iters must be in \[32, 1000\]"):
+        # the update budget is the solver's constant, in [32, 1000]: below 32 the
+        # listing's dual value turns on where its starved steps stop; above 1000,
+        # 2**budget or its reciprocal leaves the normal floats. No SolverConfig
+        # and no config file sets it
+        assert 32 <= solver.MAX_BISECT_ITERS <= 1000
+        with pytest.raises(TypeError, match="max_bisect_iters"):
             SolverConfig(max_bisect_iters=budget)
-        for ok in (32, 1000):
-            assert SolverConfig(max_bisect_iters=ok).max_bisect_iters == ok
+        with pytest.raises(ConfigError, match="unknown key 'max_bisect_iters'"):
+            parse_config_text(f"max_bisect_iters = {budget}")
 
     def test_waveform_modulus_check(self):
         amp = np.sqrt(1.0 / 2.0)

@@ -53,3 +53,19 @@ class TestParityTool:
         tiny = [parity.instance("desk seed 0, 20 iterations", "desk", seed=0,
                                 max_outer_iters=20)]
         assert parity.compare("HEAD", tiny) == [("desk seed 0, 20 iterations", "bitwise")]
+
+    def test_artifact_trees_compare_byte_for_byte(self, tmp_path):
+        # the full run's artifact row: identical trees pass, and one changed byte
+        # or a file only one tree holds names its path
+        mine, theirs = tmp_path / "mine", tmp_path / "theirs"
+        for root in (mine, theirs):
+            (root / "results" / "desk").mkdir(parents=True)
+            (root / "results" / "desk" / "summary.json").write_bytes(b'{"a": 1}\n')
+            (root / "trace.csv").write_bytes(b"1,2\n")
+        assert parity.differing_files(mine, theirs) == []
+        (theirs / "results" / "desk" / "summary.json").write_bytes(b'{"a": 2}\n')
+        assert parity.differing_files(mine, theirs) == ["results/desk/summary.json"]
+        (mine / "extra.csv").write_bytes(b"")
+        assert parity.differing_files(mine, theirs) == [
+            "extra.csv", "results/desk/summary.json",
+        ]

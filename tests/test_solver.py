@@ -315,7 +315,7 @@ class TestDualAscent:
         coef = (-d).tolist()
         for m in range(cset.n_rows):
             value, bracketed, _ = _update_multiplier(
-                coef, terms[m], nu[m], gamma[m], 0.5, cfg.eps2, cfg.max_bisect_iters
+                coef, terms[m], nu[m], gamma[m], 0.5, cfg.eps2, solver.MAX_BISECT_ITERS
             )
             for i, col, _ in terms[m]:
                 coef[i] += (value - nu[m]) * col
@@ -521,8 +521,9 @@ class TestFeasibilityProperties:
 
 @st.composite
 def dual_instances(draw):
-    """Dual-ascent inputs (setup, cset, d, nu0, cfg) over n_tx 1-4, L 1-6, K 1-2, M 2/4/8,
-    with ``max_bisect_iters`` the smallest that ``SolverConfig`` accepts or its default.
+    """Dual-ascent inputs (setup, cset, d, nu0, budget) over n_tx 1-4, L 1-6, K 1-2,
+    M 2/4/8, with ``budget`` for ``solver.MAX_BISECT_ITERS`` its smallest sound
+    value or its own (``at_drawn_budget`` patches it in).
 
     d always has exact zeros, so from nu0 = 0 the probes meet vanishing
     coefficients (the phase-0 branch); a drawn "dead" user has a zero
@@ -538,7 +539,7 @@ def dual_instances(draw):
     dead_user = draw(st.booleans())
     warm = draw(st.booleans())
     scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
-    cfg = SolverConfig(max_bisect_iters=draw(st.sampled_from([32, 200])))
+    budget = draw(st.sampled_from([32, 200]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     channels = draw_channels(k_users, n_tx, rng.integers(2**31))
     if dead_user:
@@ -577,7 +578,34 @@ def dual_instances(draw):
         thresholds = cset.thresholds.copy().ravel()
         thresholds[firsts[pick]] = 0.5 * (aligned[pick] + residual_side[pick])
         cset = CIConstraintSet(cset.rows, thresholds.reshape(cset.thresholds.shape), cset.amp)
-    return setup, cset, d, nu0, cfg
+    return setup, cset, d, nu0, budget
+
+
+def bisect_budget(budget):
+    """``solver.MAX_BISECT_ITERS`` patched to ``budget`` for the duration."""
+    return mock.patch("dfrcwave.solver.MAX_BISECT_ITERS", budget)
+
+
+def at_drawn_budget(test):
+    """Run the hypothesis test ``test`` over ``dual_instances`` on each example
+    (setup, cset, d, nu0, budget) as (setup, cset, d, nu0, ``SolverConfig()``),
+    with ``bisect_budget`` setting its budget.
+
+    The wrapper takes the place of hypothesis's ``inner_test`` (the hook
+    hypothesis offers for wrapping a test's execution) and is not a decorator:
+    hypothesis seeds a derandomized test's draws from the test's source,
+    decorators included, so the test keeps the examples it drew when its
+    ``SolverConfig`` carried the budget, the CI parity step's failing one too.
+    """
+    inner = test.hypothesis.inner_test
+
+    @functools.wraps(inner)
+    def run(self, inst):
+        *head, budget = inst
+        with bisect_budget(budget):
+            return inner(self, (*head, SolverConfig()))
+
+    test.hypothesis.inner_test = run
 
 
 @st.composite
@@ -725,7 +753,7 @@ class TestDualAscentParity:
             # the band between two adjacent floats or below 2**-max_iters
             assert r <= -eps2
             assert any(r_t > 0.0 and d_t < value - nu_m for d_t, r_t in probes)
-            if max_iters == SolverConfig().max_bisect_iters and value > 1.0 / cap:
+            if max_iters == solver.MAX_BISECT_ITERS and value > 1.0 / cap:
                 assert residual(math.nextafter(value, 0.0)) > 0.0
 
     # the example budget comes from the hypothesis profile (conftest.py)
@@ -759,6 +787,42 @@ class TestDualAscentParity:
             dead = [m for m in range(cset.n_rows) if m % k_users == k_users - 1]
             assert set(dead) <= set(res.bracket_failures)
 
+    at_drawn_budget(test_sweep_is_no_worse_than_the_listing)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="coordinate ascent stalls on a kink of the dual below the listing "
+        "(ROADMAP item 20, an exact block dual)",
+    )
+    def test_sweep_is_no_worse_than_the_listing_on_coinciding_rows(self):
+        # the dual_instances example on which the property fails at 2,000 examples:
+        # BPSK at n_tx = 1, so the two rows of a symbol coincide, the first row on
+        # the edge-row branch. The sweep ends at nu_0 = 4.4 with g^ -0.0027184,
+        # the listing at 3.0 with -0.0027129, at budgets 32 and 200 alike
+        setup = CommSetup(
+            channels=np.array([[1.32646085 + 1.21475236j]]),
+            symbols=np.array([[1.0, -1.0]]),
+            gamma=np.array([1.0]),
+            sigma2=0.01,
+            m_points=2,
+        )
+        base = build_ci_constraints(setup, 1.0)
+        cset = CIConstraintSet(base.rows, np.array([[1.79863461, 0.1], [0.1, 0.1]]), base.amp)
+        d = np.array([-0.01321049 + 0.01049001j, 0.0])
+        nu0 = np.array([0.0, 2.80521727, 0.0, 0.0082155])
+        cfg = SolverConfig()
+        with bisect_budget(32):
+            res = dual_ascent_sweep(nu0, d, cset, cfg)
+            ref = oracle.reference_dual_ascent(nu0, d, cset, cfg)
+
+        def dual_value(nu):
+            x = solve_inner(nu, d, cset)
+            return float((x.conj() @ d).real - nu @ ci_margin(x, cset))
+
+        assert ref.converged
+        g_hat, g_ref = dual_value(res.nu), dual_value(ref.nu)
+        assert g_hat >= g_ref - 1e-3 * abs(g_ref) - 1e-12
+
     # the example budget comes from the hypothesis profile (conftest.py)
     @settings(deadline=None, derandomize=True)
     @given(inst=dual_instances())
@@ -772,7 +836,8 @@ class TestDualAscentParity:
         margins = ci_margin(solve_inner(nu0, d, cset), cset)
         bound = np.abs(cset.thresholds) + amp * cset.row_abs_sums
         clear_by = 2.0 * 16 * cset.n_tx * np.finfo(float).eps * bound.ravel()
-        assert cset.amp == amp and cset.clear_by.tobytes() == clear_by.tobytes()
+        # the set's one bound is the largest row's, so each row's below holds for it
+        assert cset.amp == amp and cset.clear_by == clear_by.max()
         terms, gamma = cset.row_scalars
         coef = (_weighted_rows(cset, nu0) - d).tolist()
         for m in range(cset.n_rows):
@@ -860,6 +925,8 @@ class TestBlockFinish:
         g_sweep = dual_value(unfinished.nu)
         assert dual_value(res.nu) >= g_sweep - 1e-8 * abs(g_sweep) - 1e-12
 
+    at_drawn_budget(test_finish_moves_only_violated_blocks)
+
 
 @pytest.mark.parity
 class TestNoMoveExit:
@@ -888,6 +955,8 @@ class TestNoMoveExit:
         assert closed_form.call_count == 1 + moved_sweeps + swept.restored
         assert res.x.tobytes() == solve_inner(res.nu, d, cset).tobytes()
         assert res.restored == bool(ci_margin(res.x, cset).min() < 0)
+
+    at_drawn_budget(test_tail_follows_only_sweeps_that_moved)
 
 
 def certificate_off():
@@ -923,7 +992,7 @@ class TestStopBandCertificate:
                 # the certificate's probe r(0) of a row at nu_m = -delta: the update
                 # would probe r(nu_m), in the band, then r(0), and return the same
                 nu_m = -delta
-                update = updating(coef, terms, nu_m, gamma, amp, cfg.eps2, cfg.max_bisect_iters)
+                update = updating(coef, terms, nu_m, gamma, amp, cfg.eps2, solver.MAX_BISECT_ITERS)
                 certified.append((update, (0.0 if r <= 0 else nu_m, True, 2)))
             return r
 
@@ -942,18 +1011,21 @@ class TestStopBandCertificate:
         # one evaluation saved per certified row, the update's probe of r(nu_m)
         assert res.bisection_evals == ref.bisection_evals - len(certified) <= ref.bisection_evals
 
+    at_drawn_budget(test_certificate_changes_only_the_count)
+
     @staticmethod
     def _first_sweep_updates(margin, nu_first):
         """Row 0 of one block (K = 1, n_tx = 2) warm at ``nu_first``, its threshold
-        set so that its margin at x(nu0) is ``margin`` in units (clear_by, eps2).
-        Returns (the margin reached, (the row's clear_by, the stop band's low
-        and high), the first sweep's ``_update_multiplier`` calls on row 0)."""
+        set so that its margin at x(nu0) is ``margin`` in units (clear_by, eps2),
+        with the update budget 32. Returns (the margin reached, (the set's
+        clear_by, the stop band's low and high), the first sweep's
+        ``_update_multiplier`` calls on row 0)."""
         rng = np.random.default_rng(7)
         _, cset = make_cset(rng, k_users=1, n_tx=2, block_len=1)
-        cfg = SolverConfig(max_bisect_iters=32)
+        cfg = SolverConfig()
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
         nu0 = np.array([nu_first, 0.0])
-        clear_by = cset.clear_by[0]
+        clear_by = cset.clear_by
         x0 = solve_inner(nu0, d, cset)
         aligned = ci_margin(x0, CIConstraintSet(cset.rows, 0.0 * cset.thresholds, cset.amp))[0]
         thresholds = cset.thresholds.copy()
@@ -961,6 +1033,7 @@ class TestStopBandCertificate:
         cset = CIConstraintSet(cset.rows, thresholds, cset.amp)
         row0 = cset.row_scalars[0][0]
         with mock.patch("dfrcwave.solver._update_multiplier", wraps=_update_multiplier) as update, \
+                bisect_budget(32), \
                 mock.patch("dfrcwave.solver.DEFAULT_MAX_SWEEPS", 1), \
                 mock.patch("dfrcwave.solver._FINISH_PASSES", 0):
             dual_ascent_sweep(nu0, d, cset, cfg)

@@ -10,8 +10,12 @@ and is digested field by field: the SHA-1 of x, the objective trace, nu,
 ``repr(iterations)`` (the per-iteration records, ``bisection_evals``
 included), ``repr(final_terms)`` and the warnings. One row per instance
 says ``bitwise`` when every digest matches, else the first field that
-differs, with both trees' iteration counts and final objectives. The exit
-status is 0 when every row is bitwise, 1 otherwise.
+differs, with both trees' iteration counts and final objectives. The full
+run also runs ``dfrcwave run`` and ``dfrcwave compare-majorizers`` on both
+shipped configs with each tree's own CLI and configs, BLAS on one thread,
+and adds one row: ``byte-identical`` when the two artifact trees are, else
+the files that differ. The exit status is 0 when every row is bitwise and
+the artifact trees are byte-identical, 1 otherwise.
 
 The instance list: desk seeds 0-5; seeds 0-2 x ``gamma_db`` {0, 6, 10,
 15} x ``m_psk`` {2, 4, 8} on the desk preset; N = 64 (``n_tx`` 8) seed 0;
@@ -19,7 +23,7 @@ The instance list: desk seeds 0-5; seeds 0-2 x ``gamma_db`` {0, 6, 10,
 (these 51 are the parity set); desk max-eigen dfrc at 300 iterations;
 desk and N = 64 radar-only with full weights, desk P = 1 and L = 1
 radar-only, each with both kinds; and N = 640 (the defaults) seed 0 at 200
-iterations. ``--quick`` runs desk seeds 0-1 only.
+iterations. ``--quick`` runs desk seeds 0-1 only, with no artifact row.
 """
 
 from __future__ import annotations
@@ -51,6 +55,13 @@ THREAD_VARS = (
 FIELDS = ("x", "trace", "nu", "iterations", "final_terms", "warnings")
 
 KINDS = ("diagonal", "max_eigen")
+
+#: (command, config under ``configs/``) of each CLI run whose artifacts the full run compares.
+ARTIFACT_RUNS = tuple(
+    (command, config)
+    for config in ("desk.cfg", "convergence_compare.cfg")
+    for command in ("run", "compare-majorizers")
+)
 
 
 def instance(name: str, base: str, **overrides) -> dict:
@@ -148,18 +159,41 @@ def _worker(tree: Path) -> int:
     return 0
 
 
+def _run(tree: Path, argv: list[str], stdin: str = "", **env) -> str:
+    """``python argv`` in ``tree`` with ``env`` set, BLAS on one thread, and no
+    other PYTHONPATH; returns its stdout, or raises RuntimeError when it fails."""
+    full = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    full.update(dict.fromkeys(THREAD_VARS, "1"), PYTHONDONTWRITEBYTECODE="1", **env)
+    proc = subprocess.run([sys.executable, *argv], input=stdin, capture_output=True, text=True,
+                          env=full, cwd=tree)
+    if proc.returncode:
+        raise RuntimeError(f"{' '.join(argv)} on {tree} failed:\n{proc.stderr}")
+    return proc.stdout
+
+
 def digest_tree(tree: Path, specs: list[dict]) -> list[dict]:
     """Run ``specs`` on ``tree`` in a new process, BLAS on one thread."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env.update(dict.fromkeys(THREAD_VARS, "1"))
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree)],
-        input=json.dumps(specs), capture_output=True, text=True, env=env, cwd=tree,
+    argv = [str(Path(__file__).resolve()), "--worker", str(tree)]
+    return json.loads(_run(tree, argv, json.dumps(specs)))
+
+
+def write_artifacts(tree: Path, root: Path) -> None:
+    """Run ``ARTIFACT_RUNS`` with ``tree``'s CLI and configs, writing under ``root``."""
+    for command, config in ARTIFACT_RUNS:
+        argv = ["-m", "dfrcwave.cli", command, str(tree / "configs" / config),
+                "--output-root", str(root)]
+        _run(tree, argv, PYTHONPATH=str(tree / "src"))
+
+
+def differing_files(mine: Path, theirs: Path) -> list[str]:
+    """Paths, relative and sorted, of the files under ``mine`` and ``theirs``
+    that are not byte-identical or that only one of the two holds."""
+    ours, others = (
+        {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        for root in (mine, theirs)
     )
-    if proc.returncode:
-        raise RuntimeError(f"solves on {tree} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+    return sorted(name for name in ours.keys() | others.keys()
+                  if ours.get(name) != others.get(name))
 
 
 def export_revision(rev: str, dest: Path) -> str:
@@ -177,6 +211,10 @@ def export_revision(rev: str, dest: Path) -> str:
     return commit
 
 
+ARTIFACTS_ROW = "artifacts of run and compare-majorizers"
+IDENTICAL = "byte-identical"
+
+
 def row(mine: dict, theirs: dict) -> str:
     """``bitwise``, or the first differing field with both runs' counts."""
     for field in FIELDS:
@@ -188,13 +226,22 @@ def row(mine: dict, theirs: dict) -> str:
     return "bitwise"
 
 
-def compare(rev: str, specs: list[dict]) -> list[tuple[str, str]]:
-    """(name, row) per spec, the working tree against ``rev``."""
+def compare(rev: str, specs: list[dict], artifacts: bool = False) -> list[tuple[str, str]]:
+    """(name, row) per spec, the working tree against ``rev``; with
+    ``artifacts``, then one row for the artifact trees of ``ARTIFACT_RUNS``."""
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
-        export_revision(rev, Path(tmp))
-        theirs = digest_tree(Path(tmp), specs)
-    mine = digest_tree(ROOT, specs)
-    return [(m["name"], row(m, t)) for m, t in zip(mine, theirs)]
+        tree, out = Path(tmp) / "tree", Path(tmp) / "artifacts"
+        export_revision(rev, tree)
+        theirs = digest_tree(tree, specs)
+        mine = digest_tree(ROOT, specs)
+        rows = [(m["name"], row(m, t)) for m, t in zip(mine, theirs)]
+        if artifacts:
+            write_artifacts(tree, out / "theirs")
+            write_artifacts(ROOT, out / "mine")
+            differ = differing_files(out / "mine", out / "theirs")
+            rows.append((ARTIFACTS_ROW, f"differ in {', '.join(differ)}" if differ
+                         else IDENTICAL))
+    return rows
 
 
 def main(argv=None) -> int:
@@ -207,13 +254,13 @@ def main(argv=None) -> int:
                         help="git revision to compare the working tree with")
     parser.add_argument("--quick", action="store_true", help="desk seeds 0-1 only")
     args = parser.parse_args(argv)
-    rows = compare(args.against, instances(args.quick))
+    rows = compare(args.against, instances(args.quick), artifacts=not args.quick)
     width = max(len(name) for name, _ in rows)
     for name, verdict in rows:
         print(f"{name:<{width}}  {verdict}")
-    bitwise = sum(verdict == "bitwise" for _, verdict in rows)
-    print(f"{bitwise} of {len(rows)} rows bitwise against {args.against}")
-    return 0 if bitwise == len(rows) else 1
+    solves = [verdict for name, verdict in rows if name != ARTIFACTS_ROW]
+    print(f"{solves.count('bitwise')} of {len(solves)} rows bitwise against {args.against}")
+    return 0 if all(verdict in ("bitwise", IDENTICAL) for _, verdict in rows) else 1
 
 
 if __name__ == "__main__":
