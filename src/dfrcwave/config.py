@@ -53,9 +53,7 @@ class ExperimentConfig:
     w_bp: float = 1.0
     w_ac: float = 2.0
     w_cc: float = 2.0
-    eps1: float = SolverConfig.eps1
     eps2: float = SolverConfig.eps2
-    eps3: float = SolverConfig.eps3
     max_outer_iters: int = SolverConfig.max_outer_iters
     majorizer_kind: str = SolverConfig.majorizer_kind.value
     mode: str = SolverConfig.mode.value

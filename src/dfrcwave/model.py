@@ -244,18 +244,16 @@ class Weights:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping thresholds, iteration caps, majorizer kind, mode, and seed.
+    """Stop band, iteration cap, majorizer kind, mode, and seed.
 
-    ``eps1`` stops a dual ascent on the relative change of its dual value,
     ``eps2`` sets a multiplier update's stop band (-eps2, 0] on its row's
-    residual, and ``eps3`` stops the MM loop on the relative change of the
-    objective. The budget of one multiplier update is not a setting but the
-    solver's constant ``MAX_BISECT_ITERS``.
+    residual. The other stop rules are not settings but the solver's
+    constants: ``EPS1`` (a dual ascent's relative change of its dual
+    value), ``EPS3`` (the MM loop's relative change of the objective) and
+    ``MAX_BISECT_ITERS`` (the budget of one multiplier update).
     """
 
-    eps1: float = 1e-4
     eps2: float = 1e-4
-    eps3: float = 3e-5
     max_outer_iters: int = 5000
     majorizer_kind: MajorizerKind = MajorizerKind.DIAGONAL
     mode: SolveMode = SolveMode.DFRC
@@ -263,9 +261,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_rules(
-            (self.eps1 > 0, "eps1 must be > 0, got {}", self.eps1),
             (self.eps2 > 0, "eps2 must be > 0, got {}", self.eps2),
-            (self.eps3 > 0, "eps3 must be > 0, got {}", self.eps3),
             (isinstance(self.max_outer_iters, _INTEGER),
              "max_outer_iters must be an integer, got {!r}", self.max_outer_iters),
             (isinstance(self.seed, _INTEGER), "seed must be an integer, got {!r}", self.seed),

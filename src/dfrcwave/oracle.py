@@ -543,7 +543,7 @@ def reference_dual_ascent(
             break
         if math.isfinite(prev):
             denom = abs(prev) if prev != 0 else 1.0
-            if abs(g_hat - prev) / denom < cfg.eps1:
+            if abs(g_hat - prev) / denom < solver.EPS1:
                 converged = True
                 break
         prev = g_hat

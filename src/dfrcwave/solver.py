@@ -72,6 +72,10 @@ from dfrcwave.model import (
 )
 from dfrcwave.radar import RadarScene, objective_terms
 
+#: Relative change of the dual value g^ that ends a dual ascent call (the paper's eps1).
+EPS1 = 1e-4
+#: Relative change of the objective that ends the MM loop (the paper's eps3).
+EPS3 = 3e-5
 #: Cap on coordinate-ascent sweeps within one MM iteration.
 DEFAULT_MAX_SWEEPS = 200
 #: Cap on one multiplier update's bracket doublings and, separately, its root
@@ -540,9 +544,10 @@ def dual_ascent_sweep(
     """Coordinate ascent over all 2KL multipliers for one fixed d.
 
     Sweeps in index order until the relative change of the dual value
-    g^ = gbar(x(nu)) + sum_m nu_m gbar_m(x(nu)) drops below eps1, a sweep
-    leaves every multiplier unchanged, or ``DEFAULT_MAX_SWEEPS`` is hit.
-    A row update folds its step into its block's coefficients. One tail,
+    g^ = gbar(x(nu)) + sum_m nu_m gbar_m(x(nu)) drops below ``EPS1``, a
+    sweep leaves every multiplier unchanged, or ``DEFAULT_MAX_SWEEPS`` is
+    hit; of ``cfg`` only the stop band's ``eps2`` is read. A row update
+    folds its step into its block's coefficients. One tail,
     run up front and after every sweep that moved a multiplier, rebuilds
     sum_m nu_m h~_m - d from nu (no rounding drift) and reads from it
     x(nu), the margins that settle rows in the next sweep, and g^. While
@@ -678,7 +683,7 @@ def dual_ascent_sweep(
         g_hat = dual_value()
         change = abs(g_hat - prev) / (abs(prev) or 1.0)
         prev = g_hat
-        if change < cfg.eps1:
+        if change < EPS1:
             converged = True
             break
 
@@ -838,8 +843,18 @@ def mm_solve(
     a CI row, and a safeguard that keeps the trace monotone once the
     iterate is feasible (the inner solve is tolerance-limited). ``nu`` is
     the last accepted step's dual result; convergence is declared only on
-    dual-accepted steps so it belongs to the final iterate.
+    dual-accepted steps, when the objective's relative change is at most
+    ``EPS3``, so it belongs to the final iterate.
     ``termination`` says how the loop ended; what went wrong is in ``warnings``.
+
+    With no ``x0`` the loop starts from ``random_start(n, amp, cfg.seed)``,
+    not from ``build_problem``'s ``problem.x0``, which is drawn from a
+    child of the config's seed; the two starts follow different
+    trajectories (desk seed 0: 538 iterations to 5174.63 from this start,
+    557 to 5117.98 from ``problem.x0``). ``run_experiment`` and the
+    benchmark pass ``problem.x0``. From N = 64 up the design also depends
+    on the BLAS thread count, which orders the reductions of the large
+    matrix products.
     """
     n_tx = scene.geometry.n_tx
     n = scene.n
@@ -914,7 +929,7 @@ def mm_solve(
         # multipliers describe the final iterate (polish steps are rescues)
         if math.isfinite(g_prev) and g_new <= g_prev and not record.polish_step:
             denom = abs(g_prev) if g_prev != 0 else 1.0
-            if abs(g_new - g_prev) / denom <= cfg.eps3:
+            if abs(g_new - g_prev) / denom <= EPS3:
                 termination = Termination.CONVERGED
                 break
         g_prev = g_new

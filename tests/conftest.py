@@ -8,7 +8,10 @@ from dfrcwave.radar import build_scene, rectangular_pattern
 # a larger example budget for the parity properties, which hold a fast path to
 # its plain listing or dense oracle; the "Parity properties" step of
 # .github/workflows/tests.yml selects them by their parity marker and runs them
-# with this profile
+# with this profile. A derandomize=True property draws its examples from its
+# own source text (decorators, signature and body): editing one replaces its
+# examples, and can hide or move a failure this step shows, so the tests vary a
+# solver constant through a hook outside that text (test_solver.at_drawn_budget)
 settings.register_profile("parity", max_examples=2000)
 
 

@@ -32,7 +32,6 @@ grid_step_deg = 15.0
 w_bp = 1.0
 w_ac = 2.0
 w_cc = 2.0
-eps3 = 1e-3
 max_outer_iters = 40
 seed = 9
 output_dir = out
@@ -130,7 +129,7 @@ class TestValidation:
     def test_multiple_violations_all_reported(self):
         # faults in three parts, then two faults inside one part (the solver config)
         for overrides in ({"k_users": 9, "max_lag": 10, "sigma2": -1.0},
-                          {"eps1": 0.0, "eps2": -1.0}):
+                          {"eps2": -1.0, "max_outer_iters": 0}):
             report = validate_config(ExperimentConfig.desk_preset(**overrides))
             assert len(report) >= len(overrides)
             for key in overrides:

@@ -1,10 +1,12 @@
 """Core types, vectorization, and waveform file round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dfrcwave import solver
-from dfrcwave.config import ConfigError, parse_config_text
+from dfrcwave.config import ConfigError, ExperimentConfig, parse_config_text
 from dfrcwave.model import (
     AngleGrid,
     ArrayGeometry,
@@ -122,7 +124,7 @@ class TestTypes:
         assert cfg.majorizer_kind.value == "max_eigen"
         assert cfg.mode.value == "radar_only"
         with pytest.raises(ValueError):
-            SolverConfig(eps1=0.0)
+            SolverConfig(eps2=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_outer_iters=0)
 
@@ -148,6 +150,21 @@ class TestTypes:
             SolverConfig(max_bisect_iters=budget)
         with pytest.raises(ConfigError, match="unknown key 'max_bisect_iters'"):
             parse_config_text(f"max_bisect_iters = {budget}")
+
+    @pytest.mark.parametrize("key, value", [("max_bisect_iters", 200), ("eps1", 1e-4),
+                                            ("eps3", 3e-5)])
+    def test_solver_constants_are_not_settings(self, key, value):
+        # the update budget and the stop rules of the dual (eps1) and of the MM
+        # loop (eps3) are the solver's constants; eps2, the stop band, is a setting
+        assert (solver.EPS1, solver.EPS3) == (1e-4, 3e-5)
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "eps2", "max_outer_iters", "majorizer_kind", "mode", "seed",
+        ]
+        assert len(dataclasses.fields(ExperimentConfig)) == 23
+        with pytest.raises(TypeError, match=key):
+            SolverConfig(**{key: value})
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config_text(f"{key} = {value}")
 
     def test_waveform_modulus_check(self):
         amp = np.sqrt(1.0 / 2.0)

@@ -1,6 +1,7 @@
 """tools/parity.py: the working tree against a git revision, bit for bit."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -69,3 +70,25 @@ class TestParityTool:
         assert parity.differing_files(mine, theirs) == [
             "extra.csv", "results/desk/summary.json",
         ]
+        # the row names, in a JSON file that parses in both trees, the key paths
+        # whose values differ: here two config-echo keys that one tree dropped
+        summary = {"config": {"eps1": 1e-4, "eps2": 1e-4, "eps3": 3e-5}, "runs": [1, 1.0]}
+        (theirs / "results" / "desk" / "summary.json").write_text(json.dumps(summary))
+        del summary["config"]["eps1"], summary["config"]["eps3"]
+        (mine / "results" / "desk" / "summary.json").write_text(json.dumps(summary))
+        assert parity.artifact_row(mine, theirs) == (
+            "differ in extra.csv; results/desk/summary.json: config.eps1, config.eps3"
+        )
+        summary["runs"][1] = 1
+        (mine / "results" / "desk" / "summary.json").write_text(json.dumps(summary, indent=1))
+        assert parity.artifact_row(mine, theirs).endswith(
+            "summary.json: config.eps1, config.eps3, runs[1]"
+        )
+        (mine / "extra.csv").unlink()
+        (mine / "results" / "desk" / "summary.json").write_text(json.dumps(summary, indent=1))
+        (theirs / "results" / "desk" / "summary.json").write_text(json.dumps(summary))
+        assert parity.artifact_row(mine, theirs) == "differ in results/desk/summary.json: layout only"
+        (theirs / "results" / "desk" / "summary.json").write_bytes(
+            (mine / "results" / "desk" / "summary.json").read_bytes()
+        )
+        assert parity.artifact_row(mine, theirs) == parity.IDENTICAL

@@ -406,6 +406,36 @@ class TestDualAscent:
         assert np.abs(np.abs(res.x) - math.sqrt(2.0 / cset.n_tx)).max() <= MODULUS_TOL
 
 
+class TestStopConstants:
+    """EPS1 and EPS3 are solver constants, read when a solve runs."""
+
+    @pytest.mark.parametrize("ascent", [dual_ascent_sweep, oracle.reference_dual_ascent])
+    def test_dual_reads_eps1_at_call_time(self, ascent):
+        # with EPS1 infinite, any change stops the call on the second sweep's g^
+        rng = np.random.default_rng(2)
+        _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=3)
+        d = 2.0 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
+        nu0 = np.zeros(cset.n_rows)
+        assert ascent(nu0, d, cset, SolverConfig()).sweeps > 2
+        with mock.patch("dfrcwave.solver.EPS1", math.inf):
+            res = ascent(nu0, d, cset, SolverConfig())
+        assert res.sweeps == 2 and res.converged
+
+    def test_mm_loop_reads_eps3_at_call_time(self):
+        scene = make_scene(n_tx=2, block_len=4, max_lag=3)
+        cfg = SolverConfig(mode="radar_only", seed=3, max_outer_iters=400)
+        weights = Weights(1.0, 2.0, 2.0)
+        full = mm_solve(scene, None, weights, cfg)
+        with mock.patch("dfrcwave.solver.EPS3", 1e-2):
+            loose = mm_solve(scene, None, weights, cfg)
+        for state in (full, loose):
+            assert state.termination == Termination.CONVERGED
+        assert loose.outer_iterations < full.outer_iterations
+        # the loose run is the full run's prefix: only the stop rule moved
+        assert np.array_equal(loose.objective_trace,
+                              full.objective_trace[:loose.outer_iterations])
+
+
 class TestPolish:
     def test_preserves_feasibility_and_descends(self, rng):
         _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=3)

@@ -14,7 +14,10 @@ differs, with both trees' iteration counts and final objectives. The full
 run also runs ``dfrcwave run`` and ``dfrcwave compare-majorizers`` on both
 shipped configs with each tree's own CLI and configs, BLAS on one thread,
 and adds one row: ``byte-identical`` when the two artifact trees are, else
-the files that differ. The exit status is 0 when every row is bitwise and
+the files that differ, each ``.json`` file that parses in both trees with
+the key paths where its values differ (``results/desk/summary.json:
+config.eps2``), so a change that only drops a config-echo key shows that
+no other value moved. The exit status is 0 when every row is bitwise and
 the artifact trees are byte-identical, 1 otherwise.
 
 The instance list: desk seeds 0-5; seeds 0-2 x ``gamma_db`` {0, 6, 10,
@@ -62,6 +65,8 @@ ARTIFACT_RUNS = tuple(
     for config in ("desk.cfg", "convergence_compare.cfg")
     for command in ("run", "compare-majorizers")
 )
+ARTIFACTS_ROW = "artifacts of run and compare-majorizers"
+IDENTICAL = "byte-identical"
 
 
 def instance(name: str, base: str, **overrides) -> dict:
@@ -196,6 +201,43 @@ def differing_files(mine: Path, theirs: Path) -> list[str]:
                   if ours.get(name) != others.get(name))
 
 
+def differing_keys(mine, theirs, path: str = "") -> list[str]:
+    """Dotted key paths (``[i]`` for a list entry) at which two parsed JSON
+    documents differ, sorted within each object. A key only one side holds,
+    a list whose length changed and a value whose ``repr`` changed (which
+    keeps 1 and 1.0 apart and NaN equal to itself) each count at their own
+    path."""
+    if isinstance(mine, dict) and isinstance(theirs, dict):
+        keys = []
+        for key in sorted(mine.keys() | theirs.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in mine and key in theirs:
+                keys += differing_keys(mine[key], theirs[key], sub)
+            else:
+                keys.append(sub)
+        return keys
+    if isinstance(mine, list) and isinstance(theirs, list) and len(mine) == len(theirs):
+        return [key for i, pair in enumerate(zip(mine, theirs))
+                for key in differing_keys(*pair, f"{path}[{i}]")]
+    return [] if repr(mine) == repr(theirs) else [path]
+
+
+def artifact_row(mine: Path, theirs: Path) -> str:
+    """``byte-identical``, or ``differ in`` the differing files, each ``.json``
+    file that parses in both trees followed by the key paths that differ."""
+    entries = []
+    for name in differing_files(mine, theirs):
+        if name.endswith(".json"):
+            try:
+                docs = [json.loads((root / name).read_bytes()) for root in (mine, theirs)]
+            except (OSError, ValueError):
+                pass  # one tree lacks the file, or it is not JSON
+            else:
+                name += f": {', '.join(differing_keys(*docs)) or 'layout only'}"
+        entries.append(name)
+    return f"differ in {'; '.join(entries)}" if entries else IDENTICAL
+
+
 def export_revision(rev: str, dest: Path) -> str:
     """Write ``git archive REV`` into ``dest``; returns the full commit id."""
     commit = subprocess.run(
@@ -209,10 +251,6 @@ def export_revision(rev: str, dest: Path) -> str:
         safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         tar.extractall(dest, **safe)
     return commit
-
-
-ARTIFACTS_ROW = "artifacts of run and compare-majorizers"
-IDENTICAL = "byte-identical"
 
 
 def row(mine: dict, theirs: dict) -> str:
@@ -238,9 +276,7 @@ def compare(rev: str, specs: list[dict], artifacts: bool = False) -> list[tuple[
         if artifacts:
             write_artifacts(tree, out / "theirs")
             write_artifacts(ROOT, out / "mine")
-            differ = differing_files(out / "mine", out / "theirs")
-            rows.append((ARTIFACTS_ROW, f"differ in {', '.join(differ)}" if differ
-                         else IDENTICAL))
+            rows.append((ARTIFACTS_ROW, artifact_row(out / "mine", out / "theirs")))
     return rows
 
 
