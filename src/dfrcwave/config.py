@@ -53,7 +53,6 @@ class ExperimentConfig:
     w_bp: float = 1.0
     w_ac: float = 2.0
     w_cc: float = 2.0
-    eps2: float = SolverConfig.eps2
     max_outer_iters: int = SolverConfig.max_outer_iters
     majorizer_kind: str = SolverConfig.majorizer_kind.value
     mode: str = SolverConfig.mode.value

@@ -244,16 +244,15 @@ class Weights:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stop band, iteration cap, majorizer kind, mode, and seed.
+    """Iteration cap, majorizer kind, mode, and seed.
 
-    ``eps2`` sets a multiplier update's stop band (-eps2, 0] on its row's
-    residual. The other stop rules are not settings but the solver's
-    constants: ``EPS1`` (a dual ascent's relative change of its dual
-    value), ``EPS3`` (the MM loop's relative change of the objective) and
-    ``MAX_BISECT_ITERS`` (the budget of one multiplier update).
+    The stop rules are not settings but the solver's constants: ``EPS1`` (a
+    dual ascent's relative change of its dual value), ``EPS2`` (a multiplier
+    update's stop band (-EPS2, 0] on its row's residual), ``EPS3`` (the MM
+    loop's relative change of the objective) and ``MAX_BISECT_ITERS`` (the
+    budget of one multiplier update).
     """
 
-    eps2: float = 1e-4
     max_outer_iters: int = 5000
     majorizer_kind: MajorizerKind = MajorizerKind.DIAGONAL
     mode: SolveMode = SolveMode.DFRC
@@ -261,7 +260,6 @@ class SolverConfig:
 
     def __post_init__(self):
         check_rules(
-            (self.eps2 > 0, "eps2 must be > 0, got {}", self.eps2),
             (isinstance(self.max_outer_iters, _INTEGER),
              "max_outer_iters must be an integer, got {!r}", self.max_outer_iters),
             (isinstance(self.seed, _INTEGER), "seed must be an integer, got {!r}", self.seed),

@@ -38,7 +38,7 @@ import numpy as np
 
 from dfrcwave import solver
 from dfrcwave.comm import CIConstraintSet, CommSetup, ci_margin
-from dfrcwave.model import SolverConfig, Weights
+from dfrcwave.model import Weights
 from dfrcwave.radar import RadarScene
 
 
@@ -484,14 +484,13 @@ def reference_dual_ascent(
     nu: np.ndarray,
     d: np.ndarray,
     constraints: CIConstraintSet,
-    cfg: SolverConfig,
 ) -> solver.DualAscentResult:
     """``solver.dual_ascent_sweep`` with the probe loop it had over a numpy ``nu``.
 
     Each probe indexes the multiplier out of the numpy vector, converts the
     step with ``float()`` and walks row m's (conj h, h) pairs from its
-    block start; sweeps and stopping rules are as in the solver, and x is
-    x(nu), unrepaired.
+    block start; sweeps and stopping rules are as in the solver, read from
+    its constants at call time, and x is x(nu), unrepaired.
     """
     n_tx, amp = constraints.n_tx, constraints.amp
     d = np.asarray(d)
@@ -520,11 +519,11 @@ def reference_dual_ascent(
     prev = math.inf
     converged = False
     sweeps = 0
-    while sweeps < solver.DEFAULT_MAX_SWEEPS:
+    while sweeps < solver.MAX_SWEEPS:
         nu_before = nu.copy()
         for m in range(constraints.n_rows):
             value, bracketed, _ = _bisect_root(
-                lambda v: residual(m, v), cfg.eps2, solver.MAX_BISECT_ITERS
+                lambda v: residual(m, v), solver.EPS2, solver.MAX_BISECT_ITERS
             )
             delta = float(value - nu[m])
             if delta != 0.0:

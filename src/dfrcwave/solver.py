@@ -74,10 +74,12 @@ from dfrcwave.radar import RadarScene, objective_terms
 
 #: Relative change of the dual value g^ that ends a dual ascent call (the paper's eps1).
 EPS1 = 1e-4
+#: Width of a multiplier update's stop band (-EPS2, 0] on its row's residual (the paper's eps2).
+EPS2 = 1e-4
 #: Relative change of the objective that ends the MM loop (the paper's eps3).
 EPS3 = 3e-5
 #: Cap on coordinate-ascent sweeps within one MM iteration.
-DEFAULT_MAX_SWEEPS = 200
+MAX_SWEEPS = 200
 #: Cap on one multiplier update's bracket doublings and, separately, its root
 #: steps. In [32, 1000]: with fewer, the listing's dual value turns on where its
 #: starved steps stop, and 2**MAX_BISECT_ITERS and its reciprocal must stay normal.
@@ -539,18 +541,18 @@ def dual_ascent_sweep(
     nu: np.ndarray,
     d: np.ndarray,
     constraints: CIConstraintSet,
-    cfg: SolverConfig,
 ) -> DualAscentResult:
     """Coordinate ascent over all 2KL multipliers for one fixed d.
 
     Sweeps in index order until the relative change of the dual value
     g^ = gbar(x(nu)) + sum_m nu_m gbar_m(x(nu)) drops below ``EPS1``, a
-    sweep leaves every multiplier unchanged, or ``DEFAULT_MAX_SWEEPS`` is
-    hit; of ``cfg`` only the stop band's ``eps2`` is read. A row update
-    folds its step into its block's coefficients. One tail,
-    run up front and after every sweep that moved a multiplier, rebuilds
-    sum_m nu_m h~_m - d from nu (no rounding drift) and reads from it
-    x(nu), the margins that settle rows in the next sweep, and g^. While
+    sweep leaves every multiplier unchanged, or ``MAX_SWEEPS`` is hit; a
+    row update stops in the band (-``EPS2``, 0] of its row's residual. The
+    constants are read at call time. A row update folds its step into its
+    block's coefficients. One tail, run up front and after every sweep that
+    moved a multiplier, rebuilds sum_m nu_m h~_m - d from nu (no rounding
+    drift) and reads from it x(nu), the margins that settle rows in the
+    next sweep, and g^. While
     no earlier row of its block has moved in the sweep, a row's margin is
     -r(nu_m) to within ``CIConstraintSet.clear_by``: a row at 0 whose
     margin exceeds that bound keeps 0 unprobed, and a row at nu_m in
@@ -567,7 +569,7 @@ def dual_ascent_sweep(
     would repeat it exactly.
 
     The stopping rule is global, so x(nu) may still violate a block whose
-    rows each stopped in [0, eps2) before a later row of the block moved
+    rows each stopped in [0, EPS2) before a later row of the block moved
     its shared entries. The block finish then repeats each such block's
     row updates, settling no row from a margin (its passes move the
     coefficients the margins were read at), until every row's residual
@@ -587,7 +589,7 @@ def dual_ascent_sweep(
     n_blocks, per_block, n_tx = rows.shape
     amp = constraints.amp
     terms, gamma = constraints.row_scalars
-    eps2, max_iters = cfg.eps2, MAX_BISECT_ITERS
+    eps2, max_iters = EPS2, MAX_BISECT_ITERS
     cap = 2.0**max_iters
     floor = 1.0 / cap
     # a row's numpy margin at x(nu) is -r(nu_m) to within clear_by while its block is
@@ -665,7 +667,7 @@ def dual_ascent_sweep(
     converged = False
     sweeps = 0
     coef, x, margins = tail()
-    while sweeps < DEFAULT_MAX_SWEEPS:
+    while sweeps < MAX_SWEEPS:
         # a settled block's rows would repeat their results in the next sweep
         moving = visit(moving, margins)
         sweeps += 1
@@ -744,7 +746,7 @@ class IterationRecord(NamedTuple):
 _RADAR_WORK = (0, 0, False, False, True, False)
 
 
-def _dfrc_step(x, d, nu, cset, cfg, x_feasible):
+def _dfrc_step(x, d, nu, cset, x_feasible):
     """The CI-constrained linear step of one MM iteration, from the iterate x,
     at the amplitude ``cset.amp``.
 
@@ -757,7 +759,7 @@ def _dfrc_step(x, d, nu, cset, cfg, x_feasible):
     stays feasible. Returns (candidate, dual result, the ``IterationRecord``
     fields ``dual_sweeps`` .. ``polish_step``).
     """
-    res = dual_ascent_sweep(nu, d, cset, cfg)
+    res = dual_ascent_sweep(nu, d, cset)
     x_new, feasible, polish = res.x, True, False
     if res.restored:
         x_new, feasible = _restore_feasibility(x_new, d, cset, x if x_feasible else None)
@@ -905,7 +907,7 @@ def mm_solve(
     for t in range(1, cfg.max_outer_iters + 1):
         d = build_d(x, build_phi(x, ctx, final_terms), ctx)
         if dfrc:
-            x_new, res, work = _dfrc_step(x, d, nu, cset, cfg, prev_feasible)
+            x_new, res, work = _dfrc_step(x, d, nu, cset, prev_feasible)
             bracket_bad.update(res.bracket_failures)
             nu_new = res.nu
         else:

@@ -10,8 +10,8 @@ from dfrcwave.radar import build_scene, rectangular_pattern
 # .github/workflows/tests.yml selects them by their parity marker and runs them
 # with this profile. A derandomize=True property draws its examples from its
 # own source text (decorators, signature and body): editing one replaces its
-# examples, and can hide or move a failure this step shows, so the tests vary a
-# solver constant through a hook outside that text (test_solver.at_drawn_budget)
+# examples, and can hide or move a failure this step shows, so a property whose
+# examples must survive edits is pinned with @seed (test_solver.LISTING_SEED)
 settings.register_profile("parity", max_examples=2000)
 
 

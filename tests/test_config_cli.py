@@ -129,7 +129,7 @@ class TestValidation:
     def test_multiple_violations_all_reported(self):
         # faults in three parts, then two faults inside one part (the solver config)
         for overrides in ({"k_users": 9, "max_lag": 10, "sigma2": -1.0},
-                          {"eps2": -1.0, "max_outer_iters": 0}):
+                          {"max_outer_iters": 0, "seed": -1}):
             report = validate_config(ExperimentConfig.desk_preset(**overrides))
             assert len(report) >= len(overrides)
             for key in overrides:
@@ -137,8 +137,7 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "line",
-        ["gamma_db = [nan]", "target_angles_deg = [-30, inf]", "w_ac = nan", "p_total = inf",
-         "eps2 = nan"],
+        ["gamma_db = [nan]", "target_angles_deg = [-30, inf]", "w_ac = nan", "p_total = inf"],
     )
     def test_non_finite_floats_rejected(self, line):
         key = line.split()[0]

@@ -124,8 +124,6 @@ class TestTypes:
         assert cfg.majorizer_kind.value == "max_eigen"
         assert cfg.mode.value == "radar_only"
         with pytest.raises(ValueError):
-            SolverConfig(eps2=0.0)
-        with pytest.raises(ValueError):
             SolverConfig(max_outer_iters=0)
 
     @pytest.mark.parametrize("field", ["max_outer_iters", "seed"])
@@ -152,15 +150,16 @@ class TestTypes:
             parse_config_text(f"max_bisect_iters = {budget}")
 
     @pytest.mark.parametrize("key, value", [("max_bisect_iters", 200), ("eps1", 1e-4),
-                                            ("eps3", 3e-5)])
+                                            ("eps2", 1e-4), ("eps3", 3e-5)])
     def test_solver_constants_are_not_settings(self, key, value):
-        # the update budget and the stop rules of the dual (eps1) and of the MM
-        # loop (eps3) are the solver's constants; eps2, the stop band, is a setting
-        assert (solver.EPS1, solver.EPS3) == (1e-4, 3e-5)
+        # the update budget and the stop rules of the dual (eps1), of one
+        # multiplier update (eps2, the stop band) and of the MM loop (eps3) are
+        # the solver's constants
+        assert (solver.EPS1, solver.EPS2, solver.EPS3) == (1e-4, 1e-4, 3e-5)
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "eps2", "max_outer_iters", "majorizer_kind", "mode", "seed",
+            "max_outer_iters", "majorizer_kind", "mode", "seed",
         ]
-        assert len(dataclasses.fields(ExperimentConfig)) == 23
+        assert len(dataclasses.fields(ExperimentConfig)) == 22
         with pytest.raises(TypeError, match=key):
             SolverConfig(**{key: value})
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):

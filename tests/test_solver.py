@@ -82,7 +82,7 @@ def counted_evaluations():
 def repaired_dual_exit(cset, d):
     """x(nu) of a dual ascent from nu = 0 at the set's amp, repaired as mm_solve
     repairs it before a feasible iterate exists. Returns (x, feasible)."""
-    res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig())
+    res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset)
     if not res.restored:
         return res.x, True
     return _restore_feasibility(res.x, d, cset)
@@ -131,7 +131,7 @@ class TestSolveInner:
             if solve == "solve_inner":
                 solve_inner(nu, d, cset)
             else:
-                dual_ascent_sweep(nu, d, cset, SolverConfig())
+                dual_ascent_sweep(nu, d, cset)
 
     @pytest.mark.parametrize("solve", ["solve_inner", "dual_ascent_sweep"])
     @pytest.mark.parametrize("bad", ["d length 1", "d column", "d short", "nu column"])
@@ -153,7 +153,7 @@ class TestSolveInner:
             if solve == "solve_inner":
                 solve_inner(nu, d, cset)
             else:
-                dual_ascent_sweep(nu, d, cset, SolverConfig())
+                dual_ascent_sweep(nu, d, cset)
 
     #: Real and imaginary parts at the edges of the closed form's phase: signed
     #: zeros (angle 0, pi or -pi on the real axis), the smallest subnormal, and
@@ -246,6 +246,19 @@ class TestBisectRoot:
         assert (1.0 if value < 0.37 else -1.0) <= 0.0
 
 
+def scalar_instance():
+    """(setup, cset, d) with K = 1, L = 1, N_T = 1: one phasor against two
+    half-space constraints, the second of them active at the dual's exit."""
+    setup = CommSetup(
+        channels=np.array([[1.2 - 0.4j]]),
+        symbols=np.array([[1j]]),
+        gamma=np.array([1.5]),
+        sigma2=0.04,
+        m_points=4,
+    )
+    return setup, build_ci_constraints(setup, 1.0), np.array([0.8 + 0.5j])
+
+
 class TestDualAscent:
     def test_all_slack_terminates_in_one_sweep(self):
         # channel [1, 0], symbol 1: x = amp * ones satisfies both rows with
@@ -259,24 +272,15 @@ class TestDualAscent:
         )
         cset = build_ci_constraints(setup, 1.0)
         d = -np.ones(cset.n, dtype=complex)
-        res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig())
+        res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset)
         assert res.sweeps == 1 and res.converged and not res.restored
         assert not res.nu.any()
         amp = math.sqrt(1.0 / 2.0)
         assert np.allclose(res.x, amp * np.exp(1j * np.angle(-d)), atol=1e-14)
 
     def test_scalar_instance_matches_exhaustive_search(self, rng):
-        # K=1, L=1, N_T=1: one phasor against two half-space constraints
-        setup = CommSetup(
-            channels=np.array([[1.2 - 0.4j]]),
-            symbols=np.array([[1j]]),
-            gamma=np.array([1.5]),
-            sigma2=0.04,
-            m_points=4,
-        )
-        cset = build_ci_constraints(setup, 1.0)
-        d = np.array([0.8 + 0.5j])
-        res = dual_ascent_sweep(np.zeros(2), d, cset, SolverConfig())
+        setup, cset, d = scalar_instance()
+        res = dual_ascent_sweep(np.zeros(2), d, cset)
         margins = ci_margin(res.x, cset)
         assert margins.min() >= -1e-9
         # exhaustive феasible optimum over 1e5 phases
@@ -298,7 +302,7 @@ class TestDualAscent:
         for _ in range(5):
             _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=3)
             d = 2.0 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
-            res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig())
+            res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset)
             margins = ci_margin(res.x, cset)
             if res.restored:
                 continue  # complementarity is checked on clean dual recoveries
@@ -308,14 +312,13 @@ class TestDualAscent:
     def test_post_certificate_per_multiplier(self, rng):
         _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=2)
         d = 0.5 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
-        cfg = SolverConfig()
         # one sweep of row updates as the solver makes them, each checked once committed
         terms, gamma = cset.row_scalars
         nu = [0.0] * cset.n_rows
         coef = (-d).tolist()
         for m in range(cset.n_rows):
             value, bracketed, _ = _update_multiplier(
-                coef, terms[m], nu[m], gamma[m], 0.5, cfg.eps2, solver.MAX_BISECT_ITERS
+                coef, terms[m], nu[m], gamma[m], 0.5, solver.EPS2, solver.MAX_BISECT_ITERS
             )
             for i, col, _ in terms[m]:
                 coef[i] += (value - nu[m]) * col
@@ -325,7 +328,7 @@ class TestDualAscent:
             if nu[m] == 0.0:
                 assert resid <= 0.0
             else:
-                assert -cfg.eps2 < resid <= 0.0
+                assert -solver.EPS2 < resid <= 0.0
 
     def test_dual_step_returns_unrepaired_closed_form(self, rng):
         # x(nu) violates a CI row here; restoration belongs to mm_solve, so
@@ -333,13 +336,12 @@ class TestDualAscent:
         _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=3)
         d = 2.0 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
         nu0 = np.zeros(cset.n_rows)
-        cfg = SolverConfig()
         with mock.patch(
             "dfrcwave.solver._restore_feasibility",
             side_effect=AssertionError("the dual step ran restoration"),
         ):
-            res = dual_ascent_sweep(nu0, d, cset, cfg)
-            ref = oracle.reference_dual_ascent(nu0, d, cset, cfg)
+            res = dual_ascent_sweep(nu0, d, cset)
+            ref = oracle.reference_dual_ascent(nu0, d, cset)
         assert res.restored and ref.restored
         assert ci_margin(res.x, cset).min() < 0
         assert res.x.tobytes() == solve_inner(res.nu, d, cset).tobytes()
@@ -369,7 +371,7 @@ class TestDualAscent:
         cset = CIConstraintSet(cset.rows, thresholds, cset.amp)
         assert not ci_margin(x0, cset)[:2].any()
         with counted_evaluations() as blocks:
-            res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset, SolverConfig())
+            res = dual_ascent_sweep(np.zeros(cset.n_rows), d, cset)
         assert res.sweeps >= 2 and res.nu[2:].any() and not res.nu[:2].any()
         assert blocks.count(0) == 2  # one residual(0) per row, first sweep only
         assert res.bisection_evals == len(blocks)
@@ -378,12 +380,12 @@ class TestDualAscent:
         # block 0's margins clear its rows, which keep nu = 0 without a
         # residual evaluation, as the listing's r(0) <= 0 would keep them
         cset, d = self._slack_and_moving_blocks()
-        nu0, cfg = np.zeros(cset.n_rows), SolverConfig()
+        nu0 = np.zeros(cset.n_rows)
         with counted_evaluations() as blocks:
-            res = dual_ascent_sweep(nu0, d, cset, cfg)
+            res = dual_ascent_sweep(nu0, d, cset)
         assert blocks.count(0) == 0 and blocks.count(1) > 0
         assert res.sweeps >= 2 and not res.nu[:2].any() and res.nu[2:].any()
-        ref = oracle.reference_dual_ascent(nu0, d, cset, cfg)
+        ref = oracle.reference_dual_ascent(nu0, d, cset)
         assert not ref.nu[:2].any()
 
     def test_negative_multiplier_rejected(self, rng):
@@ -392,7 +394,7 @@ class TestDualAscent:
         nu0 = np.zeros(cset.n_rows)
         nu0[1] = -0.5
         with pytest.raises(ValueError, match="nonnegative"):
-            dual_ascent_sweep(nu0, np.ones(cset.n, dtype=complex), cset, SolverConfig())
+            dual_ascent_sweep(nu0, np.ones(cset.n, dtype=complex), cset)
 
     def test_leaves_nu0_untouched_and_keeps_modulus(self, rng):
         # the amplitude is the set's amp, sqrt(p_total / n_tx) of its n_tx
@@ -400,14 +402,14 @@ class TestDualAscent:
         d = 0.1 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
         nu0 = rng.uniform(0.0, 1.0, cset.n_rows)
         before = nu0.copy()
-        res = dual_ascent_sweep(nu0, d, cset, SolverConfig())
+        res = dual_ascent_sweep(nu0, d, cset)
         assert np.array_equal(nu0, before)
         assert np.all(res.nu >= 0.0)
         assert np.abs(np.abs(res.x) - math.sqrt(2.0 / cset.n_tx)).max() <= MODULUS_TOL
 
 
 class TestStopConstants:
-    """EPS1 and EPS3 are solver constants, read when a solve runs."""
+    """EPS1, EPS2 and EPS3 are solver constants, read when a solve runs."""
 
     @pytest.mark.parametrize("ascent", [dual_ascent_sweep, oracle.reference_dual_ascent])
     def test_dual_reads_eps1_at_call_time(self, ascent):
@@ -416,10 +418,21 @@ class TestStopConstants:
         _, cset = make_cset(rng, k_users=2, n_tx=4, block_len=3)
         d = 2.0 * (rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n))
         nu0 = np.zeros(cset.n_rows)
-        assert ascent(nu0, d, cset, SolverConfig()).sweeps > 2
+        assert ascent(nu0, d, cset).sweeps > 2
         with mock.patch("dfrcwave.solver.EPS1", math.inf):
-            res = ascent(nu0, d, cset, SolverConfig())
+            res = ascent(nu0, d, cset)
         assert res.sweeps == 2 and res.converged
+
+    @pytest.mark.parametrize("ascent", [dual_ascent_sweep, oracle.reference_dual_ascent])
+    def test_dual_reads_eps2_at_call_time(self, ascent):
+        # the active row's last update stops with its residual in (-EPS2, 0]:
+        # inside 1e-4 at the default band, past it in a band patched wider
+        _, cset, d = scalar_instance()
+        res = ascent(np.zeros(2), d, cset)
+        assert res.converged and -1e-4 < -ci_margin(res.x, cset)[1] <= 0.0
+        with mock.patch("dfrcwave.solver.EPS2", 0.1):
+            wide = ascent(np.zeros(2), d, cset)
+        assert wide.converged and -0.1 < -ci_margin(wide.x, cset)[1] <= -1e-4
 
     def test_mm_loop_reads_eps3_at_call_time(self):
         scene = make_scene(n_tx=2, block_len=4, max_lag=3)
@@ -553,7 +566,7 @@ class TestFeasibilityProperties:
 def dual_instances(draw):
     """Dual-ascent inputs (setup, cset, d, nu0, budget) over n_tx 1-4, L 1-6, K 1-2,
     M 2/4/8, with ``budget`` for ``solver.MAX_BISECT_ITERS`` its smallest sound
-    value or its own (``at_drawn_budget`` patches it in).
+    value or its own (``bisect_budget`` patches it in).
 
     d always has exact zeros, so from nu0 = 0 the probes meet vanishing
     coefficients (the phase-0 branch); a drawn "dead" user has a zero
@@ -616,26 +629,16 @@ def bisect_budget(budget):
     return mock.patch("dfrcwave.solver.MAX_BISECT_ITERS", budget)
 
 
-def at_drawn_budget(test):
-    """Run the hypothesis test ``test`` over ``dual_instances`` on each example
-    (setup, cset, d, nu0, budget) as (setup, cset, d, nu0, ``SolverConfig()``),
-    with ``bisect_budget`` setting its budget.
-
-    The wrapper takes the place of hypothesis's ``inner_test`` (the hook
-    hypothesis offers for wrapping a test's execution) and is not a decorator:
-    hypothesis seeds a derandomized test's draws from the test's source,
-    decorators included, so the test keeps the examples it drew when its
-    ``SolverConfig`` carried the budget, the CI parity step's failing one too.
-    """
-    inner = test.hypothesis.inner_test
-
-    @functools.wraps(inner)
-    def run(self, inst):
-        *head, budget = inst
-        with bisect_budget(budget):
-            return inner(self, (*head, SolverConfig()))
-
-    test.hypothesis.inner_test = run
+# Hypothesis seeds a derandomize=True property's examples from its source text,
+# decorators included, so an edit to the text replaces them and can hide or move
+# a failure the CI parity step shows. The four properties that run at the drawn
+# update budget are pinned to the seeds their earlier text gave (hypothesis's
+# int_from_bytes(function_digest(test)), a sha384 digest read as an integer) and
+# draw the examples they drew then, the parity step's failing one too.
+LISTING_SEED = 0xb72629b9cf11a55d0b24f0cdabac2117a313a2e5a5b77d253588969f74875dabd4895d2a4d19aa5e1f004812f6d5adf8
+FINISH_SEED = 0x2e9ab982361aa6db4410d75f414ac56209fb7a0f36dc40662b0fbe12e08716d7b17b7da89f8bf8373c0933b83e68864d
+TAIL_SEED = 0x8bb7e9fb1a5790bbcbc3e427fbc6bcd162e4f17ba15b7180e0664ff30a52fd8575d246fc4feebe4426b69b9c6d9fac0c
+CERTIFICATE_SEED = 0x66d064d0b424766a3e8754fe0a7c186aa57dbea5df987d577e79052d5edc7c33ea9afb36d06bdaaea82a8dd74197785f
 
 
 @st.composite
@@ -788,13 +791,15 @@ class TestDualAscentParity:
 
     # the example budget comes from the hypothesis profile (conftest.py)
     @pytest.mark.parity
+    @seed(LISTING_SEED)
     @settings(deadline=None, derandomize=True)
     @given(inst=dual_instances())
     def test_sweep_is_no_worse_than_the_listing(self, inst):
-        setup, cset, d, nu0, cfg = inst
-        with counted_evaluations() as blocks:
-            res = dual_ascent_sweep(nu0, d, cset, cfg)
-        ref = oracle.reference_dual_ascent(nu0, d, cset, cfg)
+        setup, cset, d, nu0, budget = inst
+        with bisect_budget(budget):
+            with counted_evaluations() as blocks:
+                res = dual_ascent_sweep(nu0, d, cset)
+            ref = oracle.reference_dual_ascent(nu0, d, cset)
 
         def dual_value(nu):
             x = solve_inner(nu, d, cset)
@@ -817,8 +822,6 @@ class TestDualAscentParity:
             dead = [m for m in range(cset.n_rows) if m % k_users == k_users - 1]
             assert set(dead) <= set(res.bracket_failures)
 
-    at_drawn_budget(test_sweep_is_no_worse_than_the_listing)
-
     @pytest.mark.xfail(
         strict=True,
         reason="coordinate ascent stalls on a kink of the dual below the listing "
@@ -840,10 +843,9 @@ class TestDualAscentParity:
         cset = CIConstraintSet(base.rows, np.array([[1.79863461, 0.1], [0.1, 0.1]]), base.amp)
         d = np.array([-0.01321049 + 0.01049001j, 0.0])
         nu0 = np.array([0.0, 2.80521727, 0.0, 0.0082155])
-        cfg = SolverConfig()
         with bisect_budget(32):
-            res = dual_ascent_sweep(nu0, d, cset, cfg)
-            ref = oracle.reference_dual_ascent(nu0, d, cset, cfg)
+            res = dual_ascent_sweep(nu0, d, cset)
+            ref = oracle.reference_dual_ascent(nu0, d, cset)
 
         def dual_value(nu):
             x = solve_inner(nu, d, cset)
@@ -888,7 +890,7 @@ def violated_blocks(x, cset):
 
 
 def desk_dual_call(iteration, **overrides):
-    """Arguments (nu, d, cset, cfg) of a desk solve's dual ascent at
+    """Arguments (nu, d, cset) of a desk solve's dual ascent at
     outer ``iteration`` (counted from 1)."""
     calls = []
 
@@ -909,7 +911,7 @@ class TestBlockFinish:
         # desk seed 0, second iteration: the sweep alone stops with block 6
         # violated, which restoration would have repaired
         args = desk_dual_call(2, seed=0)
-        _, d, cset, _ = args
+        _, d, cset = args
         with counted_evaluations() as swept:
             unfinished = unfinished_sweep(*args)
         assert unfinished.restored and violated_blocks(unfinished.x, cset) == {6}
@@ -929,14 +931,16 @@ class TestBlockFinish:
         assert desk_solve(seed=1).restorations <= 58 // 5
 
     # the example budget comes from the hypothesis profile (conftest.py)
+    @seed(FINISH_SEED)
     @settings(deadline=None, derandomize=True)
     @given(inst=dual_instances())
     def test_finish_moves_only_violated_blocks(self, inst):
-        _, cset, d, nu0, cfg = inst
-        with counted_evaluations() as swept:
-            unfinished = unfinished_sweep(nu0, d, cset, cfg)
-        with counted_evaluations() as blocks:
-            res = dual_ascent_sweep(nu0, d, cset, cfg)
+        _, cset, d, nu0, budget = inst
+        with bisect_budget(budget):
+            with counted_evaluations() as swept:
+                unfinished = unfinished_sweep(nu0, d, cset)
+            with counted_evaluations() as blocks:
+                res = dual_ascent_sweep(nu0, d, cset)
         before = violated_blocks(unfinished.x, cset)
         # the sweep is unchanged; the finish evaluates and moves violated blocks
         # only, and leaves no block violated that the sweep left feasible
@@ -955,28 +959,28 @@ class TestBlockFinish:
         g_sweep = dual_value(unfinished.nu)
         assert dual_value(res.nu) >= g_sweep - 1e-8 * abs(g_sweep) - 1e-12
 
-    at_drawn_budget(test_finish_moves_only_violated_blocks)
-
 
 @pytest.mark.parity
 class TestNoMoveExit:
     """A sweep that moved no multiplier ends the dual call on the last tail's x(nu)."""
 
     # the example budget comes from the hypothesis profile (conftest.py)
+    @seed(TAIL_SEED)
     @settings(deadline=None, derandomize=True)
     @given(inst=dual_instances())
     def test_tail_follows_only_sweeps_that_moved(self, inst):
-        _, cset, d, nu0, cfg = inst
-        args = (nu0, d, cset, cfg)
-        with mock.patch("dfrcwave.solver._closed_form", wraps=_closed_form) as closed_form:
-            res = dual_ascent_sweep(*args)
-        # every sweep before the last moved a multiplier, or the call would have
-        # ended there; the last moved one when it changed nu from the sweep
-        # before it, which the sweep cap one lower returns. With no finishing
-        # pass, the sweeps alone: the finish runs when they leave a block violated.
-        swept = unfinished_sweep(*args)
-        with mock.patch("dfrcwave.solver.DEFAULT_MAX_SWEEPS", res.sweeps - 1):
-            before_last = unfinished_sweep(*args)
+        _, cset, d, nu0, budget = inst
+        args = (nu0, d, cset)
+        with bisect_budget(budget):
+            with mock.patch("dfrcwave.solver._closed_form", wraps=_closed_form) as closed_form:
+                res = dual_ascent_sweep(*args)
+            # every sweep before the last moved a multiplier, or the call would have
+            # ended there; the last moved one when it changed nu from the sweep
+            # before it, which the sweep cap one lower returns. With no finishing
+            # pass, the sweeps alone: the finish runs when they leave a block violated.
+            swept = unfinished_sweep(*args)
+            with mock.patch("dfrcwave.solver.MAX_SWEEPS", res.sweeps - 1):
+                before_last = unfinished_sweep(*args)
         assert swept.sweeps == res.sweeps
         last_moved = before_last.nu.tobytes() != swept.nu.tobytes()
         assert res.converged or last_moved  # the cap stops only a moving call
@@ -985,8 +989,6 @@ class TestNoMoveExit:
         assert closed_form.call_count == 1 + moved_sweeps + swept.restored
         assert res.x.tobytes() == solve_inner(res.nu, d, cset).tobytes()
         assert res.restored == bool(ci_margin(res.x, cset).min() < 0)
-
-    at_drawn_budget(test_tail_follows_only_sweeps_that_moved)
 
 
 def certificate_off():
@@ -1001,11 +1003,12 @@ class TestStopBandCertificate:
     """A warm row whose tail margin puts r(nu_m) in the stop band is settled with r(0)."""
 
     # the example budget comes from the hypothesis profile (conftest.py)
+    @seed(CERTIFICATE_SEED)
     @settings(deadline=None, derandomize=True)
     @given(inst=dual_instances())
     def test_certificate_changes_only_the_count(self, inst):
-        _, cset, d, nu0, cfg = inst
-        args = (nu0, d, cset, cfg)
+        _, cset, d, nu0, budget = inst
+        args = (nu0, d, cset)
         in_update = []  # non-empty while _update_multiplier runs
         certified = []  # (the update's result, the certificate's) per certified row
 
@@ -1022,15 +1025,18 @@ class TestStopBandCertificate:
                 # the certificate's probe r(0) of a row at nu_m = -delta: the update
                 # would probe r(nu_m), in the band, then r(0), and return the same
                 nu_m = -delta
-                update = updating(coef, terms, nu_m, gamma, amp, cfg.eps2, solver.MAX_BISECT_ITERS)
+                update = updating(
+                    coef, terms, nu_m, gamma, amp, solver.EPS2, solver.MAX_BISECT_ITERS
+                )
                 certified.append((update, (0.0 if r <= 0 else nu_m, True, 2)))
             return r
 
-        with mock.patch("dfrcwave.solver._update_multiplier", updating), \
-                mock.patch("dfrcwave.solver._row_residual", checking):
-            res = dual_ascent_sweep(*args)
-        with certificate_off():
-            ref = dual_ascent_sweep(*args)
+        with bisect_budget(budget):
+            with mock.patch("dfrcwave.solver._update_multiplier", updating), \
+                    mock.patch("dfrcwave.solver._row_residual", checking):
+                res = dual_ascent_sweep(*args)
+            with certificate_off():
+                ref = dual_ascent_sweep(*args)
         for update, shortcut in certified:
             assert update == shortcut
         assert res.nu.tobytes() == ref.nu.tobytes()
@@ -1041,8 +1047,6 @@ class TestStopBandCertificate:
         # one evaluation saved per certified row, the update's probe of r(nu_m)
         assert res.bisection_evals == ref.bisection_evals - len(certified) <= ref.bisection_evals
 
-    at_drawn_budget(test_certificate_changes_only_the_count)
-
     @staticmethod
     def _first_sweep_updates(margin, nu_first):
         """Row 0 of one block (K = 1, n_tx = 2) warm at ``nu_first``, its threshold
@@ -1052,23 +1056,22 @@ class TestStopBandCertificate:
         ``_update_multiplier`` calls on row 0)."""
         rng = np.random.default_rng(7)
         _, cset = make_cset(rng, k_users=1, n_tx=2, block_len=1)
-        cfg = SolverConfig()
         d = rng.standard_normal(cset.n) + 1j * rng.standard_normal(cset.n)
         nu0 = np.array([nu_first, 0.0])
         clear_by = cset.clear_by
         x0 = solve_inner(nu0, d, cset)
         aligned = ci_margin(x0, CIConstraintSet(cset.rows, 0.0 * cset.thresholds, cset.amp))[0]
         thresholds = cset.thresholds.copy()
-        thresholds[0, 0] = aligned - (margin[0] * clear_by + margin[1] * cfg.eps2)
+        thresholds[0, 0] = aligned - (margin[0] * clear_by + margin[1] * solver.EPS2)
         cset = CIConstraintSet(cset.rows, thresholds, cset.amp)
         row0 = cset.row_scalars[0][0]
         with mock.patch("dfrcwave.solver._update_multiplier", wraps=_update_multiplier) as update, \
                 bisect_budget(32), \
-                mock.patch("dfrcwave.solver.DEFAULT_MAX_SWEEPS", 1), \
+                mock.patch("dfrcwave.solver.MAX_SWEEPS", 1), \
                 mock.patch("dfrcwave.solver._FINISH_PASSES", 0):
-            dual_ascent_sweep(nu0, d, cset, cfg)
+            dual_ascent_sweep(nu0, d, cset)
         calls = [c for c in update.call_args_list if c.args[1] is row0]
-        return ci_margin(x0, cset)[0], (clear_by, *cset.stop_band(cfg.eps2)), calls
+        return ci_margin(x0, cset)[0], (clear_by, *cset.stop_band(solver.EPS2)), calls
 
     @pytest.mark.parametrize(
         "margin, nu_first",
@@ -1512,7 +1515,7 @@ class TestMMSolve:
                 if entry == "solve_inner":
                     solve_inner(nu, d, cset)
                 else:
-                    dual_ascent_sweep(nu, d, cset, SolverConfig())
+                    dual_ascent_sweep(nu, d, cset)
 
     @pytest.mark.parametrize(
         "kind, weights, same_scene",
@@ -1799,7 +1802,7 @@ class TestRareExits:
 
     def test_sweep_cap_hits_are_counted_and_warned(self):
         # one sweep per dual call: every call that moves a multiplier hits the cap
-        with mock.patch("dfrcwave.solver.DEFAULT_MAX_SWEEPS", 1):
+        with mock.patch("dfrcwave.solver.MAX_SWEEPS", 1):
             state = desk_solve(max_outer_iters=10)
         hits = sum(r.sweep_cap_hit for r in state.iterations)
         assert hits > 0
